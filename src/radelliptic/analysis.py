@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (InsufficientData, InvalidSpec, NotAZero, NotConverged)
 from .grid import (DiscreteRadialFunction, derivative_numbers,
@@ -21,6 +20,11 @@ from .grid import (DiscreteRadialFunction, derivative_numbers,
 from .operators import OperatorSpec, eval_radial_many
 from .report import VerificationReport
 from .solver import Solution, SourceFunction
+
+# cap on the element count of each temporary in the blocked certification
+# checks: large enough to amortise numpy call overhead, small enough that
+# the checks add nothing visible to peak memory
+_BLOCK_ELEMS = 1 << 14
 
 
 def epsilon_aA(x, a: float, A: float):
@@ -93,54 +97,72 @@ def _as_function(u):
     return u, 0.0
 
 
-def _pairwise_flux_checks(report, name_tol_pairs, nodes, flux, idx, op,
-                          f_sup, eps_cum, increasing):
+def _cumulative_trapezoid(y, x):
+    """Running trapezoid integral of y over x, starting at 0 at x[0]."""
+    return np.concatenate(
+        [[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
+def _pairwise_flux_checks(report, tol, nodes, flux, idx, op, f_sup, eps_cum,
+                          increasing):
     """Worst pairwise margins of the flux inequalities on one interval.
 
-    ``idx`` are node indices of the interval; for each left endpoint the
-    integral/barrier inequality is evaluated against all right endpoints
-    at once.
+    ``idx`` are node indices of the interval.  The inequalities are
+    evaluated for every pair of left endpoint i and right endpoint j > i,
+    in blocks of consecutive left endpoints whose (block, interval)
+    temporaries hold at most ``_BLOCK_ELEMS`` elements; pairs with j <= i
+    are masked with +inf.  The reported location is the right endpoint of
+    the first pair in (i, j) order that attains the minimum: row-major
+    argmin inside a block, strict improvement across blocks.
     """
     gamma, _ = gamma_exponent(op)
     one_p_a = 1.0 + op.alpha
     denom_loose = op.A * (op.dim - 1) * one_p_a + op.a
     denom_tight = op.A * (op.dim - 1) * one_p_a + op.A
 
-    names = {key: (math.inf, nodes[idx[0]]) for key in
+    worst = {key: (math.inf, nodes[idx[0]]) for key in
              ("integral", "barrier_loose", "barrier_tight")}
-    for pos, i in enumerate(idx[:-1]):
-        right = idx[pos + 1:]
+
+    def record(key, margins, upper, s):
+        margins = np.where(upper, margins, np.inf)
+        k = np.unravel_index(np.argmin(margins), margins.shape)
+        if margins[k] < worst[key][0]:
+            worst[key] = (float(margins[k]), float(s[0, k[1]]))
+
+    rows = max(1, _BLOCK_ELEMS // len(idx))
+    for start in range(0, len(idx) - 1, rows):
+        # columns before the block's first right endpoint are all masked
+        left = idx[start:start + rows, None]
+        right = idx[None, start + 1:]
+        upper = left < right
         s = nodes[right]
-        growth = one_p_a * (eps_cum[right] - eps_cum[i])
+        growth = one_p_a * (eps_cum[right] - eps_cum[left])
         if increasing:
             # flux may not grow faster than the weighted integral of f
-            m_int = flux[i] + growth - flux[right]
+            m_int = flux[left] + growth - flux[right]
         else:
-            m_int = flux[right] - flux[i] - growth
-        ratio = (nodes[i] / s) ** gamma
-        decay = 1.0 - (nodes[i] / s) ** (gamma + 1.0)
-        for key, denom in (("barrier_loose", denom_loose),
-                           ("barrier_tight", denom_tight)):
-            barrier = f_sup * one_p_a * s / denom * decay
-            if increasing:
-                m_bar = flux[right] - (ratio * flux[i] - barrier)
-            else:
-                m_bar = (ratio * flux[i] + barrier) - flux[right]
-            w = int(np.argmin(m_bar))
-            if m_bar[w] < names[key][0]:
-                names[key] = (float(m_bar[w]), float(s[w]))
-        w = int(np.argmin(m_int))
-        if m_int[w] < names["integral"][0]:
-            names["integral"] = (float(m_int[w]), float(s[w]))
+            m_int = flux[right] - flux[left] - growth
+        record("integral", m_int, upper, s)
+        # masked pairs with s < r_i may overflow; they are discarded
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = (nodes[left] / s) ** gamma
+            decay = 1.0 - (nodes[left] / s) ** (gamma + 1.0)
+            for key, denom in (("barrier_loose", denom_loose),
+                               ("barrier_tight", denom_tight)):
+                barrier = f_sup * one_p_a * s / denom * decay
+                if increasing:
+                    m_bar = flux[right] - (ratio * flux[left] - barrier)
+                else:
+                    m_bar = (ratio * flux[left] + barrier) - flux[right]
+                record(key, m_bar, upper, s)
 
     side = "eqA" if increasing else "eqC"
     bar = "eqB" if increasing else "eqD"
-    tol_fatal, tol_advisory = name_tol_pairs
-    report.add(side, names["integral"][1], names["integral"][0], tol_fatal)
-    report.add(bar + "[loose]", names["barrier_loose"][1],
-               names["barrier_loose"][0], tol_fatal)
-    report.add(bar + "[tight]", names["barrier_tight"][1],
-               names["barrier_tight"][0], tol_advisory)
+    report.add(side, worst["integral"][1], worst["integral"][0], tol)
+    report.add(bar + "[loose]", worst["barrier_loose"][1],
+               worst["barrier_loose"][0], tol)
+    report.add(bar + "[tight]", worst["barrier_tight"][1],
+               worst["barrier_tight"][0], tol)
 
 
 def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
@@ -158,7 +180,8 @@ def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
     nodes = profile.grid.nodes
     h = profile.grid.max_spacing
     tol = 10.0 * (h ** (1.0 / (1.0 + op.alpha)) + residual_sup)
-    f_sup = float(np.max(np.abs(np.asarray(f(nodes), dtype=float))))
+    fvals = np.asarray(f(nodes), dtype=float)
+    f_sup = float(np.max(np.abs(fvals)))
 
     q, _ = interior_quotients(profile)
     flux_int = np.abs(q) ** op.alpha * q
@@ -166,11 +189,8 @@ def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
     flux[1:-1] = flux_int
     flux[0] = flux[-1] = 0.0  # endpoints never indexed by intervals
 
-    fvals = np.asarray(f(nodes), dtype=float)
-    cum_aA = np.concatenate(
-        [[0.0], cumulative_trapezoid(epsilon_aA(fvals, op.a, op.A), nodes)])
-    cum_Aa = np.concatenate(
-        [[0.0], cumulative_trapezoid(epsilon_aA(fvals, op.A, op.a), nodes)])
+    cum_aA = _cumulative_trapezoid(epsilon_aA(fvals, op.a, op.A), nodes)
+    cum_Aa = _cumulative_trapezoid(epsilon_aA(fvals, op.A, op.a), nodes)
 
     report = VerificationReport(
         tolerance_model="10*(h^(1/(1+alpha)) + residual_sup); "
@@ -179,10 +199,10 @@ def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
     for itv in intervals:
         idx = np.arange(itv.i_lo, itv.i_hi + 1)
         if itv.sign is Sign.POSITIVE:
-            _pairwise_flux_checks(report, (tol, tol), nodes, flux, idx, op,
+            _pairwise_flux_checks(report, tol, nodes, flux, idx, op,
                                   f_sup, cum_aA, increasing=True)
         else:
-            _pairwise_flux_checks(report, (tol, tol), nodes, flux, idx, op,
+            _pairwise_flux_checks(report, tol, nodes, flux, idx, op,
                                   f_sup, cum_Aa, increasing=False)
     if not intervals:
         report.add("flux[vacuous]", float(nodes[0]), math.inf, tol)
@@ -208,6 +228,12 @@ def check_viscosity(u, op: OperatorSpec, f: SourceFunction,
     above gives the mirrored subsolution bound.  Zero-slope paraboloids
     are excluded from the family (the viscosity definition does not test
     with vanishing gradients), so nodes are never tested at u' = 0.
+
+    The tested nodes are processed in blocks whose (block, family)
+    temporaries hold at most ``_BLOCK_ELEMS`` elements, with one operator
+    evaluation per block.  The 4-node stencils next to either end repeat
+    an end node, which leaves the test unchanged.  Each side reports the
+    first node in grid order that attains its minimum margin.
     """
     if slopes < 3 or curvatures < 3:
         raise InvalidSpec("need at least 3 slopes and 3 curvatures")
@@ -241,38 +267,52 @@ def check_viscosity(u, op: OperatorSpec, f: SourceFunction,
     # gradients, and discretely "vanishing" means below the accuracy of the
     # first difference quotient
     slope_floor = h ** (1.0 / (1.0 + op.alpha))
+    tested = 1 + np.flatnonzero((nodes[1:n] > 0.0)
+                                & (np.abs(q_int) >= slope_floor))
 
     worst_super = (math.inf, float(nodes[min(1, n)]))
     worst_sub = (math.inf, float(nodes[min(1, n)]))
-    for i in range(1, n):
-        if nodes[i] <= 0.0 or abs(q_int[i - 1]) < slope_floor:
-            continue
+    family = ((len(slope_family) + 1)
+              * (len(curv_family) + len(curv_offsets) + 1))
+    block = max(1, _BLOCK_ELEMS // family)
+    for start in range(0, len(tested), block):
+        i = tested[start:start + block]
+        r_i = nodes[i][:, None]
+        u_i = vals[i][:, None]
+        q_i = q_int[i - 1][:, None]
+        m_i = m_int[i - 1][:, None]
         # the global families rarely graze the profile; add the node's own
         # quotients so near-tangent paraboloids are always in the family
-        m_i = m_int[i - 1]
-        local_curv = m_i + curv_offsets * max(abs(m_i), 1.0)
-        slopes_i = np.append(slope_family, q_int[i - 1])
-        curvs_i = np.concatenate([curv_family, local_curv, [m_i]])
-        P, Q = np.meshgrid(slopes_i, curvs_i, indexing="ij")
-        P = P.ravel()
-        Q = Q.ravel()
-        lo = max(0, i - 2)
-        hi = min(n, i + 2)
-        ds = nodes[lo:hi + 1] - nodes[i]
-        du = vals[lo:hi + 1] - vals[i]
-        w = P[:, None] * ds[None, :] + 0.5 * Q[:, None] * ds[None, :] ** 2
-        below = np.all(w <= du[None, :] + eta, axis=1)
-        above = np.all(w >= du[None, :] - eta, axis=1)
-        # sub-cell crossing guard: a paraboloid can clear the nodes yet cross
-        # the profile inside an adjacent cell.  Model u on the cell as the
-        # quadratic with the node's second quotient; the gap to the paraboloid
-        # is then gap(t) = t*gb - (dQ*hc^2/2)*t*(1-t) with dQ = Q - m_i, whose
-        # extremum over the cell is explicit.
+        local_curv = m_i + curv_offsets * np.maximum(np.abs(m_i), 1.0)
+        slopes_i = np.concatenate(
+            [np.broadcast_to(slope_family, (len(i), len(slope_family))), q_i],
+            axis=1)
+        curvs_i = np.concatenate(
+            [np.broadcast_to(curv_family, (len(i), len(curv_family))),
+             local_curv, m_i], axis=1)
+        shape = (len(i), slopes_i.shape[1], curvs_i.shape[1])
+        P = np.broadcast_to(slopes_i[:, :, None], shape).reshape(len(i), -1)
+        Q = np.broadcast_to(curvs_i[:, None, :], shape).reshape(len(i), -1)
         dQ = Q - m_i
-        for j in (i - 1, i + 1):
-            dj = nodes[j] - nodes[i]
-            hc2 = dj * dj
-            gb = P * dj + 0.5 * Q * hc2 - (vals[j] - vals[i])
+        below = np.ones(P.shape, dtype=bool)
+        above = np.ones(P.shape, dtype=bool)
+        # offset 0 always passes; a clipped offset repeats an end node
+        for offset in (-2, -1, 1, 2):
+            j = np.clip(i + offset, 0, n)
+            ds = nodes[j][:, None] - r_i
+            du = vals[j][:, None] - u_i
+            w = P * ds + 0.5 * Q * ds ** 2
+            below &= w <= du + eta
+            above &= w >= du - eta
+            if abs(offset) == 2:
+                continue
+            # sub-cell crossing guard: a paraboloid can clear the nodes yet
+            # cross the profile inside an adjacent cell.  Model u on the cell
+            # as the quadratic with the node's second quotient; the gap to
+            # the paraboloid is then gap(t) = t*gb - (dQ*hc^2/2)*t*(1-t) with
+            # dQ = Q - m_i, whose extremum over the cell is explicit.
+            hc2 = ds * ds
+            gb = P * ds + 0.5 * Q * hc2 - du
             denom = np.where(dQ != 0.0, dQ * hc2, 1.0)
             t_star = np.clip(0.5 - gb / denom, 0.0, 1.0)
             g_star = t_star * gb - 0.5 * dQ * hc2 * t_star * (1.0 - t_star)
@@ -282,16 +322,17 @@ def check_viscosity(u, op: OperatorSpec, f: SourceFunction,
             below &= g_hi <= eta
         if not (below.any() or above.any()):
             continue
-        hvals = eval_radial_many(op, np.full_like(P, nodes[i]), P, Q)
-        if below.any():
-            # touching from below: H(paraboloid) must not exceed f
-            m = float(np.min(fvals[i] - hvals[below]))
-            if m < worst_super[0]:
-                worst_super = (m, float(nodes[i]))
-        if above.any():
-            m = float(np.min(hvals[above] - fvals[i]))
-            if m < worst_sub[0]:
-                worst_sub = (m, float(nodes[i]))
+        hvals = eval_radial_many(op, r_i, P, Q)
+        f_i = fvals[i][:, None]
+        # touching from below: H(paraboloid) must not exceed f
+        m_super = np.min(np.where(below, f_i - hvals, np.inf), axis=1)
+        m_sub = np.min(np.where(above, hvals - f_i, np.inf), axis=1)
+        k = int(np.argmin(m_super))
+        if m_super[k] < worst_super[0]:
+            worst_super = (float(m_super[k]), float(nodes[i[k]]))
+        k = int(np.argmin(m_sub))
+        if m_sub[k] < worst_sub[0]:
+            worst_sub = (float(m_sub[k]), float(nodes[i[k]]))
 
     report = VerificationReport(
         tolerance_model="10*h^(1/(1+alpha)) + 10*residual_sup")
