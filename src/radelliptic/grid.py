@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, field
@@ -146,11 +145,9 @@ class DiscreteRadialFunction:
                 and np.array_equal(self.grid.nodes, other.grid.nodes))
 
     def to_csv(self, path) -> None:
+        rows = zip(self.grid.nodes.tolist(), self.values.tolist())
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["r", "u"])
-            for r, u in zip(self.grid.nodes, self.values):
-                writer.writerow(["%.17g" % r, "%.17g" % u])
+            fh.write("r,u\n" + "".join("%.17g,%.17g\n" % row for row in rows))
 
     @classmethod
     def from_csv(cls, path, grading: Grading = Grading.UNIFORM) -> "DiscreteRadialFunction":

@@ -4,6 +4,18 @@ The |u'|^alpha degeneracy is handled by replacing |q|^alpha with
 (q^2 + eps^2)^{alpha/2} and driving eps to zero geometrically; each
 regularized problem is solved by damped semismooth Newton with a
 pseudo-time relaxation fallback.
+
+The Jacobian is the tridiagonal interior linearization plus a first row that
+is either the three-point origin symmetry closure (ball) or an identity row
+(annulus), so each Newton step is one banded LU solve with one sub- and two
+super-diagonals.  A line-search trial is assembled with its Jacobian; when
+the trial is accepted that assembly is the next step's system, so a step
+without backtracking costs one assembly and one banded solve.
+
+The ball initial guess is the power profile r^{(alpha+2)/(alpha+1)} scaled
+from the mean forcing and shifted to the outer boundary value; the origin is
+not a boundary, so nothing is pinned there.  On an annulus the chord through
+both boundary values of that profile is subtracted as well.
 """
 
 from __future__ import annotations
@@ -12,8 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from . import _kernels
 from .errors import (Diverged, GridMismatch, InvalidSpec, PreconditionViolated)
@@ -188,13 +199,6 @@ class _System:
             self.origin_w = _origin_row_weights(self.nodes)
         self.coefs = op.bracket_coefficients()
 
-    def residual(self, u, eps):
-        res, _, _, _ = _kernels.assemble_system(
-            self.nodes, u, self.fvals, self.op.alpha, eps, *self.coefs,
-            self.op.dim, True)
-        self._boundary_rows(u, res)
-        return res
-
     def system(self, u, eps, freeze):
         res, lo, di, up = _kernels.assemble_system(
             self.nodes, u, self.fvals, self.op.alpha, eps, *self.coefs,
@@ -211,26 +215,19 @@ class _System:
             res[0] = u[0] - self.dom.bc_inner
         res[n] = u[n] - self.dom.bc_outer
 
-    def jacobian(self, lo, di, up):
+    def banded(self, lo, di, up):
+        """Jacobian in (1, 2) banded storage: ``ab[2 + i - j, j] = J[i, j]``."""
         n = self.n
-        rows = [np.arange(1, n), np.arange(1, n), np.arange(1, n)]
-        cols = [np.arange(0, n - 1), np.arange(1, n), np.arange(2, n + 1)]
-        data = [lo[1:-1], di[1:-1], up[1:-1]]
+        ab = np.zeros((4, n + 1))
+        ab[1, 2:] = up[1:-1]
+        ab[2, 1:-1] = di[1:-1]
+        ab[3, :-2] = lo[1:-1]
         if self.is_ball:
-            c0, c1, c2 = self.origin_w
-            rows.append(np.array([0, 0, 0]))
-            cols.append(np.array([0, 1, 2]))
-            data.append(np.array([c0, c1, c2]))
+            ab[2, 0], ab[1, 1], ab[0, 2] = self.origin_w
         else:
-            rows.append(np.array([0]))
-            cols.append(np.array([0]))
-            data.append(np.array([1.0]))
-        rows.append(np.array([n]))
-        cols.append(np.array([n]))
-        data.append(np.array([1.0]))
-        return sp.csc_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n + 1, n + 1))
+            ab[2, 0] = 1.0
+        ab[2, n] = 1.0
+        return ab
 
     def roundoff_floor(self, u, eps):
         """Attainable residual floor from cancellation in the assembly.
@@ -295,7 +292,12 @@ def discretize_residual(op: OperatorSpec, f: SourceFunction,
 
 
 def _initial_guess(op, dom, grid, fvals):
-    """Boundary interpolant plus a power-profile bump scaled from mean f."""
+    """Boundary data plus a power-profile bump scaled from mean f.
+
+    The bump vanishes at the outer radius; on an annulus its chord is
+    subtracted too so that it also vanishes at the inner radius.  On a ball
+    the origin is left free.
+    """
     nodes = grid.nodes
     fbar = float(np.mean(fvals))
     if dom.kind is DomainKind.BALL:
@@ -310,6 +312,8 @@ def _initial_guess(op, dom, grid, fvals):
     amp = (abs(fbar) / c_ref) ** (1.0 / (1.0 + alpha))
     expo = (2.0 + alpha) / (1.0 + alpha)
     w = math.copysign(1.0, fbar) * amp / expo * nodes ** expo
+    if dom.kind is DomainKind.BALL:
+        return base + (w - w[-1])
     w_lin = np.interp(nodes, [nodes[0], nodes[-1]], [w[0], w[-1]])
     return base + (w - w_lin)
 
@@ -345,19 +349,15 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
     u_prev_stage = u.copy()
 
     for eps in eps_list:
+        res, lo, di, up = system.system(u, eps, freeze=False)
         for _ in range(params.newton_max_iter):
-            res, lo, di, up = system.system(u, eps, freeze=False)
             rn = float(np.max(np.abs(res)))
             if rn <= max(tol, system.roundoff_floor(u, eps)):
                 break
-            delta = None
-            try:
-                delta = spla.spsolve(system.jacobian(lo, di, up), -res)
-            except Exception:
-                delta = None
-            if delta is None or not np.all(np.isfinite(delta)):
+            delta = _banded_solve(system.banded(lo, di, up), -res)
+            if not np.all(np.isfinite(delta)):
                 _, lo_f, di_f, up_f = system.system(u, eps, freeze=True)
-                delta = spla.spsolve(system.jacobian(lo_f, di_f, up_f), -res)
+                delta = _banded_solve(system.banded(lo_f, di_f, up_f), -res)
             iterations += 1
             # damp on the 2-norm: the sup-norm is dominated by single rows
             # near the origin and is too kinky for an Armijo test
@@ -366,9 +366,10 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
             accepted = False
             while lam >= params.damping_min:
                 trial = u + lam * delta
-                trial_rn2 = float(np.linalg.norm(system.residual(trial, eps)))
-                if trial_rn2 <= (1.0 - 1e-4 * lam) * rn2:
+                trial_system = system.system(trial, eps, freeze=False)
+                if float(np.linalg.norm(trial_system[0])) <= (1.0 - 1e-4 * lam) * rn2:
                     u = trial
+                    res, lo, di, up = trial_system
                     accepted = True
                     break
                 lam *= 0.5
@@ -376,9 +377,9 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
                 u, used = _pseudo_time(system, u, eps, rn, tol, params,
                                        min(pseudo_budget, 20 * grid.n))
                 pseudo_budget -= used
+                res, lo, di, up = system.system(u, eps, freeze=False)
                 if pseudo_budget <= 0:
                     break
-        res = system.residual(u, eps)
         stage_res = float(np.max(np.abs(res)))
         eps_path.append({"eps": eps, "residual_sup": stage_res,
                          "delta_from_prev": float(np.max(np.abs(u - u_prev_stage)))})
@@ -397,6 +398,18 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
     profile = DiscreteRadialFunction(grid, u)
     return Solution(profile, residual_sup, eps_final, iterations, converged,
                     eps_path)
+
+
+def _banded_solve(ab, rhs):
+    """Banded LU solve of the Newton system; NaN where it fails.
+
+    A NaN Newton step sends the caller to the frozen-Jacobian retry, and a
+    NaN retry step fails the line search, which hands over to pseudo-time.
+    """
+    try:
+        return solve_banded((1, 2), ab, rhs)
+    except ValueError:  # LinAlgError (singular) and non-finite input
+        return np.full_like(rhs, np.nan)
 
 
 def _pseudo_time(system, u, eps, rn_enter, tol, params, budget):

@@ -1,10 +1,15 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
+from radelliptic import _kernels, solver
+from radelliptic.cli import _parse_problem
 from radelliptic.errors import (GridMismatch, InvalidSpec,
                                 PreconditionViolated)
-from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
-                              RadialGrid)
+from radelliptic.grid import (DiscreteRadialFunction, Domain, DomainKind,
+                              Grading, RadialGrid)
 from radelliptic.operators import (OperatorSpec, closed_form_alpha_laplacian,
                                    closed_form_pucci_power,
                                    pucci_power_profile)
@@ -231,3 +236,91 @@ class TestComparison:
             lo = solve_dirichlet(op, dom, f_lo, grid)
             report = comparison_oracle(hi, lo, op, f_hi, f_lo)
             assert report.all_passed, report.failures()[0].as_dict()
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def _config_problem(name, n_mult=1):
+    with open(os.path.join(CONFIG_DIR, name + ".json"), encoding="utf-8") as fh:
+        op, dom, grid, f, params = _parse_problem(json.load(fh))
+    grid = RadialGrid.for_domain(dom, n_mult * grid.n, grid.grading)
+    return op, dom, grid, f, params
+
+
+class TestInitialGuess:
+    @pytest.mark.parametrize("name", ["pucci_power_ball", "pucci_alpha2_ball"])
+    def test_ball_guess_near_power_profile(self, name):
+        op, dom, grid, f, _ = _config_problem(name)
+        guess = solver._initial_guess(op, dom, grid, f(grid.nodes))
+        exact = pucci_power_profile(op)(grid.nodes)
+        assert np.max(np.abs(guess - exact)) <= 0.05
+        assert guess[-1] == dom.bc_outer
+
+    def test_annulus_guess_subtracts_chord(self):
+        op, dom, grid, f, _ = _config_problem("alpha_laplacian_annulus")
+        nodes = grid.nodes
+        fvals = f(nodes)
+        guess = solver._initial_guess(op, dom, grid, fvals)
+        # boundary chord plus the power bump with its own chord removed
+        c_ref = 0.5 * (op.a + op.A) * op.dim
+        expo = (2.0 + op.alpha) / (1.0 + op.alpha)
+        amp = (abs(np.mean(fvals)) / c_ref) ** (1.0 / (1.0 + op.alpha))
+        w = np.sign(np.mean(fvals)) * amp / expo * nodes ** expo
+        base = np.interp(nodes, [nodes[0], nodes[-1]],
+                         [dom.bc_inner, dom.bc_outer])
+        w_lin = np.interp(nodes, [nodes[0], nodes[-1]], [w[0], w[-1]])
+        np.testing.assert_array_equal(guess, base + (w - w_lin))
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("name", ["pucci_alpha2_ball", "pucci_minus_ball"])
+    @pytest.mark.parametrize("n_mult", [1, 4])
+    def test_no_pseudo_time_fallback(self, monkeypatch, name, n_mult):
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("pseudo-time fallback was entered")
+
+        monkeypatch.setattr(solver, "_pseudo_time", no_fallback)
+        op, dom, grid, f, params = _config_problem(name, n_mult)
+        sol = solve_dirichlet(op, dom, f, grid, params)
+        assert sol.converged
+        assert sol.iterations < 30
+
+    @pytest.mark.parametrize("dom", [
+        Domain.ball(1.0, bc_outer=1.0),
+        Domain.annulus(0.5, 1.0, bc_inner=0.2, bc_outer=0.7)])
+    def test_banded_solve_matches_dense(self, dom):
+        op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
+        grid = RadialGrid.for_domain(dom, 24, Grading.UNIFORM)
+        nodes = grid.nodes
+        n = grid.n
+        system = solver._System(op, dom, np.full(n + 1, 3.0), grid)
+        u = 0.3 + np.sin(2.0 * nodes) * nodes ** 1.5
+        res, lo, di, up = system.system(u, 1e-2, freeze=False)
+        dense = np.zeros((n + 1, n + 1))
+        for i in range(1, n):
+            dense[i, i - 1:i + 2] = lo[i], di[i], up[i]
+        if dom.kind is DomainKind.BALL:
+            dense[0, :3] = solver._origin_row_weights(nodes)
+        else:
+            dense[0, 0] = 1.0
+        dense[n, n] = 1.0
+        expect = np.linalg.solve(dense, -res)
+        got = solver._banded_solve(system.banded(lo, di, up), -res)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    def test_one_assembly_per_newton_step(self, monkeypatch):
+        calls = 0
+        assemble = _kernels.assemble_system
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return assemble(*args)
+
+        monkeypatch.setattr(_kernels, "assemble_system", counting)
+        op, dom, grid, f, params = _config_problem("pucci_power_ball")
+        sol = solve_dirichlet(op, dom, f, grid, params)
+        assert sol.converged and sol.iterations > 0
+        # one per accepted Newton step, one per eps stage, one frozen final
+        assert calls <= sol.iterations + len(sol.eps_path) + 1
