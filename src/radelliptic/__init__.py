@@ -1,6 +1,5 @@
 """Radial Dirichlet solver and certification suite for degenerate elliptic equations."""
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .analysis import (HolderEstimate, SignInterval, c1_bound_check,
                        c1_modulus_report, check_viscosity, epsilon_aA,
                        gamma_exponent, holder_exponent, sign_intervals,
@@ -15,6 +14,9 @@ from .solver import (SolverParams, Solution, SourceFunction,
                      comparison_oracle, solve_dirichlet)
 
 __version__ = "0.1.0"
+
+# the assembly kernel is numpy; the name is kept for run metadata
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "KERNEL_BACKEND",

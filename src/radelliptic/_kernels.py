@@ -1,10 +1,14 @@
-"""Pure-numpy assembly of the upwinded residual and its linearization.
+"""Assembly of the upwinded residual and its tridiagonal linearization.
 
-The compiled extension in ``_speedups.pyx`` implements the same contract;
-``radelliptic._kernels`` picks whichever is available at import time.
+This is the package's one assembly kernel, in numpy.  The solver calls it
+through the module attribute ``_kernels.assemble_system``; the boundary
+rows are added by the caller.
 """
 
 import numpy as np
+
+from .grid import ThreePoint
+from .operators import _bracket
 
 
 def assemble_system(nodes, u, fvals, alpha, eps, cmp_, cmm, ctp, ctm, dim,
@@ -33,21 +37,11 @@ def assemble_system(nodes, u, fvals, alpha, eps, cmp_, cmm, ctp, ctm, dim,
     di = np.zeros(n + 1)
     up = np.zeros(n + 1)
 
+    st = ThreePoint(r)
+    hp = st.hp
+    q = st.q(u)
+    m = st.m(u)
     ri = r[1:-1]
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    denom = hp * hm * (hp + hm)
-
-    q = (hm * hm * u[2:] + (hp * hp - hm * hm) * u[1:-1] - hp * hp * u[:-2]) / denom
-    m = 2.0 * (hm * u[2:] - (hp + hm) * u[1:-1] + hp * u[:-2]) / denom
-
-    dq_dn = -hp * hp / denom
-    dq_di = (hp * hp - hm * hm) / denom
-    dq_up = hm * hm / denom
-    dm_dn = 2.0 * hp / denom
-    dm_di = -2.0 * (hp + hm) / denom
-    dm_up = 2.0 * hm / denom
-
     coef_r = (dim - 1) / ri if dim > 1 else np.zeros_like(ri)
     cm_act = np.where(m >= 0.0, cmp_, cmm)
 
@@ -57,12 +51,8 @@ def assemble_system(nodes, u, fvals, alpha, eps, cmp_, cmm, ctp, ctm, dim,
     fwd = (u[2:] - u[1:-1]) / hp
     t = np.where(centered, q, fwd)
     ct_act = np.where(t >= 0.0, ctp, ctm)
-    dt_dn = np.where(centered, dq_dn, 0.0)
-    dt_di = np.where(centered, dq_di, -1.0 / hp)
-    dt_up = np.where(centered, dq_up, 1.0 / hp)
 
-    bracket = (cmp_ * np.maximum(m, 0.0) - cmm * np.maximum(-m, 0.0)
-               + coef_r * (ctp * np.maximum(t, 0.0) - ctm * np.maximum(-t, 0.0)))
+    bracket = _bracket((cmp_, cmm, ctp, ctm), m, t, coef_r)
 
     if alpha == 0.0:
         factor = np.ones_like(q)
@@ -76,15 +66,13 @@ def assemble_system(nodes, u, fvals, alpha, eps, cmp_, cmm, ctp, ctm, dim,
 
     res[1:-1] = factor * bracket - f[1:-1]
 
-    lo_b = cm_act * dm_dn + coef_r * ct_act * dt_dn
-    di_b = cm_act * dm_di + coef_r * ct_act * dt_di
-    up_b = cm_act * dm_up + coef_r * ct_act * dt_up
-    lo[1:-1] = factor * lo_b
-    di[1:-1] = factor * di_b
-    up[1:-1] = factor * up_b
-    if not freeze_factor:
-        chain = dfactor * bracket
-        lo[1:-1] += chain * dq_dn
-        di[1:-1] += chain * dq_di
-        up[1:-1] += chain * dq_up
+    # rows lo, di, up: weights on u[i-1], u[i], u[i+1]
+    chain = None if freeze_factor else dfactor * bracket
+    fwd_w = (0.0, -1.0 / hp, 1.0 / hp)
+    for row, dm, dq, dfwd in zip((lo, di, up), st.m_weights(), st.q_weights(),
+                                 fwd_w):
+        dt = np.where(centered, dq, dfwd)
+        row[1:-1] = factor * (cm_act * dm + coef_r * ct_act * dt)
+        if chain is not None:
+            row[1:-1] += chain * dq
     return res, lo, di, up

@@ -1,7 +1,8 @@
 """Batch front-end: JSON experiment configs in, CSV/JSON artifacts out.
 
 Exit codes: 0 success, 1 config error, 2 solver divergence, 3 a binding
-verification check failed (reports are still written in that case).
+verification check failed (reports are still written in that case), 4 the
+converged linearization lost its monotone structure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import analysis
 from .eigen import EigenSign, principal_eigenvalue
-from .errors import Diverged, InsufficientData, NotAZero, RadellipticError
+from .errors import (Diverged, InsufficientData, LostMonotonicity, NotAZero,
+                     RadellipticError)
 from .grid import (DiscreteRadialFunction, Domain, DomainKind, Grading,
                    RadialGrid, interior_quotients, lipschitz_constant)
 from .operators import OperatorSpec, validate_hypotheses
@@ -229,6 +231,9 @@ def main(argv=None) -> int:
     except Diverged as exc:
         print(f"error: solver diverged: {exc}", file=sys.stderr)
         return 2
+    except LostMonotonicity as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except RadellipticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

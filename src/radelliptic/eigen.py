@@ -8,6 +8,7 @@ against the normalized previous iterate; the joint homogeneity of degree
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
 
@@ -86,8 +87,7 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     iterations = 0
     restarts = 0
     psi_prev = None
-    warm = SolverParams(**{**params.to_json_dict(),
-                           "eps_start": params.eps_end})
+    warm = dataclasses.replace(params, eps_start=params.eps_end)
 
     while iterations < max_outer:
         forcing = SourceFunction.tabulated(nodes, -phi ** one_p_a)

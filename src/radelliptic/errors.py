@@ -33,6 +33,10 @@ class Diverged(RadellipticError):
     """The solver could not reduce the residual below tolerance."""
 
 
+class LostMonotonicity(RadellipticError):
+    """The converged linearization is not monotone (not an M-matrix)."""
+
+
 class PreconditionViolated(RadellipticError):
     """Caller-side precondition (e.g. boundary ordering) fails."""
 

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,21 +155,6 @@ class DiscreteRadialFunction:
 
 
 @dataclass(frozen=True)
-class Paraboloid:
-    """Quadratic comparison function anchored at (anchor_r, anchor_value)."""
-
-    p: float
-    q: float
-    anchor_r: float
-    anchor_value: float
-
-
-def paraboloid_eval(w: Paraboloid, s):
-    d = np.asarray(s, dtype=float) - w.anchor_r
-    return w.anchor_value + w.p * d + 0.5 * w.q * d * d
-
-
-@dataclass(frozen=True)
 class DerivativeNumbers:
     """Finite surrogate of the four one-sided liminf/limsup quotients."""
 
@@ -187,34 +171,51 @@ class DerivativeNumbers:
         return max(self.Lambda_g, self.Lambda_d) - min(self.lambda_g, self.lambda_d)
 
 
-def difference_quotients(u: DiscreteRadialFunction, i: int) -> tuple[float, float]:
-    """Second-order first and second difference quotients at interior node i.
+class ThreePoint:
+    """The 3-point difference stencil at the interior nodes 1..n-1 of a mesh.
 
-    Exact on quadratics for any (possibly nonuniform) spacing.
+    ``q`` and ``m`` are the second-order first and second difference
+    quotients, exact on quadratics for any (possibly nonuniform) spacing;
+    ``q_weights`` and ``m_weights`` are their coefficients on
+    (v[i-1], v[i], v[i+1]).
     """
-    n = u.grid.n
-    if not 0 < i < n:
+
+    def __init__(self, r):
+        self.hm = r[1:-1] - r[:-2]
+        self.hp = r[2:] - r[1:-1]
+        self.denom = self.hp * self.hm * (self.hp + self.hm)
+
+    def q(self, v):
+        hm, hp = self.hm, self.hp
+        return (hm * hm * v[2:] + (hp * hp - hm * hm) * v[1:-1]
+                - hp * hp * v[:-2]) / self.denom
+
+    def m(self, v):
+        hm, hp = self.hm, self.hp
+        return 2.0 * (hm * v[2:] - (hp + hm) * v[1:-1] + hp * v[:-2]) / self.denom
+
+    def q_weights(self):
+        hm, hp, denom = self.hm, self.hp, self.denom
+        return -hp * hp / denom, (hp * hp - hm * hm) / denom, hm * hm / denom
+
+    def m_weights(self):
+        hm, hp, denom = self.hm, self.hp, self.denom
+        return 2.0 * hp / denom, -2.0 * (hp + hm) / denom, 2.0 * hm / denom
+
+
+def difference_quotients(u: DiscreteRadialFunction, i: int) -> tuple[float, float]:
+    """The stencil's first and second difference quotients at interior node i."""
+    if not 0 < i < u.grid.n:
         raise BoundaryIndex("difference quotients need an interior node")
-    r = u.grid.nodes
-    v = u.values
-    hm = r[i] - r[i - 1]
-    hp = r[i + 1] - r[i]
-    denom = hp * hm * (hp + hm)
-    q = (hm * hm * v[i + 1] + (hp * hp - hm * hm) * v[i] - hp * hp * v[i - 1]) / denom
-    m = 2.0 * (hm * v[i + 1] - (hp + hm) * v[i] + hp * v[i - 1]) / denom
-    return float(q), float(m)
+    st = ThreePoint(u.grid.nodes[i - 1:i + 2])
+    v = u.values[i - 1:i + 2]
+    return float(st.q(v)[0]), float(st.m(v)[0])
 
 
 def interior_quotients(u: DiscreteRadialFunction) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized difference_quotients over all interior nodes (index 1..n-1)."""
-    r = u.grid.nodes
-    v = u.values
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    denom = hp * hm * (hp + hm)
-    q = (hm * hm * v[2:] + (hp * hp - hm * hm) * v[1:-1] - hp * hp * v[:-2]) / denom
-    m = 2.0 * (hm * v[2:] - (hp + hm) * v[1:-1] + hp * v[:-2]) / denom
-    return q, m
+    st = ThreePoint(u.grid.nodes)
+    return st.q(u.values), st.m(u.values)
 
 
 def derivative_numbers(u: DiscreteRadialFunction, r: float, window: float,

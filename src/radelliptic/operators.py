@@ -166,17 +166,29 @@ def _degenerate_factor(q, alpha):
     return np.abs(q) ** alpha
 
 
+def _bracket(coefs, m, t, c=None):
+    """The operator without its degenerate factor.
+
+    ``cmp*m+ - cmm*m- + c*(ctp*t+ - ctm*t-)`` for ``coefs = (cmp, cmm, ctp,
+    ctm)``, a second derivative ``m``, a transport quotient ``t`` and its
+    coefficient ``c`` ((N-1)/r or N-1); ``c=None`` leaves the transport term
+    out.
+    """
+    cmp_, cmm, ctp, ctm = coefs
+    bracket = cmp_ * np.maximum(m, 0.0) - cmm * np.maximum(-m, 0.0)
+    if c is None:
+        return bracket
+    return bracket + c * (ctp * np.maximum(t, 0.0) - ctm * np.maximum(-t, 0.0))
+
+
 def eval_radial_many(op: OperatorSpec, r, q, m):
     """Vectorized H(r, m, q); all inputs broadcastable, r > 0 assumed."""
     r = np.asarray(r, dtype=float)
     q = np.asarray(q, dtype=float)
     m = np.asarray(m, dtype=float)
-    cmp_, cmm, ctp, ctm = op.bracket_coefficients()
-    bracket = cmp_ * np.maximum(m, 0.0) - cmm * np.maximum(-m, 0.0)
-    if op.dim > 1:
-        bracket = bracket + (op.dim - 1) / r * (
-            ctp * np.maximum(q, 0.0) - ctm * np.maximum(-q, 0.0))
-    return _degenerate_factor(q, op.alpha) * bracket
+    c = (op.dim - 1) / r if op.dim > 1 else None
+    return _degenerate_factor(q, op.alpha) * _bracket(
+        op.bracket_coefficients(), m, q, c)
 
 
 def eval_radial(op: OperatorSpec, jet: RadialJet) -> float:
@@ -213,10 +225,8 @@ def eval_decoupled(op: OperatorSpec, m, tangential, grad):
     """
     m = np.asarray(m, dtype=float)
     tangential = np.asarray(tangential, dtype=float)
-    cmp_, cmm, ctp, ctm = op.bracket_coefficients()
-    bracket = cmp_ * np.maximum(m, 0.0) - cmm * np.maximum(-m, 0.0) + (op.dim - 1) * (
-        ctp * np.maximum(tangential, 0.0) - ctm * np.maximum(-tangential, 0.0))
-    return _degenerate_factor(grad, op.alpha) * bracket
+    return _degenerate_factor(grad, op.alpha) * _bracket(
+        op.bracket_coefficients(), m, tangential, op.dim - 1)
 
 
 def closed_form_pucci_power(op: OperatorSpec) -> tuple[float, float]:

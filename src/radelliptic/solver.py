@@ -5,6 +5,9 @@ The |u'|^alpha degeneracy is handled by replacing |q|^alpha with
 regularized problem is solved by damped semismooth Newton with a
 pseudo-time relaxation fallback.
 
+The interior rows and their linearization come from the one numpy kernel,
+``_kernels.assemble_system``; ``_System`` adds the boundary rows.
+
 The Jacobian is the tridiagonal interior linearization plus a first row that
 is either the three-point origin symmetry closure (ball) or an identity row
 (annulus), so each Newton step is one banded LU solve with one sub- and two
@@ -20,6 +23,7 @@ both boundary values of that profile is subtracted as well.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -27,8 +31,10 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import _kernels
-from .errors import (Diverged, GridMismatch, InvalidSpec, PreconditionViolated)
-from .grid import (DiscreteRadialFunction, Domain, DomainKind, RadialGrid)
+from .errors import (Diverged, GridMismatch, InvalidSpec, LostMonotonicity,
+                     PreconditionViolated)
+from .grid import (DiscreteRadialFunction, Domain, DomainKind, RadialGrid,
+                   ThreePoint)
 from .operators import OperatorSpec
 from .report import VerificationReport
 
@@ -134,7 +140,6 @@ class SolverParams:
     newton_tol: float | None = None     # None: 1e-10 * max(1, |f|_inf)
     newton_max_iter: int = 200
     damping_min: float = 2.0 ** -20
-    pseudo_time_dt: float | None = None  # None: per-node relaxation step
     pseudo_time_max_steps: int = 100_000
 
     def __post_init__(self):
@@ -142,22 +147,25 @@ class SolverParams:
             raise InvalidSpec("need 0 < eps_end <= eps_start")
         if not 0 < self.eps_factor < 1:
             raise InvalidSpec("eps_factor must lie in (0, 1)")
+        if self.newton_tol is not None and not self.newton_tol > 0:
+            raise InvalidSpec("newton_tol must be positive")
+        if not 0 < self.damping_min <= 1:
+            raise InvalidSpec("damping_min must lie in (0, 1]")
+        for name in ("newton_max_iter", "pseudo_time_max_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise InvalidSpec(f"{name} must be a nonnegative integer")
 
     def to_json_dict(self) -> dict:
-        return {"eps_start": self.eps_start, "eps_end": self.eps_end,
-                "eps_factor": self.eps_factor, "newton_tol": self.newton_tol,
-                "newton_max_iter": self.newton_max_iter,
-                "damping_min": self.damping_min,
-                "pseudo_time_dt": self.pseudo_time_dt}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SolverParams":
-        params = cls()
+        known = {f.name for f in dataclasses.fields(cls)}
         for key in doc:
-            if not hasattr(params, key):
+            if key not in known:
                 raise InvalidSpec(f"unknown solver parameter {key!r}")
-            setattr(params, key, doc[key])
-        return params
+        return cls(**doc)
 
 
 @dataclass
@@ -194,6 +202,7 @@ class _System:
         self.grid = grid
         self.nodes = grid.nodes
         self.n = grid.n
+        self.stencil = ThreePoint(self.nodes)
         self.is_ball = dom.kind is DomainKind.BALL
         if self.is_ball:
             self.origin_w = _origin_row_weights(self.nodes)
@@ -236,19 +245,16 @@ class _System:
         fine grids the discrete residual cannot be driven below a multiple
         of machine epsilon times the assembled term magnitudes.
         """
-        r = self.nodes
+        st = self.stencil
+        hm, hp, denom = st.hm, st.hp, st.denom
         au = np.abs(u)
-        hm = r[1:-1] - r[:-2]
-        hp = r[2:] - r[1:-1]
-        denom = hp * hm * (hp + hm)
         m_abs = 2.0 * (hm * au[2:] + (hp + hm) * au[1:-1] + hp * au[:-2]) / denom
         q_abs = (hm * hm * au[2:] + abs(hp * hp - hm * hm) * au[1:-1]
                  + hp * hp * au[:-2]) / denom
-        q = (hm * hm * u[2:] + (hp * hp - hm * hm) * u[1:-1]
-             - hp * hp * u[:-2]) / denom
+        q = st.q(u)
         factor = (q * q + eps * eps) ** (0.5 * self.op.alpha)
         cmp_, cmm, ctp, ctm = self.coefs
-        coef_r = (self.op.dim - 1) / r[1:-1]
+        coef_r = (self.op.dim - 1) / self.nodes[1:-1]
         amp = factor * (max(cmp_, cmm) * m_abs
                         + coef_r * max(ctp, ctm) * q_abs) + np.abs(self.fvals[1:-1])
         return 64.0 * np.finfo(float).eps * float(np.max(amp))
@@ -264,30 +270,13 @@ class _System:
 
 def discretize_residual(op: OperatorSpec, f: SourceFunction,
                         u: DiscreteRadialFunction, eps: float,
-                        dom: Domain | None = None) -> np.ndarray:
-    """Full residual vector H_eps - f; boundary rows when a domain is given.
-
-    Without a domain the first row still carries the origin symmetry closure
-    when the grid starts at r = 0, and the last row is zero.
-    """
-    nodes = u.grid.nodes
-    fvals = np.asarray(f(nodes), dtype=float)
-    coefs = op.bracket_coefficients()
-    res, _, _, _ = _kernels.assemble_system(
-        nodes, u.values, fvals, op.alpha, eps, *coefs, op.dim, True)
-    n = u.grid.n
-    if dom is not None:
-        if not u.grid.spans(dom):
-            raise GridMismatch("grid does not span the domain")
-        if dom.kind is DomainKind.BALL:
-            c0, c1, c2 = _origin_row_weights(nodes)
-            res[0] = c0 * u.values[0] + c1 * u.values[1] + c2 * u.values[2]
-        else:
-            res[0] = u.values[0] - dom.bc_inner
-        res[n] = u.values[n] - dom.bc_outer
-    elif nodes[0] == 0.0:
-        c0, c1, c2 = _origin_row_weights(nodes)
-        res[0] = c0 * u.values[0] + c1 * u.values[1] + c2 * u.values[2]
+                        dom: Domain) -> np.ndarray:
+    """Full residual vector H_eps - f, boundary rows included."""
+    if not u.grid.spans(dom):
+        raise GridMismatch("grid does not span the domain")
+    fvals = np.asarray(f(u.grid.nodes), dtype=float)
+    res, _, _, _ = _System(op, dom, fvals, u.grid).system(u.values, eps,
+                                                          freeze=True)
     return res
 
 
@@ -374,7 +363,7 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
                     break
                 lam *= 0.5
             if not accepted:
-                u, used = _pseudo_time(system, u, eps, rn, tol, params,
+                u, used = _pseudo_time(system, u, eps, rn, tol,
                                        min(pseudo_budget, 20 * grid.n))
                 pseudo_budget -= used
                 res, lo, di, up = system.system(u, eps, freeze=False)
@@ -393,7 +382,7 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
         raise Diverged(
             f"residual {residual_sup:.3e} above tolerance {tol:.3e} at eps={eps_final:.1e}")
     if not system.monotone_structure_ok(lo_f, di_f, up_f):
-        raise RuntimeError("final linearization lost its monotone structure")
+        raise LostMonotonicity("final linearization lost its monotone structure")
 
     profile = DiscreteRadialFunction(grid, u)
     return Solution(profile, residual_sup, eps_final, iterations, converged,
@@ -412,7 +401,7 @@ def _banded_solve(ab, rhs):
         return np.full_like(rhs, np.nan)
 
 
-def _pseudo_time(system, u, eps, rn_enter, tol, params, budget):
+def _pseudo_time(system, u, eps, rn_enter, tol, budget):
     """Relaxation steps until the residual halves or the budget runs out."""
     used = 0
     u = u.copy()
@@ -422,12 +411,9 @@ def _pseudo_time(system, u, eps, rn_enter, tol, params, budget):
         if rn <= max(0.5 * rn_enter, tol):
             break
         used += 1
-        if params.pseudo_time_dt is not None:
-            u[1:-1] += params.pseudo_time_dt * res[1:-1]
-        else:
-            # per-node relaxation: explicit Euler at the local stability limit
-            denom = np.maximum(np.abs(di[1:-1]), 1e-300)
-            u[1:-1] += 0.9 * res[1:-1] / denom
+        # per-node relaxation: explicit Euler at the local stability limit
+        denom = np.maximum(np.abs(di[1:-1]), 1e-300)
+        u[1:-1] += 0.9 * res[1:-1] / denom
         # boundary rows are linear: enforce them exactly
         if system.is_ball:
             c0, c1, c2 = system.origin_w

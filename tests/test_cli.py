@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from radelliptic import solver
 from radelliptic.cli import main
 
 BASE_PROBLEM = {
@@ -67,6 +68,15 @@ class TestSolve:
         cfg = write_config(tmp_path, doc)
         assert run("solve", cfg, tmp_path) == 1
         assert "declares command" in capsys.readouterr().err
+
+    def test_lost_monotone_structure_exit_code(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(solver._System, "monotone_structure_ok",
+                            lambda self, lo, di, up: False)
+        cfg = write_config(tmp_path, BASE_PROBLEM)
+        assert run("solve", cfg, tmp_path / "out") == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: final linearization lost its monotone structure"]
 
 
 class TestVerify:

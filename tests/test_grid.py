@@ -4,10 +4,9 @@ import pytest
 from radelliptic.errors import (BoundaryIndex, GridMismatch, InvalidSpec,
                                 OutsideDomain, WindowTooSmall)
 from radelliptic.grid import (DerivativeNumbers, DiscreteRadialFunction,
-                              Domain, DomainKind, Grading, Paraboloid,
-                              RadialGrid, derivative_numbers,
-                              difference_quotients, interior_quotients,
-                              lipschitz_constant, paraboloid_eval)
+                              Domain, DomainKind, Grading, RadialGrid,
+                              derivative_numbers, difference_quotients,
+                              interior_quotients, lipschitz_constant)
 
 
 def uniform_profile(fn, a=0.0, b=1.0, n=100):
@@ -104,18 +103,6 @@ class TestDifferenceQuotients:
             q, m = difference_quotients(u, i)
             assert q_vec[i - 1] == pytest.approx(q, rel=1e-13)
             assert m_vec[i - 1] == pytest.approx(m, rel=1e-13)
-
-
-class TestParaboloid:
-    def test_eval_exact(self):
-        w = Paraboloid(p=2.0, q=-4.0, anchor_r=0.5, anchor_value=1.0)
-        s = np.linspace(0.0, 1.0, 11)
-        d = s - 0.5
-        assert np.allclose(paraboloid_eval(w, s), 1.0 + 2.0 * d - 2.0 * d * d)
-
-    def test_anchor_value(self):
-        w = Paraboloid(1.0, 1.0, 0.3, -2.0)
-        assert paraboloid_eval(w, 0.3) == pytest.approx(-2.0)
 
 
 class TestDerivativeNumbers:

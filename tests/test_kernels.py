@@ -2,56 +2,15 @@ import numpy as np
 import pytest
 
 from radelliptic import _kernels
-from radelliptic._kernels import numpy_backend
-
-try:
-    from radelliptic._kernels import _speedups
-except ImportError:
-    _speedups = None
-
-needs_speedups = pytest.mark.skipif(_speedups is None,
-                                    reason="compiled kernel not built")
-
-
-def random_case(rng, n=60, graded=False):
-    s = np.linspace(0.0, 1.0, n + 1)
-    if graded:
-        s = s ** 1.5
-    nodes = 1e-3 + s  # keep r > 0 so the transport coefficient is finite
-    u = rng.normal(size=n + 1)
-    fvals = rng.normal(size=n + 1)
-    return nodes, u, fvals
-
-
-@needs_speedups
-@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
-@pytest.mark.parametrize("freeze", [True, False])
-@pytest.mark.parametrize("graded", [False, True])
-def test_backends_agree(alpha, freeze, graded):
-    rng = np.random.default_rng(5)
-    coefs = (2.0, 1.0, 2.0, 1.0)
-    for eps in (0.0, 1e-4, 1e-1):
-        nodes, u, fvals = random_case(rng, graded=graded)
-        ref = numpy_backend.assemble_system(nodes, u, fvals, alpha, eps,
-                                            *coefs, 3, freeze)
-        fast = _speedups.assemble_system(nodes, u, fvals, alpha, eps,
-                                         *coefs, 3, freeze)
-        for a, b in zip(ref, fast):
-            assert np.allclose(a[1:-1], b[1:-1], rtol=1e-13, atol=1e-13)
-
-
-@needs_speedups
-def test_selected_backend_is_compiled():
-    assert _kernels.BACKEND == "cython"
-    assert _kernels.assemble_system is _speedups.assemble_system
 
 
 def test_numpy_backend_residual_shape():
     rng = np.random.default_rng(1)
-    nodes, u, fvals = random_case(rng, n=20)
-    res, lo, di, up = numpy_backend.assemble_system(nodes, u, fvals, 1.0,
-                                                    1e-6, 1.0, 1.0, 1.0, 1.0,
-                                                    2, True)
+    nodes = 1e-3 + np.linspace(0.0, 1.0, 21)  # r > 0: finite transport
+    u = rng.normal(size=21)
+    fvals = rng.normal(size=21)
+    res, lo, di, up = _kernels.assemble_system(nodes, u, fvals, 1.0, 1e-6,
+                                               1.0, 1.0, 1.0, 1.0, 2, True)
     assert res.shape == lo.shape == di.shape == up.shape == nodes.shape
 
 
@@ -62,6 +21,82 @@ def test_numpy_backend_linear_case_matches_hand_assembly():
     nodes = np.linspace(0.0, 1.0, n + 1) + 0.5
     u = nodes ** 2
     fvals = np.zeros(n + 1)
-    res, _, _, _ = numpy_backend.assemble_system(nodes, u, fvals, 0.0, 0.0,
-                                                 1.0, 1.0, 1.0, 1.0, 1, True)
+    res, _, _, _ = _kernels.assemble_system(nodes, u, fvals, 0.0, 0.0,
+                                            1.0, 1.0, 1.0, 1.0, 1, True)
     assert np.allclose(res[1:-1], 2.0, atol=1e-10)
+
+
+def central_difference_jacobian(assemble, u, delta):
+    """(lo, di, up) of d res / d u by central differences.
+
+    The Jacobian is tridiagonal, so the nodes j = k mod 3 are perturbed
+    together: each row then sees exactly one perturbed neighbour.
+    """
+    idx = np.arange(len(u))
+    rows = idx[1:-1]
+    bands = [np.zeros(len(u)) for _ in range(3)]
+    for k in range(3):
+        e = np.where(idx % 3 == k, delta, 0.0)
+        d = (assemble(u + e)[0] - assemble(u - e)[0]) / (2.0 * delta)
+        for band, cols in zip(bands, (rows - 1, rows, rows + 1)):
+            hit = rows[cols % 3 == k]
+            band[hit] = d[hit]
+    return bands
+
+
+def smooth_mesh(graded, n=60):
+    s = np.linspace(0.0, 1.0, n + 1)
+    if graded:
+        s = s ** 1.5
+    # starting near the origin puts both transport branches on the mesh
+    # when dim > 1: forward quotients at the first nodes, centered elsewhere
+    return 1e-3 + s
+
+
+# m, the transport quotient and q keep the sign of the profile's
+# derivatives everywhere, so no upwind or branch switch lies inside a step
+SMOOTH_PROFILES = (np.exp, lambda r: -np.exp(r))
+COEFS = (2.0, 1.0, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.5])
+def test_jacobian_matches_central_differences(graded, dim, alpha):
+    nodes = smooth_mesh(graded)
+    fvals = np.sin(3.0 * nodes)
+    for eps in (1e-4, 1e-1):
+        for profile in SMOOTH_PROFILES:
+            u = profile(nodes)
+
+            def assemble(v, freeze=False):
+                return _kernels.assemble_system(nodes, v, fvals, alpha, eps,
+                                                *COEFS, dim, freeze)
+
+            _, lo, di, up = assemble(u)
+            fd = central_difference_jacobian(assemble, u, 1e-7)
+            scale = np.maximum.reduce([np.abs(lo), np.abs(di), np.abs(up)])
+            for got, want in zip((lo, di, up), fd):
+                err = np.abs(got - want)[1:-1] / scale[1:-1]
+                assert np.max(err) <= 1e-6
+            if alpha == 0.0:
+                _, lo_f, di_f, up_f = assemble(u, freeze=True)
+                for got, frozen in zip((lo, di, up), (lo_f, di_f, up_f)):
+                    assert np.array_equal(got, frozen)
+
+
+def test_jacobian_meshes_cover_both_transport_branches():
+    # the forward quotient has no u[i-1] weight, so the transport term
+    # leaves the lower band unchanged exactly where it is used
+    forward = centered = 0
+    for graded in (False, True):
+        nodes = smooth_mesh(graded)
+        for profile in SMOOTH_PROFILES:
+            u = profile(nodes)
+            lower = [_kernels.assemble_system(nodes, u, np.zeros_like(u), 0.0,
+                                              0.0, *COEFS, dim, True)[1][1:-1]
+                     for dim in (1, 3)]
+            same = lower[0] == lower[1]
+            forward += int(same.sum())
+            centered += int((~same).sum())
+    assert forward >= 3 and centered > 0

@@ -1,11 +1,12 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from radelliptic import _kernels, solver
-from radelliptic.cli import _parse_problem
+from radelliptic import _kernels, eigen, solver
+from radelliptic.cli import ConfigError, _parse_problem
 from radelliptic.errors import (GridMismatch, InvalidSpec,
                                 PreconditionViolated)
 from radelliptic.grid import (DiscreteRadialFunction, Domain, DomainKind,
@@ -70,6 +71,52 @@ class TestSolverParams:
         with pytest.raises(InvalidSpec):
             SolverParams.from_json_dict({"newton_tolerance": 1e-8})
 
+    @pytest.mark.parametrize("doc", [{"eps_factor": 1.5}, {"eps_end": 0},
+                                     {"eps_start": 1e-9, "eps_end": 1e-8},
+                                     {"newton_tol": 0.0}, {"damping_min": 0},
+                                     {"newton_max_iter": 2.5},
+                                     {"pseudo_time_max_steps": -1}])
+    def test_json_values_are_validated(self, doc):
+        # an eps_factor >= 1 would make the eps list grow without end, so
+        # nothing here may reach a solve
+        with pytest.raises(InvalidSpec):
+            SolverParams.from_json_dict(doc)
+
+    @pytest.mark.parametrize("doc", [{"eps_factor": 1.5}, {"eps_end": 0}])
+    def test_bad_config_params_are_config_errors(self, doc):
+        config = {"operator": {"variant": "PucciPlus", "alpha": 1.0,
+                               "a": 1.0, "A": 2.0, "dim": 2},
+                  "domain": {"kind": "Ball", "R": 1.0},
+                  "grid": {"n": 32}, "params": doc}
+        with pytest.raises(ConfigError):
+            _parse_problem(config)
+
+    def test_json_round_trip_keeps_every_field(self):
+        p = SolverParams(eps_start=1e-3, eps_end=1e-9, eps_factor=0.25,
+                         newton_tol=1e-9, newton_max_iter=50,
+                         damping_min=1e-3, pseudo_time_max_steps=500)
+        doc = p.to_json_dict()
+        assert set(doc) == {f.name for f in dataclasses.fields(SolverParams)}
+        assert SolverParams.from_json_dict(doc) == p
+
+    def test_eigen_warm_start_keeps_configured_budget(self, monkeypatch):
+        seen = []
+        solve = eigen.solve_dirichlet
+
+        def recording(*args, **kwargs):
+            seen.append(args[4])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "solve_dirichlet", recording)
+        params = SolverParams(pseudo_time_max_steps=777)
+        op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2)
+        dom = Domain.ball(1.0)
+        eigen.principal_eigenvalue(op, dom, RadialGrid.for_domain(dom, 64),
+                                   params=params)
+        assert seen[0] is params and len(seen) > 1
+        for warm in seen[1:]:
+            assert warm == dataclasses.replace(params, eps_start=params.eps_end)
+
 
 class TestResidual:
     def test_laplacian_of_quadratic_is_exact(self):
@@ -77,7 +124,8 @@ class TestResidual:
         op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 3)
         grid = RadialGrid.for_domain(Domain.ball(1.0), 64)
         u = DiscreteRadialFunction(grid, grid.nodes ** 2)
-        res = discretize_residual(op, SourceFunction.constant(6.0), u, 0.0)
+        res = discretize_residual(op, SourceFunction.constant(6.0), u, 0.0,
+                                  Domain.ball(1.0))
         assert np.max(np.abs(res[1:-1])) <= 1e-12
 
     def test_boundary_rows_with_domain(self):
@@ -90,12 +138,16 @@ class TestResidual:
         assert res[0] == pytest.approx(1.0)   # u(R1) - bc_inner
         assert res[-1] == pytest.approx(-1.0)  # u(R) - bc_outer
 
-    def test_origin_symmetry_row_without_domain(self):
+    def test_origin_symmetry_row(self):
+        # the ball's first row is the origin symmetry closure, not data
         op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2)
-        grid = RadialGrid.for_domain(Domain.ball(1.0), 32)
+        dom = Domain.ball(1.0, bc_outer=1.0)
+        grid = RadialGrid.for_domain(dom, 32)
         u = DiscreteRadialFunction(grid, grid.nodes ** 2)
-        res = discretize_residual(op, SourceFunction.constant(4.0), u, 0.0)
+        res = discretize_residual(op, SourceFunction.constant(4.0), u, 0.0,
+                                  dom)
         assert abs(res[0]) <= 1e-12  # one-sided u'(0) of r^2 vanishes
+        assert res[-1] == 0.0         # u(R) = 1 = bc_outer
 
     def test_grid_must_span_domain(self):
         op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2)
