@@ -66,14 +66,78 @@ def _parse_problem(doc: dict):
     return op, dom, grid, f, params
 
 
+def _option(opts: dict, name: str, default, kind, low: float,
+            strict: bool = False):
+    """The numeric option ``name`` of ``opts``, checked against its bound.
+
+    ``name`` is the option's dotted path in the config, for the message;
+    its last part is the key in ``opts``.  ``kind`` is int or float; the
+    value must be finite and >= ``low`` (> ``low`` when ``strict``).
+    """
+    value = opts.get(name.rsplit(".", 1)[-1], default)
+    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+          and math.isfinite(value)
+          and (kind is float or float(value).is_integer()))
+    if ok:
+        value = kind(value)
+        ok = value > low if strict else value >= low
+    if not ok:
+        bound = f"> {low:g}" if strict else f">= {low:g}"
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(
+            f"bad config: {name} must be {what} {bound}, got {value!r}")
+    return value
+
+
+def _section(doc: dict, name: str) -> dict:
+    opts = doc.get(name, {})
+    if not isinstance(opts, dict):
+        raise ConfigError(f"bad config: {name} must be an object")
+    return opts
+
+
+def _parse_verify_opts(doc: dict) -> dict:
+    """The verify_opts section, checked before any solve.
+
+    ``threshold`` stays None when absent: it is then derived from the
+    solution.
+    """
+    opts = _section(doc, "verify_opts")
+    threshold = opts.get("threshold")
+    if threshold is not None:
+        threshold = _option(opts, "verify_opts.threshold", None, float, 0.0,
+                            strict=True)
+    return {"threshold": threshold,
+            "decades": _option(opts, "verify_opts.decades", 1.5, float, 1.0),
+            "slopes": _option(opts, "verify_opts.slopes", 17, int, 3),
+            "curvatures": _option(opts, "verify_opts.curvatures", 9, int, 3)}
+
+
+def _parse_eigen_opts(doc: dict) -> dict:
+    """The eigen section, checked before any solve."""
+    opts = _section(doc, "eigen")
+    try:
+        sign = EigenSign(opts.get("sign", "Plus"))
+    except ValueError:
+        raise ConfigError(
+            f"bad config: eigen.sign must be one of "
+            f"{[s.value for s in EigenSign]}, got {opts.get('sign')!r}")
+    return {"sign": sign,
+            "tol": _option(opts, "eigen.tol", 1e-8, float, 0.0, strict=True),
+            "max_outer": _option(opts, "eigen.max_outer", 80, int, 1)}
+
+
 def _seed(doc: dict) -> int:
     env = os.environ.get("RDL_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError("RDL_SEED must be an integer")
-    return int(doc.get("seed", 0))
+        if seed < 0:
+            raise ConfigError("RDL_SEED must be >= 0")
+        return seed
+    return _option(doc, "seed", 0, int, 0)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -106,7 +170,7 @@ def cmd_solve(doc: dict, out_dir: str) -> int:
 
 def cmd_verify(doc: dict, out_dir: str) -> int:
     op, dom, grid, f, params = _parse_problem(doc)
-    opts = doc.get("verify_opts", {})
+    opts = _parse_verify_opts(doc)
     seed = _seed(doc)
 
     sol = solve_dirichlet(op, dom, f, grid, params)
@@ -115,17 +179,15 @@ def cmd_verify(doc: dict, out_dir: str) -> int:
                 sol.diagnostics_dict())
 
     lip = lipschitz_constant(sol.u)
-    threshold = opts.get("threshold")
+    threshold = opts["threshold"]
     if threshold is None:
         threshold = max(10.0 * sol.eps_final, grid.max_spacing) * (1.0 + lip)
-    decades = float(opts.get("decades", 1.5))
-    slopes = int(opts.get("slopes", 17))
-    curvatures = int(opts.get("curvatures", 9))
 
     report = VerificationReport(
         tolerance_model="per-check; see module documentation")
     report.extend(analysis.verify_flux_inequalities(sol, op, f, threshold))
-    report.extend(analysis.check_viscosity(sol, op, f, slopes, curvatures))
+    report.extend(analysis.check_viscosity(sol, op, f, opts["slopes"],
+                                           opts["curvatures"]))
     report.extend(analysis.c1_modulus_report(sol, alpha=op.alpha))
 
     h = grid.max_spacing
@@ -133,7 +195,7 @@ def cmd_verify(doc: dict, out_dir: str) -> int:
     for r_star in _derivative_zero_candidates(dom, sol.u):
         try:
             report.extend(analysis.c1_bound_check(sol, op, f, r_star))
-            est = analysis.holder_exponent(sol, r_star, decades)
+            est = analysis.holder_exponent(sol, r_star, opts["decades"])
             report.add("holder-fit", est.r_star,
                        0.05 * beta_target - abs(est.beta_fit - beta_target),
                        0.0)
@@ -158,13 +220,8 @@ def cmd_verify(doc: dict, out_dir: str) -> int:
 
 def cmd_eigen(doc: dict, out_dir: str) -> int:
     op, dom, grid, _, params = _parse_problem(doc)
-    eig_opts = doc.get("eigen", {})
-    sign = EigenSign(eig_opts.get("sign", "Plus"))
-    tol = float(eig_opts.get("tol", 1e-8))
-    max_outer = int(eig_opts.get("max_outer", 80))
-    res = principal_eigenvalue(op, dom, grid, sign=sign, tol=tol,
-                               max_outer=max_outer, params=params,
-                               seed=_seed(doc))
+    res = principal_eigenvalue(op, dom, grid, params=params, seed=_seed(doc),
+                               **_parse_eigen_opts(doc))
     res.phi.to_csv(os.path.join(out_dir, "eigenfunction.csv"))
     _write_json(os.path.join(out_dir, "eigen.json"),
                 {"lambda": res.lambda_value, "sign": res.sign.value,

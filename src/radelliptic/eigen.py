@@ -52,9 +52,13 @@ def _bump(dom: Domain, grid: RadialGrid) -> np.ndarray:
 def eigen_residual(op: OperatorSpec, dom: Domain, lam: float,
                    phi: DiscreteRadialFunction, eps: float = 0.0) -> float:
     """Sup-norm of F[phi] + lam*phi^{1+alpha} at the interior nodes."""
-    nodes = phi.grid.nodes
-    forcing = SourceFunction.tabulated(
-        nodes, -lam * np.abs(phi.values) ** op.alpha * phi.values)
+    v = phi.values
+    # -lam |v|^alpha v, left at 0 where v vanishes: for alpha < 0 the power
+    # alone is inf there and inf * 0 is nan
+    table = np.zeros_like(v)
+    nz = v != 0.0
+    table[nz] = -lam * np.abs(v[nz]) ** op.alpha * v[nz]
+    forcing = SourceFunction.tabulated(phi.grid.nodes, table)
     res = discretize_residual(op, forcing, phi, eps, dom)
     return float(np.max(np.abs(res[1:-1])))
 

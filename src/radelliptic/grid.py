@@ -102,16 +102,26 @@ class RadialGrid:
     def min_spacing(self) -> float:
         return float(np.min(self.spacing))
 
-    def local_spacing(self, i: int) -> float:
-        h = self.spacing
-        if i == 0:
-            return float(h[0])
-        if i == self.n:
-            return float(h[-1])
-        return float(max(h[i - 1], h[i]))
+    def local_spacing(self, i):
+        """Larger adjacent spacing at node index i (one-sided at the ends).
 
-    def nearest_index(self, r: float) -> int:
-        return int(np.argmin(np.abs(self.nodes - r)))
+        Vectorized over an array of indices; a scalar index gives a float.
+        """
+        h = self.spacing
+        padded = np.concatenate([h[:1], h, h[-1:]])
+        out = np.maximum(padded[i], padded[np.add(i, 1)])
+        return float(out) if np.ndim(out) == 0 else out
+
+    def nearest_index(self, r):
+        """Index of the node nearest to r, the lower one on a tie.
+
+        Vectorized over an array of radii; a scalar radius gives an int.
+        """
+        nodes = self.nodes
+        k = np.clip(np.searchsorted(nodes, r), 1, len(nodes) - 1)
+        out = np.where(np.abs(nodes[k - 1] - r) <= np.abs(nodes[k] - r),
+                       k - 1, k)
+        return int(out) if np.ndim(out) == 0 else out
 
     def spans(self, dom: Domain, tol: float = 1e-12) -> bool:
         r1 = dom.R1 if dom.kind is DomainKind.ANNULUS else 0.0
@@ -156,7 +166,11 @@ class DiscreteRadialFunction:
 
 @dataclass(frozen=True)
 class DerivativeNumbers:
-    """Finite surrogate of the four one-sided liminf/limsup quotients."""
+    """Finite surrogate of the four one-sided liminf/limsup quotients.
+
+    Floats for one probe point; arrays over the points for a vectorized
+    ``derivative_numbers`` call.
+    """
 
     lambda_g: float
     Lambda_g: float
@@ -167,8 +181,13 @@ class DerivativeNumbers:
     left_defined: bool = True
 
     @property
-    def spread(self) -> float:
-        return max(self.Lambda_g, self.Lambda_d) - min(self.lambda_g, self.lambda_d)
+    def spread(self):
+        # max/min with the built-ins' choice on ties, elementwise for arrays
+        upper = np.where(self.Lambda_d > self.Lambda_g, self.Lambda_d,
+                         self.Lambda_g)
+        lower = np.where(self.lambda_d < self.lambda_g, self.lambda_d,
+                         self.lambda_g)
+        return upper - lower
 
 
 class ThreePoint:
@@ -218,50 +237,58 @@ def interior_quotients(u: DiscreteRadialFunction) -> tuple[np.ndarray, np.ndarra
     return st.q(u.values), st.m(u.values)
 
 
-def derivative_numbers(u: DiscreteRadialFunction, r: float, window: float,
+def derivative_numbers(u: DiscreteRadialFunction, r, window,
                        scales: int) -> DerivativeNumbers:
-    """Approximate the derivative numbers at a grid node.
+    """Approximate the derivative numbers at grid nodes.
 
     Difference quotients (u(s) - u(r)) / (s - r) are probed at the geometric
     scales s = r +/- window * 2^-k, k = 0..scales-1, with linear interpolation
     off the grid; the min over scales stands in for liminf, the max for
     limsup.  At the left end of the grid only the right numbers exist and the
-    left fields mirror them (left_defined = False).
+    left fields mirror them (left_defined = False); at the right end the
+    right fields mirror the left ones.
+
+    ``r`` and ``window`` may be arrays, broadcast together: the fields of
+    the result are then arrays over the probe points, each element equal to
+    what a scalar call at that point returns.
     """
     nodes = u.grid.nodes
-    if r < nodes[0] - 1e-12 or r > nodes[-1] + 1e-12:
+    r, window = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                    np.asarray(window, dtype=float))
+    if np.any(r < nodes[0] - 1e-12) or np.any(r > nodes[-1] + 1e-12):
         raise OutsideDomain("derivative numbers requested outside the grid")
     if scales < 2:
         raise InvalidSpec("need at least two scales")
     i = u.grid.nearest_index(r)
-    r = float(nodes[i])
-    if window < 2 * u.grid.local_spacing(i) * (1 - 1e-12):
+    r = nodes[i][..., None]
+    if np.any(window < 2 * u.grid.local_spacing(i) * (1 - 1e-12)):
         raise WindowTooSmall("window below twice the local spacing")
-    ur = u.values[i]
-    offsets = window * 2.0 ** (-np.arange(scales))
+    ur = u.values[i][..., None]
+    offsets = window[..., None] * 2.0 ** (-np.arange(scales))
 
     def one_side(sign):
         s = r + sign * offsets
-        s = s[(s >= nodes[0] - 1e-15) & (s <= nodes[-1] + 1e-15)]
-        if len(s) == 0:
-            return None
-        quot = (u(s) - ur) / (s - r)
-        return float(np.min(quot)), float(np.max(quot))
+        inside = (s >= nodes[0] - 1e-15) & (s <= nodes[-1] + 1e-15)
+        quot = (np.interp(s, nodes, u.values) - ur) / (s - r)
+        return (np.min(np.where(inside, quot, np.inf), axis=-1),
+                np.max(np.where(inside, quot, -np.inf), axis=-1),
+                inside.any(axis=-1))
 
-    right = one_side(+1.0)
-    left = one_side(-1.0)
-    if right is None and left is None:
+    lo_d, hi_d, right = one_side(+1.0)
+    lo_g, hi_g, left = one_side(-1.0)
+    if not np.all(right | left):
         raise WindowTooSmall("no probe points inside the grid")
-    left_defined = left is not None
-    if right is None:
-        # right end of the grid: mirror the left numbers
-        right = left
-    if left is None:
-        left = right
-    return DerivativeNumbers(lambda_g=left[0], Lambda_g=left[1],
-                             lambda_d=right[0], Lambda_d=right[1],
-                             window=window, scales=scales,
-                             left_defined=left_defined)
+    # an end of the grid mirrors the numbers of the side that exists
+    lo_d, hi_d = np.where(right, lo_d, lo_g), np.where(right, hi_d, hi_g)
+    lo_g, hi_g = np.where(left, lo_g, lo_d), np.where(left, hi_g, hi_d)
+    if np.ndim(i) == 0:
+        return DerivativeNumbers(lambda_g=float(lo_g), Lambda_g=float(hi_g),
+                                 lambda_d=float(lo_d), Lambda_d=float(hi_d),
+                                 window=float(window), scales=scales,
+                                 left_defined=bool(left))
+    return DerivativeNumbers(lambda_g=lo_g, Lambda_g=hi_g, lambda_d=lo_d,
+                             Lambda_d=hi_d, window=window, scales=scales,
+                             left_defined=left)
 
 
 def lipschitz_constant(u: DiscreteRadialFunction) -> float:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,8 @@ from radelliptic.analysis import (_BLOCK_ELEMS, Sign, _as_function,
 from radelliptic.errors import (InsufficientData, InvalidSpec, NotAZero,
                                 NotConverged)
 from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
-                              RadialGrid, interior_quotients,
-                              lipschitz_constant)
+                              RadialGrid, derivative_numbers,
+                              interior_quotients, lipschitz_constant)
 from radelliptic.operators import (OperatorSpec, closed_form_pucci_power,
                                    eval_radial_many, pucci_power_profile)
 from radelliptic.report import VerificationReport
@@ -301,10 +302,16 @@ class TestC1Modulus:
                                                                    abs=1e-8)
 
 
-# -- blocked certification against the per-node loops it replaced -----------
+# -- certification checks against the per-node and pairwise loops -----------
 
 def reference_flux(u, op, f, threshold):
-    """Per-left-endpoint loop form of verify_flux_inequalities."""
+    """Pairwise loop form of verify_flux_inequalities.
+
+    Returns the report of the all-pairs loop (worst pair in (i, j) order)
+    and, per interval check, the minimum over left endpoints i < j of each
+    right endpoint j with the i attaining it, and the tolerance scale
+    max(1, max|flux|, (1+alpha) max|eps_cum|) on the interval.
+    """
     profile, residual_sup = _as_function(u)
     nodes = profile.grid.nodes
     h = profile.grid.max_spacing
@@ -322,6 +329,7 @@ def reference_flux(u, op, f, threshold):
     report = VerificationReport(
         tolerance_model="10*(h^(1/(1+alpha)) + residual_sup); "
                         "tight barrier reading advisory at the same tolerance")
+    columns = []
     intervals = sign_intervals(profile, threshold)
     for itv in intervals:
         increasing = itv.sign is Sign.POSITIVE
@@ -329,8 +337,10 @@ def reference_flux(u, op, f, threshold):
         eps_cum = np.concatenate([[0.0], cumulative_trapezoid(
             epsilon_aA(fvals, *weights), nodes)])
         idx = np.arange(itv.i_lo, itv.i_hi + 1)
-        worst = {key: (np.inf, nodes[idx[0]])
-                 for key in ("integral", "loose", "tight")}
+        keys = ("integral", "loose", "tight")
+        worst = {key: (np.inf, nodes[idx[0]]) for key in keys}
+        col_min = {key: np.full(len(idx) - 1, np.inf) for key in keys}
+        col_left = {key: np.zeros(len(idx) - 1, dtype=int) for key in keys}
         for pos, i in enumerate(idx[:-1]):
             right = idx[pos + 1:]
             s = nodes[right]
@@ -351,13 +361,44 @@ def reference_flux(u, op, f, threshold):
                 w = int(np.argmin(m))
                 if m[w] < worst[key][0]:
                     worst[key] = (float(m[w]), float(s[w]))
+                lower = m < col_min[key][pos:]
+                col_min[key][pos:][lower] = m[lower]
+                col_left[key][pos:][lower] = i
         side, bar = ("eqA", "eqB") if increasing else ("eqC", "eqD")
         report.add(side, worst["integral"][1], worst["integral"][0], tol)
         report.add(bar + "[loose]", worst["loose"][1], worst["loose"][0], tol)
         report.add(bar + "[tight]", worst["tight"][1], worst["tight"][0], tol)
+        scale = max(1.0, float(np.max(np.abs(flux[idx]))),
+                    one_p_a * float(np.max(np.abs(eps_cum[idx]))))
+        columns += [{"s": nodes[idx[1:]], "min": col_min[key],
+                     "left": col_left[key], "scale": scale} for key in keys]
     if not intervals:
         report.add("flux[vacuous]", float(nodes[0]), np.inf, tol)
-    return report
+        columns.append(None)
+    return report, columns
+
+
+def assert_flux_matches_pairs(u, op, f, threshold, rel=1e-13):
+    """The O(n) flux report against the pairwise loop, within rounding.
+
+    Names and pass flags must be equal, margins within ``rel`` times the
+    interval's scale, and each reported location must be a right endpoint
+    whose pairwise minimum is within the same distance of the worst one.
+    """
+    got = verify_flux_inequalities(u, op, f, threshold)
+    ref, columns = reference_flux(u, op, f, threshold)
+    assert got.tolerance_model == ref.tolerance_model
+    assert len(got.checks) == len(ref.checks)
+    for g, r, col in zip(got.checks, ref.checks, columns):
+        assert (g.name, g.passed) == (r.name, r.passed)
+        if col is None:
+            assert g.as_dict() == r.as_dict()
+            continue
+        tol = rel * col["scale"]
+        assert abs(g.margin - r.margin) <= tol, (g, r)
+        (j,) = np.flatnonzero(col["s"] == g.location)
+        assert col["min"][j] - r.margin <= tol, (g, r)
+    return got, ref, columns
 
 
 def reference_viscosity(u, op, f, slopes=17, curvatures=9):
@@ -431,6 +472,47 @@ def reference_viscosity(u, op, f, slopes=17, curvatures=9):
     return report
 
 
+def reference_c1_modulus(u, alpha=0.0, stride=10, scales=3):
+    """Per-node loop form of c1_modulus_report, one scalar call per node."""
+    profile, _ = _as_function(u)
+    grid = profile.grid
+    nodes = grid.nodes
+    h = grid.max_spacing
+    beta = 1.0 / (1.0 + alpha)
+    tol_spread = 20.0 * h ** beta
+    tol_remark = 10.0 * h ** beta
+
+    report = VerificationReport(
+        tolerance_model="spread: 20*h^(1/(1+alpha)); "
+                        "interlacing and zero-derivative: 10*h^(1/(1+alpha))")
+    worst = {"c1-spread": (np.inf, nodes[0]),
+             "interlace[Lg-ld]": (np.inf, nodes[0]),
+             "interlace[Ld-lg]": (np.inf, nodes[0]),
+             "zero-derivative": (np.inf, nodes[0])}
+    for i in range(0, grid.n + 1, stride):
+        window = 8.0 * grid.local_spacing(i)
+        dn = derivative_numbers(profile, float(nodes[i]), window, scales)
+        spread = (max(dn.Lambda_g, dn.Lambda_d)
+                  - min(dn.lambda_g, dn.lambda_d))
+        entries = {
+            "c1-spread": -spread,
+            "interlace[Lg-ld]": dn.Lambda_g - dn.lambda_d,
+            "interlace[Ld-lg]": dn.Lambda_d - dn.lambda_g,
+        }
+        four = (dn.lambda_g, dn.Lambda_g, dn.lambda_d, dn.Lambda_d)
+        if min(abs(v) for v in four) < tol_remark:
+            entries["zero-derivative"] = tol_remark - max(abs(v) for v in four)
+        for key, margin in entries.items():
+            if margin < worst[key][0]:
+                worst[key] = (margin, float(nodes[i]))
+    for key, tol in (("c1-spread", tol_spread),
+                     ("interlace[Lg-ld]", tol_remark),
+                     ("interlace[Ld-lg]", tol_remark),
+                     ("zero-derivative", tol_remark)):
+        report.add(key, worst[key][1], worst[key][0], tol)
+    return report
+
+
 def _certification_cases():
     dyadic = RadialGrid.for_domain(Domain.ball(1.0), 256)
     cases = {
@@ -475,8 +557,7 @@ class TestBlockedCertification:
     @pytest.mark.parametrize("name", sorted(CERTIFICATION_CASES))
     def test_flux_matches_loop(self, name):
         u, op, f, threshold = CERTIFICATION_CASES[name]
-        got = verify_flux_inequalities(u, op, f, threshold).as_dict()
-        assert got == reference_flux(u, op, f, threshold).as_dict()
+        assert_flux_matches_pairs(u, op, f, threshold)
 
     @pytest.mark.parametrize("name", sorted(CERTIFICATION_CASES))
     def test_viscosity_matches_loop(self, name):
@@ -490,27 +571,95 @@ class TestBlockedCertification:
             sol.u.grid, sol.u.values
             + 0.02 * np.sin(40.0 * sol.u.grid.nodes) * sol.u.grid.nodes)
         for u in (sol, bumped):
-            assert (verify_flux_inequalities(u, op, f, 0.05).as_dict()
-                    == reference_flux(u, op, f, 0.05).as_dict())
+            assert_flux_matches_pairs(u, op, f, 0.05)
             assert (check_viscosity(u, op, f).as_dict()
                     == reference_viscosity(u, op, f).as_dict())
         assert not check_viscosity(bumped, op, f).all_passed
         assert not verify_flux_inequalities(bumped, op, f, 0.05).all_passed
 
+    @pytest.mark.parametrize("name", sorted(CERTIFICATION_CASES))
+    def test_c1_modulus_matches_loop(self, name):
+        u, op, _, _ = CERTIFICATION_CASES[name]
+        for stride in (1, 10):
+            got = c1_modulus_report(u, alpha=op.alpha, stride=stride)
+            ref = reference_c1_modulus(u, alpha=op.alpha, stride=stride)
+            # json keeps the sign of zero margins apart
+            assert json.dumps(got.as_dict()) == json.dumps(ref.as_dict())
+
+    def test_c1_modulus_matches_loop_on_solved_profile(self, pucci_case):
+        op, _, sol, _ = pucci_case
+        got = c1_modulus_report(sol, alpha=op.alpha)
+        assert (json.dumps(got.as_dict())
+                == json.dumps(reference_c1_modulus(sol, alpha=op.alpha)
+                              .as_dict()))
+
     def test_multi_block_case_spans_blocks(self):
-        u, _, _, threshold = CERTIFICATION_CASES["multi-block"]
-        (itv,) = sign_intervals(u, threshold)
-        length = itv.i_hi - itv.i_lo + 1
-        rows = _BLOCK_ELEMS // length
-        assert length - 1 > rows and (length - 1) % rows != 0
+        u, op, _, _ = CERTIFICATION_CASES["multi-block"]
+        tested = np.abs(interior_quotients(u)[0]) >= u.grid.max_spacing ** (
+            1.0 / (1.0 + op.alpha))
+        # default families: 18 slopes plus the node's own, 9 curvatures
+        # plus 8 offsets and the node's own
+        block = _BLOCK_ELEMS // ((18 + 1) * (9 + 8 + 1))
+        count = int(np.count_nonzero(tested))
+        assert count > block and count % block != 0
 
     def test_ties_report_first_node(self):
         u, op, f, threshold = CERTIFICATION_CASES["tied"]
         nodes = u.grid.nodes
         for check in check_viscosity(u, op, f).checks:
             assert check.location == nodes[1]
-        eqA = verify_flux_inequalities(u, op, f, threshold).checks[0]
-        assert (eqA.name, eqA.location) == ("eqA", nodes[2])
+        # every right endpoint ties exactly: the integral margin is one
+        # spacing and the barrier margin c times one spacing (gamma = 0), so
+        # the first right endpoint of the interval is reported
+        h = nodes[1]
+        got = verify_flux_inequalities(u, op, f, threshold).checks
+        assert [(c.name, c.location, c.margin) for c in got] == [
+            ("eqA", nodes[2], h), ("eqB[loose]", nodes[2], h),
+            ("eqB[tight]", nodes[2], h / 2.0)]
+        _, columns = reference_flux(u, op, f, threshold)
+        assert np.all(columns[0]["min"] == h)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_flux_matches_loop_on_random_profiles(self, seed):
+        rng = np.random.default_rng(seed)
+        alpha = float(rng.uniform(-0.75, 4.0))
+        a = float(rng.uniform(0.5, 1.5))
+        A = a * float(rng.uniform(1.0, 3.0))
+        dim = int(rng.integers(1, 5))
+        op = (OperatorSpec.pucci_plus if rng.random() < 0.5
+              else OperatorSpec.pucci_minus)(alpha, a, A, dim)
+        if seed % 2:
+            dom = Domain.annulus(float(rng.uniform(0.1, 0.6)), 1.0)
+            grid = RadialGrid.for_domain(dom, 150)
+        else:
+            grid = RadialGrid.for_domain(Domain.ball(1.0), 150,
+                                         Grading.GRADED_AT_ORIGIN)
+        r = grid.nodes
+        values = sum(rng.normal() * np.sin(k * r + rng.uniform(0, np.pi))
+                     for k in (1.0, 3.0, 7.0))
+        f = SourceFunction.expression("sine", amplitude=rng.normal() * 5.0,
+                                      frequency=float(rng.uniform(1, 9)),
+                                      offset=rng.normal())
+        assert_flux_matches_pairs(DiscreteRadialFunction(grid, values), op,
+                                  f, 0.05)
+
+    def test_large_gamma_barrier_near_origin(self):
+        # gamma = (A/a)(N-1)(1+alpha) = 100: near the origin of a graded
+        # ball r_i**gamma underflows, so the barrier must not be formed
+        # from separate powers of r_i and s_j
+        op = OperatorSpec.pucci_plus(4.0, 1.0, 5.0, 5)
+        gamma, _ = gamma_exponent(op)
+        assert gamma == 100.0
+        _, c = closed_form_pucci_power(op)
+        grid = RadialGrid.for_domain(Domain.ball(1.0), 6400,
+                                     Grading.GRADED_AT_ORIGIN)
+        u = DiscreteRadialFunction(grid, pucci_power_profile(op)(grid.nodes))
+        got, _, columns = assert_flux_matches_pairs(
+            u, op, SourceFunction.constant(c), 1e-3)
+        for check, col in zip(got.checks[1:], columns[1:]):
+            (j,) = np.flatnonzero(col["s"] == check.location)
+            assert grid.nodes[col["left"][j]] ** gamma == 0.0
+            assert check.location ** gamma == 0.0
 
     def test_trapezoid_helper_matches_scipy(self):
         for n in (201, 1601):

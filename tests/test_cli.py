@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from radelliptic import solver
+from radelliptic import cli, eigen, solver
 from radelliptic.cli import main
 
 BASE_PROBLEM = {
@@ -139,6 +139,51 @@ class TestVerify:
         assert "holder-fit" in failed
 
 
+    @pytest.mark.parametrize("opts", [
+        {"slopes": "many"}, {"slopes": 2}, {"slopes": 17.5},
+        {"curvatures": 1}, {"curvatures": None}, {"threshold": -1},
+        {"threshold": 0}, {"threshold": "0.1"}, {"threshold": float("nan")},
+        {"decades": 0.5}, {"decades": True}, "fast"])
+    def test_bad_verify_opts_fail_before_solving(self, tmp_path, capsys,
+                                                 monkeypatch, opts):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the options were checked")
+
+        monkeypatch.setattr(cli, "solve_dirichlet", no_solve)
+        cfg = write_config(tmp_path, dict(BASE_PROBLEM, verify_opts=opts))
+        out = tmp_path / "out"
+        assert run("verify", cfg, out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad config: ")
+        assert "verify_opts" in err[0]
+        assert not (out / "solution.csv").exists()
+
+    @pytest.mark.parametrize("seed, env", [("abc", None), (-1, None),
+                                           (2.5, None), (3, "-1")])
+    def test_bad_seed_fails_before_solving(self, tmp_path, capsys,
+                                           monkeypatch, seed, env):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the seed was checked")
+
+        monkeypatch.setattr(cli, "solve_dirichlet", no_solve)
+        if env is not None:
+            monkeypatch.setenv("RDL_SEED", env)
+        cfg = write_config(tmp_path, dict(BASE_PROBLEM, seed=seed))
+        out = tmp_path / "out"
+        assert run("verify", cfg, out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "seed" in err[0].lower()
+        assert not (out / "solution.csv").exists()
+
+    def test_explicit_verify_opts_accepted(self, tmp_path):
+        opts = {"threshold": 0.05, "decades": 1, "slopes": 9.0,
+                "curvatures": 5}
+        cfg = write_config(tmp_path, dict(BASE_PROBLEM, verify_opts=opts))
+        out = tmp_path / "out"
+        assert run("verify", cfg, out) == 0
+        assert (out / "report.json").exists()
+
+
 class TestEigen:
     def test_disk_laplacian(self, tmp_path):
         doc = {
@@ -160,6 +205,27 @@ class TestEigen:
         cfg = write_config(tmp_path, BASE_PROBLEM)
         assert run("eigen", cfg, tmp_path) == 1
         assert "zero Dirichlet" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("opts", [
+        {"sign": "plus"}, {"sign": 1}, {"tol": "tight"}, {"tol": 0},
+        {"tol": -1e-8}, {"max_outer": 0}, {"max_outer": 2.5},
+        {"max_outer": "80"}, ["Plus"]])
+    def test_bad_eigen_options_fail_before_solving(self, tmp_path, capsys,
+                                                   monkeypatch, opts):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the options were checked")
+
+        monkeypatch.setattr(eigen, "solve_dirichlet", no_solve)
+        doc = {"operator": BASE_PROBLEM["operator"],
+               "domain": {"kind": "Ball", "R": 1.0},
+               "grid": {"n": 64}, "eigen": opts}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run("eigen", cfg, out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad config: eigen")
+        assert not (out / "eigenfunction.csv").exists()
 
 
 class TestStudy:

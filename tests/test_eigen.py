@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from radelliptic.eigen import (EigenSign, eigen_residual,
                                principal_eigenvalue)
 from radelliptic.errors import InvalidSpec
-from radelliptic.grid import Domain, Grading, RadialGrid
+from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
+                              RadialGrid)
 from radelliptic.operators import OperatorSpec
+from radelliptic.solver import SourceFunction, discretize_residual
 
 
 def bessel_j0(x):
@@ -136,3 +139,34 @@ class TestEigenValidation:
         res = principal_eigenvalue(laplacian(1), dom, grid)
         # one-dimensional annulus is the interval (0.5, 1): lambda = (2 pi)^2
         assert res.lambda_value == pytest.approx(4.0 * math.pi ** 2, rel=0.01)
+
+
+class TestNegativeAlpha:
+    def test_no_runtime_warnings(self):
+        # |phi|^alpha is inf at the zero boundary node when alpha < 0
+        op = OperatorSpec.pucci_plus(-0.5, 1.0, 2.0, 2)
+        dom = Domain.ball(1.0)
+        grid = RadialGrid.for_domain(dom, 200, Grading.GRADED_AT_ORIGIN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = principal_eigenvalue(op, dom, grid)
+        assert math.isfinite(res.lambda_value)
+        assert math.isfinite(res.residual_sup)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+    def test_residual_keeps_interior_forcing(self, alpha):
+        # the tabulated forcing at the interior nodes is the plain
+        # expression, so the residual is the one it gave before zeros
+        # were skipped
+        op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
+        dom = Domain.ball(1.0)
+        grid = RadialGrid.for_domain(dom, 120, Grading.GRADED_AT_ORIGIN)
+        phi = DiscreteRadialFunction(grid, 1.0 - grid.nodes ** 2)
+        lam = 7.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table = -lam * np.abs(phi.values) ** alpha * phi.values
+        res = discretize_residual(op, SourceFunction.tabulated(grid.nodes,
+                                                               table),
+                                  phi, 0.0, dom)
+        expected = float(np.max(np.abs(res[1:-1])))
+        assert eigen_residual(op, dom, lam, phi) == expected

@@ -148,6 +148,127 @@ class TestDerivativeNumbers:
         dn = DerivativeNumbers(-1.0, -0.5, 0.25, 1.0, window=0.1, scales=2)
         assert dn.spread == pytest.approx(2.0)
 
+    def test_spread_matches_builtin_max_min_on_signed_zeros(self):
+        # the built-ins keep the first of equal arguments: -0.0 - 0.0
+        dn = DerivativeNumbers(0.0, -0.0, -0.0, 0.0, window=0.1, scales=2)
+        spread = max(dn.Lambda_g, dn.Lambda_d) - min(dn.lambda_g, dn.lambda_d)
+        assert bits(dn.spread) == bits(spread) == bits(-0.0)
+
+
+def bits(*values):
+    """Bit patterns of floats, so that -0.0 and 0.0 differ."""
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+def reference_derivative_numbers(u, r, window, scales):
+    """Scalar form of derivative_numbers, one probe point per call."""
+    nodes = u.grid.nodes
+    if r < nodes[0] - 1e-12 or r > nodes[-1] + 1e-12:
+        raise OutsideDomain("derivative numbers requested outside the grid")
+    if scales < 2:
+        raise InvalidSpec("need at least two scales")
+    i = int(np.argmin(np.abs(nodes - r)))
+    r = float(nodes[i])
+    h = u.grid.spacing
+    local = h[0] if i == 0 else h[-1] if i == u.grid.n else max(h[i - 1], h[i])
+    if window < 2 * local * (1 - 1e-12):
+        raise WindowTooSmall("window below twice the local spacing")
+    ur = u.values[i]
+    offsets = window * 2.0 ** (-np.arange(scales))
+
+    def one_side(sign):
+        s = r + sign * offsets
+        s = s[(s >= nodes[0] - 1e-15) & (s <= nodes[-1] + 1e-15)]
+        if len(s) == 0:
+            return None
+        quot = (u(s) - ur) / (s - r)
+        return float(np.min(quot)), float(np.max(quot))
+
+    right = one_side(+1.0)
+    left = one_side(-1.0)
+    left_defined = left is not None
+    if right is None:
+        right = left
+    if left is None:
+        left = right
+    return DerivativeNumbers(lambda_g=left[0], Lambda_g=left[1],
+                             lambda_d=right[0], Lambda_d=right[1],
+                             window=window, scales=scales,
+                             left_defined=left_defined)
+
+
+def _probe_profiles():
+    rng = np.random.default_rng(7)
+    graded = RadialGrid.for_domain(Domain.ball(1.0), 90,
+                                   Grading.GRADED_AT_ORIGIN)
+    annulus = RadialGrid.for_domain(Domain.annulus(0.4, 1.3), 70)
+    return {
+        "uniform-ball": uniform_profile(lambda r: np.abs(r - 0.37) ** 0.6,
+                                        n=80),
+        "graded-ball": DiscreteRadialFunction(
+            graded, np.sin(5.0 * graded.nodes) + rng.normal(
+                scale=1e-3, size=graded.nodes.shape)),
+        "annulus": DiscreteRadialFunction(
+            annulus, np.cos(4.0 * annulus.nodes) * annulus.nodes),
+        # flat pieces give quotients of both zero signs
+        "flat": uniform_profile(lambda r: np.minimum(r, 0.5), n=64),
+    }
+
+
+class TestVectorizedDerivativeNumbers:
+    @pytest.mark.parametrize("name", sorted(_probe_profiles()))
+    def test_array_call_equals_scalar_calls(self, name):
+        u = _probe_profiles()[name]
+        grid = u.grid
+        nodes = grid.nodes
+        # every node, both grid ends included, with windows reaching past
+        # the ends so that one side is mirrored
+        idx = np.arange(grid.n + 1)
+        window = 8.0 * np.maximum(np.concatenate([grid.spacing[:1],
+                                                  grid.spacing]),
+                                  np.concatenate([grid.spacing,
+                                                  grid.spacing[-1:]]))
+        for scales in (2, 3, 5):
+            dn = derivative_numbers(u, nodes[idx], window, scales)
+            for k in idx:
+                one = derivative_numbers(u, nodes[k], window[k], scales)
+                ref = reference_derivative_numbers(
+                    u, float(nodes[k]), float(window[k]), scales)
+                assert one == ref
+                assert bits(one.lambda_g, one.Lambda_g, one.lambda_d,
+                            one.Lambda_d) == bits(ref.lambda_g, ref.Lambda_g,
+                                                  ref.lambda_d, ref.Lambda_d)
+                got = bits(dn.lambda_g[k], dn.Lambda_g[k], dn.lambda_d[k],
+                           dn.Lambda_d[k], dn.window[k], dn.spread[k])
+                assert got == bits(one.lambda_g, one.Lambda_g, one.lambda_d,
+                                   one.Lambda_d, one.window, one.spread)
+                assert dn.left_defined[k] == one.left_defined
+            assert not dn.left_defined[0] and dn.left_defined[-1]
+
+    def test_off_node_points_snap_like_scalar_calls(self):
+        u = _probe_profiles()["annulus"]
+        nodes = u.grid.nodes
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        r = np.concatenate([mids, nodes[:-1] + 0.3 * np.diff(nodes),
+                            [nodes[0] - 1e-13, nodes[-1] + 1e-13]])
+        dn = derivative_numbers(u, r, 0.2, 3)
+        for k, rk in enumerate(r):
+            ref = reference_derivative_numbers(u, float(rk), 0.2, 3)
+            assert bits(dn.lambda_g[k], dn.Lambda_g[k], dn.lambda_d[k],
+                        dn.Lambda_d[k]) == bits(ref.lambda_g, ref.Lambda_g,
+                                                ref.lambda_d, ref.Lambda_d)
+            assert dn.left_defined[k] == ref.left_defined
+        assert np.array_equal(u.grid.nearest_index(r),
+                              [int(np.argmin(np.abs(nodes - rk))) for rk in r])
+
+    def test_array_call_validates_every_point(self):
+        u = uniform_profile(lambda r: r, n=10)
+        with pytest.raises(OutsideDomain):
+            derivative_numbers(u, np.array([0.5, 2.0]), 0.5, 2)
+        with pytest.raises(WindowTooSmall):
+            derivative_numbers(u, np.array([0.5, 0.6]),
+                               np.array([0.5, 0.05]), 2)
+
 
 class TestDiscreteRadialFunction:
     def test_interpolation(self):
