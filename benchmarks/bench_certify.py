@@ -3,7 +3,7 @@
 Each config whose ``command`` is ``verify`` is solved at n, 4n and 16n
 (its shipped ``grid.n`` times the scale), and every certification check
 that ``verify`` runs on that solution is timed on its own, best of
-``--repeat`` calls:
+``REPEAT`` calls:
 
 - ``verify_flux_inequalities`` (eqA-eqD),
 - ``check_viscosity``,
@@ -11,14 +11,13 @@ that ``verify`` runs on that solution is timed on its own, best of
 - ``c1_bound_check`` and ``holder_exponent`` at every derivative-zero
   candidate, summed over the candidates.
 
-The checks get the arguments ``verify`` gives them with default
-``verify_opts``.  The script prints one line per config and scale, and
+The checks get the arguments ``verify`` gives them, from the config's
+``verify_opts`` as ``verify`` parses them.  The script prints one line per config and scale, and
 writes (or replaces) the entry under ``--label`` in the JSON file, with
 per-scale totals per check.
 
 Usage: python3 benchmarks/bench_certify.py --label change
                                            [--out BENCH_certify.json]
-                                           [--repeat 3] [--scales 1 4 16]
 
 The package is imported from the ``src`` directory next to this script's
 directory, so a copy of the script inside another checkout times that
@@ -43,46 +42,51 @@ from radelliptic.errors import InsufficientData, NotAZero  # noqa: E402
 from radelliptic.grid import lipschitz_constant  # noqa: E402
 from radelliptic.solver import solve_dirichlet  # noqa: E402
 
+REPEAT = 3
+SCALES = (1, 4, 16)
 CHECKS = ("verify_flux_inequalities", "check_viscosity", "c1_modulus_report",
           "c1_bound_check", "holder_exponent")
 
 
-def best_of(repeat, fn):
+def best_of(fn):
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
 
 
-def time_checks(doc, repeat):
-    """Best-of-``repeat`` seconds of each check on the solution of ``doc``."""
+def time_checks(doc):
+    """Best-of-``REPEAT`` seconds of each check on the solution of ``doc``."""
     op, dom, grid, f, params = cli._parse_problem(doc)
+    opts = cli._parse_verify_opts(doc)
     sol = solve_dirichlet(op, dom, f, grid, params)
-    lip = lipschitz_constant(sol.u)
-    threshold = max(10.0 * sol.eps_final, grid.max_spacing) * (1.0 + lip)
+    threshold = opts["threshold"]
+    if threshold is None:
+        lip = lipschitz_constant(sol.u)
+        threshold = max(10.0 * sol.eps_final, grid.max_spacing) * (1.0 + lip)
     times = {
         "verify_flux_inequalities": best_of(
-            repeat, lambda: analysis.verify_flux_inequalities(
-                sol, op, f, threshold)),
+            lambda: analysis.verify_flux_inequalities(sol, op, f, threshold)),
         "check_viscosity": best_of(
-            repeat, lambda: analysis.check_viscosity(sol, op, f, 17, 9)),
+            lambda: analysis.check_viscosity(sol, op, f, opts["slopes"],
+                                             opts["curvatures"])),
         "c1_modulus_report": best_of(
-            repeat, lambda: analysis.c1_modulus_report(sol, alpha=op.alpha)),
+            lambda: analysis.c1_modulus_report(sol, alpha=op.alpha)),
         "c1_bound_check": 0.0,
         "holder_exponent": 0.0,
     }
     for r_star in cli._derivative_zero_candidates(dom, sol.u):
         try:
             analysis.c1_bound_check(sol, op, f, r_star)
-            analysis.holder_exponent(sol, r_star, 1.5)
+            analysis.holder_exponent(sol, r_star, opts["decades"])
         except (NotAZero, InsufficientData):
             continue
         times["c1_bound_check"] += best_of(
-            repeat, lambda: analysis.c1_bound_check(sol, op, f, r_star))
+            lambda: analysis.c1_bound_check(sol, op, f, r_star))
         times["holder_exponent"] += best_of(
-            repeat, lambda: analysis.holder_exponent(sol, r_star, 1.5))
+            lambda: analysis.holder_exponent(sol, r_star, opts["decades"]))
     return grid.n, times
 
 
@@ -102,22 +106,20 @@ def main(argv=None):
                         help="entry name, e.g. parent or change")
     parser.add_argument("--out",
                         default=os.path.join(ROOT, "BENCH_certify.json"))
-    parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--scales", type=int, nargs="+", default=[1, 4, 16])
     args = parser.parse_args(argv)
 
     config_dir = os.path.join(ROOT, "configs")
     runs = {}
-    totals = {str(s): dict.fromkeys(CHECKS, 0.0) for s in args.scales}
+    totals = {str(s): dict.fromkeys(CHECKS, 0.0) for s in SCALES}
     for name in sorted(os.listdir(config_dir)):
         with open(os.path.join(config_dir, name), encoding="utf-8") as fh:
             doc = json.load(fh)
         if doc.get("command") != "verify":
             continue
-        for scale in args.scales:
+        for scale in SCALES:
             scaled = dict(doc, grid=dict(doc["grid"],
                                          n=int(doc["grid"]["n"]) * scale))
-            n, times = time_checks(scaled, args.repeat)
+            n, times = time_checks(scaled)
             runs[f"{name[:-5]}:n={n}"] = times
             for check, t in times.items():
                 totals[str(scale)][check] += t
@@ -133,7 +135,7 @@ def main(argv=None):
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(),
                  "numpy": np.__version__},
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "unit": "s, best of repeat",
         "totals_by_scale": totals,
         "runs": runs,

@@ -42,7 +42,7 @@ def _load_config(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past int's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
@@ -75,9 +75,12 @@ def _option(opts: dict, name: str, default, kind, low: float,
     value must be finite and >= ``low`` (> ``low`` when ``strict``).
     """
     value = opts.get(name.rsplit(".", 1)[-1], default)
-    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-          and math.isfinite(value)
-          and (kind is float or float(value).is_integer()))
+    try:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value)
+              and (kind is float or float(value).is_integer()))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
     if ok:
         value = kind(value)
         ok = value > low if strict else value >= low

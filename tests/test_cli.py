@@ -143,7 +143,8 @@ class TestVerify:
         {"slopes": "many"}, {"slopes": 2}, {"slopes": 17.5},
         {"curvatures": 1}, {"curvatures": None}, {"threshold": -1},
         {"threshold": 0}, {"threshold": "0.1"}, {"threshold": float("nan")},
-        {"decades": 0.5}, {"decades": True}, "fast"])
+        {"decades": 0.5}, {"decades": True}, {"slopes": 10 ** 400},
+        {"threshold": 10 ** 400}, "fast"])
     def test_bad_verify_opts_fail_before_solving(self, tmp_path, capsys,
                                                  monkeypatch, opts):
         def no_solve(*args, **kwargs):
@@ -159,7 +160,8 @@ class TestVerify:
         assert not (out / "solution.csv").exists()
 
     @pytest.mark.parametrize("seed, env", [("abc", None), (-1, None),
-                                           (2.5, None), (3, "-1")])
+                                           (2.5, None), (10 ** 400, None),
+                                           (3, "-1")])
     def test_bad_seed_fails_before_solving(self, tmp_path, capsys,
                                            monkeypatch, seed, env):
         def no_solve(*args, **kwargs):
@@ -174,6 +176,14 @@ class TestVerify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "seed" in err[0].lower()
         assert not (out / "solution.csv").exists()
+
+    def test_integer_past_digit_limit_is_config_error(self, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 1' + "0" * 5000 + "}")
+        assert run("verify", str(cfg), tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config is not")
 
     def test_explicit_verify_opts_accepted(self, tmp_path):
         opts = {"threshold": 0.05, "decades": 1, "slopes": 9.0,
