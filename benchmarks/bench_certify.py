@@ -39,7 +39,6 @@ import numpy as np  # noqa: E402
 
 from radelliptic import analysis, cli  # noqa: E402
 from radelliptic.errors import InsufficientData, NotAZero  # noqa: E402
-from radelliptic.grid import lipschitz_constant  # noqa: E402
 from radelliptic.solver import solve_dirichlet  # noqa: E402
 
 REPEAT = 3
@@ -59,13 +58,10 @@ def best_of(fn):
 
 def time_checks(doc):
     """Best-of-``REPEAT`` seconds of each check on the solution of ``doc``."""
-    op, dom, grid, f, params = cli._parse_problem(doc)
+    op, dom, grid, f = cli._parse_problem(doc)
     opts = cli._parse_verify_opts(doc)
-    sol = solve_dirichlet(op, dom, f, grid, params)
-    threshold = opts["threshold"]
-    if threshold is None:
-        lip = lipschitz_constant(sol.u)
-        threshold = max(10.0 * sol.eps_final, grid.max_spacing) * (1.0 + lip)
+    sol = solve_dirichlet(op, dom, f, grid)
+    threshold = cli._flux_threshold(sol, opts["threshold"])
     times = {
         "verify_flux_inequalities": best_of(
             lambda: analysis.verify_flux_inequalities(sol, op, f, threshold)),

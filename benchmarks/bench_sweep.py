@@ -10,18 +10,24 @@ Usage: python3 benchmarks/bench_sweep.py [--seed 2026] [--cases 40] [--n 200]
                                          [--save sweep.npz]
 
 ``--save`` stores every converged profile under its case number, so two
-versions of the solver can be compared case by case.
+versions of the solver can be compared case by case.  The package is
+imported from the ``src`` directory of the checkout that holds the script.
 """
 
 import argparse
+import os
+import sys
 import time
 
-import numpy as np
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from radelliptic.errors import RadellipticError
-from radelliptic.grid import Domain, Grading, RadialGrid
-from radelliptic.operators import OperatorSpec
-from radelliptic.solver import SourceFunction, solve_dirichlet
+import numpy as np  # noqa: E402
+
+from radelliptic.errors import RadellipticError  # noqa: E402
+from radelliptic.grid import Domain, Grading, RadialGrid  # noqa: E402
+from radelliptic.operators import OperatorSpec  # noqa: E402
+from radelliptic.solver import SourceFunction, solve_dirichlet  # noqa: E402
 
 ALPHAS = (-0.75, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0)
 VARIANTS = ("PucciPlus", "PucciMinus", "AlphaLaplacian", "TraceNormalMix")

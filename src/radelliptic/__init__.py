@@ -10,8 +10,8 @@ from .grid import (DiscreteRadialFunction, Domain, DomainKind, Grading,
                    RadialGrid)
 from .operators import OperatorSpec, RadialJet, Variant
 from .report import VerificationReport
-from .solver import (SolverParams, Solution, SourceFunction,
-                     comparison_oracle, solve_dirichlet)
+from .solver import (Solution, SourceFunction, comparison_oracle,
+                     solve_dirichlet)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "RadialJet",
     "Variant",
     "VerificationReport",
-    "SolverParams",
     "Solution",
     "SourceFunction",
     "solve_dirichlet",

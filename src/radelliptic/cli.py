@@ -1,14 +1,21 @@
 """Batch front-end: JSON experiment configs in, CSV/JSON artifacts out.
 
-Exit codes: 0 success, 1 config error, 2 solver divergence, 3 a binding
-verification check failed (reports are still written in that case), 4 the
-converged linearization lost its monotone structure.
+Exit codes: 0 success, 1 config error, 2 no convergence (the solver
+diverged, or the eigenvalue iteration hit its step limit or lost
+positivity), 3 a binding verification check failed (reports are still
+written in that case), 4 the converged linearization lost its monotone
+structure.
+
+The config schema is closed: a key that no command reads is a config
+error.  Every command checks all keys, and the values it reads, before its
+first solve; the output directory is made only at the first write.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -18,13 +25,13 @@ import numpy as np
 
 from . import analysis
 from .eigen import EigenSign, principal_eigenvalue
-from .errors import (Diverged, InsufficientData, LostMonotonicity, NotAZero,
-                     RadellipticError)
+from .errors import (Diverged, InsufficientData, LostMonotonicity,
+                     LostPositivity, NotAZero, NotConverged, RadellipticError)
 from .grid import (DiscreteRadialFunction, Domain, DomainKind, Grading,
                    RadialGrid, interior_quotients, lipschitz_constant)
 from .operators import OperatorSpec, validate_hypotheses
 from .report import VerificationReport
-from .solver import (SolverParams, SourceFunction, comparison_oracle,
+from .solver import (EXPRESSION_CATALOGUE, SourceFunction, comparison_oracle,
                      solve_dirichlet)
 
 # advisory checks never gate the exit status: alternate constant readings
@@ -36,34 +43,92 @@ class ConfigError(Exception):
     pass
 
 
+# the keys each section may hold, the same for every command
+_SECTION_KEYS = {
+    "operator": [fd.name for fd in dataclasses.fields(OperatorSpec)],
+    "domain": [fd.name for fd in dataclasses.fields(Domain)],
+    "grid": ["n", "grading"],
+    "verify_opts": ["threshold", "decades", "slopes", "curvatures"],
+    "eigen": ["sign", "tol", "max_outer"],
+}
+_SOURCE_KEYS = {"constant": ["kind", "value"], "tabulated": ["kind", "r", "v"],
+                "expression": ["kind", "name", "params"]}
+_TOP_KEYS = ["command", "seed", "f", *_SECTION_KEYS]
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     except ValueError as exc:  # also an integer literal past int's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError("bad config: the config must be a JSON object")
+    return doc
+
+
+def _section(doc: dict, name: str, path: str = "") -> dict:
+    """The object under key ``name``, {} when absent; ``path`` is its parent's."""
+    opts = doc.get(name, {})
+    if not isinstance(opts, dict):
+        raise ConfigError(f"bad config: {path}{name} must be an object")
+    return opts
+
+
+def _known_keys(section: dict, known, path: str) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"bad config: unknown key {path}{key}")
+
+
+def _check_keys(doc: dict) -> None:
+    """Reject any key that no command reads, at every level."""
+    _known_keys(doc, _TOP_KEYS, "")
+    for name, known in _SECTION_KEYS.items():
+        _known_keys(_section(doc, name), known, name + ".")
+    # an unknown f.kind or f.name is left to SourceFunction to report
+    f = _section(doc, "f")
+    kind, name = f.get("kind"), f.get("name")
+    if isinstance(kind, str) and kind in _SOURCE_KEYS:
+        _known_keys(f, _SOURCE_KEYS[kind], "f.")
+    if (kind == "expression" and isinstance(name, str)
+            and name in EXPRESSION_CATALOGUE):
+        _known_keys(_section(f, "params", "f."), EXPRESSION_CATALOGUE[name],
+                    "f.params.")
+
+
+def _from_section(doc: dict, name: str, build, default=None):
+    """``build`` applied to section ``name``; a missing key is named by its
+    dotted path."""
+    if name not in doc and default is None:
+        raise ConfigError(f"bad config: missing key {name}")
+    try:
+        return build(doc.get(name, default))
+    except KeyError as exc:
+        raise ConfigError(f"bad config: missing key {name}.{exc.args[0]}")
+    except (TypeError, ValueError, RadellipticError) as exc:
+        raise ConfigError(f"bad config: {exc}")
 
 
 def _parse_problem(doc: dict):
-    try:
-        op = OperatorSpec.from_json_dict(doc["operator"])
-        dom = Domain.from_json_dict(doc["domain"])
-        grid_doc = doc["grid"]
+    """Operator, domain, grid and forcing of a config, after its keys are checked."""
+    _check_keys(doc)
+    op = _from_section(doc, "operator", OperatorSpec.from_json_dict)
+    dom = _from_section(doc, "domain", Domain.from_json_dict)
+
+    def build_grid(grid_doc):
         n = int(grid_doc["n"])
         if n < 16:
             raise ConfigError("n must be >= 16")
         grading = Grading(grid_doc.get("grading", "Uniform"))
-        grid = RadialGrid.for_domain(dom, n, grading)
-        f = SourceFunction.from_json_dict(doc.get("f", {"kind": "constant",
-                                                        "value": 0.0}))
-        params = SolverParams.from_json_dict(doc.get("params", {}))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, RadellipticError) as exc:
-        raise ConfigError(f"bad config: {exc}")
-    return op, dom, grid, f, params
+        return RadialGrid.for_domain(dom, n, grading)
+
+    grid = _from_section(doc, "grid", build_grid)
+    f = _from_section(doc, "f", SourceFunction.from_json_dict,
+                      {"kind": "constant", "value": 0.0})
+    return op, dom, grid, f
 
 
 def _option(opts: dict, name: str, default, kind, low: float,
@@ -92,13 +157,6 @@ def _option(opts: dict, name: str, default, kind, low: float,
     return value
 
 
-def _section(doc: dict, name: str) -> dict:
-    opts = doc.get(name, {})
-    if not isinstance(opts, dict):
-        raise ConfigError(f"bad config: {name} must be an object")
-    return opts
-
-
 def _parse_verify_opts(doc: dict) -> dict:
     """The verify_opts section, checked before any solve.
 
@@ -116,8 +174,19 @@ def _parse_verify_opts(doc: dict) -> dict:
             "curvatures": _option(opts, "verify_opts.curvatures", 9, int, 3)}
 
 
+def _flux_threshold(sol, threshold):
+    """``threshold``, or if None max(10 eps_final, h_max) (1 + Lip u)."""
+    if threshold is not None:
+        return threshold
+    lip = lipschitz_constant(sol.u)
+    return max(10.0 * sol.eps_final, sol.u.grid.max_spacing) * (1.0 + lip)
+
+
 def _parse_eigen_opts(doc: dict) -> dict:
-    """The eigen section, checked before any solve."""
+    """The eigen section, checked before any solve.
+
+    ``max_outer`` is at least 2: the stop test compares two eigenvalues.
+    """
     opts = _section(doc, "eigen")
     try:
         sign = EigenSign(opts.get("sign", "Plus"))
@@ -127,7 +196,7 @@ def _parse_eigen_opts(doc: dict) -> dict:
             f"{[s.value for s in EigenSign]}, got {opts.get('sign')!r}")
     return {"sign": sign,
             "tol": _option(opts, "eigen.tol", 1e-8, float, 0.0, strict=True),
-            "max_outer": _option(opts, "eigen.max_outer", 80, int, 1)}
+            "max_outer": _option(opts, "eigen.max_outer", 80, int, 2)}
 
 
 def _seed(doc: dict) -> int:
@@ -141,6 +210,12 @@ def _seed(doc: dict) -> int:
             raise ConfigError("RDL_SEED must be >= 0")
         return seed
     return _option(doc, "seed", 0, int, 0)
+
+
+def _out(out_dir: str, name: str) -> str:
+    """Path of output file ``name``; the directory is made at the first write."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -163,28 +238,22 @@ def _derivative_zero_candidates(dom: Domain, profile: DiscreteRadialFunction):
 
 
 def cmd_solve(doc: dict, out_dir: str) -> int:
-    op, dom, grid, f, params = _parse_problem(doc)
-    sol = solve_dirichlet(op, dom, f, grid, params)
-    sol.u.to_csv(os.path.join(out_dir, "solution.csv"))
-    _write_json(os.path.join(out_dir, "diagnostics.json"),
-                sol.diagnostics_dict())
+    op, dom, grid, f = _parse_problem(doc)
+    sol = solve_dirichlet(op, dom, f, grid)
+    sol.u.to_csv(_out(out_dir, "solution.csv"))
+    _write_json(_out(out_dir, "diagnostics.json"), sol.diagnostics_dict())
     return 0
 
 
 def cmd_verify(doc: dict, out_dir: str) -> int:
-    op, dom, grid, f, params = _parse_problem(doc)
+    op, dom, grid, f = _parse_problem(doc)
     opts = _parse_verify_opts(doc)
     seed = _seed(doc)
 
-    sol = solve_dirichlet(op, dom, f, grid, params)
-    sol.u.to_csv(os.path.join(out_dir, "solution.csv"))
-    _write_json(os.path.join(out_dir, "diagnostics.json"),
-                sol.diagnostics_dict())
-
-    lip = lipschitz_constant(sol.u)
-    threshold = opts["threshold"]
-    if threshold is None:
-        threshold = max(10.0 * sol.eps_final, grid.max_spacing) * (1.0 + lip)
+    sol = solve_dirichlet(op, dom, f, grid)
+    sol.u.to_csv(_out(out_dir, "solution.csv"))
+    _write_json(_out(out_dir, "diagnostics.json"), sol.diagnostics_dict())
+    threshold = _flux_threshold(sol, opts["threshold"])
 
     report = VerificationReport(
         tolerance_model="per-check; see module documentation")
@@ -193,7 +262,6 @@ def cmd_verify(doc: dict, out_dir: str) -> int:
                                            opts["curvatures"]))
     report.extend(analysis.c1_modulus_report(sol, alpha=op.alpha))
 
-    h = grid.max_spacing
     beta_target = 1.0 / (1.0 + op.alpha)
     for r_star in _derivative_zero_candidates(dom, sol.u):
         try:
@@ -211,22 +279,22 @@ def cmd_verify(doc: dict, out_dir: str) -> int:
     shift = 0.1 * max(1.0, float(np.max(np.abs(f(grid.nodes)))))
     f_low = SourceFunction.tabulated(grid.nodes,
                                      np.asarray(f(grid.nodes)) - shift)
-    sol_low = solve_dirichlet(op, dom, f_low, grid, params)
+    sol_low = solve_dirichlet(op, dom, f_low, grid)
     report.extend(comparison_oracle(sol, sol_low, op, f, f_low))
 
-    report.to_json(os.path.join(out_dir, "report.json"))
-    report.to_csv(os.path.join(out_dir, "report.csv"))
+    report.to_json(_out(out_dir, "report.json"))
+    report.to_csv(_out(out_dir, "report.csv"))
     binding_failures = [c for c in report.failures()
                         if not any(m in c.name for m in _ADVISORY_MARKERS)]
     return 3 if binding_failures else 0
 
 
 def cmd_eigen(doc: dict, out_dir: str) -> int:
-    op, dom, grid, _, params = _parse_problem(doc)
-    res = principal_eigenvalue(op, dom, grid, params=params, seed=_seed(doc),
+    op, dom, grid, _ = _parse_problem(doc)
+    res = principal_eigenvalue(op, dom, grid, seed=_seed(doc),
                                **_parse_eigen_opts(doc))
-    res.phi.to_csv(os.path.join(out_dir, "eigenfunction.csv"))
-    _write_json(os.path.join(out_dir, "eigen.json"),
+    res.phi.to_csv(_out(out_dir, "eigenfunction.csv"))
+    _write_json(_out(out_dir, "eigen.json"),
                 {"lambda": res.lambda_value, "sign": res.sign.value,
                  "iterations": res.iterations,
                  "residual_sup": res.residual_sup})
@@ -234,13 +302,13 @@ def cmd_eigen(doc: dict, out_dir: str) -> int:
 
 
 def cmd_study(doc: dict, out_dir: str) -> int:
-    op, dom, grid, f, params = _parse_problem(doc)
+    op, dom, grid, f = _parse_problem(doc)
     base_n = grid.n
     grading = grid.grading
     solutions = {}
     for n in (base_n, 2 * base_n, 4 * base_n):
         g = RadialGrid.for_domain(dom, n, grading)
-        solutions[n] = solve_dirichlet(op, dom, f, g, params)
+        solutions[n] = solve_dirichlet(op, dom, f, g)
     finest = solutions[4 * base_n].u
     errors = {}
     for n in (base_n, 2 * base_n):
@@ -248,13 +316,13 @@ def cmd_study(doc: dict, out_dir: str) -> int:
         errors[n] = float(np.max(np.abs(u.values - finest(u.grid.nodes))))
     rate = (math.log2(errors[base_n] / errors[2 * base_n])
             if errors[2 * base_n] > 0 else math.inf)
-    with open(os.path.join(out_dir, "study.csv"), "w", encoding="utf-8",
+    with open(_out(out_dir, "study.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "sup_error_vs_finest", "rate"])
         writer.writerow([base_n, "%.17g" % errors[base_n], "%.17g" % rate])
         writer.writerow([2 * base_n, "%.17g" % errors[2 * base_n], ""])
-    _write_json(os.path.join(out_dir, "study.json"),
+    _write_json(_out(out_dir, "study.json"),
                 {"n": base_n, "errors": {str(k): v for k, v in errors.items()},
                  "rate": rate})
     return 0
@@ -273,7 +341,7 @@ def main(argv=None) -> int:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
 
     try:
@@ -282,14 +350,15 @@ def main(argv=None) -> int:
         if declared is not None and declared != args.command:
             raise ConfigError(
                 f"config declares command {declared!r}, invoked {args.command!r}")
-        out_dir = args.out or doc.get("output_dir", ".")
-        os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[args.command](doc, out_dir)
+        return _COMMANDS[args.command](doc, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Diverged as exc:
         print(f"error: solver diverged: {exc}", file=sys.stderr)
+        return 2
+    except (NotConverged, LostPositivity) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except LostMonotonicity as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,6 @@ against the normalized previous iterate; the joint homogeneity of degree
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass, field
 
@@ -17,8 +16,8 @@ import numpy as np
 from .errors import InvalidSpec, LostPositivity, NotConverged
 from .grid import DiscreteRadialFunction, Domain, DomainKind, RadialGrid
 from .operators import OperatorSpec
-from .solver import (SolverParams, SourceFunction, discretize_residual,
-                     solve_dirichlet)
+from .solver import (EPS_END, EPS_START, SourceFunction,
+                     discretize_residual, solve_dirichlet)
 
 
 class EigenSign(str, enum.Enum):
@@ -34,10 +33,6 @@ class EigenResult:
     lambda_history: list = field(default_factory=list)
     sign: EigenSign = EigenSign.PLUS
     residual_sup: float = 0.0
-
-    @property
-    def lambda_plus(self) -> float:
-        return self.lambda_value
 
 
 def _bump(dom: Domain, grid: RadialGrid) -> np.ndarray:
@@ -65,23 +60,25 @@ def eigen_residual(op: OperatorSpec, dom: Domain, lam: float,
 
 def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
                          sign: EigenSign = EigenSign.PLUS, tol: float = 1e-8,
-                         max_outer: int = 80, params: SolverParams | None = None,
-                         seed: int = 0) -> EigenResult:
+                         max_outer: int = 80, seed: int = 0) -> EigenResult:
     """Inverse power iteration for the principal Dirichlet eigenvalue.
 
     Plus gives the eigenvalue with a positive eigenfunction.  Minus runs
     the same iteration on the dual operator G[v] = -F[-v]; the returned
     phi is the positive profile, the Minus eigenfunction being its
     negative.
+
+    Warm solves start from the previous iterate at the final eps.  The
+    stop test compares two eigenvalues, so ``max_outer`` must be >= 2.
     """
     sign = EigenSign(sign)
     if dom.bc_inner != 0.0 or dom.bc_outer != 0.0:
         raise InvalidSpec("eigenproblem needs zero Dirichlet data")
     if tol <= 0:
         raise InvalidSpec("tol must be positive")
+    if max_outer < 2:
+        raise InvalidSpec("max_outer must be >= 2")
     work_op = op if sign is EigenSign.PLUS else op.dual()
-    if params is None:
-        params = SolverParams()
     one_p_a = 1.0 + op.alpha
     nodes = grid.nodes
     rng = np.random.default_rng(seed)
@@ -91,13 +88,12 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     iterations = 0
     restarts = 0
     psi_prev = None
-    warm = dataclasses.replace(params, eps_start=params.eps_end)
 
     while iterations < max_outer:
         forcing = SourceFunction.tabulated(nodes, -phi ** one_p_a)
-        sol = solve_dirichlet(work_op, dom, forcing, grid,
-                              params if psi_prev is None else warm,
-                              initial_guess=psi_prev)
+        sol = solve_dirichlet(
+            work_op, dom, forcing, grid, initial_guess=psi_prev,
+            eps_start=EPS_START if psi_prev is None else EPS_END)
         psi = sol.u.values
         if np.any(psi[1:-1] <= 0.0):
             restarts += 1
@@ -122,7 +118,7 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
 
     profile = DiscreteRadialFunction(grid, phi)
     res = eigen_residual(work_op, dom, lam_history[-1], profile,
-                         eps=params.eps_end)
+                         eps=EPS_END)
     return EigenResult(lambda_value=lam_history[-1], phi=profile,
                        iterations=iterations, lambda_history=lam_history,
                        sign=sign, residual_sup=res)

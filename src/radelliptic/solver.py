@@ -23,7 +23,6 @@ both boundary values of that profile is subtracted as well.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +37,23 @@ from .grid import (DiscreteRadialFunction, Domain, DomainKind, RadialGrid,
 from .operators import OperatorSpec
 from .report import VerificationReport
 
-_EXPRESSION_CATALOGUE = ("const", "step", "sine", "power")
+# each catalogue expression with its parameters and their defaults
+EXPRESSION_CATALOGUE = {
+    "const": {"value": 0.0},
+    "step": {"left": 0.0, "right": 1.0, "r0": 0.5, "width": 0.1},
+    "sine": {"amplitude": 1.0, "frequency": 1.0, "offset": 0.0},
+    "power": {"coef": 1.0, "exponent": 1.0},
+}
+
+# eps continuation: EPS_START, EPS_START * EPS_FACTOR, ... down to EPS_END
+EPS_START = 1e-2
+EPS_END = 1e-8
+EPS_FACTOR = 0.1
+# Newton steps per eps stage, smallest line-search damping, and the
+# pseudo-time steps a whole solve may spend in its fallback
+NEWTON_MAX_ITER = 200
+DAMPING_MIN = 2.0 ** -20
+PSEUDO_TIME_MAX_STEPS = 100_000
 
 
 class SourceFunction:
@@ -62,8 +77,12 @@ class SourceFunction:
             if not np.all(np.diff(self.table_r) > 0):
                 raise InvalidSpec("table radii must be increasing")
         elif kind == "expression":
-            if self.name not in _EXPRESSION_CATALOGUE:
+            if self.name not in EXPRESSION_CATALOGUE:
                 raise InvalidSpec(f"unknown expression {self.name!r}")
+            for key in self.params:
+                if key not in EXPRESSION_CATALOGUE[self.name]:
+                    raise InvalidSpec(f"unknown parameter {key!r} of "
+                                      f"expression {self.name!r}")
         elif kind != "constant":
             raise InvalidSpec(f"unknown source kind {kind!r}")
 
@@ -85,27 +104,19 @@ class SourceFunction:
             return np.full_like(r, self.value)
         if self.kind == "tabulated":
             return np.interp(r, self.table_r, self.table_v)
-        p = self.params
+        p = {**EXPRESSION_CATALOGUE[self.name], **self.params}
         if self.name == "const":
-            return np.full_like(r, float(p.get("value", 0.0)))
+            return np.full_like(r, float(p["value"]))
         if self.name == "step":
             # continuous ramp from `left` to `right` across [r0-w, r0+w]
-            left = float(p.get("left", 0.0))
-            right = float(p.get("right", 1.0))
-            r0 = float(p.get("r0", 0.5))
-            w = float(p.get("width", 0.1))
+            left, right = float(p["left"]), float(p["right"])
+            r0, w = float(p["r0"]), float(p["width"])
             s = np.clip((r - (r0 - w)) / (2.0 * w), 0.0, 1.0)
             return left + (right - left) * s
         if self.name == "sine":
-            amp = float(p.get("amplitude", 1.0))
-            freq = float(p.get("frequency", 1.0))
-            off = float(p.get("offset", 0.0))
-            return off + amp * np.sin(freq * r)
-        if self.name == "power":
-            coef = float(p.get("coef", 1.0))
-            expo = float(p.get("exponent", 1.0))
-            return coef * r ** expo
-        raise InvalidSpec(f"unknown expression {self.name!r}")
+            return (float(p["offset"])
+                    + float(p["amplitude"]) * np.sin(float(p["frequency"]) * r))
+        return float(p["coef"]) * r ** float(p["exponent"])
 
     def sup_norm(self, dom: Domain) -> float:
         if self.kind == "constant":
@@ -130,42 +141,6 @@ class SourceFunction:
         if kind == "tabulated":
             return cls.tabulated(doc["r"], doc["v"])
         return cls.expression(doc["name"], **doc.get("params", {}))
-
-
-@dataclass
-class SolverParams:
-    eps_start: float = 1e-2
-    eps_end: float = 1e-8
-    eps_factor: float = 0.1
-    newton_tol: float | None = None     # None: 1e-10 * max(1, |f|_inf)
-    newton_max_iter: int = 200
-    damping_min: float = 2.0 ** -20
-    pseudo_time_max_steps: int = 100_000
-
-    def __post_init__(self):
-        if not 0 < self.eps_end <= self.eps_start:
-            raise InvalidSpec("need 0 < eps_end <= eps_start")
-        if not 0 < self.eps_factor < 1:
-            raise InvalidSpec("eps_factor must lie in (0, 1)")
-        if self.newton_tol is not None and not self.newton_tol > 0:
-            raise InvalidSpec("newton_tol must be positive")
-        if not 0 < self.damping_min <= 1:
-            raise InvalidSpec("damping_min must lie in (0, 1]")
-        for name in ("newton_max_iter", "pseudo_time_max_steps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise InvalidSpec(f"{name} must be a nonnegative integer")
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SolverParams":
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in doc:
-            if key not in known:
-                raise InvalidSpec(f"unknown solver parameter {key!r}")
-        return cls(**doc)
 
 
 @dataclass
@@ -308,17 +283,21 @@ def _initial_guess(op, dom, grid, fvals):
 
 
 def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
-                    grid: RadialGrid, params: SolverParams | None = None,
-                    initial_guess: np.ndarray | None = None) -> Solution:
-    """Continuation in eps, damped Newton per stage, pseudo-time fallback."""
-    if params is None:
-        params = SolverParams()
+                    grid: RadialGrid, *, initial_guess: np.ndarray | None = None,
+                    eps_start: float = EPS_START) -> Solution:
+    """Continuation in eps, damped Newton per stage, pseudo-time fallback.
+
+    The eps stages run from ``eps_start`` down to ``EPS_END``; a warm start
+    near a solution of the final stage may begin there.  The tolerance on
+    the residual sup-norm is ``1e-10 * max(1, |f|_inf)``.
+    """
+    if not eps_start >= EPS_END:
+        raise InvalidSpec(f"eps_start must be >= {EPS_END:g}")
     if not grid.spans(dom):
         raise GridMismatch("grid does not span the domain")
     nodes = grid.nodes
     fvals = np.asarray(f(nodes), dtype=float)
-    scale = max(1.0, f.sup_norm(dom))
-    tol = params.newton_tol if params.newton_tol is not None else 1e-10 * scale
+    tol = 1e-10 * max(1.0, f.sup_norm(dom))
 
     system = _System(op, dom, fvals, grid)
     if initial_guess is not None:
@@ -328,18 +307,18 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
     else:
         u = _initial_guess(op, dom, grid, fvals)
 
-    eps_list = [params.eps_start]
-    while eps_list[-1] > params.eps_end * (1 + 1e-12):
-        eps_list.append(max(eps_list[-1] * params.eps_factor, params.eps_end))
+    eps_list = [eps_start]
+    while eps_list[-1] > EPS_END * (1 + 1e-12):
+        eps_list.append(max(eps_list[-1] * EPS_FACTOR, EPS_END))
 
     iterations = 0
-    pseudo_budget = params.pseudo_time_max_steps
+    pseudo_budget = PSEUDO_TIME_MAX_STEPS
     eps_path = []
     u_prev_stage = u.copy()
 
     for eps in eps_list:
         res, lo, di, up = system.system(u, eps, freeze=False)
-        for _ in range(params.newton_max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             rn = float(np.max(np.abs(res)))
             if rn <= max(tol, system.roundoff_floor(u, eps)):
                 break
@@ -353,7 +332,7 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
             rn2 = float(np.linalg.norm(res))
             lam = 1.0
             accepted = False
-            while lam >= params.damping_min:
+            while lam >= DAMPING_MIN:
                 trial = u + lam * delta
                 trial_system = system.system(trial, eps, freeze=False)
                 if float(np.linalg.norm(trial_system[0])) <= (1.0 - 1e-4 * lam) * rn2:

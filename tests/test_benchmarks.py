@@ -1,0 +1,43 @@
+"""Smoke tests of the scripts in benchmarks/: they must keep running
+against the package's current API."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _load_script(name):
+    path = os.path.join(ROOT, "benchmarks", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_certify_times_every_check_on_a_shipped_config():
+    bench = _load_script("bench_certify")
+    with open(os.path.join(ROOT, "configs", "laplacian_ball.json")) as fh:
+        doc = json.load(fh)
+    n, times = bench.time_checks(doc)
+    assert n == doc["grid"]["n"]
+    assert set(times) == set(bench.CHECKS)
+    assert all(t >= 0.0 for t in times.values())
+    assert times["verify_flux_inequalities"] > 0.0
+
+
+def test_sweep_runs_two_cases():
+    # run as documented, without PYTHONPATH: the script finds src itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "benchmarks", "bench_sweep.py"),
+         "--cases", "2", "--n", "32"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    assert lines[-1].startswith("seed 2026, n=32: ")
+    assert "uncaught" not in proc.stdout

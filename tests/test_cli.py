@@ -1,12 +1,18 @@
 import csv
 import filecmp
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from radelliptic import cli, eigen, solver
 from radelliptic.cli import main
+from radelliptic.grid import DiscreteRadialFunction
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+CONFIG_DIR = os.path.join(ROOT, "configs")
 
 BASE_PROBLEM = {
     "operator": {"variant": "PucciPlus", "alpha": 1.0, "a": 1.0, "A": 2.0,
@@ -157,7 +163,7 @@ class TestVerify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bad config: ")
         assert "verify_opts" in err[0]
-        assert not (out / "solution.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed, env", [("abc", None), (-1, None),
                                            (2.5, None), (10 ** 400, None),
@@ -175,7 +181,7 @@ class TestVerify:
         assert run("verify", cfg, out) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "seed" in err[0].lower()
-        assert not (out / "solution.csv").exists()
+        assert not out.exists()
 
     def test_integer_past_digit_limit_is_config_error(self, tmp_path,
                                                       capsys):
@@ -220,7 +226,7 @@ class TestEigen:
     @pytest.mark.parametrize("opts", [
         {"sign": "plus"}, {"sign": 1}, {"tol": "tight"}, {"tol": 0},
         {"tol": -1e-8}, {"max_outer": 0}, {"max_outer": 2.5},
-        {"max_outer": "80"}, ["Plus"]])
+        {"max_outer": "80"}, ["Plus"], {"max_outer": 1}])
     def test_bad_eigen_options_fail_before_solving(self, tmp_path, capsys,
                                                    monkeypatch, opts):
         def no_solve(*args, **kwargs):
@@ -235,7 +241,154 @@ class TestEigen:
         assert run("eigen", cfg, out) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bad config: eigen")
-        assert not (out / "eigenfunction.csv").exists()
+        assert not out.exists()
+
+    def test_iteration_limit_exits_two(self, tmp_path, capsys):
+        with open(os.path.join(CONFIG_DIR, "eigen_disk.json")) as fh:
+            doc = json.load(fh)
+        doc["eigen"]["max_outer"] = 2
+        cfg = write_config(tmp_path, doc)
+        assert run("eigen", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: eigenvalue iteration did not settle in 2 steps"]
+        assert not (tmp_path / "out").exists()
+
+    def test_lost_positivity_exits_two(self, tmp_path, capsys, monkeypatch):
+        solve = eigen.solve_dirichlet
+
+        def sign_changing(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            sol.u = DiscreteRadialFunction(sol.u.grid, -sol.u.values)
+            return sol
+
+        monkeypatch.setattr(eigen, "solve_dirichlet", sign_changing)
+        doc = {"operator": BASE_PROBLEM["operator"],
+               "domain": {"kind": "Ball", "R": 1.0}, "grid": {"n": 64}}
+        cfg = write_config(tmp_path, doc)
+        assert run("eigen", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: iterate left the positive cone after 3 restarts"]
+
+
+class TestConfigSchema:
+    """Every key a config may hold is read by some command; others fail."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the config was checked")
+
+        monkeypatch.setattr(cli, "solve_dirichlet", no_solve)
+        monkeypatch.setattr(eigen, "solve_dirichlet", no_solve)
+
+    @pytest.mark.parametrize("section, key, path", [
+        (None, "params", "params"),
+        (None, "output_dir", "output_dir"),
+        (None, "gradng", "gradng"),
+        ("operator", "alpah", "operator.alpah"),
+        ("domain", "bc_outter", "domain.bc_outter"),
+        ("grid", "gradng", "grid.gradng"),
+        ("f", "vlaue", "f.vlaue"),
+        ("verify_opts", "slope", "verify_opts.slope"),
+        ("eigen", "tols", "eigen.tols"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "verify", "eigen", "study"])
+    def test_unknown_key_fails_every_command(self, tmp_path, capsys, command,
+                                             section, key, path):
+        doc = json.loads(json.dumps(BASE_PROBLEM))
+        if section is None:
+            doc[key] = 1
+        else:
+            doc.setdefault(section, {})[key] = 1
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run(command, cfg, out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: bad config: unknown key {path}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("f, path", [
+        ({"kind": "constant", "value": 1.0, "name": "sine"}, "f.name"),
+        ({"kind": "tabulated", "r": [0, 1], "v": [1, 1], "value": 1},
+         "f.value"),
+        ({"kind": "expression", "name": "sine",
+          "params": {"amplitud": 2.0}}, "f.params.amplitud"),
+        ({"kind": "expression", "name": "power",
+          "params": {"coef": 1.0, "offset": 0.0}}, "f.params.offset"),
+    ])
+    def test_forcing_keys_depend_on_kind(self, tmp_path, capsys, f, path):
+        cfg = write_config(tmp_path, dict(BASE_PROBLEM, f=f))
+        assert run("solve", cfg, tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: bad config: unknown key {path}"]
+
+    def test_first_misspelling_is_named(self, tmp_path, capsys):
+        doc = dict(BASE_PROBLEM, gradng={"n": 64}, parms={},
+                   verify_opt={}, f={"kind": "constant", "vlaue": 1.0})
+        cfg = write_config(tmp_path, doc)
+        assert run("solve", cfg, tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: bad config: unknown key gradng"]
+
+    @pytest.mark.parametrize("change, path", [
+        (("f", {"kind": "tabulated"}), "f.r"),
+        (("f", {"value": 1.0}), "f.kind"),
+        (("operator", {"variant": "PucciPlus", "a": 1.0, "A": 2.0,
+                       "dim": 2}), "operator.alpha"),
+        (("domain", {"kind": "Ball"}), "domain.R"),
+        (("grid", {"grading": "Uniform"}), "grid.n"),
+        (("grid", None), "grid"),
+    ])
+    def test_missing_key_names_dotted_path(self, tmp_path, capsys, change,
+                                           path):
+        name, section = change
+        doc = dict(BASE_PROBLEM)
+        if section is None:
+            del doc[name]
+        else:
+            doc[name] = section
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run("verify", cfg, out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: bad config: missing key {path}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("f", [
+        {"kind": ["constant"], "value": 1.0},
+        {"kind": "expression", "name": ["sine"], "params": {}}])
+    def test_unhashable_kind_or_name_is_config_error(self, tmp_path, capsys,
+                                                     f):
+        cfg = write_config(tmp_path, dict(BASE_PROBLEM, f=f))
+        assert run("solve", cfg, tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad config: ")
+
+    @pytest.mark.parametrize("doc", [[1, 2], "solve", 3])
+    def test_config_must_be_an_object(self, tmp_path, capsys, doc):
+        cfg = write_config(tmp_path, doc)
+        assert run("solve", cfg, tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: bad config: the config must be a JSON object"]
+
+    def test_shipped_configs_and_benchmark_requests_pass(self):
+        docs = []
+        for name in sorted(os.listdir(CONFIG_DIR)):
+            with open(os.path.join(CONFIG_DIR, name)) as fh:
+                docs.append(json.load(fh))
+        sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        reqs = [req for workload in sorted(workloads.WHY)
+                for req in workloads.build(workload, ROOT, 7)]
+        assert len(reqs) == 24
+        docs += [req.doc for req in reqs]
+        for doc in docs:
+            cli._parse_problem(doc)
+            cli._parse_verify_opts(doc)
+            cli._parse_eigen_opts(doc)
 
 
 class TestStudy:

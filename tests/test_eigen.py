@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from radelliptic import eigen
 from radelliptic.eigen import (EigenSign, eigen_residual,
                                principal_eigenvalue)
-from radelliptic.errors import InvalidSpec
+from radelliptic.errors import InvalidSpec, LostPositivity
 from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
                               RadialGrid)
 from radelliptic.operators import OperatorSpec
@@ -133,6 +134,12 @@ class TestEigenValidation:
         with pytest.raises(InvalidSpec):
             principal_eigenvalue(laplacian(2), dom, grid, tol=0.0)
 
+    def test_max_outer_needs_two_steps(self):
+        dom = Domain.ball(1.0)
+        grid = RadialGrid.for_domain(dom, 64)
+        with pytest.raises(InvalidSpec):
+            principal_eigenvalue(laplacian(2), dom, grid, max_outer=1)
+
     def test_annulus_supported(self):
         dom = Domain.annulus(0.5, 1.0)
         grid = RadialGrid.for_domain(dom, 128)
@@ -170,3 +177,45 @@ class TestNegativeAlpha:
                                   phi, 0.0, dom)
         expected = float(np.max(np.abs(res[1:-1])))
         assert eigen_residual(op, dom, lam, phi) == expected
+
+
+class TestRestart:
+    """An iterate that leaves the positive cone restarts from a random bump."""
+
+    @staticmethod
+    def flip(monkeypatch, times):
+        """Make the first ``times`` solves return the negated profile."""
+        calls = []
+        solve = eigen.solve_dirichlet
+
+        def flipping(*args, **kwargs):
+            calls.append(kwargs)
+            sol = solve(*args, **kwargs)
+            if len(calls) <= times:
+                sol.u = DiscreteRadialFunction(sol.u.grid, -sol.u.values)
+            return sol
+
+        monkeypatch.setattr(eigen, "solve_dirichlet", flipping)
+        return calls
+
+    def test_one_restart_then_convergence(self, monkeypatch):
+        dom = Domain.ball(1.0)
+        grid = RadialGrid.for_domain(dom, 200)
+        plain = principal_eigenvalue(laplacian(2), dom, grid)
+        calls = self.flip(monkeypatch, 1)
+        res = principal_eigenvalue(laplacian(2), dom, grid)
+        # the rejected solve counts no outer step; the restart is cold
+        assert len(calls) == res.iterations + 1
+        assert calls[1]["initial_guess"] is None
+        assert len(res.lambda_history) == res.iterations
+        assert res.lambda_value == pytest.approx(plain.lambda_value, rel=1e-6)
+        assert np.all(res.phi.values[:-1] > 0.0)
+
+    def test_lost_positivity_after_three_restarts(self, monkeypatch):
+        dom = Domain.ball(1.0)
+        grid = RadialGrid.for_domain(dom, 64)
+        calls = self.flip(monkeypatch, 10 ** 9)
+        with pytest.raises(LostPositivity):
+            principal_eigenvalue(laplacian(2), dom, grid)
+        assert len(calls) == 4
+        assert all(c["initial_guess"] is None for c in calls)

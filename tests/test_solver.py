@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 
@@ -14,7 +13,7 @@ from radelliptic.grid import (DiscreteRadialFunction, Domain, DomainKind,
 from radelliptic.operators import (OperatorSpec, closed_form_alpha_laplacian,
                                    closed_form_pucci_power,
                                    pucci_power_profile)
-from radelliptic.solver import (SolverParams, SourceFunction,
+from radelliptic.solver import (EPS_END, EPS_START, SourceFunction,
                                 comparison_oracle, discretize_residual,
                                 solve_dirichlet)
 
@@ -42,6 +41,14 @@ class TestSourceFunction:
         with pytest.raises(InvalidSpec):
             SourceFunction.expression("gauss")
 
+    def test_expression_rejects_unknown_parameter(self):
+        with pytest.raises(InvalidSpec, match="'amplitud'"):
+            SourceFunction.expression("sine", amplitud=2.0)
+        with pytest.raises(InvalidSpec):
+            SourceFunction.from_json_dict({"kind": "expression",
+                                           "name": "power",
+                                           "params": {"offset": 1.0}})
+
     def test_step_is_continuous_ramp(self):
         f = SourceFunction.expression("step", left=1.0, right=3.0, r0=0.5,
                                       width=0.1)
@@ -59,63 +66,46 @@ class TestSourceFunction:
 
 
 class TestSolverParams:
+    """The solver's settings: module constants and the eps_start keyword."""
+
     def test_validation(self):
-        with pytest.raises(InvalidSpec):
-            SolverParams(eps_start=1e-8, eps_end=1e-2)
-        with pytest.raises(InvalidSpec):
-            SolverParams(eps_factor=1.5)
-        with pytest.raises(InvalidSpec):
-            SolverParams(eps_end=0.0)
-
-    def test_json_rejects_unknown_key(self):
-        with pytest.raises(InvalidSpec):
-            SolverParams.from_json_dict({"newton_tolerance": 1e-8})
-
-    @pytest.mark.parametrize("doc", [{"eps_factor": 1.5}, {"eps_end": 0},
-                                     {"eps_start": 1e-9, "eps_end": 1e-8},
-                                     {"newton_tol": 0.0}, {"damping_min": 0},
-                                     {"newton_max_iter": 2.5},
-                                     {"pseudo_time_max_steps": -1}])
-    def test_json_values_are_validated(self, doc):
-        # an eps_factor >= 1 would make the eps list grow without end, so
-        # nothing here may reach a solve
-        with pytest.raises(InvalidSpec):
-            SolverParams.from_json_dict(doc)
+        op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2)
+        dom = Domain.ball(1.0)
+        grid = RadialGrid.for_domain(dom, 32)
+        for eps_start in (EPS_END / 2, 0.0, float("nan")):
+            with pytest.raises(InvalidSpec):
+                solve_dirichlet(op, dom, SourceFunction.constant(1.0), grid,
+                                eps_start=eps_start)
 
     @pytest.mark.parametrize("doc", [{"eps_factor": 1.5}, {"eps_end": 0}])
     def test_bad_config_params_are_config_errors(self, doc):
+        # the solver settings are no longer configurable: the whole
+        # section is an unknown key
         config = {"operator": {"variant": "PucciPlus", "alpha": 1.0,
                                "a": 1.0, "A": 2.0, "dim": 2},
                   "domain": {"kind": "Ball", "R": 1.0},
                   "grid": {"n": 32}, "params": doc}
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown key params$"):
             _parse_problem(config)
 
-    def test_json_round_trip_keeps_every_field(self):
-        p = SolverParams(eps_start=1e-3, eps_end=1e-9, eps_factor=0.25,
-                         newton_tol=1e-9, newton_max_iter=50,
-                         damping_min=1e-3, pseudo_time_max_steps=500)
-        doc = p.to_json_dict()
-        assert set(doc) == {f.name for f in dataclasses.fields(SolverParams)}
-        assert SolverParams.from_json_dict(doc) == p
-
-    def test_eigen_warm_start_keeps_configured_budget(self, monkeypatch):
+    def test_eigen_warm_start_begins_at_eps_end(self, monkeypatch):
         seen = []
         solve = eigen.solve_dirichlet
 
         def recording(*args, **kwargs):
-            seen.append(args[4])
+            seen.append(kwargs)
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(eigen, "solve_dirichlet", recording)
-        params = SolverParams(pseudo_time_max_steps=777)
         op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2)
         dom = Domain.ball(1.0)
-        eigen.principal_eigenvalue(op, dom, RadialGrid.for_domain(dom, 64),
-                                   params=params)
-        assert seen[0] is params and len(seen) > 1
+        eigen.principal_eigenvalue(op, dom, RadialGrid.for_domain(dom, 64))
+        assert len(seen) > 1
+        assert seen[0]["eps_start"] == EPS_START
+        assert seen[0]["initial_guess"] is None
         for warm in seen[1:]:
-            assert warm == dataclasses.replace(params, eps_start=params.eps_end)
+            assert warm["eps_start"] == EPS_END
+            assert warm["initial_guess"] is not None
 
 
 class TestResidual:
@@ -295,22 +285,22 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 def _config_problem(name, n_mult=1):
     with open(os.path.join(CONFIG_DIR, name + ".json"), encoding="utf-8") as fh:
-        op, dom, grid, f, params = _parse_problem(json.load(fh))
+        op, dom, grid, f = _parse_problem(json.load(fh))
     grid = RadialGrid.for_domain(dom, n_mult * grid.n, grid.grading)
-    return op, dom, grid, f, params
+    return op, dom, grid, f
 
 
 class TestInitialGuess:
     @pytest.mark.parametrize("name", ["pucci_power_ball", "pucci_alpha2_ball"])
     def test_ball_guess_near_power_profile(self, name):
-        op, dom, grid, f, _ = _config_problem(name)
+        op, dom, grid, f = _config_problem(name)
         guess = solver._initial_guess(op, dom, grid, f(grid.nodes))
         exact = pucci_power_profile(op)(grid.nodes)
         assert np.max(np.abs(guess - exact)) <= 0.05
         assert guess[-1] == dom.bc_outer
 
     def test_annulus_guess_subtracts_chord(self):
-        op, dom, grid, f, _ = _config_problem("alpha_laplacian_annulus")
+        op, dom, grid, f = _config_problem("alpha_laplacian_annulus")
         nodes = grid.nodes
         fvals = f(nodes)
         guess = solver._initial_guess(op, dom, grid, fvals)
@@ -333,8 +323,8 @@ class TestNewtonStep:
             raise AssertionError("pseudo-time fallback was entered")
 
         monkeypatch.setattr(solver, "_pseudo_time", no_fallback)
-        op, dom, grid, f, params = _config_problem(name, n_mult)
-        sol = solve_dirichlet(op, dom, f, grid, params)
+        op, dom, grid, f = _config_problem(name, n_mult)
+        sol = solve_dirichlet(op, dom, f, grid)
         assert sol.converged
         assert sol.iterations < 30
 
@@ -371,8 +361,8 @@ class TestNewtonStep:
             return assemble(*args)
 
         monkeypatch.setattr(_kernels, "assemble_system", counting)
-        op, dom, grid, f, params = _config_problem("pucci_power_ball")
-        sol = solve_dirichlet(op, dom, f, grid, params)
+        op, dom, grid, f = _config_problem("pucci_power_ball")
+        sol = solve_dirichlet(op, dom, f, grid)
         assert sol.converged and sol.iterations > 0
         # one per accepted Newton step, one per eps stage, one frozen final
         assert calls <= sol.iterations + len(sol.eps_path) + 1
