@@ -11,10 +11,9 @@ that ``verify`` runs on that solution is timed on its own, best of
 - ``c1_bound_check`` and ``holder_exponent`` at every derivative-zero
   candidate, summed over the candidates.
 
-The checks get the arguments ``verify`` gives them, from the config's
-``verify_opts`` as ``verify`` parses them.  The script prints one line per config and scale, and
-writes (or replaces) the entry under ``--label`` in the JSON file, with
-per-scale totals per check.
+The checks get the arguments ``verify`` gives them.  The script prints
+one line per config and scale, and writes (or replaces) the entry under
+``--label`` in the JSON file, with per-scale totals per check.
 
 Usage: python3 benchmarks/bench_certify.py --label change
                                            [--out BENCH_certify.json]
@@ -37,9 +36,11 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from radelliptic import analysis, cli  # noqa: E402
+from radelliptic import analysis  # noqa: E402
 from radelliptic.errors import InsufficientData, NotAZero  # noqa: E402
-from radelliptic.solver import solve_dirichlet  # noqa: E402
+from radelliptic.grid import Domain, RadialGrid  # noqa: E402
+from radelliptic.operators import OperatorSpec  # noqa: E402
+from radelliptic.solver import SourceFunction, solve_dirichlet  # noqa: E402
 
 REPEAT = 3
 SCALES = (1, 4, 16)
@@ -58,31 +59,31 @@ def best_of(fn):
 
 def time_checks(doc):
     """Best-of-``REPEAT`` seconds of each check on the solution of ``doc``."""
-    op, dom, grid, f = cli._parse_problem(doc)
-    opts = cli._parse_verify_opts(doc)
+    op = OperatorSpec.from_json_dict(doc["operator"])
+    dom = Domain.from_json_dict(doc["domain"])
+    grid = RadialGrid.for_domain(dom, doc["grid"]["n"], doc["grid"]["grading"])
+    f = SourceFunction.from_json_dict(doc["f"])
     sol = solve_dirichlet(op, dom, f, grid)
-    threshold = cli._flux_threshold(sol, opts["threshold"])
     times = {
         "verify_flux_inequalities": best_of(
-            lambda: analysis.verify_flux_inequalities(sol, op, f, threshold)),
+            lambda: analysis.verify_flux_inequalities(sol, op, f)),
         "check_viscosity": best_of(
-            lambda: analysis.check_viscosity(sol, op, f, opts["slopes"],
-                                             opts["curvatures"])),
+            lambda: analysis.check_viscosity(sol, op, f)),
         "c1_modulus_report": best_of(
             lambda: analysis.c1_modulus_report(sol, alpha=op.alpha)),
         "c1_bound_check": 0.0,
         "holder_exponent": 0.0,
     }
-    for r_star in cli._derivative_zero_candidates(dom, sol.u):
+    for r_star in analysis.derivative_zero_candidates(sol.u, dom):
         try:
             analysis.c1_bound_check(sol, op, f, r_star)
-            analysis.holder_exponent(sol, r_star, opts["decades"])
+            analysis.holder_exponent(sol, r_star)
         except (NotAZero, InsufficientData):
             continue
         times["c1_bound_check"] += best_of(
             lambda: analysis.c1_bound_check(sol, op, f, r_star))
         times["holder_exponent"] += best_of(
-            lambda: analysis.holder_exponent(sol, r_star, opts["decades"]))
+            lambda: analysis.holder_exponent(sol, r_star))
     return grid.n, times
 
 

@@ -2,8 +2,8 @@
 
 Covers the gradient-flux inequalities on monotone intervals, the
 touching-paraboloid viscosity tests, the Holder exponent of u' at its
-zeros, the explicit C^1 growth bounds, and the derivative-number
-continuity diagnostics.
+zeros, the explicit C^1 growth bounds, the derivative-number continuity
+diagnostics, and the comparison-principle oracle.
 """
 
 from __future__ import annotations
@@ -14,17 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InsufficientData, InvalidSpec, NotAZero, NotConverged)
-from .grid import (DiscreteRadialFunction, derivative_numbers,
-                   interior_quotients, lipschitz_constant)
+from .errors import (GridMismatch, InsufficientData, InvalidSpec, NotAZero,
+                     NotConverged, PreconditionViolated)
+from .grid import (DiscreteRadialFunction, Domain, DomainKind,
+                   derivative_numbers, interior_quotients, lipschitz_constant)
 from .operators import OperatorSpec, eval_radial_many
 from .report import VerificationReport
-from .solver import Solution, SourceFunction
+from .solver import EPS_END, Solution, SourceFunction
 
 # cap on the element count of each temporary in the blocked viscosity
 # check: large enough to amortise numpy call overhead, small enough that
 # the check adds nothing visible to peak memory
 _BLOCK_ELEMS = 1 << 14
+
+# sizes of the viscosity check's global paraboloid families: slopes are
+# spread over [-2 Lip, 2 Lip], curvatures over [-4 |u''|, 4 |u''|]
+VISCOSITY_SLOPES = 17
+VISCOSITY_CURVATURES = 9
 
 
 def epsilon_aA(x, a: float, A: float):
@@ -158,7 +164,8 @@ def _flux_checks(report, tol, nodes, flux, idx, op, f_sup, eps_cum,
 
 
 def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
-                             threshold: float) -> VerificationReport:
+                             threshold: float | None = None
+                             ) -> VerificationReport:
     """Check the four gradient-flux inequalities on every monotone interval.
 
     The flux is Phi = |u'|^alpha u'.  On intervals where u' > 0, Phi(s)
@@ -172,10 +179,16 @@ def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
     interval; its worst margin over all pairs is found in one pass over
     the interval (see ``_flux_checks``), and reported at the first right
     endpoint s that attains it.
+
+    The monotone intervals are the runs where |u'| exceeds ``threshold``,
+    by default max(10 EPS_END, h_max) (1 + Lip u).
     """
     profile, residual_sup = _as_function(u)
     nodes = profile.grid.nodes
     h = profile.grid.max_spacing
+    if threshold is None:
+        lip = lipschitz_constant(profile)
+        threshold = max(10.0 * EPS_END, h) * (1.0 + lip)
     tol = 10.0 * (h ** (1.0 / (1.0 + op.alpha)) + residual_sup)
     fvals = np.asarray(f(nodes), dtype=float)
     f_sup = float(np.max(np.abs(fvals)))
@@ -214,9 +227,8 @@ def _chebyshev(lo, hi, count):
     return lo + (hi - lo) * 0.5 * (1.0 + t)
 
 
-def check_viscosity(u, op: OperatorSpec, f: SourceFunction,
-                    slopes: int = 17, curvatures: int = 9,
-                    tol: float | None = None) -> VerificationReport:
+def check_viscosity(u, op: OperatorSpec,
+                    f: SourceFunction) -> VerificationReport:
     """Touching-paraboloid sub/supersolution test at every interior node.
 
     A paraboloid anchored at (r_i, u_i) that stays below u on the 5-node
@@ -232,25 +244,22 @@ def check_viscosity(u, op: OperatorSpec, f: SourceFunction,
     an end node, which leaves the test unchanged.  Each side reports the
     first node in grid order that attains its minimum margin.
     """
-    if slopes < 3 or curvatures < 3:
-        raise InvalidSpec("need at least 3 slopes and 3 curvatures")
     profile, residual_sup = _as_function(u)
     nodes = profile.grid.nodes
     vals = profile.values
     n = profile.grid.n
     h = profile.grid.max_spacing
-    if tol is None:
-        tol = 10.0 * h ** (1.0 / (1.0 + op.alpha)) + 10.0 * residual_sup
+    tol = 10.0 * h ** (1.0 / (1.0 + op.alpha)) + 10.0 * residual_sup
 
     lip = max(lipschitz_constant(profile), h)
     q_int, m_int = interior_quotients(profile)
     mmax = float(np.max(np.abs(m_int))) if len(m_int) else 1.0
 
-    half = max(3, (slopes + 1) // 2)
-    pos_slopes = _chebyshev(h, max(2.0 * lip, 2.0 * h), half)
+    pos_slopes = _chebyshev(h, max(2.0 * lip, 2.0 * h),
+                            (VISCOSITY_SLOPES + 1) // 2)
     slope_family = np.concatenate([-pos_slopes[::-1], pos_slopes])
-    half_c = max(2, (curvatures + 1) // 2)
-    pos_curv = _chebyshev(0.0, max(4.0 * mmax, 1.0), half_c)
+    pos_curv = _chebyshev(0.0, max(4.0 * mmax, 1.0),
+                          (VISCOSITY_CURVATURES + 1) // 2)
     curv_family = np.unique(np.concatenate([-pos_curv[::-1], pos_curv]))
 
     curv_offsets = np.array([-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0])
@@ -338,23 +347,36 @@ def check_viscosity(u, op: OperatorSpec, f: SourceFunction,
     return report
 
 
-def _is_discrete_zero(nodes, q_int, i_star, h, lip) -> bool:
-    """Whether the discrete derivative vanishes at node i_star.
+def _discrete_zero(profile: DiscreteRadialFunction, r_star: float):
+    """The zero of the discrete derivative at the node nearest r_star.
 
-    Absolute criterion |q| <= h*(1+Lip), with a scale-free fallback for
-    degenerate profiles whose derivative vanishes only like a fractional
-    power: the quotient at the candidate must be well below the nearby
-    quotient magnitudes.
+    Returns that node's radius and the first quotients q at nodes 1..n-1,
+    or raises NotAZero.  Absolute criterion |q| <= h*(1+Lip), with a
+    scale-free fallback for degenerate profiles whose derivative vanishes
+    only like a fractional power: the quotient at the candidate must be
+    well below the nearby quotient magnitudes.
     """
-    j = min(max(i_star - 1, 0), len(q_int) - 1)
-    qs = abs(q_int[j])
-    if qs <= h * (1.0 + lip):
-        return True
-    dist = np.abs(nodes[1:-1] - nodes[i_star])
-    nearby = (dist >= 3.0 * h) & (dist <= 30.0 * h)
-    if not nearby.any():
-        return False
-    return qs <= 0.3 * float(np.median(np.abs(q_int[nearby])))
+    nodes = profile.grid.nodes
+    h = profile.grid.max_spacing
+    i_star = profile.grid.nearest_index(r_star)
+    q_int, _ = interior_quotients(profile)
+    qs = abs(q_int[min(max(i_star - 1, 0), len(q_int) - 1)])
+    if qs > h * (1.0 + lipschitz_constant(profile)):
+        dist = np.abs(nodes[1:-1] - nodes[i_star])
+        nearby = (dist >= 3.0 * h) & (dist <= 30.0 * h)
+        if (not nearby.any()
+                or qs > 0.3 * float(np.median(np.abs(q_int[nearby])))):
+            raise NotAZero("discrete derivative does not vanish at r_star")
+    return float(nodes[i_star]), q_int
+
+
+def derivative_zero_candidates(u: DiscreteRadialFunction, dom: Domain):
+    """Radii where u' may vanish: the origin of a ball and every sign flip
+    of the interior first quotient (at the node before the flip)."""
+    q, _ = interior_quotients(u)
+    candidates = [0.0] if dom.kind is DomainKind.BALL else []
+    flips = np.nonzero(np.diff(np.sign(q)) != 0)[0]
+    return candidates + [float(u.grid.nodes[1 + k]) for k in flips]
 
 
 @dataclass(frozen=True)
@@ -366,7 +388,7 @@ class HolderEstimate:
     residual: float
 
 
-def holder_exponent(u, r_star: float, decades: float = 1.0) -> HolderEstimate:
+def holder_exponent(u, r_star: float, decades: float = 1.5) -> HolderEstimate:
     """Fit |u'| ~ C |r - r_star|^beta around a zero of the derivative.
 
     Least squares on log|u'| vs log|r - r_star| over the annular window
@@ -378,12 +400,7 @@ def holder_exponent(u, r_star: float, decades: float = 1.0) -> HolderEstimate:
     profile, _ = _as_function(u)
     nodes = profile.grid.nodes
     h = profile.grid.max_spacing
-    i_star = profile.grid.nearest_index(r_star)
-    q_int, _ = interior_quotients(profile)
-    lip = lipschitz_constant(profile)
-    if not _is_discrete_zero(nodes, q_int, i_star, h, lip):
-        raise NotAZero("discrete derivative does not vanish at r_star")
-    r_star = float(nodes[i_star])
+    r_star, q_int = _discrete_zero(profile, r_star)
 
     dist = nodes[1:-1] - r_star
     lo, hi = 3.0 * h, 3.0 * h * 10.0 ** decades
@@ -420,13 +437,7 @@ def c1_bound_check(u, op: OperatorSpec, f: SourceFunction,
     h = profile.grid.max_spacing
     one_p_a = 1.0 + op.alpha
     tol = 10.0 * h ** (1.0 / one_p_a) + 10.0 * residual_sup
-
-    i_star = profile.grid.nearest_index(r_star)
-    q_int, _ = interior_quotients(profile)
-    lip = lipschitz_constant(profile)
-    if not _is_discrete_zero(nodes, q_int, i_star, h, lip):
-        raise NotAZero("discrete derivative does not vanish at r_star")
-    r_star = float(nodes[i_star])
+    r_star, q_int = _discrete_zero(profile, r_star)
 
     f_sup = float(np.max(np.abs(np.asarray(f(nodes), dtype=float))))
     gamma, _ = gamma_exponent(op)
@@ -498,4 +509,37 @@ def c1_modulus_report(u, alpha: float = 0.0, stride: int = 10,
             ("zero-derivative", zero, tol_remark)):
         k = int(np.argmin(margins))
         report.add(name, float(nodes[probed[k]]), float(margins[k]), tol)
+    return report
+
+
+def comparison_oracle(u, v, op: OperatorSpec, fu: SourceFunction,
+                      fv: SourceFunction) -> VerificationReport:
+    """Check u <= v given fu >= fv and ordered boundary data.
+
+    Larger forcing pushes solutions down for this sign convention, so the
+    solution with the larger source must lie below.
+    """
+    pu, res_u = _as_function(u)
+    pv, res_v = _as_function(v)
+    if not pu.same_grid(pv):
+        raise GridMismatch("comparison requires a common grid")
+    nodes = pu.grid.nodes
+    fuv = np.asarray(fu(nodes), dtype=float)
+    fvv = np.asarray(fv(nodes), dtype=float)
+    fscale = max(1.0, float(np.max(np.abs(fuv))), float(np.max(np.abs(fvv))))
+    if np.any(fuv < fvv - 1e-12 * fscale):
+        raise PreconditionViolated("need fu >= fv pointwise")
+    strict_somewhere = bool(np.any(fuv > fvv + 1e-12 * fscale))
+    bscale = max(1.0, float(np.max(np.abs(pu.values))), float(np.max(np.abs(pv.values))))
+    for j in (0, -1):
+        if pu.values[j] > pv.values[j] + 1e-12 * bscale:
+            raise PreconditionViolated("boundary data must be ordered u <= v")
+
+    tol = 10.0 * max(res_u, res_v)
+    gap = pv.values[1:-1] - pu.values[1:-1]
+    worst = int(np.argmin(gap))
+    report = VerificationReport(
+        tolerance_model="10 * max residual of the compared solutions")
+    name = "comparison" if strict_somewhere else "comparison[non-strict]"
+    report.add(name, nodes[1 + worst], float(gap[worst]), tol)
     return report

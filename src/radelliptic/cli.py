@@ -1,10 +1,10 @@
 """Batch front-end: JSON experiment configs in, CSV/JSON artifacts out.
 
-Exit codes: 0 success, 1 config error, 2 no convergence (the solver
-diverged, or the eigenvalue iteration hit its step limit or lost
-positivity), 3 a binding verification check failed (reports are still
-written in that case), 4 the converged linearization lost its monotone
-structure.
+Exit codes: 0 success, 1 config error or an output that cannot be
+written, 2 no convergence (the solver diverged, or the eigenvalue iteration
+hit its step limit or lost positivity), 3 a binding verification check
+failed (reports are still written in that case), 4 the converged
+linearization lost its monotone structure.
 
 The config schema is closed: a key that no command reads is a config
 error.  Every command checks all keys, and the values it reads, before its
@@ -24,15 +24,14 @@ import sys
 import numpy as np
 
 from . import analysis
+from .analysis import comparison_oracle
 from .eigen import EigenSign, principal_eigenvalue
 from .errors import (Diverged, InsufficientData, LostMonotonicity,
                      LostPositivity, NotAZero, NotConverged, RadellipticError)
-from .grid import (DiscreteRadialFunction, Domain, DomainKind, Grading,
-                   RadialGrid, interior_quotients, lipschitz_constant)
+from .grid import Domain, Grading, RadialGrid
 from .operators import OperatorSpec, validate_hypotheses
 from .report import VerificationReport
-from .solver import (EXPRESSION_CATALOGUE, SourceFunction, comparison_oracle,
-                     solve_dirichlet)
+from .solver import EXPRESSION_CATALOGUE, SourceFunction, solve_dirichlet
 
 # advisory checks never gate the exit status: alternate constant readings
 # carried for reference alongside the binding one
@@ -48,8 +47,7 @@ _SECTION_KEYS = {
     "operator": [fd.name for fd in dataclasses.fields(OperatorSpec)],
     "domain": [fd.name for fd in dataclasses.fields(Domain)],
     "grid": ["n", "grading"],
-    "verify_opts": ["threshold", "decades", "slopes", "curvatures"],
-    "eigen": ["sign", "tol", "max_outer"],
+    "eigen": ["sign", "tol"],
 }
 _SOURCE_KEYS = {"constant": ["kind", "value"], "tabulated": ["kind", "r", "v"],
                 "expression": ["kind", "name", "params"]}
@@ -157,36 +155,8 @@ def _option(opts: dict, name: str, default, kind, low: float,
     return value
 
 
-def _parse_verify_opts(doc: dict) -> dict:
-    """The verify_opts section, checked before any solve.
-
-    ``threshold`` stays None when absent: it is then derived from the
-    solution.
-    """
-    opts = _section(doc, "verify_opts")
-    threshold = opts.get("threshold")
-    if threshold is not None:
-        threshold = _option(opts, "verify_opts.threshold", None, float, 0.0,
-                            strict=True)
-    return {"threshold": threshold,
-            "decades": _option(opts, "verify_opts.decades", 1.5, float, 1.0),
-            "slopes": _option(opts, "verify_opts.slopes", 17, int, 3),
-            "curvatures": _option(opts, "verify_opts.curvatures", 9, int, 3)}
-
-
-def _flux_threshold(sol, threshold):
-    """``threshold``, or if None max(10 eps_final, h_max) (1 + Lip u)."""
-    if threshold is not None:
-        return threshold
-    lip = lipschitz_constant(sol.u)
-    return max(10.0 * sol.eps_final, sol.u.grid.max_spacing) * (1.0 + lip)
-
-
 def _parse_eigen_opts(doc: dict) -> dict:
-    """The eigen section, checked before any solve.
-
-    ``max_outer`` is at least 2: the stop test compares two eigenvalues.
-    """
+    """The eigen section, checked before any solve."""
     opts = _section(doc, "eigen")
     try:
         sign = EigenSign(opts.get("sign", "Plus"))
@@ -195,20 +165,10 @@ def _parse_eigen_opts(doc: dict) -> dict:
             f"bad config: eigen.sign must be one of "
             f"{[s.value for s in EigenSign]}, got {opts.get('sign')!r}")
     return {"sign": sign,
-            "tol": _option(opts, "eigen.tol", 1e-8, float, 0.0, strict=True),
-            "max_outer": _option(opts, "eigen.max_outer", 80, int, 2)}
+            "tol": _option(opts, "eigen.tol", 1e-8, float, 0.0, strict=True)}
 
 
 def _seed(doc: dict) -> int:
-    env = os.environ.get("RDL_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError("RDL_SEED must be an integer")
-        if seed < 0:
-            raise ConfigError("RDL_SEED must be >= 0")
-        return seed
     return _option(doc, "seed", 0, int, 0)
 
 
@@ -225,18 +185,6 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _derivative_zero_candidates(dom: Domain, profile: DiscreteRadialFunction):
-    nodes = profile.grid.nodes
-    q, _ = interior_quotients(profile)
-    candidates = []
-    if dom.kind is DomainKind.BALL:
-        candidates.append(0.0)
-    flips = np.nonzero(np.diff(np.sign(q)) != 0)[0]
-    for k in flips:
-        candidates.append(float(nodes[1 + k]))
-    return candidates
-
-
 def cmd_solve(doc: dict, out_dir: str) -> int:
     op, dom, grid, f = _parse_problem(doc)
     sol = solve_dirichlet(op, dom, f, grid)
@@ -247,26 +195,23 @@ def cmd_solve(doc: dict, out_dir: str) -> int:
 
 def cmd_verify(doc: dict, out_dir: str) -> int:
     op, dom, grid, f = _parse_problem(doc)
-    opts = _parse_verify_opts(doc)
     seed = _seed(doc)
 
     sol = solve_dirichlet(op, dom, f, grid)
     sol.u.to_csv(_out(out_dir, "solution.csv"))
     _write_json(_out(out_dir, "diagnostics.json"), sol.diagnostics_dict())
-    threshold = _flux_threshold(sol, opts["threshold"])
 
     report = VerificationReport(
         tolerance_model="per-check; see module documentation")
-    report.extend(analysis.verify_flux_inequalities(sol, op, f, threshold))
-    report.extend(analysis.check_viscosity(sol, op, f, opts["slopes"],
-                                           opts["curvatures"]))
+    report.extend(analysis.verify_flux_inequalities(sol, op, f))
+    report.extend(analysis.check_viscosity(sol, op, f))
     report.extend(analysis.c1_modulus_report(sol, alpha=op.alpha))
 
     beta_target = 1.0 / (1.0 + op.alpha)
-    for r_star in _derivative_zero_candidates(dom, sol.u):
+    for r_star in analysis.derivative_zero_candidates(sol.u, dom):
         try:
             report.extend(analysis.c1_bound_check(sol, op, f, r_star))
-            est = analysis.holder_exponent(sol, r_star, opts["decades"])
+            est = analysis.holder_exponent(sol, r_star)
             report.add("holder-fit", est.r_star,
                        0.05 * beta_target - abs(est.beta_fit - beta_target),
                        0.0)
@@ -353,6 +298,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](doc, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # _load_config made read errors ConfigErrors
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
     except Diverged as exc:
         print(f"error: solver diverged: {exc}", file=sys.stderr)

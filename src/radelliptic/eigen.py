@@ -19,6 +19,9 @@ from .operators import OperatorSpec
 from .solver import (EPS_END, EPS_START, SourceFunction,
                      discretize_residual, solve_dirichlet)
 
+# outer steps of the inverse power iteration before it gives up
+MAX_OUTER = 80
+
 
 class EigenSign(str, enum.Enum):
     PLUS = "Plus"
@@ -60,7 +63,7 @@ def eigen_residual(op: OperatorSpec, dom: Domain, lam: float,
 
 def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
                          sign: EigenSign = EigenSign.PLUS, tol: float = 1e-8,
-                         max_outer: int = 80, seed: int = 0) -> EigenResult:
+                         seed: int = 0) -> EigenResult:
     """Inverse power iteration for the principal Dirichlet eigenvalue.
 
     Plus gives the eigenvalue with a positive eigenfunction.  Minus runs
@@ -69,15 +72,14 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     negative.
 
     Warm solves start from the previous iterate at the final eps.  The
-    stop test compares two eigenvalues, so ``max_outer`` must be >= 2.
+    iteration stops when two successive eigenvalues agree to ``tol``, or
+    raises NotConverged after ``MAX_OUTER`` steps.
     """
     sign = EigenSign(sign)
     if dom.bc_inner != 0.0 or dom.bc_outer != 0.0:
         raise InvalidSpec("eigenproblem needs zero Dirichlet data")
     if tol <= 0:
         raise InvalidSpec("tol must be positive")
-    if max_outer < 2:
-        raise InvalidSpec("max_outer must be >= 2")
     work_op = op if sign is EigenSign.PLUS else op.dual()
     one_p_a = 1.0 + op.alpha
     nodes = grid.nodes
@@ -89,7 +91,7 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     restarts = 0
     psi_prev = None
 
-    while iterations < max_outer:
+    while iterations < MAX_OUTER:
         forcing = SourceFunction.tabulated(nodes, -phi ** one_p_a)
         sol = solve_dirichlet(
             work_op, dom, forcing, grid, initial_guess=psi_prev,
@@ -114,7 +116,7 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
             break
     else:
         raise NotConverged(
-            f"eigenvalue iteration did not settle in {max_outer} steps")
+            f"eigenvalue iteration did not settle in {MAX_OUTER} steps")
 
     profile = DiscreteRadialFunction(grid, phi)
     res = eigen_residual(work_op, dom, lam_history[-1], profile,

@@ -13,10 +13,6 @@ class NonPositiveRadius(RadellipticError):
     """The radial reduction is only evaluated at r > 0."""
 
 
-class BoundaryIndex(RadellipticError):
-    """Difference quotients require an interior node index."""
-
-
 class WindowTooSmall(RadellipticError):
     """Derivative-number window below twice the local spacing."""
 

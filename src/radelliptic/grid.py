@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BoundaryIndex, GridMismatch, InvalidSpec, OutsideDomain,
-                     WindowTooSmall)
+from .errors import GridMismatch, InvalidSpec, OutsideDomain, WindowTooSmall
 
 
 class DomainKind(str, enum.Enum):
@@ -97,10 +96,6 @@ class RadialGrid:
     @property
     def max_spacing(self) -> float:
         return float(np.max(self.spacing))
-
-    @property
-    def min_spacing(self) -> float:
-        return float(np.min(self.spacing))
 
     def local_spacing(self, i):
         """Larger adjacent spacing at node index i (one-sided at the ends).
@@ -222,17 +217,9 @@ class ThreePoint:
         return 2.0 * hp / denom, -2.0 * (hp + hm) / denom, 2.0 * hm / denom
 
 
-def difference_quotients(u: DiscreteRadialFunction, i: int) -> tuple[float, float]:
-    """The stencil's first and second difference quotients at interior node i."""
-    if not 0 < i < u.grid.n:
-        raise BoundaryIndex("difference quotients need an interior node")
-    st = ThreePoint(u.grid.nodes[i - 1:i + 2])
-    v = u.values[i - 1:i + 2]
-    return float(st.q(v)[0]), float(st.m(v)[0])
-
-
 def interior_quotients(u: DiscreteRadialFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized difference_quotients over all interior nodes (index 1..n-1)."""
+    """The stencil's first and second difference quotients at the interior
+    nodes 1..n-1."""
     st = ThreePoint(u.grid.nodes)
     return st.q(u.values), st.m(u.values)
 

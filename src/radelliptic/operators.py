@@ -160,9 +160,7 @@ class RadialJet:
 
 
 def _degenerate_factor(q, alpha):
-    # |q|^alpha with the alpha = 0 convention 0^0 = 1
-    if alpha == 0:
-        return np.ones_like(np.asarray(q, dtype=float))
+    # |q|^alpha; for alpha = 0 it is 1 everywhere, since 0.0 ** 0.0 == 1.0
     return np.abs(q) ** alpha
 
 
@@ -257,11 +255,6 @@ class AnalyticRadialProfile:
     def derivative(self, r):
         return self._derivative(np.asarray(r, dtype=float))
 
-    def sample(self, grid):
-        from .grid import DiscreteRadialFunction
-
-        return DiscreteRadialFunction(grid, self(grid.nodes))
-
 
 def pucci_power_profile(op: OperatorSpec) -> AnalyticRadialProfile:
     """The explicit solution r^{(alpha+2)/(alpha+1)} as a profile object."""
@@ -335,7 +328,7 @@ def validate_hypotheses(op: OperatorSpec, sample_count: int, seed: int) -> Verif
     bracket_mag = np.maximum(np.abs(m), (op.dim - 1) * np.abs(q) / r)
     s = bracket_mag * log_uniform(1e-3, 1e3, n)
     inc = eval_radial_many(op, r, q, m + s) - eval_radial_many(op, r, q, m)
-    factor = np.abs(q) ** op.alpha if op.alpha > 0 else np.ones(n)
+    factor = _degenerate_factor(q, op.alpha)
     lo = op.a * factor * s
     hi = op.A * factor * s
     scale = np.maximum(hi, 1e-300)

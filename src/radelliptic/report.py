@@ -47,12 +47,6 @@ class VerificationReport:
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]
 
-    def worst(self, name_prefix: str = "") -> Check | None:
-        matching = [c for c in self.checks if c.name.startswith(name_prefix)]
-        if not matching:
-            return None
-        return min(matching, key=lambda c: c.margin)
-
     def as_dict(self) -> dict:
         return {
             "checks": [c.as_dict() for c in self.checks],

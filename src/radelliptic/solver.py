@@ -30,12 +30,10 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import _kernels
-from .errors import (Diverged, GridMismatch, InvalidSpec, LostMonotonicity,
-                     PreconditionViolated)
+from .errors import Diverged, GridMismatch, InvalidSpec, LostMonotonicity
 from .grid import (DiscreteRadialFunction, Domain, DomainKind, RadialGrid,
                    ThreePoint)
 from .operators import OperatorSpec
-from .report import VerificationReport
 
 # each catalogue expression with its parameters and their defaults
 EXPRESSION_CATALOGUE = {
@@ -402,43 +400,3 @@ def _pseudo_time(system, u, eps, rn_enter, tol, budget):
         u[-1] = system.dom.bc_outer
     return u, max(used, 1)
 
-
-def _as_profile(obj):
-    if isinstance(obj, Solution):
-        return obj.u, obj.residual_sup
-    if isinstance(obj, DiscreteRadialFunction):
-        return obj, 0.0
-    raise InvalidSpec("expected a Solution or DiscreteRadialFunction")
-
-
-def comparison_oracle(u, v, op: OperatorSpec, fu: SourceFunction,
-                      fv: SourceFunction) -> VerificationReport:
-    """Check u <= v given fu >= fv and ordered boundary data.
-
-    Larger forcing pushes solutions down for this sign convention, so the
-    solution with the larger source must lie below.
-    """
-    pu, res_u = _as_profile(u)
-    pv, res_v = _as_profile(v)
-    if not pu.same_grid(pv):
-        raise GridMismatch("comparison requires a common grid")
-    nodes = pu.grid.nodes
-    fuv = np.asarray(fu(nodes), dtype=float)
-    fvv = np.asarray(fv(nodes), dtype=float)
-    fscale = max(1.0, float(np.max(np.abs(fuv))), float(np.max(np.abs(fvv))))
-    if np.any(fuv < fvv - 1e-12 * fscale):
-        raise PreconditionViolated("need fu >= fv pointwise")
-    strict_somewhere = bool(np.any(fuv > fvv + 1e-12 * fscale))
-    bscale = max(1.0, float(np.max(np.abs(pu.values))), float(np.max(np.abs(pv.values))))
-    for j in (0, -1):
-        if pu.values[j] > pv.values[j] + 1e-12 * bscale:
-            raise PreconditionViolated("boundary data must be ordered u <= v")
-
-    tol = 10.0 * max(res_u, res_v)
-    gap = pv.values[1:-1] - pu.values[1:-1]
-    worst = int(np.argmin(gap))
-    report = VerificationReport(
-        tolerance_model="10 * max residual of the compared solutions")
-    name = "comparison" if strict_somewhere else "comparison[non-strict]"
-    report.add(name, nodes[1 + worst], float(gap[worst]), tol)
-    return report

@@ -13,16 +13,14 @@ import numpy as np
 import pytest
 
 from radelliptic.analysis import (c1_bound_check, c1_modulus_report,
-                                  check_viscosity, holder_exponent,
-                                  verify_flux_inequalities)
+                                  check_viscosity, comparison_oracle,
+                                  holder_exponent, verify_flux_inequalities)
 from radelliptic.errors import InsufficientData, NotAZero
 from radelliptic.grid import (DiscreteRadialFunction, Domain, DomainKind,
-                              Grading, RadialGrid, interior_quotients,
-                              lipschitz_constant)
+                              Grading, RadialGrid, interior_quotients)
 from radelliptic.operators import (OperatorSpec, closed_form_pucci_power,
                                    pucci_power_profile, validate_hypotheses)
-from radelliptic.solver import (SourceFunction, comparison_oracle,
-                                solve_dirichlet)
+from radelliptic.solver import SourceFunction, solve_dirichlet
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -101,15 +99,10 @@ def test_criterion_2_holder_exponent(alpha):
                 f"(relative error {rel:.2%}, need <= 5%)")
 
 
-def flux_threshold(op, sol):
-    lip = lipschitz_constant(sol.u)
-    return max(10.0 * sol.eps_final, sol.u.grid.max_spacing) * (1.0 + lip)
-
-
 def test_criterion_3_flux_inequalities(shipped):
     failures = []
     for name, (op, dom, grid, f, sol) in shipped.items():
-        rep = verify_flux_inequalities(sol, op, f, flux_threshold(op, sol))
+        rep = verify_flux_inequalities(sol, op, f)
         failures += [f"{name}:{c.name}" for c in rep.failures()
                      if "[tight]" not in c.name]
     rng = np.random.default_rng(2024)
@@ -123,7 +116,7 @@ def test_criterion_3_flux_inequalities(shipped):
             grid.nodes, base + rng.uniform(0.2, 1.5)
             * np.sin(rng.uniform(1.0, 5.0) * grid.nodes))
         sol = solve_dirichlet(op, dom, f, grid)
-        rep = verify_flux_inequalities(sol, op, f, flux_threshold(op, sol))
+        rep = verify_flux_inequalities(sol, op, f)
         failures += [f"random{k}:{c.name}" for c in rep.failures()
                      if "[tight]" not in c.name]
     report_line("criterion 3 (flux inequalities)", not failures,

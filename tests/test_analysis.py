@@ -211,14 +211,6 @@ class TestViscosity:
         assert report.all_passed
         assert all(np.isinf(c.margin) for c in report.checks)
 
-    def test_family_sizes_validated(self):
-        op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2)
-        u = sampled(lambda r: r)
-        with pytest.raises(InvalidSpec):
-            check_viscosity(u, op, SourceFunction.constant(0.0), slopes=2)
-        with pytest.raises(InvalidSpec):
-            check_viscosity(u, op, SourceFunction.constant(0.0), curvatures=1)
-
 
 class TestHolder:
     def test_pucci_power_alpha_one(self, pucci_case):

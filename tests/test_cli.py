@@ -2,6 +2,7 @@ import csv
 import filecmp
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from radelliptic import cli, eigen, solver
 from radelliptic.cli import main
 from radelliptic.grid import DiscreteRadialFunction
+from radelliptic.solver import EXPRESSION_CATALOGUE
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -75,6 +77,16 @@ class TestSolve:
         assert run("solve", cfg, tmp_path) == 1
         assert "declares command" in capsys.readouterr().err
 
+    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_PROBLEM)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run("solve", cfg, taken) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cannot write output: ")
+        assert taken.read_text() == ""
+
     def test_lost_monotone_structure_exit_code(self, tmp_path, capsys,
                                                monkeypatch):
         monkeypatch.setattr(solver._System, "monotone_structure_ok",
@@ -103,14 +115,6 @@ class TestVerify:
             rows = list(csv.reader(fh))
         assert rows[0] == ["name", "location", "margin", "pass"]
         assert len(rows) == len(report["checks"]) + 1
-
-    def test_rdl_seed_overrides_config(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, dict(BASE_PROBLEM, seed=3))
-        monkeypatch.setenv("RDL_SEED", "not-an-int")
-        assert run("verify", cfg, tmp_path) == 1
-        monkeypatch.setenv("RDL_SEED", "11")
-        out = tmp_path / "seeded"
-        assert run("verify", cfg, out) == 0
 
     def test_decreasing_solution_hits_mirrored_checks(self, tmp_path):
         doc = dict(BASE_PROBLEM,
@@ -145,6 +149,8 @@ class TestVerify:
         assert "holder-fit" in failed
 
 
+    # verify takes no options: a verify_opts section, whatever it holds, is
+    # an unknown key
     @pytest.mark.parametrize("opts", [
         {"slopes": "many"}, {"slopes": 2}, {"slopes": 17.5},
         {"curvatures": 1}, {"curvatures": None}, {"threshold": -1},
@@ -161,21 +167,16 @@ class TestVerify:
         out = tmp_path / "out"
         assert run("verify", cfg, out) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: bad config: ")
-        assert "verify_opts" in err[0]
+        assert err == ["error: bad config: unknown key verify_opts"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed, env", [("abc", None), (-1, None),
-                                           (2.5, None), (10 ** 400, None),
-                                           (3, "-1")])
+    @pytest.mark.parametrize("seed", ["abc", -1, 2.5, 10 ** 400])
     def test_bad_seed_fails_before_solving(self, tmp_path, capsys,
-                                           monkeypatch, seed, env):
+                                           monkeypatch, seed):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the seed was checked")
 
         monkeypatch.setattr(cli, "solve_dirichlet", no_solve)
-        if env is not None:
-            monkeypatch.setenv("RDL_SEED", env)
         cfg = write_config(tmp_path, dict(BASE_PROBLEM, seed=seed))
         out = tmp_path / "out"
         assert run("verify", cfg, out) == 1
@@ -190,14 +191,6 @@ class TestVerify:
         assert run("verify", str(cfg), tmp_path / "out") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config is not")
-
-    def test_explicit_verify_opts_accepted(self, tmp_path):
-        opts = {"threshold": 0.05, "decades": 1, "slopes": 9.0,
-                "curvatures": 5}
-        cfg = write_config(tmp_path, dict(BASE_PROBLEM, verify_opts=opts))
-        out = tmp_path / "out"
-        assert run("verify", cfg, out) == 0
-        assert (out / "report.json").exists()
 
 
 class TestEigen:
@@ -225,8 +218,8 @@ class TestEigen:
 
     @pytest.mark.parametrize("opts", [
         {"sign": "plus"}, {"sign": 1}, {"tol": "tight"}, {"tol": 0},
-        {"tol": -1e-8}, {"max_outer": 0}, {"max_outer": 2.5},
-        {"max_outer": "80"}, ["Plus"], {"max_outer": 1}])
+        {"tol": -1e-8}, {"tol": float("nan")}, {"tol": True},
+        {"tol": 10 ** 400}, ["Plus"], {"sign": None}])
     def test_bad_eigen_options_fail_before_solving(self, tmp_path, capsys,
                                                    monkeypatch, opts):
         def no_solve(*args, **kwargs):
@@ -243,10 +236,10 @@ class TestEigen:
         assert len(err) == 1 and err[0].startswith("error: bad config: eigen")
         assert not out.exists()
 
-    def test_iteration_limit_exits_two(self, tmp_path, capsys):
+    def test_iteration_limit_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(eigen, "MAX_OUTER", 2)
         with open(os.path.join(CONFIG_DIR, "eigen_disk.json")) as fh:
             doc = json.load(fh)
-        doc["eigen"]["max_outer"] = 2
         cfg = write_config(tmp_path, doc)
         assert run("eigen", cfg, tmp_path / "out") == 2
         err = capsys.readouterr().err.splitlines()
@@ -289,8 +282,9 @@ class TestConfigSchema:
         ("domain", "bc_outter", "domain.bc_outter"),
         ("grid", "gradng", "grid.gradng"),
         ("f", "vlaue", "f.vlaue"),
-        ("verify_opts", "slope", "verify_opts.slope"),
+        ("verify_opts", "slope", "verify_opts"),
         ("eigen", "tols", "eigen.tols"),
+        ("eigen", "max_outer", "eigen.max_outer"),
     ])
     @pytest.mark.parametrize("command", ["solve", "verify", "eigen", "study"])
     def test_unknown_key_fails_every_command(self, tmp_path, capsys, command,
@@ -387,8 +381,28 @@ class TestConfigSchema:
         docs += [req.doc for req in reqs]
         for doc in docs:
             cli._parse_problem(doc)
-            cli._parse_verify_opts(doc)
             cli._parse_eigen_opts(doc)
+
+    def test_readme_table_lists_exactly_the_schema(self):
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        start = lines.index("| section | keys | values |") + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            label, keys, _ = (cell.strip()
+                              for cell in line.strip("|").split("|"))
+            rows.append((label, sorted(re.findall(r"`([^`]+)`", keys))))
+        expected = [("top level", cli._TOP_KEYS)]
+        expected += [(f"`{name}`", keys)
+                     for name, keys in cli._SECTION_KEYS.items()]
+        expected += [(f"`f` of kind `{kind}`", keys)
+                     for kind, keys in cli._SOURCE_KEYS.items()]
+        expected += [(f"`f.params` of `{name}`", list(params))
+                     for name, params in EXPRESSION_CATALOGUE.items()]
+        assert sorted(rows) == sorted((label, sorted(keys))
+                                      for label, keys in expected)
 
 
 class TestStudy:

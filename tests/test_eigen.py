@@ -134,12 +134,6 @@ class TestEigenValidation:
         with pytest.raises(InvalidSpec):
             principal_eigenvalue(laplacian(2), dom, grid, tol=0.0)
 
-    def test_max_outer_needs_two_steps(self):
-        dom = Domain.ball(1.0)
-        grid = RadialGrid.for_domain(dom, 64)
-        with pytest.raises(InvalidSpec):
-            principal_eigenvalue(laplacian(2), dom, grid, max_outer=1)
-
     def test_annulus_supported(self):
         dom = Domain.annulus(0.5, 1.0)
         grid = RadialGrid.for_domain(dom, 128)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from radelliptic.errors import (BoundaryIndex, GridMismatch, InvalidSpec,
-                                OutsideDomain, WindowTooSmall)
+from radelliptic.errors import (GridMismatch, InvalidSpec, OutsideDomain,
+                                WindowTooSmall)
 from radelliptic.grid import (DerivativeNumbers, DiscreteRadialFunction,
                               Domain, DomainKind, Grading, RadialGrid,
-                              derivative_numbers, difference_quotients,
-                              interior_quotients, lipschitz_constant)
+                              derivative_numbers, interior_quotients,
+                              lipschitz_constant)
 
 
 def uniform_profile(fn, a=0.0, b=1.0, n=100):
@@ -39,7 +39,6 @@ class TestRadialGrid:
         assert grid.n == 10
         assert np.allclose(grid.spacing, 0.2)
         assert grid.max_spacing == pytest.approx(0.2)
-        assert grid.min_spacing == pytest.approx(0.2)
 
     def test_graded_clusters_at_origin(self):
         grid = RadialGrid.for_domain(Domain.ball(1.0), 100,
@@ -68,10 +67,10 @@ class TestDifferenceQuotients:
         nodes = np.array([0.0, 0.1, 0.35, 0.6, 1.0])
         grid = RadialGrid(nodes)
         u = DiscreteRadialFunction(grid, 3.0 * nodes ** 2 - 2.0 * nodes + 1.0)
-        for i in (1, 2, 3):
-            q, m = difference_quotients(u, i)
-            assert q == pytest.approx(6.0 * nodes[i] - 2.0, abs=1e-12)
-            assert m == pytest.approx(6.0, abs=1e-10)
+        q, m = interior_quotients(u)
+        assert q.shape == m.shape == (3,)
+        assert np.allclose(q, 6.0 * nodes[1:-1] - 2.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(m, 6.0, rtol=0.0, atol=1e-10)
 
     def test_cubic_truncation_on_uniform_grid(self):
         # for u = r^3 on a uniform grid the centered first quotient carries
@@ -80,29 +79,10 @@ class TestDifferenceQuotients:
         grid = RadialGrid.for_domain(Domain.ball(1.0), n)
         h = 1.0 / n
         u = DiscreteRadialFunction(grid, grid.nodes ** 3)
-        q, m = difference_quotients(u, 10)
-        r = grid.nodes[10]
-        assert q == pytest.approx(3.0 * r ** 2 + h ** 2, rel=1e-12)
-        assert m == pytest.approx(6.0 * r, rel=1e-10)
-
-    def test_boundary_index_rejected(self):
-        u = uniform_profile(lambda r: r, n=10)
-        with pytest.raises(BoundaryIndex):
-            difference_quotients(u, 0)
-        with pytest.raises(BoundaryIndex):
-            difference_quotients(u, 10)
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        nodes = np.sort(rng.uniform(0.0, 1.0, 40))
-        nodes[0], nodes[-1] = 0.0, 1.0
-        grid = RadialGrid(nodes)
-        u = DiscreteRadialFunction(grid, rng.normal(size=40))
-        q_vec, m_vec = interior_quotients(u)
-        for i in range(1, 39):
-            q, m = difference_quotients(u, i)
-            assert q_vec[i - 1] == pytest.approx(q, rel=1e-13)
-            assert m_vec[i - 1] == pytest.approx(m, rel=1e-13)
+        q, m = interior_quotients(u)
+        r = grid.nodes[1:-1]
+        assert np.allclose(q, 3.0 * r ** 2 + h ** 2, rtol=1e-12, atol=0.0)
+        assert np.allclose(m, 6.0 * r, rtol=1e-10, atol=0.0)
 
 
 class TestDerivativeNumbers:

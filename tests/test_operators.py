@@ -166,6 +166,20 @@ class TestHypotheses:
         report = validate_hypotheses(make_op(), 10_000, seed=1234)
         assert report.all_passed, [c.as_dict() for c in report.failures()]
 
+    # H2 bounds the increment by [a, A] |q|^alpha s; for alpha < 0 the
+    # factor |q|^alpha is far from 1
+    @pytest.mark.parametrize("alpha", [-0.75, -0.5])
+    @pytest.mark.parametrize("make_op", [
+        lambda alpha: OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 3),
+        lambda alpha: OperatorSpec.pucci_minus(alpha, 0.5, 3.0, 2),
+        lambda alpha: OperatorSpec.alpha_laplacian(alpha, 3),
+        lambda alpha: OperatorSpec.trace_normal_mix(alpha, 1.0, -0.5, 2),
+    ])
+    def test_h1_h2_hold_for_negative_alpha(self, make_op, alpha):
+        report = validate_hypotheses(make_op(alpha), 10_000, seed=1234)
+        assert [c.name for c in report.checks] == ["H1", "H2"]
+        assert report.all_passed, [c.as_dict() for c in report.failures()]
+
     def test_h4_reported_when_modulus_given(self):
         op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2, nu=4.0, kappa=1.0)
         report = validate_hypotheses(op, 500, seed=0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from radelliptic import _kernels, eigen, solver
+from radelliptic.analysis import comparison_oracle
 from radelliptic.cli import ConfigError, _parse_problem
 from radelliptic.errors import (GridMismatch, InvalidSpec,
                                 PreconditionViolated)
@@ -14,8 +15,7 @@ from radelliptic.operators import (OperatorSpec, closed_form_alpha_laplacian,
                                    closed_form_pucci_power,
                                    pucci_power_profile)
 from radelliptic.solver import (EPS_END, EPS_START, SourceFunction,
-                                comparison_oracle, discretize_residual,
-                                solve_dirichlet)
+                                discretize_residual, solve_dirichlet)
 
 
 class TestSourceFunction:
