@@ -307,7 +307,10 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
 
     eps_list = [eps_start]
     while eps_list[-1] > EPS_END * (1 + 1e-12):
-        eps_list.append(max(eps_list[-1] * EPS_FACTOR, EPS_END))
+        eps = eps_list[-1] * EPS_FACTOR
+        # repeated multiplication drifts off EPS_END (1e-2 * 0.1 ** 6 is
+        # 1.0000000000000004e-08): a stage that close to it is EPS_END
+        eps_list.append(EPS_END if eps <= EPS_END * (1 + 1e-12) else eps)
 
     iterations = 0
     pseudo_budget = PSEUDO_TIME_MAX_STEPS

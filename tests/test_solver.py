@@ -107,6 +107,26 @@ class TestSolverParams:
             assert warm["eps_start"] == EPS_END
             assert warm["initial_guess"] is not None
 
+    def test_cold_and_warm_solves_end_at_eps_end(self, monkeypatch):
+        solutions = []
+        solve = eigen.solve_dirichlet
+
+        def recording(*args, **kwargs):
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(eigen, "solve_dirichlet", recording)
+        op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2)
+        dom = Domain.ball(1.0)
+        eigen.principal_eigenvalue(op, dom, RadialGrid.for_domain(dom, 64))
+        cold, warm = solutions[0], solutions[1]
+        # the ladder 1e-2, 1e-3, ... reaches EPS_END exactly, not 1e-8
+        # plus the rounding of six multiplications
+        assert cold.eps_final == EPS_END == warm.eps_final
+        assert cold.eps_path[-1]["eps"] == EPS_END
+        assert len(cold.eps_path) == 7
+        assert [stage["eps"] for stage in warm.eps_path] == [EPS_END]
+
 
 class TestResidual:
     def test_laplacian_of_quadratic_is_exact(self):
