@@ -22,15 +22,14 @@ from .operators import OperatorSpec, eval_radial_many
 from .report import VerificationReport
 from .solver import EPS_END, Solution, SourceFunction
 
-# cap on the element count of each temporary in the blocked viscosity
-# check: large enough to amortise numpy call overhead, small enough that
-# the check adds nothing visible to peak memory
-_BLOCK_ELEMS = 1 << 14
-
 # sizes of the viscosity check's global paraboloid families: slopes are
 # spread over [-2 Lip, 2 Lip], curvatures over [-4 |u''|, 4 |u''|]
 VISCOSITY_SLOPES = 17
 VISCOSITY_CURVATURES = 9
+# each node's own curvatures: its second quotient m and m + c max(|m|, 1)
+# for the offsets c (powers of two, so the products are exact)
+_CURV_OFFSETS = np.array([-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0])
+_LOCAL_COEFS = np.insert(_CURV_OFFSETS, 4, 0.0)
 
 
 def epsilon_aA(x, a: float, A: float):
@@ -227,6 +226,115 @@ def _chebyshev(lo, hi, count):
     return lo + (hi - lo) * 0.5 * (1.0 + t)
 
 
+def _clears_nodes(P, Q, stencil, eta, below):
+    """Node part of the touching test: the paraboloid w = P ds + Q ds^2 / 2
+    stays below (above) the profile's increments du on the stencil, up to
+    ``eta``.  ``stencil`` holds (offset, ds, du) per neighbour."""
+    ok = True
+    for _, ds, du in stencil:
+        w = P * ds + 0.5 * Q * ds ** 2
+        ok = ok & (w <= du + eta if below else w >= du - eta)
+    return ok
+
+
+def _touches(P, Q, m, stencil, eta, below):
+    """The exact touching predicate from below (above) at (P, Q).
+
+    The node part is followed by a sub-cell crossing guard: a paraboloid can
+    clear the nodes yet cross the profile inside an adjacent cell.  Model u
+    on the cell as the quadratic with the node's second quotient ``m``; the
+    gap to the paraboloid is then gap(t) = t*gb - (dQ*hc^2/2)*t*(1-t) with
+    dQ = Q - m, whose extremum over the cell is explicit.
+    """
+    ok = _clears_nodes(P, Q, stencil, eta, below)
+    dQ = Q - m
+    for offset, ds, du in stencil:
+        if abs(offset) == 2:
+            continue
+        hc2 = ds * ds
+        gb = P * ds + 0.5 * Q * hc2 - du
+        denom = np.where(dQ != 0.0, dQ * hc2, 1.0)
+        t_star = np.clip(0.5 - gb / denom, 0.0, 1.0)
+        g_star = t_star * gb - 0.5 * dQ * hc2 * t_star * (1.0 - t_star)
+        if below:
+            ok = ok & (np.maximum(np.maximum(0.0, gb),
+                                  np.where(dQ < 0, g_star, 0.0)) <= eta)
+        else:
+            ok = ok & (np.minimum(np.minimum(0.0, gb),
+                                  np.where(dQ > 0, g_star, 0.0)) >= -eta)
+    return ok
+
+
+def _extreme_touching_curvature(P, global_curv, local_curv, m, s, stencil,
+                                eta, below):
+    """Largest (below) or smallest (above) family curvature that touches.
+
+    One entry per (node, slope) pair: slope ``P``, the node's second
+    quotient ``m`` and scale ``s``, and its stencil.  The pair's curvature
+    family is ``global_curv`` (sorted, shared) merged with its row of
+    ``local_curv`` (sorted, m + c s for the coefficients ``_LOCAL_COEFS``).
+
+    The node part of the test flips near a bound that is explicit in Q.
+    The family is split there, in ``global_curv`` exactly and in the local
+    part through (bound - m) / s; ``cand`` is the family value next to the
+    split on the touching side and ``other`` the nearest one across it.
+    The node part is monotone in Q in floating point (w is built from Q by
+    monotone roundings), so once ``other`` fails it, every value beyond the
+    split fails too, and the answer is the first value at or before
+    ``cand``, walking away from the split, that passes the exact predicate.
+    Usually that is ``cand``; the walk goes on where the crossing guard
+    binds, and starts from the family's far end where rounding put the
+    split one value off.
+
+    Returns the curvature per pair and whether any touches.
+    """
+    flips = [2.0 * ((du + eta if below else du - eta) - P * ds) / ds ** 2
+             for _, ds, du in stencil]
+    bound = np.min(flips, axis=0) if below else np.max(flips, axis=0)
+    side = "right" if below else "left"
+    kg = np.searchsorted(global_curv, bound, side)
+    kl = np.searchsorted(_LOCAL_COEFS, (bound - m) / s, side)
+    g_pad = np.concatenate([[-np.inf], global_curv, [np.inf]])
+    l_pad = np.concatenate([np.full((len(P), 1), -np.inf), local_curv,
+                            np.full((len(P), 1), np.inf)], axis=1)
+    pair = np.arange(len(P))
+    # pointers to the candidate in either padded part, the walk's direction
+    # and the far ends it restarts from; the pads end every walk
+    if below:
+        pick, away, step = np.maximum, np.minimum, -1
+        g_at, l_at = kg, kl
+        g_end, l_end = len(global_curv), local_curv.shape[1]
+    else:
+        pick, away, step = np.minimum, np.maximum, 1
+        g_at, l_at = kg + 1, kl + 1
+        g_end = l_end = 1
+    cand = pick(g_pad[g_at], l_pad[pair, l_at])
+    other = away(g_pad[g_at - step], l_pad[pair, l_at - step])
+    found = np.isfinite(cand)
+    touch = _touches(P, np.where(found, cand, m), m, stencil, eta, below)
+    off = _clears_nodes(P, other, stencil, eta, below)
+    walk = np.flatnonzero(off | (found & ~touch))
+    found &= touch & ~off
+    # past a failed candidate; from the far end after an off split
+    g_at[walk] += step * (g_pad[g_at[walk]] == cand[walk])
+    l_at[walk] += step * (l_pad[walk, l_at[walk]] == cand[walk])
+    g_at[off] = g_end
+    l_at[off] = l_end
+    while len(walk):
+        q = pick(g_pad[g_at[walk]], l_pad[walk, l_at[walk]])
+        left = np.isfinite(q)
+        walk, q = walk[left], q[left]
+        hit = _touches(P[walk], q, m[walk],
+                       [(offset, ds[walk], du[walk])
+                        for offset, ds, du in stencil], eta, below)
+        cand[walk[hit]] = q[hit]
+        found[walk[hit]] = True
+        walk, q = walk[~hit], q[~hit]
+        g_at[walk] += step * (g_pad[g_at[walk]] == q)
+        l_at[walk] += step * (l_pad[walk, l_at[walk]] == q)
+    return cand, found
+
+
 def check_viscosity(u, op: OperatorSpec,
                     f: SourceFunction) -> VerificationReport:
     """Touching-paraboloid sub/supersolution test at every interior node.
@@ -238,11 +346,27 @@ def check_viscosity(u, op: OperatorSpec,
     are excluded from the family (the viscosity definition does not test
     with vanishing gradients), so nodes are never tested at u' = 0.
 
-    The tested nodes are processed in blocks whose (block, family)
-    temporaries hold at most ``_BLOCK_ELEMS`` elements, with one operator
-    evaluation per block.  The 4-node stencils next to either end repeat
-    an end node, which leaves the test unchanged.  Each side reports the
-    first node in grid order that attains its minimum margin.
+    Each node tests the global slope family and its own first quotient q
+    against the global curvature family, eight offsets around its own
+    second quotient m, and m itself.  The operator is degenerate elliptic,
+    so H is nondecreasing in Q (Crandall-Ishii-Lions), and it is so in
+    floating point too: every operation between Q and H is monotone and
+    rounding keeps that.  The worst supersolution margin for a slope is
+    therefore reached at the largest curvature that touches from below,
+    and the worst subsolution margin at the smallest that touches from
+    above.  ``_extreme_touching_curvature`` finds those with the exact
+    touching predicate, so each node needs one operator value per slope
+    and side, and the margins equal those of testing every (slope,
+    curvature) pair.  The search rests on one more fact: the touching
+    curvatures form a down-set (from below) or an up-set (from above) in
+    Q.  It relies on this only for the node part of the test,
+    P ds + Q ds^2 / 2 against du, which is monotone in Q under rounding;
+    the sub-cell guard, whose gap has derivative t^2 ds^2 / 2 >= 0 in Q,
+    is tested exactly at every curvature the search visits.
+
+    The 4-node stencils next to either end repeat an end node, which
+    leaves the test unchanged.  Each side reports the first node in grid
+    order that attains its minimum margin.
     """
     profile, residual_sup = _as_function(u)
     nodes = profile.grid.nodes
@@ -262,8 +386,6 @@ def check_viscosity(u, op: OperatorSpec,
                           (VISCOSITY_CURVATURES + 1) // 2)
     curv_family = np.unique(np.concatenate([-pos_curv[::-1], pos_curv]))
 
-    curv_offsets = np.array([-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0])
-
     fvals = np.asarray(f(nodes), dtype=float)
     scale_u = max(1.0, float(np.max(np.abs(vals))))
     eta = 1e-11 * scale_u
@@ -273,77 +395,60 @@ def check_viscosity(u, op: OperatorSpec,
     # gradients, and discretely "vanishing" means below the accuracy of the
     # first difference quotient
     slope_floor = h ** (1.0 / (1.0 + op.alpha))
-    tested = 1 + np.flatnonzero((nodes[1:n] > 0.0)
-                                & (np.abs(q_int) >= slope_floor))
+    i = 1 + np.flatnonzero((nodes[1:n] > 0.0)
+                           & (np.abs(q_int) >= slope_floor))
+    r_i = nodes[i][:, None]
+    u_i = vals[i][:, None]
+    m_i = m_int[i - 1][:, None]
+    # the global families rarely graze the profile; add the node's own
+    # quotients so near-tangent paraboloids are always in the family
+    s_i = np.maximum(np.abs(m_i), 1.0)
+    local_curv = np.concatenate([m_i + _CURV_OFFSETS[:4] * s_i, m_i,
+                                 m_i + _CURV_OFFSETS[4:] * s_i], axis=1)
+    P = np.concatenate(
+        [np.broadcast_to(slope_family, (len(i), len(slope_family))),
+         q_int[i - 1][:, None]], axis=1)
+    # offset 0 always passes; a clipped offset repeats an end node
+    stencil = []
+    for offset in (-2, -1, 1, 2):
+        j = np.clip(i + offset, 0, n)
+        stencil.append((offset, nodes[j][:, None] - r_i,
+                        vals[j][:, None] - u_i))
 
-    worst_super = (math.inf, float(nodes[min(1, n)]))
-    worst_sub = (math.inf, float(nodes[min(1, n)]))
-    family = ((len(slope_family) + 1)
-              * (len(curv_family) + len(curv_offsets) + 1))
-    block = max(1, _BLOCK_ELEMS // family)
-    for start in range(0, len(tested), block):
-        i = tested[start:start + block]
-        r_i = nodes[i][:, None]
-        u_i = vals[i][:, None]
-        q_i = q_int[i - 1][:, None]
-        m_i = m_int[i - 1][:, None]
-        # the global families rarely graze the profile; add the node's own
-        # quotients so near-tangent paraboloids are always in the family
-        local_curv = m_i + curv_offsets * np.maximum(np.abs(m_i), 1.0)
-        slopes_i = np.concatenate(
-            [np.broadcast_to(slope_family, (len(i), len(slope_family))), q_i],
-            axis=1)
-        curvs_i = np.concatenate(
-            [np.broadcast_to(curv_family, (len(i), len(curv_family))),
-             local_curv, m_i], axis=1)
-        shape = (len(i), slopes_i.shape[1], curvs_i.shape[1])
-        P = np.broadcast_to(slopes_i[:, :, None], shape).reshape(len(i), -1)
-        Q = np.broadcast_to(curvs_i[:, None, :], shape).reshape(len(i), -1)
-        dQ = Q - m_i
-        below = np.ones(P.shape, dtype=bool)
-        above = np.ones(P.shape, dtype=bool)
-        # offset 0 always passes; a clipped offset repeats an end node
-        for offset in (-2, -1, 1, 2):
-            j = np.clip(i + offset, 0, n)
-            ds = nodes[j][:, None] - r_i
-            du = vals[j][:, None] - u_i
-            w = P * ds + 0.5 * Q * ds ** 2
-            below &= w <= du + eta
-            above &= w >= du - eta
-            if abs(offset) == 2:
-                continue
-            # sub-cell crossing guard: a paraboloid can clear the nodes yet
-            # cross the profile inside an adjacent cell.  Model u on the cell
-            # as the quadratic with the node's second quotient; the gap to
-            # the paraboloid is then gap(t) = t*gb - (dQ*hc^2/2)*t*(1-t) with
-            # dQ = Q - m_i, whose extremum over the cell is explicit.
-            hc2 = ds * ds
-            gb = P * ds + 0.5 * Q * hc2 - du
-            denom = np.where(dQ != 0.0, dQ * hc2, 1.0)
-            t_star = np.clip(0.5 - gb / denom, 0.0, 1.0)
-            g_star = t_star * gb - 0.5 * dQ * hc2 * t_star * (1.0 - t_star)
-            g_lo = np.minimum(np.minimum(0.0, gb), np.where(dQ > 0, g_star, 0.0))
-            g_hi = np.maximum(np.maximum(0.0, gb), np.where(dQ < 0, g_star, 0.0))
-            above &= g_lo >= -eta
-            below &= g_hi <= eta
-        if not (below.any() or above.any()):
-            continue
-        hvals = eval_radial_many(op, r_i, P, Q)
-        f_i = fvals[i][:, None]
-        # touching from below: H(paraboloid) must not exceed f
-        m_super = np.min(np.where(below, f_i - hvals, np.inf), axis=1)
-        m_sub = np.min(np.where(above, hvals - f_i, np.inf), axis=1)
-        k = int(np.argmin(m_super))
-        if m_super[k] < worst_super[0]:
-            worst_super = (float(m_super[k]), float(nodes[i[k]]))
-        k = int(np.argmin(m_sub))
-        if m_sub[k] < worst_sub[0]:
-            worst_sub = (float(m_sub[k]), float(nodes[i[k]]))
+    # per side, the (node, slope, curvature) triples that touch, with the
+    # extreme touching curvature of each
+    touching = []
+    for below, extreme in (
+            (True, np.minimum(curv_family[0], local_curv[:, :1])),
+            (False, np.maximum(curv_family[-1], local_curv[:, -1:]))):
+        # the node part is monotone in Q: where the family's extreme
+        # curvature fails it, so does every curvature of the family
+        k, col = np.nonzero(_clears_nodes(P, extreme, stencil, eta, below))
+        Q, found = _extreme_touching_curvature(
+            P[k, col], curv_family, local_curv[k], m_i[k, 0], s_i[k, 0],
+            [(offset, ds[k, 0], du[k, 0]) for offset, ds, du in stencil],
+            eta, below)
+        touching.append((k[found], P[k, col][found], Q[found]))
+    (k_super, P_super, Q_super), (k_sub, P_sub, Q_sub) = touching
+    hvals = eval_radial_many(op, r_i[np.concatenate([k_super, k_sub]), 0],
+                             np.concatenate([P_super, P_sub]),
+                             np.concatenate([Q_super, Q_sub]))
+    f_i = fvals[i]
+    # touching from below: H(paraboloid) must not exceed f
+    m_super = np.full(len(i), np.inf)
+    m_sub = np.full(len(i), np.inf)
+    np.minimum.at(m_super, k_super, f_i[k_super] - hvals[:len(k_super)])
+    np.minimum.at(m_sub, k_sub, hvals[len(k_super):] - f_i[k_sub])
 
     report = VerificationReport(
         tolerance_model="10*h^(1/(1+alpha)) + 10*residual_sup")
-    report.add("viscosity[supersolution]", worst_super[1], worst_super[0], tol)
-    report.add("viscosity[subsolution]", worst_sub[1], worst_sub[0], tol)
+    for name, margins in (("viscosity[supersolution]", m_super),
+                          ("viscosity[subsolution]", m_sub)):
+        k = int(np.argmin(margins)) if len(i) else 0
+        if len(i) and margins[k] < math.inf:
+            report.add(name, float(nodes[i[k]]), float(margins[k]), tol)
+        else:
+            report.add(name, float(nodes[min(1, n)]), math.inf, tol)
     return report
 
 

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from radelliptic.analysis import (_BLOCK_ELEMS, Sign, _as_function,
-                                  _chebyshev, _cumulative_trapezoid,
+from radelliptic.analysis import (_LOCAL_COEFS, VISCOSITY_CURVATURES,
+                                  VISCOSITY_SLOPES, Sign, _as_function,
+                                  _chebyshev, _clears_nodes,
+                                  _cumulative_trapezoid,
+                                  _extreme_touching_curvature, _touches,
                                   c1_bound_check, c1_modulus_report,
                                   check_viscosity, epsilon_aA, gamma_exponent,
                                   holder_exponent, sign_intervals,
@@ -521,7 +524,7 @@ def _certification_cases():
             OperatorSpec.pucci_minus(0.0, 1.0, 3.0, 3),
             SourceFunction.expression("sine", amplitude=2.0, frequency=5.0),
             0.1),
-        # a monotone run longer than one block in both checks
+        # a monotone run of about 300 tested nodes
         "multi-block": (
             sampled(lambda r: r ** 1.5 + 0.3 * r, n=300),
             OperatorSpec.trace_normal_mix(0.5, 1.0, 0.5, 2),
@@ -543,6 +546,64 @@ def _certification_cases():
 
 
 CERTIFICATION_CASES = _certification_cases()
+
+
+def _random_viscosity_case(seed):
+    """A rough profile, an operator of any of the four variants with alpha
+    in [-0.75, 4] and dim 1-4, and a sine forcing; annulus for odd seeds,
+    graded ball for even ones."""
+    rng = np.random.default_rng(100 + seed)
+    alpha = float(rng.uniform(-0.75, 4.0))
+    a = float(rng.uniform(0.5, 1.5))
+    A = a * float(rng.uniform(1.0, 3.0))
+    dim = int(rng.integers(1, 5))
+    op = (OperatorSpec.pucci_plus(alpha, a, A, dim),
+          OperatorSpec.pucci_minus(alpha, a, A, dim),
+          OperatorSpec.alpha_laplacian(alpha, dim),
+          OperatorSpec.trace_normal_mix(alpha, a, A - 1.5 * a, dim))[seed % 4]
+    if seed % 2:
+        dom = Domain.annulus(float(rng.uniform(0.1, 0.6)), 1.0)
+        grid = RadialGrid.for_domain(dom, 150)
+    else:
+        grid = RadialGrid.for_domain(Domain.ball(1.0), 150,
+                                     Grading.GRADED_AT_ORIGIN)
+    r = grid.nodes
+    values = sum(rng.normal() * np.sin(k * r + rng.uniform(0, np.pi))
+                 for k in (1.0, 3.0, 7.0)) + rng.normal() * r ** 1.5
+    f = SourceFunction.expression("sine", amplitude=rng.normal() * 5.0,
+                                  frequency=float(rng.uniform(1, 9)),
+                                  offset=rng.normal())
+    return DiscreteRadialFunction(grid, values), op, f
+
+
+def _sorted_paraboloid_families(u, op):
+    """Per tested node of check_viscosity: its 19 slopes, its 18
+    curvatures sorted, its second quotient and its stencil, all shaped to
+    broadcast over (node, slope, curvature); and eta."""
+    nodes, vals, n = u.grid.nodes, u.values, u.grid.n
+    h = u.grid.max_spacing
+    q_int, m_int = interior_quotients(u)
+    lip = max(lipschitz_constant(u), h)
+    pos_slopes = _chebyshev(h, 2.0 * lip, (VISCOSITY_SLOPES + 1) // 2)
+    pos_curv = _chebyshev(0.0, max(4.0 * float(np.max(np.abs(m_int))), 1.0),
+                          (VISCOSITY_CURVATURES + 1) // 2)
+    i = 1 + np.flatnonzero((nodes[1:n] > 0.0) & (
+        np.abs(q_int) >= h ** (1.0 / (1.0 + op.alpha))))
+    m = m_int[i - 1][:, None]
+    P = np.concatenate([np.broadcast_to(np.concatenate(
+        [-pos_slopes[::-1], pos_slopes]), (len(i), 18)),
+        q_int[i - 1][:, None]], axis=1)
+    Q = np.sort(np.concatenate([
+        np.broadcast_to(np.unique(np.concatenate(
+            [-pos_curv[::-1], pos_curv])), (len(i), 9)),
+        m + _LOCAL_COEFS * np.maximum(np.abs(m), 1.0)], axis=1), axis=1)
+    stencil = [(offset, (nodes[j] - nodes[i])[:, None, None],
+                (vals[j] - vals[i])[:, None, None])
+               for offset in (-2, -1, 1, 2)
+               for j in [np.clip(i + offset, 0, n)]]
+    eta = 1e-11 * max(1.0, float(np.max(np.abs(vals))))
+    return (nodes[i][:, None, None], P[:, :, None], Q[:, None, :],
+            m[:, :, None], stencil, eta)
 
 
 class TestBlockedCertification:
@@ -585,16 +646,6 @@ class TestBlockedCertification:
                 == json.dumps(reference_c1_modulus(sol, alpha=op.alpha)
                               .as_dict()))
 
-    def test_multi_block_case_spans_blocks(self):
-        u, op, _, _ = CERTIFICATION_CASES["multi-block"]
-        tested = np.abs(interior_quotients(u)[0]) >= u.grid.max_spacing ** (
-            1.0 / (1.0 + op.alpha))
-        # default families: 18 slopes plus the node's own, 9 curvatures
-        # plus 8 offsets and the node's own
-        block = _BLOCK_ELEMS // ((18 + 1) * (9 + 8 + 1))
-        count = int(np.count_nonzero(tested))
-        assert count > block and count % block != 0
-
     def test_ties_report_first_node(self):
         u, op, f, threshold = CERTIFICATION_CASES["tied"]
         nodes = u.grid.nodes
@@ -634,6 +685,70 @@ class TestBlockedCertification:
                                       offset=rng.normal())
         assert_flux_matches_pairs(DiscreteRadialFunction(grid, values), op,
                                   f, 0.05)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_viscosity_matches_loop_on_random_profiles(self, seed):
+        u, op, f = _random_viscosity_case(seed)
+        got = check_viscosity(u, op, f)
+        assert got.as_dict() == reference_viscosity(u, op, f).as_dict()
+        assert all(np.isfinite(c.margin) for c in got.checks)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_touching_and_operator_are_monotone_in_curvature(self, seed):
+        # the facts check_viscosity rests on, in floating point, over the
+        # sorted curvature families of the random profiles: the curvatures
+        # that touch from below form a down-set, those from above an
+        # up-set, and H is nondecreasing in Q
+        u, op, _ = _random_viscosity_case(seed)
+        r, P, Q, m, stencil, eta = _sorted_paraboloid_families(u, op)
+        for below in (True, False):
+            for ok in (_clears_nodes(P, Q, stencil, eta, below),
+                       _touches(P, Q, m, stencil, eta, below)):
+                assert ok.shape == (len(r), 19, 18)
+                rising = ok[..., 1:] & ~ok[..., :-1]
+                falling = ok[..., :-1] & ~ok[..., 1:]
+                assert not (rising if below else falling).any()
+        hvals = eval_radial_many(op, r, P, Q)
+        assert np.all(np.isfinite(hvals))
+        assert np.all(hvals[..., 1:] >= hvals[..., :-1])
+
+    def test_extreme_curvature_next_to_the_node_bound(self):
+        # family values a few ulps either side of where the node part of the
+        # test flips, so that rounding decides it: the search must pick what
+        # testing every family value picks
+        rng = np.random.default_rng(7)
+        for below in (True, False):
+            for _ in range(50):
+                ds = np.array([-0.02, -0.01, 0.01, 0.02]) * rng.uniform(
+                    0.5, 2.0, 4)
+                P, curv = rng.normal(size=2)
+                stencil = [(offset, np.array([d]),
+                            np.array([P * d + 0.5 * curv * d * d]))
+                           for offset, d in zip((-2, -1, 1, 2), ds)]
+                eta = 1e-11
+                bound = min(2.0 * (du[0] + eta - P * d[0]) / d[0] ** 2
+                            for _, d, du in stencil) if below else max(
+                    2.0 * (du[0] - eta - P * d[0]) / d[0] ** 2
+                    for _, d, du in stencil)
+                near = [bound]
+                for _ in range(3):
+                    near = ([np.nextafter(near[0], -np.inf)] + near
+                            + [np.nextafter(near[-1], np.inf)])
+                global_curv = np.unique(
+                    np.concatenate([near, rng.normal(size=3) * 10.0]))
+                m = np.array([curv + rng.normal()])
+                s = np.maximum(np.abs(m), 1.0)
+                local_curv = (m + _LOCAL_COEFS * s)[None, :]
+                got, found = _extreme_touching_curvature(
+                    np.array([P]), global_curv, local_curv, m, s, stencil,
+                    eta, below)
+                family = np.concatenate([global_curv, local_curv[0]])
+                ok = _touches(P, family, m[0], [
+                    (o, d[0], du[0]) for o, d, du in stencil], eta, below)
+                assert found[0] == ok.any()
+                if ok.any():
+                    assert got[0] == (family[ok].max() if below
+                                      else family[ok].min())
 
     def test_large_gamma_barrier_near_origin(self):
         # gamma = (A/a)(N-1)(1+alpha) = 100: near the origin of a graded
