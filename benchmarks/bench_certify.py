@@ -13,7 +13,12 @@ that ``verify`` runs on that solution is timed on its own, best of
 
 The checks get the arguments ``verify`` gives them.  The script prints
 one line per config and scale, and writes (or replaces) the entry under
-``--label`` in the JSON file, with per-scale totals per check.
+``--label`` in the JSON file, with per-scale totals per check.  The entry
+also records, per config and scale, the sha256 of each check's result in
+JSON (``json.dumps(report.as_dict(), sort_keys=True)``; for the checks run
+at every derivative-zero candidate, the list of their results), so two
+entries show whether two commits report the same; the script prints
+whether its digests match those of the file's other entries.
 
 Usage: python3 benchmarks/bench_certify.py --label change
                                            [--out BENCH_certify.json]
@@ -24,6 +29,8 @@ checkout's code.
 """
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -57,8 +64,15 @@ def best_of(fn):
     return best
 
 
+def digest(doc):
+    """sha256 of ``doc`` in JSON with sorted keys."""
+    text = json.dumps(doc, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def time_checks(doc):
-    """Best-of-``REPEAT`` seconds of each check on the solution of ``doc``."""
+    """Best-of-``REPEAT`` seconds of each check on the solution of ``doc``,
+    and the digest of each check's result."""
     op = OperatorSpec.from_json_dict(doc["operator"])
     dom = Domain.from_json_dict(doc["domain"])
     grid = RadialGrid.for_domain(dom, doc["grid"]["n"], doc["grid"]["grading"])
@@ -74,17 +88,30 @@ def time_checks(doc):
         "c1_bound_check": 0.0,
         "holder_exponent": 0.0,
     }
+    digests = {
+        "verify_flux_inequalities": digest(
+            analysis.verify_flux_inequalities(sol, op, f).as_dict()),
+        "check_viscosity": digest(
+            analysis.check_viscosity(sol, op, f).as_dict()),
+        "c1_modulus_report": digest(
+            analysis.c1_modulus_report(sol, alpha=op.alpha).as_dict()),
+    }
+    bounds, fits = [], []
     for r_star in analysis.derivative_zero_candidates(sol.u, dom):
         try:
-            analysis.c1_bound_check(sol, op, f, r_star)
-            analysis.holder_exponent(sol, r_star)
+            bound = analysis.c1_bound_check(sol, op, f, r_star)
+            fit = analysis.holder_exponent(sol, r_star)
         except (NotAZero, InsufficientData):
             continue
+        bounds.append(bound.as_dict())
+        fits.append(dataclasses.asdict(fit))
         times["c1_bound_check"] += best_of(
             lambda: analysis.c1_bound_check(sol, op, f, r_star))
         times["holder_exponent"] += best_of(
             lambda: analysis.holder_exponent(sol, r_star))
-    return grid.n, times
+    digests["c1_bound_check"] = digest(bounds)
+    digests["holder_exponent"] = digest(fits)
+    return grid.n, times, digests
 
 
 def git_commit():
@@ -107,6 +134,7 @@ def main(argv=None):
 
     config_dir = os.path.join(ROOT, "configs")
     runs = {}
+    digests = {}
     totals = {str(s): dict.fromkeys(CHECKS, 0.0) for s in SCALES}
     for name in sorted(os.listdir(config_dir)):
         with open(os.path.join(config_dir, name), encoding="utf-8") as fh:
@@ -116,7 +144,7 @@ def main(argv=None):
         for scale in SCALES:
             scaled = dict(doc, grid=dict(doc["grid"],
                                          n=int(doc["grid"]["n"]) * scale))
-            n, times = time_checks(scaled)
+            n, times, digests[f"{name[:-5]}:n={n}"] = time_checks(scaled)
             runs[f"{name[:-5]}:n={n}"] = times
             for check, t in times.items():
                 totals[str(scale)][check] += t
@@ -136,11 +164,16 @@ def main(argv=None):
         "unit": "s, best of repeat",
         "totals_by_scale": totals,
         "runs": runs,
+        "digests": digests,
     }
     doc = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
+    for label, other in sorted(doc.items()):
+        if label != args.label and "digests" in other:
+            same = other["digests"] == digests
+            print(f"digests match {label}: {'yes' if same else 'no'}")
     doc[args.label] = entry
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -22,11 +22,15 @@ def test_certify_times_every_check_on_a_shipped_config():
     bench = _load_script("bench_certify")
     with open(os.path.join(ROOT, "configs", "laplacian_ball.json")) as fh:
         doc = json.load(fh)
-    n, times = bench.time_checks(doc)
+    n, times, digests = bench.time_checks(doc)
     assert n == doc["grid"]["n"]
     assert set(times) == set(bench.CHECKS)
     assert all(t >= 0.0 for t in times.values())
     assert times["verify_flux_inequalities"] > 0.0
+    # one sha256 per check, and the same reports give the same digests
+    assert set(digests) == set(bench.CHECKS)
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
+    assert bench.time_checks(doc)[2] == digests
 
 
 def test_sweep_runs_two_cases():
