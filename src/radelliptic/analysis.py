@@ -27,7 +27,7 @@ from .solver import EPS_END, Solution, SourceFunction
 VISCOSITY_SLOPES = 17
 VISCOSITY_CURVATURES = 9
 # each node's own curvatures: its second quotient m and m + c max(|m|, 1)
-# for the offsets c (powers of two, so the products are exact)
+# for the offsets c; m + _LOCAL_COEFS max(|m|, 1) lists all nine, sorted
 _CURV_OFFSETS = np.array([-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0])
 _LOCAL_COEFS = np.insert(_CURV_OFFSETS, 4, 0.0)
 
