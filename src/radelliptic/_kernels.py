@@ -2,7 +2,9 @@
 
 This is the package's one assembly kernel, in numpy.  The solver calls it
 through the module attribute ``_kernels.assemble_system``; the boundary
-rows are added by the caller.
+rows are added by the caller.  What depends only on the mesh (the stencil,
+its weights, ``1/hp`` and ``(N-1)/r``) is a ``NodeData``, which the caller
+builds once per mesh and passes to every call.
 """
 
 import numpy as np
@@ -11,9 +13,26 @@ from .grid import ThreePoint
 from .operators import _bracket
 
 
-def assemble_system(nodes, u, fvals, alpha, eps, cmp_, cmm, ctp, ctm, dim,
-                    freeze_factor):
+class NodeData:
+    """The node-only data of the assembly on one mesh in dimension ``dim``."""
+
+    def __init__(self, nodes, dim):
+        r = np.asarray(nodes, dtype=float)
+        self.stencil = ThreePoint(r)
+        self.q_weights = self.stencil.q_weights()
+        self.m_weights = self.stencil.m_weights()
+        # weights of the forward quotient (u[i+1] - u[i]) / hp
+        inv_hp = 1.0 / self.stencil.hp
+        self.fwd_weights = (0.0, -inv_hp, inv_hp)
+        ri = r[1:-1]
+        self.coef_r = (dim - 1) / ri if dim > 1 else np.zeros_like(ri)
+
+
+def assemble_system(nodes, node_data, u, fvals, alpha, eps, cmp_, cmm, ctp,
+                    ctm, freeze_factor):
     """Residual and tridiagonal linearization at the interior nodes.
+
+    ``node_data`` is the ``NodeData`` of ``nodes`` and the dimension.
 
     Returns arrays (res, lo, di, up) of length n+1; entries 0 and n are left
     zero for the caller to fill with boundary rows.  ``lo[i]``, ``di[i]``,
@@ -27,22 +46,20 @@ def assemble_system(nodes, u, fvals, alpha, eps, cmp_, cmm, ctp, ctm, dim,
     monotone, and the forward quotient otherwise (the transport coefficient
     is nonnegative for every variant).
     """
-    r = np.asarray(nodes, dtype=float)
     u = np.asarray(u, dtype=float)
     f = np.asarray(fvals, dtype=float)
-    n = len(r) - 1
+    n = len(nodes) - 1
 
     res = np.zeros(n + 1)
     lo = np.zeros(n + 1)
     di = np.zeros(n + 1)
     up = np.zeros(n + 1)
 
-    st = ThreePoint(r)
+    st = node_data.stencil
     hp = st.hp
     q = st.q(u)
     m = st.m(u)
-    ri = r[1:-1]
-    coef_r = (dim - 1) / ri if dim > 1 else np.zeros_like(ri)
+    coef_r = node_data.coef_r
     cm_act = np.where(m >= 0.0, cmp_, cmm)
 
     # centered transport keeps the lower off-diagonal monotone iff
@@ -68,9 +85,8 @@ def assemble_system(nodes, u, fvals, alpha, eps, cmp_, cmm, ctp, ctm, dim,
 
     # rows lo, di, up: weights on u[i-1], u[i], u[i+1]
     chain = None if freeze_factor else dfactor * bracket
-    fwd_w = (0.0, -1.0 / hp, 1.0 / hp)
-    for row, dm, dq, dfwd in zip((lo, di, up), st.m_weights(), st.q_weights(),
-                                 fwd_w):
+    for row, dm, dq, dfwd in zip((lo, di, up), node_data.m_weights,
+                                 node_data.q_weights, node_data.fwd_weights):
         dt = np.where(centered, dq, dfwd)
         row[1:-1] = factor * (cm_act * dm + coef_r * ct_act * dt)
         if chain is not None:

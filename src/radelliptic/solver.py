@@ -6,14 +6,18 @@ regularized problem is solved by damped semismooth Newton with a
 pseudo-time relaxation fallback.
 
 The interior rows and their linearization come from the one numpy kernel,
-``_kernels.assemble_system``; ``_System`` adds the boundary rows.
+``_kernels.assemble_system``, on node data built once per solve; ``_System``
+adds the boundary rows.
 
 The Jacobian is the tridiagonal interior linearization plus a first row that
 is either the three-point origin symmetry closure (ball) or an identity row
-(annulus), so each Newton step is one banded LU solve with one sub- and two
-super-diagonals.  A line-search trial is assembled with its Jacobian; when
-the trial is accepted that assembly is the next step's system, so a step
-without backtracking costs one assembly and one banded solve.
+(annulus), and an identity last row.  Each Newton step folds the first and
+last rows into their neighbours and solves the remaining tridiagonal system
+by odd-even cyclic reduction, finished by a short Thomas sweep; there is no
+pivoting, and a zero pivot gives a non-finite step.  A line-search trial is
+assembled with its Jacobian; when the trial is accepted that assembly is
+the next step's system, so a step without backtracking costs one assembly
+and one tridiagonal solve.
 
 The ball initial guess is the power profile r^{(alpha+2)/(alpha+1)} scaled
 from the mean forcing and shifted to the outer boundary value; the origin is
@@ -27,12 +31,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import _kernels
 from .errors import Diverged, GridMismatch, InvalidSpec, LostMonotonicity
-from .grid import (DiscreteRadialFunction, Domain, DomainKind, RadialGrid,
-                   ThreePoint)
+from .grid import DiscreteRadialFunction, Domain, DomainKind, RadialGrid
 from .operators import OperatorSpec
 
 # each catalogue expression with its parameters and their defaults
@@ -52,6 +54,9 @@ EPS_FACTOR = 0.1
 NEWTON_MAX_ITER = 200
 DAMPING_MIN = 2.0 ** -20
 PSEUDO_TIME_MAX_STEPS = 100_000
+# cyclic reduction halves the Newton system until at most this many rows
+# are left for a scalar Thomas sweep
+CR_TAIL = 24
 
 
 class SourceFunction:
@@ -175,16 +180,17 @@ class _System:
         self.grid = grid
         self.nodes = grid.nodes
         self.n = grid.n
-        self.stencil = ThreePoint(self.nodes)
+        self.node_data = _kernels.NodeData(self.nodes, op.dim)
         self.is_ball = dom.kind is DomainKind.BALL
         if self.is_ball:
             self.origin_w = _origin_row_weights(self.nodes)
         self.coefs = op.bracket_coefficients()
+        self.cr_levels, self.cr_size = _cr_shape(self.n - 1)
 
     def system(self, u, eps, freeze):
         res, lo, di, up = _kernels.assemble_system(
-            self.nodes, u, self.fvals, self.op.alpha, eps, *self.coefs,
-            self.op.dim, freeze)
+            self.nodes, self.node_data, u, self.fvals, self.op.alpha, eps,
+            *self.coefs, freeze)
         self._boundary_rows(u, res)
         return res, lo, di, up
 
@@ -197,19 +203,41 @@ class _System:
             res[0] = u[0] - self.dom.bc_inner
         res[n] = u[n] - self.dom.bc_outer
 
-    def banded(self, lo, di, up):
-        """Jacobian in (1, 2) banded storage: ``ab[2 + i - j, j] = J[i, j]``."""
+    def step(self, lo, di, up, rhs):
+        """Solve J x = rhs for the Jacobian with interior bands lo, di, up.
+
+        The first row, ``c0 x[0] + c1 x[1] + c2 x[2]`` (the origin closure,
+        or ``x[0]`` on an annulus), is folded into row 1 and the identity
+        last row into row n-1.  That leaves the tridiagonal system of -J in
+        x[1..n-1], padded with identity rows to ``cr_size`` rows.
+
+        A zero or NaN pivot gives a non-finite x, without a warning.  A
+        non-finite Newton step sends the caller to the frozen-Jacobian retry,
+        and a non-finite retry step fails the line search, which hands over
+        to pseudo-time.
+        """
         n = self.n
-        ab = np.zeros((4, n + 1))
-        ab[1, 2:] = up[1:-1]
-        ab[2, 1:-1] = di[1:-1]
-        ab[3, :-2] = lo[1:-1]
-        if self.is_ball:
-            ab[2, 0], ab[1, 1], ab[0, 2] = self.origin_w
-        else:
-            ab[2, 0] = 1.0
-        ab[2, n] = 1.0
-        return ab
+        c0, c1, c2 = self.origin_w if self.is_ball else (1.0, 0.0, 0.0)
+        a = np.zeros(self.cr_size)
+        b = np.ones(self.cr_size)
+        c = np.zeros(self.cr_size)
+        d = np.zeros(self.cr_size)
+        a[1:n - 1] = lo[2:n]
+        np.negative(di[1:n], out=b[:n - 1])
+        c[:n - 1] = up[1:n]
+        np.negative(rhs[1:n], out=d[:n - 1])
+        x = np.empty(n + 1)
+        with np.errstate(all="ignore"):
+            s = lo[1] / c0
+            b[0] += s * c1
+            c[0] -= s * c2
+            d[0] += s * rhs[0]
+            d[n - 2] += c[n - 2] * rhs[n]
+            c[n - 2] = 0.0
+            x[1:n] = _cyclic_reduction(a, b, c, d, self.cr_levels)[:n - 1]
+            x[n] = rhs[n]
+            x[0] = (rhs[0] - c1 * x[1] - c2 * x[2]) / c0
+        return x
 
     def roundoff_floor(self, u, eps):
         """Attainable residual floor from cancellation in the assembly.
@@ -218,7 +246,7 @@ class _System:
         fine grids the discrete residual cannot be driven below a multiple
         of machine epsilon times the assembled term magnitudes.
         """
-        st = self.stencil
+        st = self.node_data.stencil
         hm, hp, denom = st.hm, st.hp, st.denom
         au = np.abs(u)
         m_abs = 2.0 * (hm * au[2:] + (hp + hm) * au[1:-1] + hp * au[:-2]) / denom
@@ -227,7 +255,7 @@ class _System:
         q = st.q(u)
         factor = (q * q + eps * eps) ** (0.5 * self.op.alpha)
         cmp_, cmm, ctp, ctm = self.coefs
-        coef_r = (self.op.dim - 1) / self.nodes[1:-1]
+        coef_r = self.node_data.coef_r
         amp = factor * (max(cmp_, cmm) * m_abs
                         + coef_r * max(ctp, ctm) * q_abs) + np.abs(self.fvals[1:-1])
         return 64.0 * np.finfo(float).eps * float(np.max(amp))
@@ -323,10 +351,10 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
             rn = float(np.max(np.abs(res)))
             if rn <= max(tol, system.roundoff_floor(u, eps)):
                 break
-            delta = _banded_solve(system.banded(lo, di, up), -res)
+            delta = system.step(lo, di, up, -res)
             if not np.all(np.isfinite(delta)):
                 _, lo_f, di_f, up_f = system.system(u, eps, freeze=True)
-                delta = _banded_solve(system.banded(lo_f, di_f, up_f), -res)
+                delta = system.step(lo_f, di_f, up_f, -res)
             iterations += 1
             # damp on the 2-norm: the sup-norm is dominated by single rows
             # near the origin and is too kinky for an Armijo test
@@ -369,16 +397,68 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
                     eps_path)
 
 
-def _banded_solve(ab, rhs):
-    """Banded LU solve of the Newton system; NaN where it fails.
+def _cr_shape(m):
+    """Levels and padded size of the cyclic reduction of m rows.
 
-    A NaN Newton step sends the caller to the frozen-Jacobian retry, and a
-    NaN retry step fails the line search, which hands over to pseudo-time.
+    ``levels`` halvings of ``2**levels * t - 1`` rows leave ``t - 1``, and
+    ``t - 1 <= CR_TAIL``: the padding is at most ``2**levels - 1`` rows.
     """
+    levels = 0
+    while -(-(m + 1) >> levels) - 1 > CR_TAIL:
+        levels += 1
+    return levels, (-(-(m + 1) >> levels) << levels) - 1
+
+
+def _cyclic_reduction(a, b, c, d, levels):
+    """Solve ``-a[i] x[i-1] + b[i] x[i] - c[i] x[i+1] = d[i]``, a[0] = c[-1] = 0.
+
+    Odd-even cyclic reduction without pivoting: each of ``levels`` halvings
+    eliminates the unknowns of the even rows (0, 2, ...) from the odd rows,
+    which needs an odd number of rows at every level; the rows left are
+    solved by a Thomas sweep.
+    The caller sets the floating-point error state.
+    """
+    saved = []
+    for _ in range(levels):
+        ae, be, ce, de = a[0::2], b[0::2], c[0::2], d[0::2]
+        left = a[1::2] / be[:-1]
+        right = c[1::2] / be[1:]
+        saved.append((ae, be, ce, de))
+        b = b[1::2] - left * ce[:-1] - right * ae[1:]
+        d = d[1::2] + left * de[:-1] + right * de[1:]
+        a = left * ae[:-1]
+        c = right * ce[1:]
+    x = _thomas(a, b, c, d)
+    for ae, be, ce, de in reversed(saved):
+        # x padded with a zero on each side, interleaved with the even rows
+        full = np.zeros(2 * len(x) + 3)
+        full[2:-2:2] = x
+        full[1:-1:2] = (de + ae * full[:-2:2] + ce * full[2::2]) / be
+        x = full[1:-1]
+    return x
+
+
+def _thomas(a, b, c, d):
+    """Scalar Thomas sweep of the system of ``_cyclic_reduction``; NaN on a
+    zero pivot."""
+    cp = dp = 0.0
+    cps, dps = [], []
     try:
-        return solve_banded((1, 2), ab, rhs)
-    except ValueError:  # LinAlgError (singular) and non-finite input
-        return np.full_like(rhs, np.nan)
+        for ai, bi, ci, di in zip(a.tolist(), b.tolist(), c.tolist(),
+                                  d.tolist()):
+            piv = bi - ai * cp
+            cp = ci / piv
+            dp = (di + ai * dp) / piv
+            cps.append(cp)
+            dps.append(dp)
+    except ZeroDivisionError:
+        return np.full(len(b), np.nan)
+    x = 0.0
+    xs = []
+    for cp, dp in zip(reversed(cps), reversed(dps)):
+        x = dp + cp * x
+        xs.append(x)
+    return np.array(xs[::-1])
 
 
 def _pseudo_time(system, u, eps, rn_enter, tol, budget):

@@ -33,6 +33,20 @@ def test_certify_times_every_check_on_a_shipped_config():
     assert bench.time_checks(doc)[2] == digests
 
 
+def test_solve_times_assembly_and_linear_step():
+    bench = _load_script("bench_solve")
+    with open(os.path.join(ROOT, "configs", "pucci_power_ball.json")) as fh:
+        doc = json.load(fh)
+    n, row = bench.time_solve(doc)
+    assert n == doc["grid"]["n"]
+    assert row["newton_iters"] > 0
+    # a step can be retried with the frozen Jacobian, never skipped
+    assert row["linear_steps"] >= row["newton_iters"]
+    assert row["assemblies"] > row["newton_iters"]
+    assert all(row[k] > 0.0 for k in ("solve_s", "assembly_us",
+                                       "linear_step_us"))
+
+
 def test_sweep_runs_two_cases():
     # run as documented, without PYTHONPATH: the script finds src itself
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

@@ -3,6 +3,7 @@ import filecmp
 import json
 import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -33,6 +34,17 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 def run(cmd, cfg, out):
     return main([cmd, "--config", cfg, "--out", str(out)])
+
+
+def test_import_loads_no_scipy():
+    # numpy is the one run-time dependency: importing scipy.linalg alone
+    # took most of a CLI run's start-up
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, radelliptic.cli; print(sorted("
+         "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSolve:

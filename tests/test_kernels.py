@@ -9,8 +9,9 @@ def test_numpy_backend_residual_shape():
     nodes = 1e-3 + np.linspace(0.0, 1.0, 21)  # r > 0: finite transport
     u = rng.normal(size=21)
     fvals = rng.normal(size=21)
-    res, lo, di, up = _kernels.assemble_system(nodes, u, fvals, 1.0, 1e-6,
-                                               1.0, 1.0, 1.0, 1.0, 2, True)
+    res, lo, di, up = _kernels.assemble_system(
+        nodes, _kernels.NodeData(nodes, 2), u, fvals, 1.0, 1e-6,
+        1.0, 1.0, 1.0, 1.0, True)
     assert res.shape == lo.shape == di.shape == up.shape == nodes.shape
 
 
@@ -21,8 +22,9 @@ def test_numpy_backend_linear_case_matches_hand_assembly():
     nodes = np.linspace(0.0, 1.0, n + 1) + 0.5
     u = nodes ** 2
     fvals = np.zeros(n + 1)
-    res, _, _, _ = _kernels.assemble_system(nodes, u, fvals, 0.0, 0.0,
-                                            1.0, 1.0, 1.0, 1.0, 1, True)
+    res, _, _, _ = _kernels.assemble_system(
+        nodes, _kernels.NodeData(nodes, 1), u, fvals, 0.0, 0.0,
+        1.0, 1.0, 1.0, 1.0, True)
     assert np.allclose(res[1:-1], 2.0, atol=1e-10)
 
 
@@ -65,13 +67,14 @@ COEFS = (2.0, 1.0, 2.0, 1.0)
 def test_jacobian_matches_central_differences(graded, dim, alpha):
     nodes = smooth_mesh(graded)
     fvals = np.sin(3.0 * nodes)
+    node_data = _kernels.NodeData(nodes, dim)
     for eps in (1e-4, 1e-1):
         for profile in SMOOTH_PROFILES:
             u = profile(nodes)
 
             def assemble(v, freeze=False):
-                return _kernels.assemble_system(nodes, v, fvals, alpha, eps,
-                                                *COEFS, dim, freeze)
+                return _kernels.assemble_system(nodes, node_data, v, fvals,
+                                                alpha, eps, *COEFS, freeze)
 
             _, lo, di, up = assemble(u)
             fd = central_difference_jacobian(assemble, u, 1e-7)
@@ -93,9 +96,9 @@ def test_jacobian_meshes_cover_both_transport_branches():
         nodes = smooth_mesh(graded)
         for profile in SMOOTH_PROFILES:
             u = profile(nodes)
-            lower = [_kernels.assemble_system(nodes, u, np.zeros_like(u), 0.0,
-                                              0.0, *COEFS, dim, True)[1][1:-1]
-                     for dim in (1, 3)]
+            lower = [_kernels.assemble_system(
+                nodes, _kernels.NodeData(nodes, dim), u, np.zeros_like(u),
+                0.0, 0.0, *COEFS, True)[1][1:-1] for dim in (1, 3)]
             same = lower[0] == lower[1]
             forward += int(same.sum())
             centered += int((~same).sum())

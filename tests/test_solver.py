@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -348,28 +349,54 @@ class TestNewtonStep:
         assert sol.converged
         assert sol.iterations < 30
 
+    @staticmethod
+    def _newton_system(dom, n, freeze):
+        op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
+        grid = RadialGrid.for_domain(dom, n, Grading.UNIFORM)
+        system = solver._System(op, dom, np.full(n + 1, 3.0), grid)
+        u = 0.3 + np.sin(2.0 * grid.nodes) * grid.nodes ** 1.5
+        res, lo, di, up = system.system(u, 1e-2, freeze=freeze)
+        return system, res, lo, di, up
+
+    # n crosses the edges of the reduction: 15 and 16 interior rows go to
+    # the Thomas sweep alone, 22-25 cross the first level, 30-32 need one
+    # padding row and 199 and 999 several levels
+    @pytest.mark.parametrize("n", [16, 17, 23, 24, 25, 26, 31, 32, 33, 200,
+                                   1000])
+    @pytest.mark.parametrize("freeze", [False, True])
     @pytest.mark.parametrize("dom", [
         Domain.ball(1.0, bc_outer=1.0),
         Domain.annulus(0.5, 1.0, bc_inner=0.2, bc_outer=0.7)])
-    def test_banded_solve_matches_dense(self, dom):
-        op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
-        grid = RadialGrid.for_domain(dom, 24, Grading.UNIFORM)
-        nodes = grid.nodes
-        n = grid.n
-        system = solver._System(op, dom, np.full(n + 1, 3.0), grid)
-        u = 0.3 + np.sin(2.0 * nodes) * nodes ** 1.5
-        res, lo, di, up = system.system(u, 1e-2, freeze=False)
+    def test_step_matches_dense(self, dom, freeze, n):
+        system, res, lo, di, up = self._newton_system(dom, n, freeze)
         dense = np.zeros((n + 1, n + 1))
         for i in range(1, n):
             dense[i, i - 1:i + 2] = lo[i], di[i], up[i]
         if dom.kind is DomainKind.BALL:
-            dense[0, :3] = solver._origin_row_weights(nodes)
+            dense[0, :3] = solver._origin_row_weights(system.nodes)
         else:
             dense[0, 0] = 1.0
         dense[n, n] = 1.0
+        # at n=1000 the condition number is about 1e9 and the dense LU is
+        # itself 1e-12 off: refine it once, with the residual in long double
         expect = np.linalg.solve(dense, -res)
-        got = solver._banded_solve(system.banded(lo, di, up), -res)
+        resid = (-res.astype(np.longdouble)
+                 - dense.astype(np.longdouble) @ expect.astype(np.longdouble))
+        expect += np.linalg.solve(dense, resid.astype(float))
+        got = system.step(lo, di, up, -res)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    # a zero row is a zero pivot at the first level (rows 1 and 101), in
+    # the Thomas sweep (row 2) and in the last row (199)
+    @pytest.mark.parametrize("row", [1, 2, 101, 199])
+    def test_zero_pivot_gives_non_finite_step(self, row):
+        dom = Domain.annulus(0.5, 1.0, bc_inner=0.2, bc_outer=0.7)
+        system, res, lo, di, up = self._newton_system(dom, 200, False)
+        lo[row] = di[row] = up[row] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta = system.step(lo, di, up, -res)
+        assert not np.all(np.isfinite(delta))
 
     def test_one_assembly_per_newton_step(self, monkeypatch):
         calls = 0
