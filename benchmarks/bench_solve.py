@@ -1,6 +1,7 @@
-"""Start-up and Newton-solve timings on the shipped solve and verify configs.
+"""Start-up, Newton-solve and eigen timings on the shipped configs and the
+benchmark's eigen family.
 
-The script records two things:
+The script records three things:
 
 - the median time of ``import radelliptic.cli`` in a fresh interpreter,
   over ``IMPORT_RUNS`` subprocesses after one discarded;
@@ -9,12 +10,19 @@ The script records two things:
   time of ``solve_dirichlet``, its Newton iterations, and from ``REPEAT``
   more solves with the two layers wrapped, the least mean microseconds per
   kernel assembly (``_kernels.assemble_system``) and per Newton linear
-  step.
+  step;
+- for each problem of perfbench's ``eigen`` workload (PucciPlus a=1, A=2,
+  dim 2 on the unit ball, graded grid; Plus and Minus, alpha -0.5, 0 and
+  1; n 400 and 1600): the best-of-``REPEAT`` time of
+  ``principal_eigenvalue``, its outer steps and its kernel assemblies.
+
+Every row also holds the sha256 of its profile's bytes (the solution, or
+the eigenfunction), so two entries show whether a change moved any bit.
 
 The linear step is ``_System.step``; in checkouts from before it, it is
 ``_System.banded`` plus ``_banded_solve``, the banded copy and its solve.
-The script prints one line per config and scale, and writes (or replaces)
-the entry under ``--label`` in the JSON file.
+The script prints one line per row, and writes (or replaces) the entry
+under ``--label`` in the JSON file.
 
 Usage: python3 benchmarks/bench_solve.py --label change
                                          [--out BENCH_solve.json]
@@ -26,6 +34,7 @@ checkout's code.
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import platform
@@ -41,13 +50,17 @@ sys.path.insert(0, SRC)
 import numpy as np  # noqa: E402
 
 from radelliptic import _kernels, solver  # noqa: E402
-from radelliptic.grid import Domain, RadialGrid  # noqa: E402
+from radelliptic.eigen import principal_eigenvalue  # noqa: E402
+from radelliptic.grid import Domain, Grading, RadialGrid  # noqa: E402
 from radelliptic.operators import OperatorSpec  # noqa: E402
 from radelliptic.solver import SourceFunction, solve_dirichlet  # noqa: E402
 
 REPEAT = 3
 IMPORT_RUNS = 5
 SCALES = (1, 4, 16)
+# perfbench's eigen workload: (sign, alpha, n)
+EIGEN_FAMILY = tuple((sign, alpha, n) for sign in ("Plus", "Minus")
+                     for alpha in (-0.5, 0.0, 1.0) for n in (400, 1600))
 IMPORT_PROBE = ("import time; t0 = time.perf_counter(); import radelliptic.cli; "
                 "print(time.perf_counter() - t0)")
 
@@ -110,6 +123,7 @@ def time_solve(doc):
         sol = solve_dirichlet(op, dom, f, grid)
         best = min(best, time.perf_counter() - t0)
     row = {"solve_s": best, "newton_iters": sol.iterations,
+           "sha256": digest(sol.u.values),
            "assembly_us": float("inf"), "linear_step_us": float("inf")}
     for _ in range(REPEAT):
         with contextlib.ExitStack() as stack:
@@ -124,6 +138,30 @@ def time_solve(doc):
                                     1e6 * sum(s.seconds for s in steps)
                                     / max(steps[-1].calls, 1))
     return grid.n, row
+
+
+def digest(values):
+    """sha256 of a profile's float64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float)
+                          .tobytes()).hexdigest()
+
+
+def time_eigen(sign, alpha, n):
+    """Best-of-``REPEAT`` ``principal_eigenvalue`` time, outer steps and
+    kernel assemblies of one problem of the eigen family."""
+    op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
+    dom = Domain.ball(1.0)
+    grid = RadialGrid.for_domain(dom, n, Grading.GRADED_AT_ORIGIN)
+    best = float("inf")
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        res = principal_eigenvalue(op, dom, grid, sign, tol=1e-8)
+        best = min(best, time.perf_counter() - t0)
+    with Timed(_kernels, "assemble_system") as assembly:
+        principal_eigenvalue(op, dom, grid, sign, tol=1e-8)
+    return {"eigen_s": best, "outer_iters": res.iterations,
+            "assemblies": assembly.calls, "lambda": res.lambda_value,
+            "sha256": digest(res.phi.values)}
 
 
 def git_commit():
@@ -166,6 +204,15 @@ def main(argv=None):
                   f"step={row['linear_step_us']:.1f} us", flush=True)
     for scale, total in totals.items():
         print(f"total x{scale}: solve={total:.4f} s")
+    eigen_total = 0.0
+    for sign, alpha, n in EIGEN_FAMILY:
+        row = time_eigen(sign, alpha, n)
+        runs[f"eigen:{sign}:alpha={alpha:g}:n={n}"] = row
+        eigen_total += row["eigen_s"]
+        print(f"eigen {sign:5s} alpha={alpha:+.1f} n={n:5d} "
+              f"eigen={row['eigen_s']:.4f} s outer={row['outer_iters']:3d} "
+              f"assemblies={row['assemblies']:4d}", flush=True)
+    print(f"total eigen: {eigen_total:.4f} s")
 
     entry = {
         "commit": git_commit(),
@@ -173,9 +220,11 @@ def main(argv=None):
                  "python": platform.python_version(),
                  "numpy": np.__version__},
         "repeat": REPEAT,
-        "unit": "s (solve best of repeat, import median), us per call",
+        "unit": "s (solve and eigen best of repeat, import median), "
+                "us per call",
         "import_s": import_s,
         "solve_s_by_scale": totals,
+        "eigen_s": eigen_total,
         "runs": runs,
     }
     doc = {}

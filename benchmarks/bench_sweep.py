@@ -8,9 +8,14 @@ steps and the wall time; a summary line follows.
 
 Usage: python3 benchmarks/bench_sweep.py [--seed 2026] [--cases 40] [--n 200]
                                          [--save sweep.npz]
+                                         [--compare other.npz]
 
 ``--save`` stores every converged profile under its case number, so two
-versions of the solver can be compared case by case.  The package is
+versions of the solver can be compared case by case.  ``--compare`` reads
+such a file and ends each case line with ``identical`` when both sides
+have no profile or bitwise equal ones, or else the largest ``|delta|``
+(``missing`` when only one side has a profile, ``other-shape`` when the
+grids differ); a summary line counts the identical cases.  The package is
 imported from the ``src`` directory of the checkout that holds the script.
 """
 
@@ -70,6 +75,19 @@ def draw_case(rng, n):
     return label, op, dom, grid, f
 
 
+def compare(mine, theirs):
+    """``identical``, ``missing``, or the largest |delta| of two profiles."""
+    if mine is None and theirs is None:
+        return "identical"
+    if mine is None or theirs is None:
+        return "missing"
+    if mine.shape != theirs.shape:
+        return "other-shape"
+    if mine.tobytes() == theirs.tobytes():
+        return "identical"
+    return f"max|delta|={float(np.max(np.abs(mine - theirs))):.3e}"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -77,13 +95,20 @@ def main():
     parser.add_argument("--cases", type=int, default=40)
     parser.add_argument("--n", type=int, default=200)
     parser.add_argument("--save", default=None, help="npz file for converged profiles")
+    parser.add_argument("--compare", default=None,
+                        help="npz file of --save to compare the profiles with")
     args = parser.parse_args()
+    saved = None
+    if args.compare:
+        with np.load(args.compare) as npz:
+            saved = {key: npz[key] for key in npz.files}
 
     rng = np.random.default_rng(args.seed)
     outcomes = {}
     profiles = {}
     total = 0.0
     slowest = 0.0
+    identical = 0
     for k in range(args.cases):
         label, op, dom, grid, f = draw_case(rng, args.n)
         t0 = time.perf_counter()
@@ -99,10 +124,18 @@ def main():
         total += dt
         slowest = max(slowest, dt)
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        print(f"{k:3d} {label}  {outcome:<12} newton={steps:>4} {dt:8.3f}s", flush=True)
+        line = f"{k:3d} {label}  {outcome:<12} newton={steps:>4} {dt:8.3f}s"
+        if saved is not None:
+            verdict = compare(profiles.get(f"case{k:02d}"),
+                              saved.get(f"case{k:02d}"))
+            identical += verdict == "identical"
+            line += f"  {verdict}"
+        print(line, flush=True)
     summary = ", ".join(f"{name} {count}" for name, count in sorted(outcomes.items()))
     print(f"seed {args.seed}, n={args.n}: {summary}; total {total:.2f}s, "
           f"slowest {slowest:.2f}s")
+    if saved is not None:
+        print(f"compare {args.compare}: {identical} of {args.cases} identical")
     if args.save:
         np.savez(args.save, **profiles)
 

@@ -5,7 +5,12 @@ through the module attribute ``_kernels.assemble_system``; the boundary
 rows are added by the caller.  What depends only on the mesh (the stencil,
 its weights, ``1/hp`` and ``(N-1)/r``) is a ``NodeData``, which the caller
 builds once per mesh and passes to every call.
+
+One call returns an ``Assembly``: everything the solver needs of one
+iterate, so that nothing later assembles the same iterate again.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,18 +33,35 @@ class NodeData:
         self.coef_r = (dim - 1) / ri if dim > 1 else np.zeros_like(ri)
 
 
+class Assembly(NamedTuple):
+    """One iterate's residual and linearization.
+
+    ``res``, ``lo``, ``di`` and ``up`` have length n+1, with entries 0 and n
+    left zero for the caller's boundary rows.  The bands are the frozen
+    linearization: the derivative of the degenerate factor
+    (q^2+eps^2)^{alpha/2} is dropped, which leaves the monotone elliptic
+    part.  The Newton bands add ``chain`` times the stencil's q weights.
+    The other fields hold the interior nodes 1..n-1: ``hval`` is the
+    operator value, so ``res[1:-1] == hval - f[1:-1]``, and ``factor`` is
+    the degenerate factor.
+    """
+
+    res: np.ndarray
+    lo: np.ndarray
+    di: np.ndarray
+    up: np.ndarray
+    chain: np.ndarray
+    hval: np.ndarray
+    factor: np.ndarray
+
+
 def assemble_system(nodes, node_data, u, fvals, alpha, eps, cmp_, cmm, ctp,
-                    ctm, freeze_factor):
+                    ctm):
     """Residual and tridiagonal linearization at the interior nodes.
 
     ``node_data`` is the ``NodeData`` of ``nodes`` and the dimension.
-
-    Returns arrays (res, lo, di, up) of length n+1; entries 0 and n are left
-    zero for the caller to fill with boundary rows.  ``lo[i]``, ``di[i]``,
-    ``up[i]`` are the derivatives of row i with respect to u[i-1], u[i],
-    u[i+1].  With ``freeze_factor`` the derivative of the degenerate factor
-    (q^2+eps^2)^{alpha/2} is dropped, which leaves the monotone elliptic part
-    of the linearization.
+    Returns an ``Assembly``; ``lo[i]``, ``di[i]``, ``up[i]`` are the frozen
+    derivatives of row i with respect to u[i-1], u[i], u[i+1].
 
     The first-difference used for the transport term (N-1)/r * q is the
     second-order centered quotient wherever that keeps the off-diagonal signs
@@ -49,11 +71,6 @@ def assemble_system(nodes, node_data, u, fvals, alpha, eps, cmp_, cmm, ctp,
     u = np.asarray(u, dtype=float)
     f = np.asarray(fvals, dtype=float)
     n = len(nodes) - 1
-
-    res = np.zeros(n + 1)
-    lo = np.zeros(n + 1)
-    di = np.zeros(n + 1)
-    up = np.zeros(n + 1)
 
     st = node_data.stencil
     hp = st.hp
@@ -81,14 +98,17 @@ def assemble_system(nodes, node_data, u, fvals, alpha, eps, cmp_, cmm, ctp,
             dfactor = np.where(q2e > 0.0,
                                alpha * q * q2e ** (0.5 * alpha - 1.0), 0.0)
 
-    res[1:-1] = factor * bracket - f[1:-1]
+    hval = factor * bracket
+    res = np.zeros(n + 1)
+    res[1:-1] = hval - f[1:-1]
 
     # rows lo, di, up: weights on u[i-1], u[i], u[i+1]
-    chain = None if freeze_factor else dfactor * bracket
-    for row, dm, dq, dfwd in zip((lo, di, up), node_data.m_weights,
-                                 node_data.q_weights, node_data.fwd_weights):
-        dt = np.where(centered, dq, dfwd)
-        row[1:-1] = factor * (cm_act * dm + coef_r * ct_act * dt)
-        if chain is not None:
-            row[1:-1] += chain * dq
-    return res, lo, di, up
+    ct_coef = coef_r * ct_act
+    bands = []
+    for dm, dq, dfwd in zip(node_data.m_weights, node_data.q_weights,
+                            node_data.fwd_weights):
+        band = np.zeros(n + 1)
+        band[1:-1] = factor * (cm_act * dm + ct_coef * np.where(centered, dq,
+                                                                dfwd))
+        bands.append(band)
+    return Assembly(res, *bands, dfactor * bracket, hval, factor)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidSpec, LostPositivity, NotConverged
 from .grid import DiscreteRadialFunction, Domain, DomainKind, RadialGrid
 from .operators import OperatorSpec
-from .solver import (EPS_END, EPS_START, SourceFunction,
+from .solver import (EPS_END, EPS_START, SourceFunction, _System,
                      discretize_residual, solve_dirichlet)
 
 # outer steps of the inverse power iteration before it gives up
@@ -71,9 +71,11 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     phi is the positive profile, the Minus eigenfunction being its
     negative.
 
-    Warm solves start from the previous iterate at the final eps.  The
-    iteration stops when two successive eigenvalues agree to ``tol``, or
-    raises NotConverged after ``MAX_OUTER`` steps.
+    Warm solves start from the previous iterate at the final eps.  All
+    solves share one ``_System``, so a warm solve reuses the assembly its
+    predecessor ended with.  The iteration stops when two successive
+    eigenvalues agree to ``tol``, or raises NotConverged after
+    ``MAX_OUTER`` steps.
     """
     sign = EigenSign(sign)
     if dom.bc_inner != 0.0 or dom.bc_outer != 0.0:
@@ -84,6 +86,7 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     one_p_a = 1.0 + op.alpha
     nodes = grid.nodes
     rng = np.random.default_rng(seed)
+    system = _System(work_op, dom, grid)
 
     phi = _bump(dom, grid)
     lam_history: list[float] = []
@@ -95,7 +98,8 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
         forcing = SourceFunction.tabulated(nodes, -phi ** one_p_a)
         sol = solve_dirichlet(
             work_op, dom, forcing, grid, initial_guess=psi_prev,
-            eps_start=EPS_START if psi_prev is None else EPS_END)
+            eps_start=EPS_START if psi_prev is None else EPS_END,
+            system=system)
         psi = sol.u.values
         if np.any(psi[1:-1] <= 0.0):
             restarts += 1

@@ -197,24 +197,28 @@ class ThreePoint:
     def __init__(self, r):
         self.hm = r[1:-1] - r[:-2]
         self.hp = r[2:] - r[1:-1]
-        self.denom = self.hp * self.hm * (self.hp + self.hm)
+        # the products the quotients and weights share, formed once per mesh
+        self.hm2 = self.hm * self.hm
+        self.hp2 = self.hp * self.hp
+        self.hpm2 = self.hp2 - self.hm2
+        self.hsum = self.hp + self.hm
+        self.denom = self.hp * self.hm * self.hsum
 
     def q(self, v):
-        hm, hp = self.hm, self.hp
-        return (hm * hm * v[2:] + (hp * hp - hm * hm) * v[1:-1]
-                - hp * hp * v[:-2]) / self.denom
+        return (self.hm2 * v[2:] + self.hpm2 * v[1:-1]
+                - self.hp2 * v[:-2]) / self.denom
 
     def m(self, v):
-        hm, hp = self.hm, self.hp
-        return 2.0 * (hm * v[2:] - (hp + hm) * v[1:-1] + hp * v[:-2]) / self.denom
+        return 2.0 * (self.hm * v[2:] - self.hsum * v[1:-1]
+                      + self.hp * v[:-2]) / self.denom
 
     def q_weights(self):
-        hm, hp, denom = self.hm, self.hp, self.denom
-        return -hp * hp / denom, (hp * hp - hm * hm) / denom, hm * hm / denom
+        denom = self.denom
+        return -self.hp2 / denom, self.hpm2 / denom, self.hm2 / denom
 
     def m_weights(self):
         hm, hp, denom = self.hm, self.hp, self.denom
-        return 2.0 * hp / denom, -2.0 * (hp + hm) / denom, 2.0 * hm / denom
+        return 2.0 * hp / denom, -2.0 * self.hsum / denom, 2.0 * hm / denom
 
 
 def interior_quotients(u: DiscreteRadialFunction) -> tuple[np.ndarray, np.ndarray]:

@@ -14,10 +14,17 @@ is either the three-point origin symmetry closure (ball) or an identity row
 (annulus), and an identity last row.  Each Newton step folds the first and
 last rows into their neighbours and solves the remaining tridiagonal system
 by odd-even cyclic reduction, finished by a short Thomas sweep; there is no
-pivoting, and a zero pivot gives a non-finite step.  A line-search trial is
-assembled with its Jacobian; when the trial is accepted that assembly is
-the next step's system, so a step without backtracking costs one assembly
-and one tridiagonal solve.
+pivoting, and a zero pivot gives a non-finite step.
+
+Each iterate is assembled once, as a line-search trial.  Its ``Assembly``
+holds the residual, the frozen bands and the chain-rule term that makes
+them the Newton bands, and the degenerate factor that the roundoff floor
+reads.  When the trial is accepted, that record serves the next step, its
+frozen-Jacobian retry, the stop test and, for the last iterate, the final
+convergence and monotonicity checks; a step without backtracking costs
+one assembly and one tridiagonal solve.  A ``_System`` shared by the
+solves of the eigen iteration keeps the last iterate's record, so a warm
+solve from that iterate swaps only the forcing.
 
 The ball initial guess is the power profile r^{(alpha+2)/(alpha+1)} scaled
 from the mean forcing and shifted to the outer boundary value; the origin is
@@ -122,9 +129,18 @@ class SourceFunction:
         return float(p["coef"]) * r ** float(p["exponent"])
 
     def sup_norm(self, dom: Domain) -> float:
+        """``|f|_inf`` on the domain: exact for the constant and tabulated
+        kinds, sampled at 4097 points for an expression."""
         if self.kind == "constant":
             return abs(self.value)
         r1 = dom.R1 if dom.kind is DomainKind.ANNULUS else 0.0
+        if self.kind == "tabulated":
+            # the interpolant is piecewise linear: its extremes lie at the
+            # table nodes inside the domain or at the domain's ends
+            inside = (self.table_r > r1) & (self.table_r < dom.R)
+            ends = np.abs(self(np.array([r1, dom.R])))
+            return float(max(np.max(ends),
+                             np.max(np.abs(self.table_v[inside]), initial=0.0)))
         probe = np.linspace(r1, dom.R, 4097)
         return float(np.max(np.abs(self(probe))))
 
@@ -171,12 +187,16 @@ def _origin_row_weights(nodes):
 
 
 class _System:
-    """Assembles the full residual and Jacobian including boundary rows."""
+    """Assembles the full residual and Jacobian including boundary rows.
 
-    def __init__(self, op: OperatorSpec, dom: Domain, fvals, grid: RadialGrid):
+    A system belongs to one operator, domain and grid; ``force`` sets the
+    forcing values at the nodes.  ``last`` is the end state of the last
+    solve run on it: (iterate, eps, its ``Assembly``).
+    """
+
+    def __init__(self, op: OperatorSpec, dom: Domain, grid: RadialGrid):
         self.op = op
         self.dom = dom
-        self.fvals = fvals
         self.grid = grid
         self.nodes = grid.nodes
         self.n = grid.n
@@ -185,14 +205,47 @@ class _System:
         if self.is_ball:
             self.origin_w = _origin_row_weights(self.nodes)
         self.coefs = op.bracket_coefficients()
-        self.cr_levels, self.cr_size = _cr_shape(self.n - 1)
+        cmp_, cmm, ctp, ctm = self.coefs
+        # node-only terms of the roundoff floor
+        self.floor_cm = max(cmp_, cmm)
+        self.floor_ct = self.node_data.coef_r * max(ctp, ctm)
+        self.floor_hpm2 = np.abs(self.node_data.stencil.hpm2)
+        self.cr_levels, size = _cr_shape(self.n - 1)
+        # the padded rows of the reduction are identity rows; ``step``
+        # rewrites only the first n-1 rows of these buffers
+        self.cr_bufs = (np.zeros(size), np.ones(size), np.zeros(size),
+                        np.zeros(size))
+        self.fvals = self.abs_f = self.last = None
 
-    def system(self, u, eps, freeze):
-        res, lo, di, up = _kernels.assemble_system(
+    def force(self, fvals):
+        self.fvals = fvals
+        self.abs_f = np.abs(fvals[1:-1])
+
+    def system(self, u, eps):
+        rec = _kernels.assemble_system(
             self.nodes, self.node_data, u, self.fvals, self.op.alpha, eps,
-            *self.coefs, freeze)
+            *self.coefs)
+        self._boundary_rows(u, rec.res)
+        return rec
+
+    def reforced(self, u, rec):
+        """``rec``, the assembly of ``u``, with its residual taken against
+        the current forcing."""
+        res = np.zeros(self.n + 1)
+        res[1:-1] = rec.hval - self.fvals[1:-1]
         self._boundary_rows(u, res)
-        return res, lo, di, up
+        return rec._replace(res=res)
+
+    def newton_bands(self, rec):
+        """The Newton Jacobian's bands: the frozen bands plus the derivative
+        of the degenerate factor."""
+        bands = []
+        for band, dq in zip((rec.lo, rec.di, rec.up),
+                            self.node_data.q_weights):
+            band = band.copy()
+            band[1:-1] += rec.chain * dq
+            bands.append(band)
+        return bands
 
     def _boundary_rows(self, u, res):
         n = self.n
@@ -218,10 +271,7 @@ class _System:
         """
         n = self.n
         c0, c1, c2 = self.origin_w if self.is_ball else (1.0, 0.0, 0.0)
-        a = np.zeros(self.cr_size)
-        b = np.ones(self.cr_size)
-        c = np.zeros(self.cr_size)
-        d = np.zeros(self.cr_size)
+        a, b, c, d = self.cr_bufs
         a[1:n - 1] = lo[2:n]
         np.negative(di[1:n], out=b[:n - 1])
         c[:n - 1] = up[1:n]
@@ -239,25 +289,22 @@ class _System:
             x[0] = (rhs[0] - c1 * x[1] - c2 * x[2]) / c0
         return x
 
-    def roundoff_floor(self, u, eps):
+    def roundoff_floor(self, u, rec):
         """Attainable residual floor from cancellation in the assembly.
 
         The difference quotients divide O(|u|) cancellations by h^2, so on
         fine grids the discrete residual cannot be driven below a multiple
-        of machine epsilon times the assembled term magnitudes.
+        of machine epsilon times the assembled term magnitudes.  ``rec`` is
+        the assembly of ``u``.
         """
         st = self.node_data.stencil
-        hm, hp, denom = st.hm, st.hp, st.denom
         au = np.abs(u)
-        m_abs = 2.0 * (hm * au[2:] + (hp + hm) * au[1:-1] + hp * au[:-2]) / denom
-        q_abs = (hm * hm * au[2:] + abs(hp * hp - hm * hm) * au[1:-1]
-                 + hp * hp * au[:-2]) / denom
-        q = st.q(u)
-        factor = (q * q + eps * eps) ** (0.5 * self.op.alpha)
-        cmp_, cmm, ctp, ctm = self.coefs
-        coef_r = self.node_data.coef_r
-        amp = factor * (max(cmp_, cmm) * m_abs
-                        + coef_r * max(ctp, ctm) * q_abs) + np.abs(self.fvals[1:-1])
+        m_abs = 2.0 * (st.hm * au[2:] + st.hsum * au[1:-1]
+                       + st.hp * au[:-2]) / st.denom
+        q_abs = (st.hm2 * au[2:] + self.floor_hpm2 * au[1:-1]
+                 + st.hp2 * au[:-2]) / st.denom
+        amp = rec.factor * (self.floor_cm * m_abs
+                            + self.floor_ct * q_abs) + self.abs_f
         return 64.0 * np.finfo(float).eps * float(np.max(amp))
 
     def monotone_structure_ok(self, lo, di, up, rel_tol=1e-10):
@@ -275,10 +322,9 @@ def discretize_residual(op: OperatorSpec, f: SourceFunction,
     """Full residual vector H_eps - f, boundary rows included."""
     if not u.grid.spans(dom):
         raise GridMismatch("grid does not span the domain")
-    fvals = np.asarray(f(u.grid.nodes), dtype=float)
-    res, _, _, _ = _System(op, dom, fvals, u.grid).system(u.values, eps,
-                                                          freeze=True)
-    return res
+    system = _System(op, dom, u.grid)
+    system.force(np.asarray(f(u.grid.nodes), dtype=float))
+    return system.system(u.values, eps).res
 
 
 def _initial_guess(op, dom, grid, fvals):
@@ -310,12 +356,18 @@ def _initial_guess(op, dom, grid, fvals):
 
 def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
                     grid: RadialGrid, *, initial_guess: np.ndarray | None = None,
-                    eps_start: float = EPS_START) -> Solution:
+                    eps_start: float = EPS_START,
+                    system: _System | None = None) -> Solution:
     """Continuation in eps, damped Newton per stage, pseudo-time fallback.
 
     The eps stages run from ``eps_start`` down to ``EPS_END``; a warm start
     near a solution of the final stage may begin there.  The tolerance on
     the residual sup-norm is ``1e-10 * max(1, |f|_inf)``.
+
+    ``system`` is a ``_System`` of ``op``, ``dom`` and ``grid`` that a
+    sequence of solves shares.  A solve whose initial guess is the iterate
+    the previous solve on it ended with, at ``eps_start``, reuses that
+    iterate's assembly with only the forcing swapped.
     """
     if not eps_start >= EPS_END:
         raise InvalidSpec(f"eps_start must be >= {EPS_END:g}")
@@ -325,13 +377,25 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
     fvals = np.asarray(f(nodes), dtype=float)
     tol = 1e-10 * max(1.0, f.sup_norm(dom))
 
-    system = _System(op, dom, fvals, grid)
+    if system is None:
+        system = _System(op, dom, grid)
+    elif system.op != op or system.dom != dom or system.grid is not grid:
+        raise InvalidSpec("system belongs to another problem")
+    system.force(fvals)
     if initial_guess is not None:
         u = np.array(initial_guess, dtype=float)
         if u.shape != nodes.shape:
             raise GridMismatch("initial guess has wrong length")
     else:
         u = _initial_guess(op, dom, grid, fvals)
+
+    # the assembly the first stage starts from, if the last solve ended here
+    warm = None
+    if initial_guess is not None and system.last is not None:
+        last_u, last_eps, last_rec = system.last
+        if last_eps == eps_start and np.array_equal(last_u, u):
+            warm = system.reforced(u, last_rec)
+    system.last = None
 
     eps_list = [eps_start]
     while eps_list[-1] > EPS_END * (1 + 1e-12):
@@ -346,50 +410,55 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
     u_prev_stage = u.copy()
 
     for eps in eps_list:
-        res, lo, di, up = system.system(u, eps, freeze=False)
+        if warm is None:
+            rec = system.system(u, eps)
+        else:
+            rec, warm = warm, None
+        stopped = False
         for _ in range(NEWTON_MAX_ITER):
-            rn = float(np.max(np.abs(res)))
-            if rn <= max(tol, system.roundoff_floor(u, eps)):
+            rn = float(np.max(np.abs(rec.res)))
+            stopped = rn <= tol or rn <= system.roundoff_floor(u, rec)
+            if stopped:
                 break
-            delta = system.step(lo, di, up, -res)
+            delta = system.step(*system.newton_bands(rec), -rec.res)
             if not np.all(np.isfinite(delta)):
-                _, lo_f, di_f, up_f = system.system(u, eps, freeze=True)
-                delta = system.step(lo_f, di_f, up_f, -res)
+                delta = system.step(rec.lo, rec.di, rec.up, -rec.res)
             iterations += 1
             # damp on the 2-norm: the sup-norm is dominated by single rows
             # near the origin and is too kinky for an Armijo test
-            rn2 = float(np.linalg.norm(res))
+            rn2 = float(np.linalg.norm(rec.res))
             lam = 1.0
             accepted = False
             while lam >= DAMPING_MIN:
                 trial = u + lam * delta
-                trial_system = system.system(trial, eps, freeze=False)
-                if float(np.linalg.norm(trial_system[0])) <= (1.0 - 1e-4 * lam) * rn2:
-                    u = trial
-                    res, lo, di, up = trial_system
+                trial_rec = system.system(trial, eps)
+                if float(np.linalg.norm(trial_rec.res)) <= (1.0 - 1e-4 * lam) * rn2:
+                    u, rec = trial, trial_rec
                     accepted = True
                     break
                 lam *= 0.5
             if not accepted:
-                u, used = _pseudo_time(system, u, eps, rn, tol,
-                                       min(pseudo_budget, 20 * grid.n))
+                u, used, rec = _pseudo_time(system, u, eps, rn, tol,
+                                            min(pseudo_budget, 20 * grid.n))
                 pseudo_budget -= used
-                res, lo, di, up = system.system(u, eps, freeze=False)
                 if pseudo_budget <= 0:
                     break
-        stage_res = float(np.max(np.abs(res)))
+        stage_res = float(np.max(np.abs(rec.res)))
         eps_path.append({"eps": eps, "residual_sup": stage_res,
                          "delta_from_prev": float(np.max(np.abs(u - u_prev_stage)))})
         u_prev_stage = u.copy()
 
+    # the last stage's record is the final iterate's assembly, and its stop
+    # test is the convergence test when it ran on that record
     eps_final = eps_list[-1]
-    res, lo_f, di_f, up_f = system.system(u, eps_final, freeze=True)
-    residual_sup = float(np.max(np.abs(res)))
-    converged = residual_sup <= max(tol, system.roundoff_floor(u, eps_final))
+    residual_sup = stage_res
+    converged = (stopped or residual_sup <= tol
+                 or residual_sup <= system.roundoff_floor(u, rec))
+    system.last = (u.copy(), eps_final, rec)
     if not converged:
         raise Diverged(
             f"residual {residual_sup:.3e} above tolerance {tol:.3e} at eps={eps_final:.1e}")
-    if not system.monotone_structure_ok(lo_f, di_f, up_f):
+    if not system.monotone_structure_ok(rec.lo, rec.di, rec.up):
         raise LostMonotonicity("final linearization lost its monotone structure")
 
     profile = DiscreteRadialFunction(grid, u)
@@ -462,18 +531,22 @@ def _thomas(a, b, c, d):
 
 
 def _pseudo_time(system, u, eps, rn_enter, tol, budget):
-    """Relaxation steps until the residual halves or the budget runs out."""
+    """Relaxation steps until the residual halves or the budget runs out.
+
+    Returns the last iterate, the steps taken (at least 1) and the
+    iterate's assembly.
+    """
     used = 0
     u = u.copy()
-    while used < budget:
-        res, _, di, _ = system.system(u, eps, freeze=True)
-        rn = float(np.max(np.abs(res)))
-        if rn <= max(0.5 * rn_enter, tol):
+    while True:
+        rec = system.system(u, eps)
+        rn = float(np.max(np.abs(rec.res)))
+        if used >= budget or rn <= max(0.5 * rn_enter, tol):
             break
         used += 1
         # per-node relaxation: explicit Euler at the local stability limit
-        denom = np.maximum(np.abs(di[1:-1]), 1e-300)
-        u[1:-1] += 0.9 * res[1:-1] / denom
+        denom = np.maximum(np.abs(rec.di[1:-1]), 1e-300)
+        u[1:-1] += 0.9 * rec.res[1:-1] / denom
         # boundary rows are linear: enforce them exactly
         if system.is_ball:
             c0, c1, c2 = system.origin_w
@@ -481,5 +554,4 @@ def _pseudo_time(system, u, eps, rn_enter, tol, budget):
         else:
             u[0] = system.dom.bc_inner
         u[-1] = system.dom.bc_outer
-    return u, max(used, 1)
-
+    return u, max(used, 1), rec

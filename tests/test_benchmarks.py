@@ -45,17 +45,41 @@ def test_solve_times_assembly_and_linear_step():
     assert row["assemblies"] > row["newton_iters"]
     assert all(row[k] > 0.0 for k in ("solve_s", "assembly_us",
                                        "linear_step_us"))
+    assert len(row["sha256"]) == 64 and int(row["sha256"], 16) >= 0
 
 
-def test_sweep_runs_two_cases():
+def test_solve_times_an_eigen_row():
+    bench = _load_script("bench_solve")
+    assert ("Plus", 1.0, 400) in bench.EIGEN_FAMILY
+    row = bench.time_eigen("Plus", 1.0, 400)
+    assert row["eigen_s"] > 0.0 and row["outer_iters"] > 1
+    assert row["assemblies"] > 0
+    assert len(row["sha256"]) == 64
+    assert bench.time_eigen("Plus", 1.0, 400)["sha256"] == row["sha256"]
+
+
+def _sweep(*args):
     # run as documented, without PYTHONPATH: the script finds src itself
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "benchmarks", "bench_sweep.py"),
-         "--cases", "2", "--n", "32"],
+         "--cases", "2", "--n", "32", *args],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_sweep_runs_two_cases():
+    lines = _sweep()
     assert len(lines) == 3
     assert lines[-1].startswith("seed 2026, n=32: ")
-    assert "uncaught" not in proc.stdout
+    assert not any("uncaught" in line for line in lines)
+
+
+def test_sweep_compares_with_a_saved_sweep(tmp_path):
+    saved = str(tmp_path / "sweep.npz")
+    _sweep("--save", saved)
+    lines = _sweep("--compare", saved)
+    assert len(lines) == 4
+    assert all(line.endswith("  identical") for line in lines[:2])
+    assert lines[-1] == f"compare {saved}: 2 of 2 identical"

@@ -9,10 +9,16 @@ def test_numpy_backend_residual_shape():
     nodes = 1e-3 + np.linspace(0.0, 1.0, 21)  # r > 0: finite transport
     u = rng.normal(size=21)
     fvals = rng.normal(size=21)
-    res, lo, di, up = _kernels.assemble_system(
+    rec = _kernels.assemble_system(
         nodes, _kernels.NodeData(nodes, 2), u, fvals, 1.0, 1e-6,
-        1.0, 1.0, 1.0, 1.0, True)
-    assert res.shape == lo.shape == di.shape == up.shape == nodes.shape
+        1.0, 1.0, 1.0, 1.0)
+    assert rec.res.shape == rec.lo.shape == rec.di.shape == rec.up.shape
+    assert rec.res.shape == nodes.shape
+    interior = (len(nodes) - 2,)
+    assert rec.chain.shape == rec.hval.shape == rec.factor.shape == interior
+    # the residual is the operator value minus f, bit for bit
+    assert np.array_equal(rec.res[1:-1], rec.hval - fvals[1:-1])
+    assert rec.res[0] == rec.res[-1] == 0.0
 
 
 def test_numpy_backend_linear_case_matches_hand_assembly():
@@ -22,9 +28,9 @@ def test_numpy_backend_linear_case_matches_hand_assembly():
     nodes = np.linspace(0.0, 1.0, n + 1) + 0.5
     u = nodes ** 2
     fvals = np.zeros(n + 1)
-    res, _, _, _ = _kernels.assemble_system(
+    res = _kernels.assemble_system(
         nodes, _kernels.NodeData(nodes, 1), u, fvals, 0.0, 0.0,
-        1.0, 1.0, 1.0, 1.0, True)
+        1.0, 1.0, 1.0, 1.0).res
     assert np.allclose(res[1:-1], 2.0, atol=1e-10)
 
 
@@ -39,7 +45,7 @@ def central_difference_jacobian(assemble, u, delta):
     bands = [np.zeros(len(u)) for _ in range(3)]
     for k in range(3):
         e = np.where(idx % 3 == k, delta, 0.0)
-        d = (assemble(u + e)[0] - assemble(u - e)[0]) / (2.0 * delta)
+        d = (assemble(u + e).res - assemble(u - e).res) / (2.0 * delta)
         for band, cols in zip(bands, (rows - 1, rows, rows + 1)):
             hit = rows[cols % 3 == k]
             band[hit] = d[hit]
@@ -72,20 +78,30 @@ def test_jacobian_matches_central_differences(graded, dim, alpha):
         for profile in SMOOTH_PROFILES:
             u = profile(nodes)
 
-            def assemble(v, freeze=False):
+            def assemble(v):
                 return _kernels.assemble_system(nodes, node_data, v, fvals,
-                                                alpha, eps, *COEFS, freeze)
+                                                alpha, eps, *COEFS)
 
-            _, lo, di, up = assemble(u)
+            rec = assemble(u)
+            # the Newton bands: the frozen bands plus the chain rule term
+            newton = []
+            for frozen, dq in zip((rec.lo, rec.di, rec.up),
+                                  node_data.q_weights):
+                band = frozen.copy()
+                band[1:-1] += rec.chain * dq
+                newton.append(band)
             fd = central_difference_jacobian(assemble, u, 1e-7)
-            scale = np.maximum.reduce([np.abs(lo), np.abs(di), np.abs(up)])
-            for got, want in zip((lo, di, up), fd):
+            scale = np.maximum.reduce([np.abs(b) for b in newton])
+            for got, want in zip(newton, fd):
                 err = np.abs(got - want)[1:-1] / scale[1:-1]
                 assert np.max(err) <= 1e-6
+            assert np.array_equal(rec.res[1:-1], rec.hval - fvals[1:-1])
+            q = node_data.stencil.q(u)
+            assert np.array_equal(rec.factor,
+                                  (q * q + eps * eps) ** (0.5 * alpha))
             if alpha == 0.0:
-                _, lo_f, di_f, up_f = assemble(u, freeze=True)
-                for got, frozen in zip((lo, di, up), (lo_f, di_f, up_f)):
-                    assert np.array_equal(got, frozen)
+                # no degenerate factor: the frozen bands are the Jacobian
+                assert not np.any(rec.chain)
 
 
 def test_jacobian_meshes_cover_both_transport_branches():
@@ -98,7 +114,7 @@ def test_jacobian_meshes_cover_both_transport_branches():
             u = profile(nodes)
             lower = [_kernels.assemble_system(
                 nodes, _kernels.NodeData(nodes, dim), u, np.zeros_like(u),
-                0.0, 0.0, *COEFS, True)[1][1:-1] for dim in (1, 3)]
+                0.0, 0.0, *COEFS).lo[1:-1] for dim in (1, 3)]
             same = lower[0] == lower[1]
             forward += int(same.sum())
             centered += int((~same).sum())

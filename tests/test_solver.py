@@ -29,6 +29,18 @@ class TestSourceFunction:
         f = SourceFunction.tabulated([0.0, 1.0], [0.0, 2.0])
         assert f(0.25) == pytest.approx(0.5)
 
+    def test_tabulated_sup_norm_is_exact(self):
+        # a one-node spike between the points of a uniform probe, and a
+        # table reaching beyond the domain on both sides
+        r = np.array([-1.0, 0.0, 0.3, 0.30001, 0.30002, 1.0, 2.0])
+        v = np.array([9.0, 0.5, 0.0, -4.0, 0.0, 1.0, 8.0])
+        f = SourceFunction.tabulated(r, v)
+        assert f.sup_norm(Domain.ball(1.0)) == 4.0
+        # ends of the domain between table nodes: interpolated values
+        assert f.sup_norm(Domain.annulus(0.5, 1.5)) == 4.5
+        assert f.sup_norm(Domain.annulus(0.31, 0.5)) == pytest.approx(
+            np.interp(0.5, r, v))
+
     def test_tabulated_needs_increasing_radii(self):
         with pytest.raises(InvalidSpec):
             SourceFunction.tabulated([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
@@ -350,25 +362,28 @@ class TestNewtonStep:
         assert sol.iterations < 30
 
     @staticmethod
-    def _newton_system(dom, n, freeze):
+    def _newton_system(dom, n, frozen):
         op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
         grid = RadialGrid.for_domain(dom, n, Grading.UNIFORM)
-        system = solver._System(op, dom, np.full(n + 1, 3.0), grid)
+        system = solver._System(op, dom, grid)
+        system.force(np.full(n + 1, 3.0))
         u = 0.3 + np.sin(2.0 * grid.nodes) * grid.nodes ** 1.5
-        res, lo, di, up = system.system(u, 1e-2, freeze=freeze)
-        return system, res, lo, di, up
+        rec = system.system(u, 1e-2)
+        bands = ((rec.lo, rec.di, rec.up) if frozen
+                 else system.newton_bands(rec))
+        return (system, rec.res, *bands)
 
     # n crosses the edges of the reduction: 15 and 16 interior rows go to
     # the Thomas sweep alone, 22-25 cross the first level, 30-32 need one
     # padding row and 199 and 999 several levels
     @pytest.mark.parametrize("n", [16, 17, 23, 24, 25, 26, 31, 32, 33, 200,
                                    1000])
-    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("frozen", [False, True])
     @pytest.mark.parametrize("dom", [
         Domain.ball(1.0, bc_outer=1.0),
         Domain.annulus(0.5, 1.0, bc_inner=0.2, bc_outer=0.7)])
-    def test_step_matches_dense(self, dom, freeze, n):
-        system, res, lo, di, up = self._newton_system(dom, n, freeze)
+    def test_step_matches_dense(self, dom, frozen, n):
+        system, res, lo, di, up = self._newton_system(dom, n, frozen)
         dense = np.zeros((n + 1, n + 1))
         for i in range(1, n):
             dense[i, i - 1:i + 2] = lo[i], di[i], up[i]
@@ -385,6 +400,8 @@ class TestNewtonStep:
         expect += np.linalg.solve(dense, resid.astype(float))
         got = system.step(lo, di, up, -res)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+        # the reduction's buffers are reused: a second step is the same
+        assert np.array_equal(system.step(lo, di, up, -res), got)
 
     # a zero row is a zero pivot at the first level (rows 1 and 101), in
     # the Thomas sweep (row 2) and in the last row (199)
@@ -411,5 +428,86 @@ class TestNewtonStep:
         op, dom, grid, f = _config_problem("pucci_power_ball")
         sol = solve_dirichlet(op, dom, f, grid)
         assert sol.converged and sol.iterations > 0
-        # one per accepted Newton step, one per eps stage, one frozen final
-        assert calls <= sol.iterations + len(sol.eps_path) + 1
+        # one per accepted Newton step and one per eps stage
+        assert calls <= sol.iterations + len(sol.eps_path)
+
+    @staticmethod
+    def _counted_assemblies(monkeypatch):
+        calls = []
+        assemble = _kernels.assemble_system
+
+        def counting(*args):
+            calls.append(1)
+            return assemble(*args)
+
+        monkeypatch.setattr(_kernels, "assemble_system", counting)
+        return calls
+
+    def test_warm_eigen_step_assembles_once_per_newton_step(self,
+                                                            monkeypatch):
+        calls = self._counted_assemblies(monkeypatch)
+        solves = []
+        solve = eigen.solve_dirichlet
+
+        def recording(*args, **kwargs):
+            before = len(calls)
+            sol = solve(*args, **kwargs)
+            solves.append((kwargs["initial_guess"] is not None,
+                           len(calls) - before, sol.iterations))
+            return sol
+
+        monkeypatch.setattr(eigen, "solve_dirichlet", recording)
+        op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
+        dom = Domain.ball(1.0)
+        grid = RadialGrid.for_domain(dom, 64, Grading.GRADED_AT_ORIGIN)
+        eigen.principal_eigenvalue(op, dom, grid)
+        warm = [(assembled, iters) for is_warm, assembled, iters in solves
+                if is_warm]
+        assert len(warm) > 2 and any(iters > 0 for _, iters in warm)
+        # no line search of this problem backtracks: each assembly is the
+        # trial of a Newton step, and a warm solve starts from the
+        # assembly its predecessor ended with
+        assert all(assembled == iters for assembled, iters in warm)
+
+    def test_shared_system_warm_solve_matches_plain_solve(self, monkeypatch):
+        op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
+        dom = Domain.ball(1.0)
+        grid = RadialGrid.for_domain(dom, 120, Grading.GRADED_AT_ORIGIN)
+        system = solver._System(op, dom, grid)
+        first = solve_dirichlet(op, dom, SourceFunction.constant(-1.0), grid,
+                                system=system)
+        psi = first.u.values
+        f = SourceFunction.tabulated(grid.nodes,
+                                     -(psi / np.max(np.abs(psi))) ** 2)
+        calls = self._counted_assemblies(monkeypatch)
+        plain = solve_dirichlet(op, dom, f, grid, initial_guess=psi,
+                                eps_start=EPS_END)
+        plain_calls = len(calls)
+        shared = solve_dirichlet(op, dom, f, grid, initial_guess=psi,
+                                 eps_start=EPS_END, system=system)
+        assert len(calls) - plain_calls == plain_calls - 1
+        assert np.array_equal(shared.u.values, plain.u.values)
+        assert shared.residual_sup == plain.residual_sup
+        assert shared.iterations == plain.iterations > 0
+        # a guess off the last iterate, or another eps, assembles afresh
+        nudged = psi + 1e-12
+        calls.clear()
+        solve_dirichlet(op, dom, f, grid, initial_guess=nudged,
+                        eps_start=EPS_END, system=system)
+        off = len(calls)
+        calls.clear()
+        solve_dirichlet(op, dom, f, grid, initial_guess=nudged,
+                        eps_start=EPS_END)
+        assert off == len(calls)
+
+    def test_shared_system_of_another_problem_is_refused(self):
+        op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
+        dom = Domain.ball(1.0)
+        grid = RadialGrid.for_domain(dom, 32)
+        system = solver._System(op, dom, grid)
+        f = SourceFunction.constant(1.0)
+        with pytest.raises(InvalidSpec):
+            solve_dirichlet(op.dual(), dom, f, grid, system=system)
+        with pytest.raises(InvalidSpec):
+            solve_dirichlet(op, dom, f, RadialGrid.for_domain(dom, 32),
+                            system=system)
