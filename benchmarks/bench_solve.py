@@ -1,4 +1,4 @@
-"""Start-up, Newton-solve and eigen timings on the shipped configs and the
+"""Start-up, solve and eigen timings on the shipped configs and the
 benchmark's eigen family.
 
 The script records three things:
@@ -6,21 +6,20 @@ The script records three things:
 - the median time of ``import radelliptic.cli`` in a fresh interpreter,
   over ``IMPORT_RUNS`` subprocesses after one discarded;
 - for each config whose ``command`` is ``solve`` or ``verify``, at n, 4n
-  and 16n (its shipped ``grid.n`` times the scale): the best-of-``REPEAT``
-  time of ``solve_dirichlet``, its Newton iterations, and from ``REPEAT``
-  more solves with the two layers wrapped, the least mean microseconds per
-  kernel assembly (``_kernels.assemble_system``) and per Newton linear
-  step;
+  and 16n (its shipped ``grid.n`` times the scale): the time of
+  ``solve_dirichlet`` and the solver's step count (``Solution.iterations``:
+  affine scans of the flux solver, or Newton steps before it);
 - for each problem of perfbench's ``eigen`` workload (PucciPlus a=1, A=2,
   dim 2 on the unit ball, graded grid; Plus and Minus, alpha -0.5, 0 and
-  1; n 400 and 1600): the best-of-``REPEAT`` time of
-  ``principal_eigenvalue``, its outer steps and its kernel assemblies.
+  1; n 400 and 1600): the time of ``principal_eigenvalue``, its outer
+  steps and its eigenvalue.
 
-Every row also holds the sha256 of its profile's bytes (the solution, or
-the eigenfunction), so two entries show whether a change moved any bit.
+Each time is the mean over a fixed-time loop: the call repeats until
+``ROW_SECONDS`` have passed (and at least ``MIN_CALLS`` times), so a row
+of a millisecond call averages hundreds of calls.  Every row also holds
+the sha256 of its profile's bytes (the solution, or the eigenfunction),
+so two entries show whether a change moved any bit.
 
-The linear step is ``_System.step``; in checkouts from before it, it is
-``_System.banded`` plus ``_banded_solve``, the banded copy and its solve.
 The script prints one line per row, and writes (or replaces) the entry
 under ``--label`` in the JSON file.
 
@@ -33,7 +32,6 @@ checkout's code.
 """
 
 import argparse
-import contextlib
 import hashlib
 import json
 import os
@@ -49,13 +47,13 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
-from radelliptic import _kernels, solver  # noqa: E402
 from radelliptic.eigen import principal_eigenvalue  # noqa: E402
 from radelliptic.grid import Domain, Grading, RadialGrid  # noqa: E402
 from radelliptic.operators import OperatorSpec  # noqa: E402
 from radelliptic.solver import SourceFunction, solve_dirichlet  # noqa: E402
 
-REPEAT = 3
+ROW_SECONDS = 0.25
+MIN_CALLS = 3
 IMPORT_RUNS = 5
 SCALES = (1, 4, 16)
 # perfbench's eigen workload: (sign, alpha, n)
@@ -76,68 +74,28 @@ def import_seconds():
     return statistics.median(times[1:])
 
 
-class Timed:
-    """Wraps ``owner.attr`` with a call counter and a wall-clock total."""
-
-    def __init__(self, owner, attr):
-        self.owner, self.attr = owner, attr
-        self.calls, self.seconds = 0, 0.0
-
-    def __enter__(self):
-        self.original = self.owner.__dict__[self.attr]
-
-        def timed(*args, **kwargs):
-            t0 = time.perf_counter()
-            try:
-                return self.original(*args, **kwargs)
-            finally:
-                self.seconds += time.perf_counter() - t0
-                self.calls += 1
-
-        setattr(self.owner, self.attr, timed)
-        return self
-
-    def __exit__(self, *exc):
-        setattr(self.owner, self.attr, self.original)
-
-
-def linear_step_targets():
-    """(owner, attribute) of the linear step; its last entry runs once per
-    step."""
-    if "step" in solver._System.__dict__:
-        return [(solver._System, "step")]
-    return [(solver._System, "banded"), (solver, "_banded_solve")]
+def loop_seconds(call):
+    """Mean seconds per call of ``call()`` over a fixed-time loop, and its
+    last result."""
+    calls = 0
+    t0 = time.perf_counter()
+    while True:
+        result = call()
+        calls += 1
+        elapsed = time.perf_counter() - t0
+        if elapsed >= ROW_SECONDS and calls >= MIN_CALLS:
+            return elapsed / calls, result
 
 
 def time_solve(doc):
-    """Best-of-``REPEAT`` solve time, Newton iterations, and per-call
-    microseconds of the assembly and of the linear step (a solve without
-    Newton steps reports 0 for the step)."""
+    """Mean solve time and the solver's step count of one config."""
     op = OperatorSpec.from_json_dict(doc["operator"])
     dom = Domain.from_json_dict(doc["domain"])
     grid = RadialGrid.for_domain(dom, doc["grid"]["n"], doc["grid"]["grading"])
     f = SourceFunction.from_json_dict(doc["f"])
-    best = float("inf")
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        sol = solve_dirichlet(op, dom, f, grid)
-        best = min(best, time.perf_counter() - t0)
-    row = {"solve_s": best, "newton_iters": sol.iterations,
-           "sha256": digest(sol.u.values),
-           "assembly_us": float("inf"), "linear_step_us": float("inf")}
-    for _ in range(REPEAT):
-        with contextlib.ExitStack() as stack:
-            assembly = stack.enter_context(Timed(_kernels, "assemble_system"))
-            steps = [stack.enter_context(Timed(*target))
-                     for target in linear_step_targets()]
-            solve_dirichlet(op, dom, f, grid)
-        row.update(assemblies=assembly.calls, linear_steps=steps[-1].calls)
-        row["assembly_us"] = min(row["assembly_us"], 1e6 * assembly.seconds
-                                 / max(assembly.calls, 1))
-        row["linear_step_us"] = min(row["linear_step_us"],
-                                    1e6 * sum(s.seconds for s in steps)
-                                    / max(steps[-1].calls, 1))
-    return grid.n, row
+    seconds, sol = loop_seconds(lambda: solve_dirichlet(op, dom, f, grid))
+    return grid.n, {"solve_s": seconds, "steps": sol.iterations,
+                    "sha256": digest(sol.u.values)}
 
 
 def digest(values):
@@ -147,21 +105,15 @@ def digest(values):
 
 
 def time_eigen(sign, alpha, n):
-    """Best-of-``REPEAT`` ``principal_eigenvalue`` time, outer steps and
-    kernel assemblies of one problem of the eigen family."""
+    """Mean ``principal_eigenvalue`` time, outer steps and eigenvalue of
+    one problem of the eigen family."""
     op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
     dom = Domain.ball(1.0)
     grid = RadialGrid.for_domain(dom, n, Grading.GRADED_AT_ORIGIN)
-    best = float("inf")
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        res = principal_eigenvalue(op, dom, grid, sign, tol=1e-8)
-        best = min(best, time.perf_counter() - t0)
-    with Timed(_kernels, "assemble_system") as assembly:
-        principal_eigenvalue(op, dom, grid, sign, tol=1e-8)
-    return {"eigen_s": best, "outer_iters": res.iterations,
-            "assemblies": assembly.calls, "lambda": res.lambda_value,
-            "sha256": digest(res.phi.values)}
+    seconds, res = loop_seconds(
+        lambda: principal_eigenvalue(op, dom, grid, sign, tol=1e-8))
+    return {"eigen_s": seconds, "outer_iters": res.iterations,
+            "lambda": res.lambda_value, "sha256": digest(res.phi.values)}
 
 
 def git_commit():
@@ -198,10 +150,8 @@ def main(argv=None):
             n, row = time_solve(scaled)
             runs[f"{name[:-5]}:n={n}"] = row
             totals[str(scale)] += row["solve_s"]
-            print(f"{name[:-5]:24s} n={n:5d} solve={row['solve_s']:.4f} s "
-                  f"newton={row['newton_iters']:3d} "
-                  f"assembly={row['assembly_us']:.1f} us "
-                  f"step={row['linear_step_us']:.1f} us", flush=True)
+            print(f"{name[:-5]:24s} n={n:5d} solve={row['solve_s']:.5f} s "
+                  f"steps={row['steps']:3d}", flush=True)
     for scale, total in totals.items():
         print(f"total x{scale}: solve={total:.4f} s")
     eigen_total = 0.0
@@ -210,8 +160,8 @@ def main(argv=None):
         runs[f"eigen:{sign}:alpha={alpha:g}:n={n}"] = row
         eigen_total += row["eigen_s"]
         print(f"eigen {sign:5s} alpha={alpha:+.1f} n={n:5d} "
-              f"eigen={row['eigen_s']:.4f} s outer={row['outer_iters']:3d} "
-              f"assemblies={row['assemblies']:4d}", flush=True)
+              f"eigen={row['eigen_s']:.5f} s outer={row['outer_iters']:3d} "
+              f"lambda={row['lambda']:.7f}", flush=True)
     print(f"total eigen: {eigen_total:.4f} s")
 
     entry = {
@@ -219,9 +169,9 @@ def main(argv=None):
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(),
                  "numpy": np.__version__},
-        "repeat": REPEAT,
-        "unit": "s (solve and eigen best of repeat, import median), "
-                "us per call",
+        "row_seconds": ROW_SECONDS,
+        "unit": "s (solve and eigen mean over a fixed-time loop, import "
+                "median)",
         "import_s": import_s,
         "solve_s_by_scale": totals,
         "eigen_s": eigen_total,

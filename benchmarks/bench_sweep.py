@@ -3,8 +3,11 @@
 Each case draws an operator variant, alpha in {-0.75, ..., 4}, dim 1-4,
 ellipticity constants, a ball or an annulus with random boundary data, and
 constant or sine forcing, then solves it on an n-node grid.  One line per
-case gives the outcome (converged, or the error class raised), the Newton
-steps and the wall time; a summary line follows.
+case gives the outcome (converged, or the error class raised), the
+solver's step count (its affine scans), ``|u-ref|``, the largest distance
+at the nodes from the reference solution of ``tests/reference.py`` (scipy's
+``solve_ivp`` on the flux ODE), and the wall time of the solve; a summary
+line with the largest ``|u-ref|`` follows.
 
 Usage: python3 benchmarks/bench_sweep.py [--seed 2026] [--cases 40] [--n 200]
                                          [--save sweep.npz]
@@ -26,6 +29,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import numpy as np  # noqa: E402
 
@@ -33,6 +37,7 @@ from radelliptic.errors import RadellipticError  # noqa: E402
 from radelliptic.grid import Domain, Grading, RadialGrid  # noqa: E402
 from radelliptic.operators import OperatorSpec  # noqa: E402
 from radelliptic.solver import SourceFunction, solve_dirichlet  # noqa: E402
+from reference import reference_solution  # noqa: E402
 
 ALPHAS = (-0.75, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0)
 VARIANTS = ("PucciPlus", "PucciMinus", "AlphaLaplacian", "TraceNormalMix")
@@ -108,10 +113,12 @@ def main():
     profiles = {}
     total = 0.0
     slowest = 0.0
+    worst = 0.0
     identical = 0
     for k in range(args.cases):
         label, op, dom, grid, f = draw_case(rng, args.n)
         t0 = time.perf_counter()
+        err = "-"
         try:
             sol = solve_dirichlet(op, dom, f, grid)
             outcome, steps = "converged", str(sol.iterations)
@@ -121,10 +128,16 @@ def main():
         except Exception as exc:  # anything else escapes the CLI's exit codes
             outcome, steps = "uncaught:" + type(exc).__name__, "-"
         dt = time.perf_counter() - t0
+        if outcome == "converged":
+            ref = reference_solution(op, dom, f, grid.nodes)
+            dist = float(np.max(np.abs(sol.u.values - ref)))
+            worst = max(worst, dist)
+            err = f"{dist:.2e}"
         total += dt
         slowest = max(slowest, dt)
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        line = f"{k:3d} {label}  {outcome:<12} newton={steps:>4} {dt:8.3f}s"
+        line = (f"{k:3d} {label}  {outcome:<12} scans={steps:>4} "
+                f"|u-ref|={err:>8} {dt:8.3f}s")
         if saved is not None:
             verdict = compare(profiles.get(f"case{k:02d}"),
                               saved.get(f"case{k:02d}"))
@@ -133,7 +146,7 @@ def main():
         print(line, flush=True)
     summary = ", ".join(f"{name} {count}" for name, count in sorted(outcomes.items()))
     print(f"seed {args.seed}, n={args.n}: {summary}; total {total:.2f}s, "
-          f"slowest {slowest:.2f}s")
+          f"slowest {slowest:.2f}s, largest |u-ref| {worst:.2e}")
     if saved is not None:
         print(f"compare {args.compare}: {identical} of {args.cases} identical")
     if args.save:

@@ -1,114 +1,71 @@
-"""Assembly of the upwinded residual and its tridiagonal linearization.
+"""The flux rows of the radial scheme as affine maps.
 
-This is the package's one assembly kernel, in numpy.  The solver calls it
-through the module attribute ``_kernels.assemble_system``; the boundary
-rows are added by the caller.  What depends only on the mesh (the stencil,
-its weights, ``1/hp`` and ``(N-1)/r``) is a ``NodeData``, which the caller
-builds once per mesh and passes to every call.
+With the flux ``phi[i]`` at r_{i+1/2}, interior row i (1 <= i <= n-1) is
 
-One call returns an ``Assembly``: everything the solver needs of one
-iterate, so that nothing later assembles the same iterate again.
+    B1((phi[i] - phi[i-1]) a[i]) + c[i] B2(wy[i] phi[i] + wx[i] phi[i-1]) = f[i]
+
+with ``a = 1/((1+alpha) (r_{i+1/2} - r_{i-1/2}))``, ``c = (N-1)/r`` and
+the increasing piecewise-linear bracket halves B1, B2.  The transport
+argument is centered (``wy = wx = 1/2``) wherever that keeps the row
+nonincreasing in ``phi[i-1]``, and ``(r_i / r_{i+1/2}) phi[i]``, exact for
+the ``phi ~ kappa r`` of the origin, elsewhere.  On the branch its inflow
+selects, a row is the map ``phi[i] = A phi[i-1] + b`` with 0 <= A <= 1;
+``assemble_system``, the package's one kernel, forms those maps.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import ThreePoint
 from .operators import _bracket
 
 
-class NodeData:
-    """The node-only data of the assembly on one mesh in dimension ``dim``."""
+class RowData:
+    """The node-only data of the interior flux rows 1..n-1 on one mesh."""
 
-    def __init__(self, nodes, dim):
+    def __init__(self, nodes, dim, alpha, coefs):
         r = np.asarray(nodes, dtype=float)
-        self.stencil = ThreePoint(r)
-        self.q_weights = self.stencil.q_weights()
-        self.m_weights = self.stencil.m_weights()
-        # weights of the forward quotient (u[i+1] - u[i]) / hp
-        inv_hp = 1.0 / self.stencil.hp
-        self.fwd_weights = (0.0, -inv_hp, inv_hp)
+        mid = 0.5 * (r[1:] + r[:-1])
+        self.coefs = coefs
+        self.a = 1.0 / ((1.0 + alpha) * (mid[1:] - mid[:-1]))
         ri = r[1:-1]
-        self.coef_r = (dim - 1) / ri if dim > 1 else np.zeros_like(ri)
+        self.c = (dim - 1) / ri if dim > 1 else np.zeros_like(ri)
+        centered = 0.5 * self.c * max(coefs[2:]) <= min(coefs[:2]) * self.a
+        self.wy = np.where(centered, 0.5, ri / mid[1:])
+        self.wx = np.where(centered, 0.5, 0.0)
+        # at the row's kinks, as multiples of the inflow x: the transport
+        # argument is tau x where the second difference vanishes, and the
+        # second difference is -kink x where the transport argument does
+        self.tau = self.wy + self.wx
+        self.kink = self.a * self.tau / self.wy
 
 
-class Assembly(NamedTuple):
-    """One iterate's residual and linearization.
+class RowMaps(NamedTuple):
+    """Rows ``phi[i] = A phi[i-1] + b`` on the branches their inflows select;
+    ``key`` has bit 1 set where the second difference is nonnegative on
+    the branch, and bit 0 where the transport argument is."""
 
-    ``res``, ``lo``, ``di`` and ``up`` have length n+1, with entries 0 and n
-    left zero for the caller's boundary rows.  The bands are the frozen
-    linearization: the derivative of the degenerate factor
-    (q^2+eps^2)^{alpha/2} is dropped, which leaves the monotone elliptic
-    part.  The Newton bands add ``chain`` times the stencil's q weights.
-    The other fields hold the interior nodes 1..n-1: ``hval`` is the
-    operator value, so ``res[1:-1] == hval - f[1:-1]``, and ``factor`` is
-    the degenerate factor.
+    A: np.ndarray
+    b: np.ndarray
+    key: np.ndarray
+
+
+def assemble_system(nodes, rows, x, f, start=1):
+    """The affine maps of rows ``start``..n-1 of the mesh ``nodes``.
+
+    ``rows`` is the ``RowData`` of ``nodes`` and holds all the kernel
+    reads of the mesh (perfbench's tracer counts ``nodes``).  ``x[i-1]``
+    is the inflow flux and ``f[i-1]`` the forcing of row i.  The row is
+    increasing in ``phi[i]``, so comparing f with its value at a kink
+    tells on which side of the kink the row's solution lies.
     """
-
-    res: np.ndarray
-    lo: np.ndarray
-    di: np.ndarray
-    up: np.ndarray
-    chain: np.ndarray
-    hval: np.ndarray
-    factor: np.ndarray
-
-
-def assemble_system(nodes, node_data, u, fvals, alpha, eps, cmp_, cmm, ctp,
-                    ctm):
-    """Residual and tridiagonal linearization at the interior nodes.
-
-    ``node_data`` is the ``NodeData`` of ``nodes`` and the dimension.
-    Returns an ``Assembly``; ``lo[i]``, ``di[i]``, ``up[i]`` are the frozen
-    derivatives of row i with respect to u[i-1], u[i], u[i+1].
-
-    The first-difference used for the transport term (N-1)/r * q is the
-    second-order centered quotient wherever that keeps the off-diagonal signs
-    monotone, and the forward quotient otherwise (the transport coefficient
-    is nonnegative for every variant).
-    """
-    u = np.asarray(u, dtype=float)
-    f = np.asarray(fvals, dtype=float)
-    n = len(nodes) - 1
-
-    st = node_data.stencil
-    hp = st.hp
-    q = st.q(u)
-    m = st.m(u)
-    coef_r = node_data.coef_r
-    cm_act = np.where(m >= 0.0, cmp_, cmm)
-
-    # centered transport keeps the lower off-diagonal monotone iff
-    # coef_r * ct * hp <= 2 * cm_act (worst transport branch)
-    centered = coef_r * max(ctp, ctm) * hp <= 2.0 * cm_act
-    fwd = (u[2:] - u[1:-1]) / hp
-    t = np.where(centered, q, fwd)
-    ct_act = np.where(t >= 0.0, ctp, ctm)
-
-    bracket = _bracket((cmp_, cmm, ctp, ctm), m, t, coef_r)
-
-    if alpha == 0.0:
-        factor = np.ones_like(q)
-        dfactor = np.zeros_like(q)
-    else:
-        q2e = q * q + eps * eps
-        factor = q2e ** (0.5 * alpha)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dfactor = np.where(q2e > 0.0,
-                               alpha * q * q2e ** (0.5 * alpha - 1.0), 0.0)
-
-    hval = factor * bracket
-    res = np.zeros(n + 1)
-    res[1:-1] = hval - f[1:-1]
-
-    # rows lo, di, up: weights on u[i-1], u[i], u[i+1]
-    ct_coef = coef_r * ct_act
-    bands = []
-    for dm, dq, dfwd in zip(node_data.m_weights, node_data.q_weights,
-                            node_data.fwd_weights):
-        band = np.zeros(n + 1)
-        band[1:-1] = factor * (cm_act * dm + ct_coef * np.where(centered, dq,
-                                                                dfwd))
-        bands.append(band)
-    return Assembly(res, *bands, dfactor * bracket, hval, factor)
+    k = start - 1
+    x, f, c = x[k:], f[k:], rows.c[k:]
+    cmp_, cmm, ctp, ctm = rows.coefs
+    up = f >= _bracket(rows.coefs, 0.0, rows.tau[k:] * x, c)
+    out = f >= _bracket(rows.coefs, -rows.kink[k:] * x, 0.0)
+    cm_a = np.where(up, cmp_, cmm) * rows.a[k:]
+    ct_c = np.where(out, ctp, ctm) * c
+    den = cm_a + ct_c * rows.wy[k:]
+    return RowMaps((cm_a - ct_c * rows.wx[k:]) / den, f / den,
+                   2 * up.astype(np.int8) + out)

@@ -20,7 +20,10 @@ from .grid import (DiscreteRadialFunction, Domain, DomainKind,
                    derivative_numbers, interior_quotients, lipschitz_constant)
 from .operators import OperatorSpec, eval_radial_many
 from .report import VerificationReport
-from .solver import EPS_END, Solution, SourceFunction
+from .solver import Solution, SourceFunction
+
+# smallest |u'| threshold of the flux checks' monotone intervals
+FLUX_THRESHOLD_FLOOR = 1e-7
 
 # sizes of the viscosity check's global paraboloid families: slopes are
 # spread over [-2 Lip, 2 Lip], curvatures over [-4 |u''|, 4 |u''|]
@@ -180,14 +183,14 @@ def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
     endpoint s that attains it.
 
     The monotone intervals are the runs where |u'| exceeds ``threshold``,
-    by default max(10 EPS_END, h_max) (1 + Lip u).
+    by default max(FLUX_THRESHOLD_FLOOR, h_max) (1 + Lip u).
     """
     profile, residual_sup = _as_function(u)
     nodes = profile.grid.nodes
     h = profile.grid.max_spacing
     if threshold is None:
         lip = lipschitz_constant(profile)
-        threshold = max(10.0 * EPS_END, h) * (1.0 + lip)
+        threshold = max(FLUX_THRESHOLD_FLOOR, h) * (1.0 + lip)
     tol = 10.0 * (h ** (1.0 / (1.0 + op.alpha)) + residual_sup)
     fvals = np.asarray(f(nodes), dtype=float)
     f_sup = float(np.max(np.abs(fvals)))

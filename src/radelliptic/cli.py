@@ -1,10 +1,10 @@
 """Batch front-end: JSON experiment configs in, CSV/JSON artifacts out.
 
 Exit codes: 0 success, 1 config error or an output that cannot be
-written, 2 no convergence (the solver diverged, or the eigenvalue iteration
+written, 2 no convergence (the shooting of an annulus did not close its
+boundary mismatch or the profile overflowed, or the eigenvalue iteration
 hit its step limit or lost positivity), 3 a binding verification check
-failed (reports are still written in that case), 4 the converged
-linearization lost its monotone structure.
+failed (reports are still written in that case).
 
 The config schema is closed: a key that no command reads is a config
 error.  Every command checks all keys, and the values it reads, before its
@@ -26,8 +26,8 @@ import numpy as np
 from . import analysis
 from .analysis import comparison_oracle
 from .eigen import EigenSign, principal_eigenvalue
-from .errors import (Diverged, InsufficientData, LostMonotonicity,
-                     LostPositivity, NotAZero, NotConverged, RadellipticError)
+from .errors import (Diverged, InsufficientData, LostPositivity, NotAZero,
+                     NotConverged, RadellipticError)
 from .grid import Domain, Grading, RadialGrid
 from .operators import OperatorSpec, validate_hypotheses
 from .report import VerificationReport
@@ -308,9 +308,6 @@ def main(argv=None) -> int:
     except (NotConverged, LostPositivity) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LostMonotonicity as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except RadellipticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

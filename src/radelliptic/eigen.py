@@ -16,8 +16,7 @@ import numpy as np
 from .errors import InvalidSpec, LostPositivity, NotConverged
 from .grid import DiscreteRadialFunction, Domain, DomainKind, RadialGrid
 from .operators import OperatorSpec
-from .solver import (EPS_END, EPS_START, SourceFunction, _System,
-                     discretize_residual, solve_dirichlet)
+from .solver import SourceFunction, discretize_residual, solve_dirichlet
 
 # outer steps of the inverse power iteration before it gives up
 MAX_OUTER = 80
@@ -48,8 +47,9 @@ def _bump(dom: Domain, grid: RadialGrid) -> np.ndarray:
 
 
 def eigen_residual(op: OperatorSpec, dom: Domain, lam: float,
-                   phi: DiscreteRadialFunction, eps: float = 0.0) -> float:
-    """Sup-norm of F[phi] + lam*phi^{1+alpha} at the interior nodes."""
+                   phi: DiscreteRadialFunction) -> float:
+    """Sup-norm of the scheme's rows of F[phi] + lam*phi^{1+alpha} at the
+    interior nodes."""
     v = phi.values
     # -lam |v|^alpha v, left at 0 where v vanishes: for alpha < 0 the power
     # alone is inf there and inf * 0 is nan
@@ -57,7 +57,7 @@ def eigen_residual(op: OperatorSpec, dom: Domain, lam: float,
     nz = v != 0.0
     table[nz] = -lam * np.abs(v[nz]) ** op.alpha * v[nz]
     forcing = SourceFunction.tabulated(phi.grid.nodes, table)
-    res = discretize_residual(op, forcing, phi, eps, dom)
+    res = discretize_residual(op, forcing, phi, dom)
     return float(np.max(np.abs(res[1:-1])))
 
 
@@ -71,11 +71,9 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     phi is the positive profile, the Minus eigenfunction being its
     negative.
 
-    Warm solves start from the previous iterate at the final eps.  All
-    solves share one ``_System``, so a warm solve reuses the assembly its
-    predecessor ended with.  The iteration stops when two successive
-    eigenvalues agree to ``tol``, or raises NotConverged after
-    ``MAX_OUTER`` steps.
+    Each inner solve is exact and needs no start.  The iteration stops
+    when two successive eigenvalues agree to ``tol``, or raises
+    NotConverged after ``MAX_OUTER`` steps.
     """
     sign = EigenSign(sign)
     if dom.bc_inner != 0.0 or dom.bc_outer != 0.0:
@@ -86,21 +84,15 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     one_p_a = 1.0 + op.alpha
     nodes = grid.nodes
     rng = np.random.default_rng(seed)
-    system = _System(work_op, dom, grid)
 
     phi = _bump(dom, grid)
     lam_history: list[float] = []
     iterations = 0
     restarts = 0
-    psi_prev = None
 
     while iterations < MAX_OUTER:
         forcing = SourceFunction.tabulated(nodes, -phi ** one_p_a)
-        sol = solve_dirichlet(
-            work_op, dom, forcing, grid, initial_guess=psi_prev,
-            eps_start=EPS_START if psi_prev is None else EPS_END,
-            system=system)
-        psi = sol.u.values
+        psi = solve_dirichlet(work_op, dom, forcing, grid).u.values
         if np.any(psi[1:-1] <= 0.0):
             restarts += 1
             if restarts > 3:
@@ -108,14 +100,12 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
                     "iterate left the positive cone after 3 restarts")
             phi = rng.uniform(0.2, 1.0, size=nodes.shape) * _bump(dom, grid)
             phi /= np.max(phi)
-            psi_prev = None
             continue
         iterations += 1
         norm = float(np.max(np.abs(psi)))
         lam = 1.0 / norm ** one_p_a
         lam_history.append(lam)
         phi = psi / norm
-        psi_prev = psi
         if len(lam_history) >= 2 and abs(lam_history[-1] - lam_history[-2]) <= tol * lam:
             break
     else:
@@ -123,8 +113,7 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
             f"eigenvalue iteration did not settle in {MAX_OUTER} steps")
 
     profile = DiscreteRadialFunction(grid, phi)
-    res = eigen_residual(work_op, dom, lam_history[-1], profile,
-                         eps=EPS_END)
+    res = eigen_residual(work_op, dom, lam_history[-1], profile)
     return EigenResult(lambda_value=lam_history[-1], phi=profile,
                        iterations=iterations, lambda_history=lam_history,
                        sign=sign, residual_sup=res)

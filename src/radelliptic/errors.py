@@ -26,11 +26,7 @@ class GridMismatch(RadellipticError):
 
 
 class Diverged(RadellipticError):
-    """The solver could not reduce the residual below tolerance."""
-
-
-class LostMonotonicity(RadellipticError):
-    """The converged linearization is not monotone (not an M-matrix)."""
+    """The solver could not close the boundary mismatch, or overflowed."""
 
 
 class PreconditionViolated(RadellipticError):

@@ -185,47 +185,17 @@ class DerivativeNumbers:
         return upper - lower
 
 
-class ThreePoint:
-    """The 3-point difference stencil at the interior nodes 1..n-1 of a mesh.
-
-    ``q`` and ``m`` are the second-order first and second difference
-    quotients, exact on quadratics for any (possibly nonuniform) spacing;
-    ``q_weights`` and ``m_weights`` are their coefficients on
-    (v[i-1], v[i], v[i+1]).
-    """
-
-    def __init__(self, r):
-        self.hm = r[1:-1] - r[:-2]
-        self.hp = r[2:] - r[1:-1]
-        # the products the quotients and weights share, formed once per mesh
-        self.hm2 = self.hm * self.hm
-        self.hp2 = self.hp * self.hp
-        self.hpm2 = self.hp2 - self.hm2
-        self.hsum = self.hp + self.hm
-        self.denom = self.hp * self.hm * self.hsum
-
-    def q(self, v):
-        return (self.hm2 * v[2:] + self.hpm2 * v[1:-1]
-                - self.hp2 * v[:-2]) / self.denom
-
-    def m(self, v):
-        return 2.0 * (self.hm * v[2:] - self.hsum * v[1:-1]
-                      + self.hp * v[:-2]) / self.denom
-
-    def q_weights(self):
-        denom = self.denom
-        return -self.hp2 / denom, self.hpm2 / denom, self.hm2 / denom
-
-    def m_weights(self):
-        hm, hp, denom = self.hm, self.hp, self.denom
-        return 2.0 * hp / denom, -2.0 * self.hsum / denom, 2.0 * hm / denom
-
-
 def interior_quotients(u: DiscreteRadialFunction) -> tuple[np.ndarray, np.ndarray]:
-    """The stencil's first and second difference quotients at the interior
-    nodes 1..n-1."""
-    st = ThreePoint(u.grid.nodes)
-    return st.q(u.values), st.m(u.values)
+    """The second-order first and second difference quotients at the
+    interior nodes 1..n-1, exact on quadratics for any spacing."""
+    r, v = u.grid.nodes, u.values
+    hm = r[1:-1] - r[:-2]
+    hp = r[2:] - r[1:-1]
+    hm2, hp2, hsum = hm * hm, hp * hp, hp + hm
+    denom = hp * hm * hsum
+    q = (hm2 * v[2:] + (hp2 - hm2) * v[1:-1] - hp2 * v[:-2]) / denom
+    m = 2.0 * (hm * v[2:] - hsum * v[1:-1] + hp * v[:-2]) / denom
+    return q, m
 
 
 def derivative_numbers(u: DiscreteRadialFunction, r, window,

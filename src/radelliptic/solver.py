@@ -1,35 +1,23 @@
-"""Monotone finite-difference solver for H(r, u'', u') = f(r) with Dirichlet data.
+"""Monotone flux-form solver for H(r, u'', u') = f(r) with Dirichlet data.
 
-The |u'|^alpha degeneracy is handled by replacing |q|^alpha with
-(q^2 + eps^2)^{alpha/2} and driving eps to zero geometrically; each
-regularized problem is solved by damped semismooth Newton with a
-pseudo-time relaxation fallback.
+With the flux phi = |u'|^alpha u' the equation is the first-order relation
+B1(phi'/(1+alpha)) + (N-1)/r B2(phi) = f, which has no degeneracy.  The
+scheme (see ``_kernels``) ties each half-node flux phi[i] to phi[i-1];
+on a ball the origin row B1(2 phi[0] / ((1+alpha) h0)) + (N-1)
+B2(2 phi[0] / h0) = f(0) fixes phi[0].  The scheme is monotone, and it is
+solved exactly, row after row: phi[i] is a nondecreasing piecewise-affine
+function of phi[i-1].
 
-The interior rows and their linearization come from the one numpy kernel,
-``_kernels.assemble_system``, on node data built once per solve; ``_System``
-adds the boundary rows.
+Each row's branch is guessed, the affine maps are composed by
+Hillis-Steele doubling (every factor lies in [0, 1], so nothing
+overflows), and each branch is checked against the inflow the scan gave
+it.  The rows before the first wrong branch are kept and the rest is
+scanned again, so each repair moves the first unsettled row on.
 
-The Jacobian is the tridiagonal interior linearization plus a first row that
-is either the three-point origin symmetry closure (ball) or an identity row
-(annulus), and an identity last row.  Each Newton step folds the first and
-last rows into their neighbours and solves the remaining tridiagonal system
-by odd-even cyclic reduction, finished by a short Thomas sweep; there is no
-pivoting, and a zero pivot gives a non-finite step.
-
-Each iterate is assembled once, as a line-search trial.  Its ``Assembly``
-holds the residual, the frozen bands and the chain-rule term that makes
-them the Newton bands, and the degenerate factor that the roundoff floor
-reads.  When the trial is accepted, that record serves the next step, its
-frozen-Jacobian retry, the stop test and, for the last iterate, the final
-convergence and monotonicity checks; a step without backtracking costs
-one assembly and one tridiagonal solve.  A ``_System`` shared by the
-solves of the eigen iteration keeps the last iterate's record, so a warm
-solve from that iterate swaps only the forcing.
-
-The ball initial guess is the power profile r^{(alpha+2)/(alpha+1)} scaled
-from the mean forcing and shifted to the outer boundary value; the origin is
-not a boundary, so nothing is pinned there.  On an annulus the chord through
-both boundary values of that profile is subtracted as well.
+On a ball u is summed inward from the outer boundary value.  On an
+annulus the first flux s = phi[0] is shot: the outer boundary mismatch is
+nondecreasing in s, and the scan's products of row factors give its
+derivative, for Newton steps kept inside a bracket.
 """
 
 from __future__ import annotations
@@ -40,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import Diverged, GridMismatch, InvalidSpec, LostMonotonicity
+from .errors import Diverged, GridMismatch, InvalidSpec
 from .grid import DiscreteRadialFunction, Domain, DomainKind, RadialGrid
-from .operators import OperatorSpec
+from .operators import OperatorSpec, _bracket
 
 # each catalogue expression with its parameters and their defaults
 EXPRESSION_CATALOGUE = {
@@ -52,18 +40,8 @@ EXPRESSION_CATALOGUE = {
     "power": {"coef": 1.0, "exponent": 1.0},
 }
 
-# eps continuation: EPS_START, EPS_START * EPS_FACTOR, ... down to EPS_END
-EPS_START = 1e-2
-EPS_END = 1e-8
-EPS_FACTOR = 0.1
-# Newton steps per eps stage, smallest line-search damping, and the
-# pseudo-time steps a whole solve may spend in its fallback
-NEWTON_MAX_ITER = 200
-DAMPING_MIN = 2.0 ** -20
-PSEUDO_TIME_MAX_STEPS = 100_000
-# cyclic reduction halves the Newton system until at most this many rows
-# are left for a scalar Thomas sweep
-CR_TAIL = 24
+# shooting steps an annulus solve may take before it raises Diverged
+SHOOT_MAX_STEPS = 100
 
 
 class SourceFunction:
@@ -128,22 +106,6 @@ class SourceFunction:
                     + float(p["amplitude"]) * np.sin(float(p["frequency"]) * r))
         return float(p["coef"]) * r ** float(p["exponent"])
 
-    def sup_norm(self, dom: Domain) -> float:
-        """``|f|_inf`` on the domain: exact for the constant and tabulated
-        kinds, sampled at 4097 points for an expression."""
-        if self.kind == "constant":
-            return abs(self.value)
-        r1 = dom.R1 if dom.kind is DomainKind.ANNULUS else 0.0
-        if self.kind == "tabulated":
-            # the interpolant is piecewise linear: its extremes lie at the
-            # table nodes inside the domain or at the domain's ends
-            inside = (self.table_r > r1) & (self.table_r < dom.R)
-            ends = np.abs(self(np.array([r1, dom.R])))
-            return float(max(np.max(ends),
-                             np.max(np.abs(self.table_v[inside]), initial=0.0)))
-        probe = np.linspace(r1, dom.R, 4097)
-        return float(np.max(np.abs(self(probe))))
-
     def to_json_dict(self) -> dict:
         if self.kind == "constant":
             return {"kind": "constant", "value": self.value}
@@ -164,394 +126,218 @@ class SourceFunction:
 
 @dataclass
 class Solution:
+    """A solved profile.
+
+    ``residual_sup`` is the largest row residual of ``u``, boundary rows
+    included.  ``iterations`` counts the affine scans of the recurrence
+    (one, plus one per branch repair, over all shooting steps) and
+    ``shooting_steps`` the boundary-mismatch evaluations of an annulus (0
+    on a ball).  ``eps_path`` stays empty: the scheme has no continuation
+    stages (perfbench's tracer still counts them).
+    """
+
     u: DiscreteRadialFunction
     residual_sup: float
-    eps_final: float
     iterations: int
-    converged: bool
+    shooting_steps: int
+    converged: bool = True
     eps_path: list = field(default_factory=list)
 
     def diagnostics_dict(self) -> dict:
-        return {"residual_sup": self.residual_sup, "eps_final": self.eps_final,
-                "iterations": self.iterations, "converged": self.converged}
+        return {"residual_sup": self.residual_sup, "scans": self.iterations,
+                "shooting_steps": self.shooting_steps,
+                "converged": self.converged}
 
 
-def _origin_row_weights(nodes):
-    """Second-order one-sided u'(r0) weights on the first three nodes."""
-    h1 = nodes[1] - nodes[0]
-    h2 = nodes[2] - nodes[0]
-    c0 = -(h1 + h2) / (h1 * h2)
-    c1 = h2 / (h1 * (h2 - h1))
-    c2 = -h1 / (h2 * (h2 - h1))
-    return c0, c1, c2
+def _affine_scan(A, b):
+    """Prefix compositions of the maps ``x -> A[k] x + b[k]``.
+
+    Returns (P, Q) such that map k after maps 0..k-1 is ``x -> P[k] x +
+    Q[k]``, by Hillis-Steele doubling.
+    """
+    P, Q = A.copy(), b.copy()
+    d = 1
+    while d < len(P):
+        Q[d:] += P[d:] * Q[:-d]
+        P[d:] *= P[:-d]
+        d *= 2
+    return P, Q
 
 
-class _System:
-    """Assembles the full residual and Jacobian including boundary rows.
+class _Recurrence:
+    """The interior flux rows of one problem, solved outward from phi[0].
 
-    A system belongs to one operator, domain and grid; ``force`` sets the
-    forcing values at the nodes.  ``last`` is the end state of the last
-    solve run on it: (iterate, eps, its ``Assembly``).
+    ``P`` and ``Q`` hold the fluxes as affine functions of phi[0],
+    ``phi = P phi[0] + Q``, on the row branches ``key`` of the last sweep;
+    ``P`` is also the derivative of the fluxes in phi[0].
     """
 
-    def __init__(self, op: OperatorSpec, dom: Domain, grid: RadialGrid):
-        self.op = op
-        self.dom = dom
-        self.grid = grid
-        self.nodes = grid.nodes
-        self.n = grid.n
-        self.node_data = _kernels.NodeData(self.nodes, op.dim)
-        self.is_ball = dom.kind is DomainKind.BALL
-        if self.is_ball:
-            self.origin_w = _origin_row_weights(self.nodes)
-        self.coefs = op.bracket_coefficients()
-        cmp_, cmm, ctp, ctm = self.coefs
-        # node-only terms of the roundoff floor
-        self.floor_cm = max(cmp_, cmm)
-        self.floor_ct = self.node_data.coef_r * max(ctp, ctm)
-        self.floor_hpm2 = np.abs(self.node_data.stencil.hpm2)
-        self.cr_levels, size = _cr_shape(self.n - 1)
-        # the padded rows of the reduction are identity rows; ``step``
-        # rewrites only the first n-1 rows of these buffers
-        self.cr_bufs = (np.zeros(size), np.ones(size), np.zeros(size),
-                        np.zeros(size))
-        self.fvals = self.abs_f = self.last = None
+    def __init__(self, op: OperatorSpec, nodes, fvals):
+        self.nodes = nodes
+        self.rows = _kernels.RowData(nodes, op.dim, op.alpha,
+                                     op.bracket_coefficients())
+        self.f = fvals[1:-1]
+        n = len(nodes) - 1
+        self.P = np.ones(n)
+        self.Q = np.zeros(n)
+        self.key = np.full(n - 1, -1, dtype=np.int8)
+        self.scans = 0
 
-    def force(self, fvals):
-        self.fvals = fvals
-        self.abs_f = np.abs(fvals[1:-1])
+    def fluxes(self, s):
+        """The fluxes phi[0..n-1] with phi[0] = s that solve every row."""
+        p = self.P * s + self.Q
+        i = 1  # the rows before i are settled
+        while True:
+            maps = _kernels.assemble_system(self.nodes, self.rows, p[:-1],
+                                            self.f, i)
+            bad = np.flatnonzero(maps.key != self.key[i - 1:])
+            if not len(bad):
+                return p
+            j = bad[0]
+            i += j
+            self.key[i - 1:] = maps.key[j:]
+            P, Q = _affine_scan(maps.A[j:], maps.b[j:])
+            self.P[i:] = P * self.P[i - 1]
+            self.Q[i:] = P * self.Q[i - 1] + Q
+            p[i:] = P * p[i - 1] + Q
+            self.scans += 1
 
-    def system(self, u, eps):
-        rec = _kernels.assemble_system(
-            self.nodes, self.node_data, u, self.fvals, self.op.alpha, eps,
-            *self.coefs)
-        self._boundary_rows(u, rec.res)
-        return rec
 
-    def reforced(self, u, rec):
-        """``rec``, the assembly of ``u``, with its residual taken against
-        the current forcing."""
-        res = np.zeros(self.n + 1)
-        res[1:-1] = rec.hval - self.fvals[1:-1]
-        self._boundary_rows(u, res)
-        return rec._replace(res=res)
+def _fluxes_of(u, nodes, alpha):
+    d = np.diff(u) / np.diff(nodes)
+    return np.copysign(np.abs(d) ** (1.0 + alpha), d)
 
-    def newton_bands(self, rec):
-        """The Newton Jacobian's bands: the frozen bands plus the derivative
-        of the degenerate factor."""
-        bands = []
-        for band, dq in zip((rec.lo, rec.di, rec.up),
-                            self.node_data.q_weights):
-            band = band.copy()
-            band[1:-1] += rec.chain * dq
-            bands.append(band)
-        return bands
 
-    def _boundary_rows(self, u, res):
-        n = self.n
-        if self.is_ball:
-            c0, c1, c2 = self.origin_w
-            res[0] = c0 * u[0] + c1 * u[1] + c2 * u[2]
-        else:
-            res[0] = u[0] - self.dom.bc_inner
-        res[n] = u[n] - self.dom.bc_outer
+def _slopes(p, alpha):
+    return np.copysign(np.abs(p) ** (1.0 / (1.0 + alpha)), p)
 
-    def step(self, lo, di, up, rhs):
-        """Solve J x = rhs for the Jacobian with interior bands lo, di, up.
 
-        The first row, ``c0 x[0] + c1 x[1] + c2 x[2]`` (the origin closure,
-        or ``x[0]`` on an annulus), is folded into row 1 and the identity
-        last row into row n-1.  That leaves the tridiagonal system of -J in
-        x[1..n-1], padded with identity rows to ``cr_size`` rows.
+def _origin_row(op: OperatorSpec, h0, p0):
+    """Value of the ball's origin row at the first flux ``p0``."""
+    x = 2.0 * p0 / h0
+    return _bracket(op.bracket_coefficients(), x / (1.0 + op.alpha), x,
+                    op.dim - 1)
 
-        A zero or NaN pivot gives a non-finite x, without a warning.  A
-        non-finite Newton step sends the caller to the frozen-Jacobian retry,
-        and a non-finite retry step fails the line search, which hands over
-        to pseudo-time.
-        """
-        n = self.n
-        c0, c1, c2 = self.origin_w if self.is_ball else (1.0, 0.0, 0.0)
-        a, b, c, d = self.cr_bufs
-        a[1:n - 1] = lo[2:n]
-        np.negative(di[1:n], out=b[:n - 1])
-        c[:n - 1] = up[1:n]
-        np.negative(rhs[1:n], out=d[:n - 1])
-        x = np.empty(n + 1)
-        with np.errstate(all="ignore"):
-            s = lo[1] / c0
-            b[0] += s * c1
-            c[0] -= s * c2
-            d[0] += s * rhs[0]
-            d[n - 2] += c[n - 2] * rhs[n]
-            c[n - 2] = 0.0
-            x[1:n] = _cyclic_reduction(a, b, c, d, self.cr_levels)[:n - 1]
-            x[n] = rhs[n]
-            x[0] = (rhs[0] - c1 * x[1] - c2 * x[2]) / c0
-        return x
 
-    def roundoff_floor(self, u, rec):
-        """Attainable residual floor from cancellation in the assembly.
-
-        The difference quotients divide O(|u|) cancellations by h^2, so on
-        fine grids the discrete residual cannot be driven below a multiple
-        of machine epsilon times the assembled term magnitudes.  ``rec`` is
-        the assembly of ``u``.
-        """
-        st = self.node_data.stencil
-        au = np.abs(u)
-        m_abs = 2.0 * (st.hm * au[2:] + st.hsum * au[1:-1]
-                       + st.hp * au[:-2]) / st.denom
-        q_abs = (st.hm2 * au[2:] + self.floor_hpm2 * au[1:-1]
-                 + st.hp2 * au[:-2]) / st.denom
-        amp = rec.factor * (self.floor_cm * m_abs
-                            + self.floor_ct * q_abs) + self.abs_f
-        return 64.0 * np.finfo(float).eps * float(np.max(amp))
-
-    def monotone_structure_ok(self, lo, di, up, rel_tol=1e-10):
-        """Nonnegative off-diagonals and weak diagonal dominance of -J rows."""
-        scale = np.maximum.reduce([np.abs(lo[1:-1]), np.abs(di[1:-1]),
-                                   np.abs(up[1:-1]), np.ones(self.n - 1)])
-        tol = rel_tol * scale
-        return bool(np.all(lo[1:-1] >= -tol) and np.all(up[1:-1] >= -tol)
-                    and np.all(lo[1:-1] + di[1:-1] + up[1:-1] <= tol))
+def _residual(op: OperatorSpec, dom: Domain, nodes, u, fvals):
+    """The scheme's rows at the profile ``u``: row 0 is the origin row
+    (ball) or the inner boundary row, row n the outer boundary row."""
+    rows = _kernels.RowData(nodes, op.dim, op.alpha, op.bracket_coefficients())
+    p = _fluxes_of(u, nodes, op.alpha)
+    res = np.empty(len(nodes))
+    res[1:-1] = _bracket(rows.coefs, (p[1:] - p[:-1]) * rows.a,
+                         rows.wy * p[1:] + rows.wx * p[:-1],
+                         rows.c) - fvals[1:-1]
+    if dom.kind is DomainKind.BALL:
+        res[0] = _origin_row(op, nodes[1] - nodes[0], p[0]) - fvals[0]
+    else:
+        res[0] = u[0] - dom.bc_inner
+    res[-1] = u[-1] - dom.bc_outer
+    return res
 
 
 def discretize_residual(op: OperatorSpec, f: SourceFunction,
-                        u: DiscreteRadialFunction, eps: float,
-                        dom: Domain) -> np.ndarray:
-    """Full residual vector H_eps - f, boundary rows included."""
+                        u: DiscreteRadialFunction, dom: Domain) -> np.ndarray:
+    """The scheme's residual vector at ``u``, boundary rows included."""
     if not u.grid.spans(dom):
         raise GridMismatch("grid does not span the domain")
-    system = _System(op, dom, u.grid)
-    system.force(np.asarray(f(u.grid.nodes), dtype=float))
-    return system.system(u.values, eps).res
+    nodes = u.grid.nodes
+    return _residual(op, dom, nodes, u.values,
+                     np.asarray(f(nodes), dtype=float))
 
 
-def _initial_guess(op, dom, grid, fvals):
-    """Boundary data plus a power-profile bump scaled from mean f.
+def _shoot(op: OperatorSpec, dom: Domain, rec: _Recurrence, h, fvals):
+    """Fluxes of an annulus whose slopes sum to the boundary jump.
 
-    The bump vanishes at the outer radius; on an annulus its chord is
-    subtracted too so that it also vanishes at the inner radius.  On a ball
-    the origin is left free.
+    The mismatch ``M(s) = bc_inner + sum h u'(phi(s)) - bc_outer`` is
+    nondecreasing in s = phi[0].  Inside a bracket each step is a Newton
+    step when that lands inside and is at most half the step before last
+    (the safeguard of Numerical Recipes' ``rtsafe``), and an Illinois
+    regula falsi step otherwise; before a bracket exists a step that
+    Newton cannot give doubles.  Returns the fluxes and the steps taken.
     """
-    nodes = grid.nodes
-    fbar = float(np.mean(fvals))
-    if dom.kind is DomainKind.BALL:
-        base = np.full_like(nodes, dom.bc_outer)
-    else:
-        base = np.interp(nodes, [nodes[0], nodes[-1]],
-                         [dom.bc_inner, dom.bc_outer])
-    if fbar == 0.0:
-        return base
-    alpha = op.alpha
-    c_ref = 0.5 * (op.a + op.A) * op.dim
-    amp = (abs(fbar) / c_ref) ** (1.0 / (1.0 + alpha))
-    expo = (2.0 + alpha) / (1.0 + alpha)
-    w = math.copysign(1.0, fbar) * amp / expo * nodes ** expo
-    if dom.kind is DomainKind.BALL:
-        return base + (w - w[-1])
-    w_lin = np.interp(nodes, [nodes[0], nodes[-1]], [w[0], w[-1]])
-    return base + (w - w_lin)
+    inv = 1.0 / (1.0 + op.alpha)
+    cmp_, cmm, _, _ = op.bracket_coefficients()
+    length = dom.R - dom.R1
+    d = (dom.bc_outer - dom.bc_inner) / length
+    s = math.copysign(abs(d) ** (1.0 + op.alpha), d)
+    # the size of the flux change f can drive over the interval
+    step = max(abs(s), float(np.max(np.abs(fvals))) * length
+               / (inv * min(cmp_, cmm)), np.finfo(float).tiny)
+    lo = hi = None  # (s, M) with M < 0 and with M > 0
+    side = 0
+    dx = dx_old = math.inf
+    for k in range(1, SHOOT_MAX_STEPS + 1):
+        p = rec.fluxes(s)
+        g = _slopes(p, op.alpha)
+        mis = dom.bc_inner - dom.bc_outer + float(h @ g)
+        if not math.isfinite(mis):
+            raise Diverged(f"boundary mismatch {mis} at first flux {s:.3e}")
+        scale = abs(dom.bc_inner) + abs(dom.bc_outer) + float(h @ np.abs(g))
+        if abs(mis) <= 16.0 * np.finfo(float).eps * scale:
+            return p, k
+        # Illinois: an end kept twice in a row has its value halved
+        if mis < 0.0:
+            if side < 0 and hi is not None:
+                hi = (hi[0], 0.5 * hi[1])
+            lo, side = (s, mis), -1
+        else:
+            if side > 0 and lo is not None:
+                lo = (lo[0], 0.5 * lo[1])
+            hi, side = (s, mis), 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = float((h * inv * np.abs(p) ** (inv - 1.0)) @ rec.P)
+            newton = s - mis / slope
+        if lo is not None and hi is not None:
+            if hi[0] - lo[0] <= 4.0 * np.finfo(float).eps * max(
+                    abs(lo[0]), abs(hi[0])):
+                return p, k
+            if lo[0] < newton < hi[0] and abs(newton - s) <= 0.5 * dx_old:
+                s_next = newton
+            else:
+                s_next = (lo[0] * hi[1] - hi[0] * lo[1]) / (hi[1] - lo[1])
+        elif math.isfinite(newton) and (newton - s) * mis < 0.0:
+            s_next = newton
+        else:
+            s_next = s - math.copysign(step, mis)
+            step *= 2.0
+        dx_old, dx = dx, abs(s_next - s)
+        s = s_next
+    raise Diverged(f"shooting did not close the boundary mismatch in "
+                   f"{SHOOT_MAX_STEPS} steps")
 
 
 def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
-                    grid: RadialGrid, *, initial_guess: np.ndarray | None = None,
-                    eps_start: float = EPS_START,
-                    system: _System | None = None) -> Solution:
-    """Continuation in eps, damped Newton per stage, pseudo-time fallback.
+                    grid: RadialGrid) -> Solution:
+    """Solve the flux-form scheme exactly on ``grid``.
 
-    The eps stages run from ``eps_start`` down to ``EPS_END``; a warm start
-    near a solution of the final stage may begin there.  The tolerance on
-    the residual sup-norm is ``1e-10 * max(1, |f|_inf)``.
-
-    ``system`` is a ``_System`` of ``op``, ``dom`` and ``grid`` that a
-    sequence of solves shares.  A solve whose initial guess is the iterate
-    the previous solve on it ended with, at ``eps_start``, reuses that
-    iterate's assembly with only the forcing swapped.
+    Raises ``Diverged`` when the shooting of an annulus does not close the
+    boundary mismatch within ``SHOOT_MAX_STEPS`` steps, or the profile
+    overflows.
     """
-    if not eps_start >= EPS_END:
-        raise InvalidSpec(f"eps_start must be >= {EPS_END:g}")
     if not grid.spans(dom):
         raise GridMismatch("grid does not span the domain")
     nodes = grid.nodes
     fvals = np.asarray(f(nodes), dtype=float)
-    tol = 1e-10 * max(1.0, f.sup_norm(dom))
-
-    if system is None:
-        system = _System(op, dom, grid)
-    elif system.op != op or system.dom != dom or system.grid is not grid:
-        raise InvalidSpec("system belongs to another problem")
-    system.force(fvals)
-    if initial_guess is not None:
-        u = np.array(initial_guess, dtype=float)
-        if u.shape != nodes.shape:
-            raise GridMismatch("initial guess has wrong length")
-    else:
-        u = _initial_guess(op, dom, grid, fvals)
-
-    # the assembly the first stage starts from, if the last solve ended here
-    warm = None
-    if initial_guess is not None and system.last is not None:
-        last_u, last_eps, last_rec = system.last
-        if last_eps == eps_start and np.array_equal(last_u, u):
-            warm = system.reforced(u, last_rec)
-    system.last = None
-
-    eps_list = [eps_start]
-    while eps_list[-1] > EPS_END * (1 + 1e-12):
-        eps = eps_list[-1] * EPS_FACTOR
-        # repeated multiplication drifts off EPS_END (1e-2 * 0.1 ** 6 is
-        # 1.0000000000000004e-08): a stage that close to it is EPS_END
-        eps_list.append(EPS_END if eps <= EPS_END * (1 + 1e-12) else eps)
-
-    iterations = 0
-    pseudo_budget = PSEUDO_TIME_MAX_STEPS
-    eps_path = []
-    u_prev_stage = u.copy()
-
-    for eps in eps_list:
-        if warm is None:
-            rec = system.system(u, eps)
+    h = np.diff(nodes)
+    rec = _Recurrence(op, nodes, fvals)
+    u = np.empty_like(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if dom.kind is DomainKind.BALL:
+            # the origin row is linear on the side of 0 that f(0) picks
+            unit = 1.0 if fvals[0] >= 0.0 else -1.0
+            p = rec.fluxes(unit * fvals[0] / _origin_row(op, h[0], unit))
+            steps = 0
+            du = h * _slopes(p, op.alpha)
+            u[:-1] = dom.bc_outer - np.cumsum(du[::-1])[::-1]
         else:
-            rec, warm = warm, None
-        stopped = False
-        for _ in range(NEWTON_MAX_ITER):
-            rn = float(np.max(np.abs(rec.res)))
-            stopped = rn <= tol or rn <= system.roundoff_floor(u, rec)
-            if stopped:
-                break
-            delta = system.step(*system.newton_bands(rec), -rec.res)
-            if not np.all(np.isfinite(delta)):
-                delta = system.step(rec.lo, rec.di, rec.up, -rec.res)
-            iterations += 1
-            # damp on the 2-norm: the sup-norm is dominated by single rows
-            # near the origin and is too kinky for an Armijo test
-            rn2 = float(np.linalg.norm(rec.res))
-            lam = 1.0
-            accepted = False
-            while lam >= DAMPING_MIN:
-                trial = u + lam * delta
-                trial_rec = system.system(trial, eps)
-                if float(np.linalg.norm(trial_rec.res)) <= (1.0 - 1e-4 * lam) * rn2:
-                    u, rec = trial, trial_rec
-                    accepted = True
-                    break
-                lam *= 0.5
-            if not accepted:
-                u, used, rec = _pseudo_time(system, u, eps, rn, tol,
-                                            min(pseudo_budget, 20 * grid.n))
-                pseudo_budget -= used
-                if pseudo_budget <= 0:
-                    break
-        stage_res = float(np.max(np.abs(rec.res)))
-        eps_path.append({"eps": eps, "residual_sup": stage_res,
-                         "delta_from_prev": float(np.max(np.abs(u - u_prev_stage)))})
-        u_prev_stage = u.copy()
-
-    # the last stage's record is the final iterate's assembly, and its stop
-    # test is the convergence test when it ran on that record
-    eps_final = eps_list[-1]
-    residual_sup = stage_res
-    converged = (stopped or residual_sup <= tol
-                 or residual_sup <= system.roundoff_floor(u, rec))
-    system.last = (u.copy(), eps_final, rec)
-    if not converged:
-        raise Diverged(
-            f"residual {residual_sup:.3e} above tolerance {tol:.3e} at eps={eps_final:.1e}")
-    if not system.monotone_structure_ok(rec.lo, rec.di, rec.up):
-        raise LostMonotonicity("final linearization lost its monotone structure")
-
-    profile = DiscreteRadialFunction(grid, u)
-    return Solution(profile, residual_sup, eps_final, iterations, converged,
-                    eps_path)
-
-
-def _cr_shape(m):
-    """Levels and padded size of the cyclic reduction of m rows.
-
-    ``levels`` halvings of ``2**levels * t - 1`` rows leave ``t - 1``, and
-    ``t - 1 <= CR_TAIL``: the padding is at most ``2**levels - 1`` rows.
-    """
-    levels = 0
-    while -(-(m + 1) >> levels) - 1 > CR_TAIL:
-        levels += 1
-    return levels, (-(-(m + 1) >> levels) << levels) - 1
-
-
-def _cyclic_reduction(a, b, c, d, levels):
-    """Solve ``-a[i] x[i-1] + b[i] x[i] - c[i] x[i+1] = d[i]``, a[0] = c[-1] = 0.
-
-    Odd-even cyclic reduction without pivoting: each of ``levels`` halvings
-    eliminates the unknowns of the even rows (0, 2, ...) from the odd rows,
-    which needs an odd number of rows at every level; the rows left are
-    solved by a Thomas sweep.
-    The caller sets the floating-point error state.
-    """
-    saved = []
-    for _ in range(levels):
-        ae, be, ce, de = a[0::2], b[0::2], c[0::2], d[0::2]
-        left = a[1::2] / be[:-1]
-        right = c[1::2] / be[1:]
-        saved.append((ae, be, ce, de))
-        b = b[1::2] - left * ce[:-1] - right * ae[1:]
-        d = d[1::2] + left * de[:-1] + right * de[1:]
-        a = left * ae[:-1]
-        c = right * ce[1:]
-    x = _thomas(a, b, c, d)
-    for ae, be, ce, de in reversed(saved):
-        # x padded with a zero on each side, interleaved with the even rows
-        full = np.zeros(2 * len(x) + 3)
-        full[2:-2:2] = x
-        full[1:-1:2] = (de + ae * full[:-2:2] + ce * full[2::2]) / be
-        x = full[1:-1]
-    return x
-
-
-def _thomas(a, b, c, d):
-    """Scalar Thomas sweep of the system of ``_cyclic_reduction``; NaN on a
-    zero pivot."""
-    cp = dp = 0.0
-    cps, dps = [], []
-    try:
-        for ai, bi, ci, di in zip(a.tolist(), b.tolist(), c.tolist(),
-                                  d.tolist()):
-            piv = bi - ai * cp
-            cp = ci / piv
-            dp = (di + ai * dp) / piv
-            cps.append(cp)
-            dps.append(dp)
-    except ZeroDivisionError:
-        return np.full(len(b), np.nan)
-    x = 0.0
-    xs = []
-    for cp, dp in zip(reversed(cps), reversed(dps)):
-        x = dp + cp * x
-        xs.append(x)
-    return np.array(xs[::-1])
-
-
-def _pseudo_time(system, u, eps, rn_enter, tol, budget):
-    """Relaxation steps until the residual halves or the budget runs out.
-
-    Returns the last iterate, the steps taken (at least 1) and the
-    iterate's assembly.
-    """
-    used = 0
-    u = u.copy()
-    while True:
-        rec = system.system(u, eps)
-        rn = float(np.max(np.abs(rec.res)))
-        if used >= budget or rn <= max(0.5 * rn_enter, tol):
-            break
-        used += 1
-        # per-node relaxation: explicit Euler at the local stability limit
-        denom = np.maximum(np.abs(rec.di[1:-1]), 1e-300)
-        u[1:-1] += 0.9 * rec.res[1:-1] / denom
-        # boundary rows are linear: enforce them exactly
-        if system.is_ball:
-            c0, c1, c2 = system.origin_w
-            u[0] = -(c1 * u[1] + c2 * u[2]) / c0
-        else:
-            u[0] = system.dom.bc_inner
-        u[-1] = system.dom.bc_outer
-    return u, max(used, 1), rec
+            p, steps = _shoot(op, dom, rec, h, fvals)
+            u[0] = dom.bc_inner
+            u[1:-1] = dom.bc_inner + np.cumsum(h[:-1] * _slopes(p[:-1],
+                                                                 op.alpha))
+        u[-1] = dom.bc_outer
+    if not np.all(np.isfinite(u)):
+        raise Diverged("the profile overflows")
+    res = _residual(op, dom, nodes, u, fvals)
+    return Solution(DiscreteRadialFunction(grid, u),
+                    float(np.max(np.abs(res))), rec.scans, steps)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from radelliptic import cli, eigen, solver
+from radelliptic import cli, eigen
 from radelliptic.cli import main
 from radelliptic.grid import DiscreteRadialFunction
 from radelliptic.solver import EXPRESSION_CATALOGUE
@@ -98,15 +98,6 @@ class TestSolve:
         assert len(err) == 1
         assert err[0].startswith("error: cannot write output: ")
         assert taken.read_text() == ""
-
-    def test_lost_monotone_structure_exit_code(self, tmp_path, capsys,
-                                               monkeypatch):
-        monkeypatch.setattr(solver._System, "monotone_structure_ok",
-                            lambda self, lo, di, up: False)
-        cfg = write_config(tmp_path, BASE_PROBLEM)
-        assert run("solve", cfg, tmp_path / "out") == 4
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: final linearization lost its monotone structure"]
 
 
 class TestVerify:

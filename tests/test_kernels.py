@@ -1,121 +1,94 @@
 import numpy as np
 import pytest
 
-from radelliptic import _kernels
+from radelliptic import _kernels, solver
+from radelliptic.operators import OperatorSpec, _bracket
 
 
 def test_numpy_backend_residual_shape():
     rng = np.random.default_rng(1)
     nodes = 1e-3 + np.linspace(0.0, 1.0, 21)  # r > 0: finite transport
-    u = rng.normal(size=21)
-    fvals = rng.normal(size=21)
-    rec = _kernels.assemble_system(
-        nodes, _kernels.NodeData(nodes, 2), u, fvals, 1.0, 1e-6,
-        1.0, 1.0, 1.0, 1.0)
-    assert rec.res.shape == rec.lo.shape == rec.di.shape == rec.up.shape
-    assert rec.res.shape == nodes.shape
-    interior = (len(nodes) - 2,)
-    assert rec.chain.shape == rec.hval.shape == rec.factor.shape == interior
-    # the residual is the operator value minus f, bit for bit
-    assert np.array_equal(rec.res[1:-1], rec.hval - fvals[1:-1])
-    assert rec.res[0] == rec.res[-1] == 0.0
+    x = rng.normal(size=19)
+    f = rng.normal(size=19)
+    rows = _kernels.RowData(nodes, 2, 1.0, (1.0, 1.0, 1.0, 1.0))
+    maps = _kernels.assemble_system(nodes, rows, x, f)
+    assert maps.A.shape == maps.b.shape == maps.key.shape == (19,)
+    assert np.all((maps.A >= 0.0) & (maps.A <= 1.0))
+    assert set(maps.key.tolist()) <= {0, 1, 2, 3}
+    # a later start gives the tail of the same maps
+    tail = _kernels.assemble_system(nodes, rows, x, f, 5)
+    for got, want in zip(tail, maps):
+        assert np.array_equal(got, want[4:])
 
 
 def test_numpy_backend_linear_case_matches_hand_assembly():
-    # alpha = 0, a = A = 1, one dimension: H = u'' and the residual at an
-    # interior node is just the second quotient minus f
+    # alpha = 0, a = A = 1, one dimension: the row is (phi[i] - phi[i-1])
+    # / hbar = f, so each map has factor 1 and offset f hbar
     n = 16
     nodes = np.linspace(0.0, 1.0, n + 1) + 0.5
-    u = nodes ** 2
-    fvals = np.zeros(n + 1)
-    res = _kernels.assemble_system(
-        nodes, _kernels.NodeData(nodes, 1), u, fvals, 0.0, 0.0,
-        1.0, 1.0, 1.0, 1.0).res
-    assert np.allclose(res[1:-1], 2.0, atol=1e-10)
-
-
-def central_difference_jacobian(assemble, u, delta):
-    """(lo, di, up) of d res / d u by central differences.
-
-    The Jacobian is tridiagonal, so the nodes j = k mod 3 are perturbed
-    together: each row then sees exactly one perturbed neighbour.
-    """
-    idx = np.arange(len(u))
-    rows = idx[1:-1]
-    bands = [np.zeros(len(u)) for _ in range(3)]
-    for k in range(3):
-        e = np.where(idx % 3 == k, delta, 0.0)
-        d = (assemble(u + e).res - assemble(u - e).res) / (2.0 * delta)
-        for band, cols in zip(bands, (rows - 1, rows, rows + 1)):
-            hit = rows[cols % 3 == k]
-            band[hit] = d[hit]
-    return bands
+    rows = _kernels.RowData(nodes, 1, 0.0, (1.0, 1.0, 1.0, 1.0))
+    f = np.full(n - 1, 2.0)
+    maps = _kernels.assemble_system(nodes, rows, np.zeros(n - 1), f)
+    assert np.array_equal(maps.A, np.ones(n - 1))
+    assert np.allclose(maps.b, 2.0 / n, rtol=1e-14)
 
 
 def smooth_mesh(graded, n=60):
     s = np.linspace(0.0, 1.0, n + 1)
     if graded:
         s = s ** 1.5
-    # starting near the origin puts both transport branches on the mesh
-    # when dim > 1: forward quotients at the first nodes, centered elsewhere
+    # starting near the origin puts both transport rules on the mesh
+    # when dim > 1: upwind rows at the first nodes, centered elsewhere
     return 1e-3 + s
 
 
-# m, the transport quotient and q keep the sign of the profile's
-# derivatives everywhere, so no upwind or branch switch lies inside a step
-SMOOTH_PROFILES = (np.exp, lambda r: -np.exp(r))
-COEFS = (2.0, 1.0, 2.0, 1.0)
+# forcings of one sign keep every flux and every flux difference of one
+# sign, so no branch switch lies inside a difference step
+FORCINGS = (lambda r: 2.0 + np.sin(3.0 * r), lambda r: -2.0 - np.sin(3.0 * r))
 
 
 @pytest.mark.parametrize("graded", [False, True])
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.5])
 def test_jacobian_matches_central_differences(graded, dim, alpha):
+    # the Jacobian of the fluxes in the first flux, which the annulus
+    # shooting's Newton step uses, is the scan's product of row factors
     nodes = smooth_mesh(graded)
-    fvals = np.sin(3.0 * nodes)
-    node_data = _kernels.NodeData(nodes, dim)
-    for eps in (1e-4, 1e-1):
-        for profile in SMOOTH_PROFILES:
-            u = profile(nodes)
-
-            def assemble(v):
-                return _kernels.assemble_system(nodes, node_data, v, fvals,
-                                                alpha, eps, *COEFS)
-
-            rec = assemble(u)
-            # the Newton bands: the frozen bands plus the chain rule term
-            newton = []
-            for frozen, dq in zip((rec.lo, rec.di, rec.up),
-                                  node_data.q_weights):
-                band = frozen.copy()
-                band[1:-1] += rec.chain * dq
-                newton.append(band)
-            fd = central_difference_jacobian(assemble, u, 1e-7)
-            scale = np.maximum.reduce([np.abs(b) for b in newton])
-            for got, want in zip(newton, fd):
-                err = np.abs(got - want)[1:-1] / scale[1:-1]
-                assert np.max(err) <= 1e-6
-            assert np.array_equal(rec.res[1:-1], rec.hval - fvals[1:-1])
-            q = node_data.stencil.q(u)
-            assert np.array_equal(rec.factor,
-                                  (q * q + eps * eps) ** (0.5 * alpha))
-            if alpha == 0.0:
-                # no degenerate factor: the frozen bands are the Jacobian
-                assert not np.any(rec.chain)
+    op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, dim)
+    for forcing in FORCINGS:
+        fvals = forcing(nodes)
+        s = float(np.sign(fvals[0]))
+        rec = solver._Recurrence(op, nodes, fvals)
+        p = rec.fluxes(s)
+        deriv = rec.P.copy()
+        delta = 1e-6
+        fd = (solver._Recurrence(op, nodes, fvals).fluxes(s + delta)
+              - solver._Recurrence(op, nodes, fvals).fluxes(s - delta)) / (
+                  2.0 * delta)
+        assert np.max(np.abs(fd - deriv)) <= 1e-7
+        assert deriv[0] == 1.0 and np.all(np.diff(deriv) <= 0.0)
+        # every row holds at the fluxes, to roundoff
+        rows = rec.rows
+        res = _bracket(rows.coefs, (p[1:] - p[:-1]) * rows.a,
+                       rows.wy * p[1:] + rows.wx * p[:-1], rows.c)
+        scale = np.abs(fvals[1:-1]) + np.abs(p[1:] * rows.a)
+        assert np.all(np.abs(res - fvals[1:-1]) <= 1e-12 * scale)
 
 
 def test_jacobian_meshes_cover_both_transport_branches():
-    # the forward quotient has no u[i-1] weight, so the transport term
-    # leaves the lower band unchanged exactly where it is used
-    forward = centered = 0
+    # the upwind argument has no phi[i-1] weight, so it is used exactly
+    # where wx is 0
+    upwind = centered = 0
     for graded in (False, True):
         nodes = smooth_mesh(graded)
-        for profile in SMOOTH_PROFILES:
-            u = profile(nodes)
-            lower = [_kernels.assemble_system(
-                nodes, _kernels.NodeData(nodes, dim), u, np.zeros_like(u),
-                0.0, 0.0, *COEFS).lo[1:-1] for dim in (1, 3)]
-            same = lower[0] == lower[1]
-            forward += int(same.sum())
-            centered += int((~same).sum())
-    assert forward >= 3 and centered > 0
+        for dim in (1, 3):
+            rows = _kernels.RowData(nodes, dim, 1.0, (2.0, 1.0, 2.0, 1.0))
+            upwind += int(np.sum(rows.wx == 0.0))
+            centered += int(np.sum(rows.wx == 0.5))
+            assert np.all((rows.wx == 0.0) | (rows.wx == 0.5))
+            # the upwind argument is exact for the flux kappa r
+            up = rows.wx == 0.0
+            r = nodes[1:-1][up]
+            mid = 0.5 * (nodes[2:] + nodes[1:-1])[up]
+            assert np.allclose(rows.wy[up] * mid, r, rtol=1e-15)
+    assert upwind >= 3 and centered > 0
