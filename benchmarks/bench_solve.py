@@ -7,12 +7,17 @@ The script records three things:
   over ``IMPORT_RUNS`` subprocesses after one discarded;
 - for each config whose ``command`` is ``solve`` or ``verify``, at n, 4n
   and 16n (its shipped ``grid.n`` times the scale): the time of
-  ``solve_dirichlet`` and the solver's step count (``Solution.iterations``:
-  affine scans of the flux solver, or Newton steps before it);
+  ``solve_dirichlet`` and of reading its ``residual_sup``, which a
+  ``solve`` request writes, and the solver's step count
+  (``Solution.iterations``: affine scans of the flux solver, or Newton
+  steps before it);
 - for each problem of perfbench's ``eigen`` workload (PucciPlus a=1, A=2,
   dim 2 on the unit ball, graded grid; Plus and Minus, alpha -0.5, 0 and
   1; n 400 and 1600): the time of ``principal_eigenvalue``, its outer
   steps and its eigenvalue.
+
+Each timed call builds its own grid, as a CLI request does, so no call
+reuses mesh data that an earlier call left on a grid.
 
 Each time is the mean over a fixed-time loop: the call repeats until
 ``ROW_SECONDS`` have passed (and at least ``MIN_CALLS`` times), so a row
@@ -91,11 +96,18 @@ def time_solve(doc):
     """Mean solve time and the solver's step count of one config."""
     op = OperatorSpec.from_json_dict(doc["operator"])
     dom = Domain.from_json_dict(doc["domain"])
-    grid = RadialGrid.for_domain(dom, doc["grid"]["n"], doc["grid"]["grading"])
     f = SourceFunction.from_json_dict(doc["f"])
-    seconds, sol = loop_seconds(lambda: solve_dirichlet(op, dom, f, grid))
-    return grid.n, {"solve_s": seconds, "steps": sol.iterations,
-                    "sha256": digest(sol.u.values)}
+
+    def solve():
+        grid = RadialGrid.for_domain(dom, doc["grid"]["n"],
+                                     doc["grid"]["grading"])
+        sol = solve_dirichlet(op, dom, f, grid)
+        sol.residual_sup  # computed on first read; a solve request reads it
+        return sol
+
+    seconds, sol = loop_seconds(solve)
+    return sol.u.grid.n, {"solve_s": seconds, "steps": sol.iterations,
+                          "sha256": digest(sol.u.values)}
 
 
 def digest(values):
@@ -109,9 +121,9 @@ def time_eigen(sign, alpha, n):
     one problem of the eigen family."""
     op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
     dom = Domain.ball(1.0)
-    grid = RadialGrid.for_domain(dom, n, Grading.GRADED_AT_ORIGIN)
-    seconds, res = loop_seconds(
-        lambda: principal_eigenvalue(op, dom, grid, sign, tol=1e-8))
+    seconds, res = loop_seconds(lambda: principal_eigenvalue(
+        op, dom, RadialGrid.for_domain(dom, n, Grading.GRADED_AT_ORIGIN),
+        sign, tol=1e-8))
     return {"eigen_s": seconds, "outer_iters": res.iterations,
             "lambda": res.lambda_value, "sha256": digest(res.phi.values)}
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -277,7 +278,10 @@ _COMMANDS = {"solve": cmd_solve, "verify": cmd_verify, "eigen": cmd_eigen,
              "study": cmd_study}
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="radelliptic",
         description="Radial Dirichlet solver and certification suite for "
@@ -287,7 +291,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         doc = _load_config(args.config)

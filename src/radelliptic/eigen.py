@@ -4,6 +4,10 @@ The eigenpair solves F[phi] + lambda * phi^{1+alpha} = 0 with zero
 boundary data and phi > 0 inside.  Each outer step inverts the operator
 against the normalized previous iterate; the joint homogeneity of degree
 1 + alpha makes the normalized fixed point an exact eigenpair.
+
+Every outer step is one cold, exact ``solve_dirichlet`` on the same grid,
+so the steps after the first reuse the grid's mesh data and pay only for
+the scan; no step reads its solution's residual.
 """
 
 from __future__ import annotations
@@ -71,9 +75,9 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     phi is the positive profile, the Minus eigenfunction being its
     negative.
 
-    Each inner solve is exact and needs no start.  The iteration stops
-    when two successive eigenvalues agree to ``tol``, or raises
-    NotConverged after ``MAX_OUTER`` steps.
+    Each inner solve is exact and needs no start; the solves share only the
+    grid's mesh data.  The iteration stops when two successive eigenvalues
+    agree to ``tol``, or raises NotConverged after ``MAX_OUTER`` steps.
     """
     sign = EigenSign(sign)
     if dom.bc_inner != 0.0 or dom.bc_outer != 0.0:

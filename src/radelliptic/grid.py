@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,11 +63,20 @@ GRADING_EXPONENT = 1.5
 
 @dataclass(frozen=True)
 class RadialGrid:
+    """A strictly increasing radial mesh.
+
+    The grid holds a read-only copy of its nodes, so data derived from them
+    cannot go stale and is kept on the grid (see ``derived``).
+    """
+
     nodes: np.ndarray
     grading: Grading = Grading.UNIFORM
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "grading", Grading(self.grading))
         if nodes.ndim != 1 or len(nodes) < 2:
@@ -118,6 +127,15 @@ class RadialGrid:
                        k - 1, k)
         return int(out) if np.ndim(out) == 0 else out
 
+    def derived(self, key, build):
+        """``build()``, computed on the first request for ``key`` and kept
+        with the grid."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
+
     def spans(self, dom: Domain, tol: float = 1e-12) -> bool:
         r1 = dom.R1 if dom.kind is DomainKind.ANNULUS else 0.0
         return (abs(self.nodes[0] - r1) <= tol * max(1.0, dom.R)
@@ -149,9 +167,12 @@ class DiscreteRadialFunction:
                 and np.array_equal(self.grid.nodes, other.grid.nodes))
 
     def to_csv(self, path) -> None:
-        rows = zip(self.grid.nodes.tolist(), self.values.tolist())
+        # one format over the interleaved (r, u) values: the same "%.17g"
+        # text per value as formatting row by row
+        pairs = np.column_stack((self.grid.nodes, self.values))
+        text = "%.17g,%.17g\n" * len(pairs) % tuple(pairs.ravel().tolist())
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("r,u\n" + "".join("%.17g,%.17g\n" % row for row in rows))
+            fh.write("r,u\n" + text)
 
     @classmethod
     def from_csv(cls, path, grading: Grading = Grading.UNIFORM) -> "DiscreteRadialFunction":

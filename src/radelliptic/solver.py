@@ -18,11 +18,16 @@ On a ball u is summed inward from the outer boundary value.  On an
 annulus the first flux s = phi[0] is shot: the outer boundary mismatch is
 nondecreasing in s, and the scan's products of row factors give its
 derivative, for Newton steps kept inside a bracket.
+
+Every solve starts cold and is exact.  What is reused between solves on
+one grid is mesh data only: the ``RowData`` of the grid and the
+operator's bracket is built once and kept on the grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,19 +134,27 @@ class Solution:
     """A solved profile.
 
     ``residual_sup`` is the largest row residual of ``u``, boundary rows
-    included.  ``iterations`` counts the affine scans of the recurrence
-    (one, plus one per branch repair, over all shooting steps) and
-    ``shooting_steps`` the boundary-mismatch evaluations of an annulus (0
-    on a ball).  ``eps_path`` stays empty: the scheme has no continuation
-    stages (perfbench's tracer still counts them).
+    included; a solve hands over the function that computes it from ``u``,
+    and it is computed on first read.  ``iterations`` counts the affine
+    scans of the recurrence (one, plus one per branch repair, over all
+    shooting steps) and ``shooting_steps`` the boundary-mismatch
+    evaluations of an annulus (0 on a ball).  ``eps_path`` stays empty:
+    the scheme has no continuation stages (perfbench's tracer still counts
+    them).
     """
 
     u: DiscreteRadialFunction
-    residual_sup: float
+    _residual_sup: float | Callable[[DiscreteRadialFunction], float]
     iterations: int
     shooting_steps: int
     converged: bool = True
     eps_path: list = field(default_factory=list)
+
+    @property
+    def residual_sup(self) -> float:
+        if callable(self._residual_sup):
+            self._residual_sup = self._residual_sup(self.u)
+        return self._residual_sup
 
     def diagnostics_dict(self) -> dict:
         return {"residual_sup": self.residual_sup, "scans": self.iterations,
@@ -164,6 +177,12 @@ def _affine_scan(A, b):
     return P, Q
 
 
+def _row_data(op: OperatorSpec, grid: RadialGrid) -> _kernels.RowData:
+    """The interior rows' mesh data, built once per grid and bracket."""
+    key = (op.dim, op.alpha, op.bracket_coefficients())
+    return grid.derived(key, lambda: _kernels.RowData(grid.nodes, *key))
+
+
 class _Recurrence:
     """The interior flux rows of one problem, solved outward from phi[0].
 
@@ -172,12 +191,11 @@ class _Recurrence:
     ``P`` is also the derivative of the fluxes in phi[0].
     """
 
-    def __init__(self, op: OperatorSpec, nodes, fvals):
-        self.nodes = nodes
-        self.rows = _kernels.RowData(nodes, op.dim, op.alpha,
-                                     op.bracket_coefficients())
+    def __init__(self, op: OperatorSpec, grid: RadialGrid, fvals):
+        self.nodes = grid.nodes
+        self.rows = _row_data(op, grid)
         self.f = fvals[1:-1]
-        n = len(nodes) - 1
+        n = grid.n
         self.P = np.ones(n)
         self.Q = np.zeros(n)
         self.key = np.full(n - 1, -1, dtype=np.int8)
@@ -219,10 +237,11 @@ def _origin_row(op: OperatorSpec, h0, p0):
                     op.dim - 1)
 
 
-def _residual(op: OperatorSpec, dom: Domain, nodes, u, fvals):
+def _residual(op: OperatorSpec, dom: Domain, grid: RadialGrid, u, fvals):
     """The scheme's rows at the profile ``u``: row 0 is the origin row
     (ball) or the inner boundary row, row n the outer boundary row."""
-    rows = _kernels.RowData(nodes, op.dim, op.alpha, op.bracket_coefficients())
+    nodes = grid.nodes
+    rows = _row_data(op, grid)
     p = _fluxes_of(u, nodes, op.alpha)
     res = np.empty(len(nodes))
     res[1:-1] = _bracket(rows.coefs, (p[1:] - p[:-1]) * rows.a,
@@ -241,9 +260,8 @@ def discretize_residual(op: OperatorSpec, f: SourceFunction,
     """The scheme's residual vector at ``u``, boundary rows included."""
     if not u.grid.spans(dom):
         raise GridMismatch("grid does not span the domain")
-    nodes = u.grid.nodes
-    return _residual(op, dom, nodes, u.values,
-                     np.asarray(f(nodes), dtype=float))
+    return _residual(op, dom, u.grid, u.values,
+                     np.asarray(f(u.grid.nodes), dtype=float))
 
 
 def _shoot(op: OperatorSpec, dom: Domain, rec: _Recurrence, h, fvals):
@@ -320,7 +338,7 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
     nodes = grid.nodes
     fvals = np.asarray(f(nodes), dtype=float)
     h = np.diff(nodes)
-    rec = _Recurrence(op, nodes, fvals)
+    rec = _Recurrence(op, grid, fvals)
     u = np.empty_like(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         if dom.kind is DomainKind.BALL:
@@ -338,6 +356,10 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
         u[-1] = dom.bc_outer
     if not np.all(np.isfinite(u)):
         raise Diverged("the profile overflows")
-    res = _residual(op, dom, nodes, u, fvals)
-    return Solution(DiscreteRadialFunction(grid, u),
-                    float(np.max(np.abs(res))), rec.scans, steps)
+
+    def residual_sup(sol_u):
+        res = _residual(op, dom, sol_u.grid, sol_u.values, fvals)
+        return float(np.max(np.abs(res)))
+
+    return Solution(DiscreteRadialFunction(grid, u), residual_sup, rec.scans,
+                    steps)

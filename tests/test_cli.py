@@ -3,6 +3,8 @@ import filecmp
 import json
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 
@@ -45,6 +47,33 @@ def test_import_loads_no_scipy():
          "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_parser_is_built_at_first_call_and_reused():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import radelliptic.cli as cli; "
+         "print(cli._parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "0"
+    assert cli._parser() is cli._parser()
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # every line of the README's command block, as written, from a
+    # directory holding the shipped configs
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    assert [shlex.split(line)[1] for line in lines] == [
+        "solve", "verify", "eigen", "study"]
+    shutil.copytree(CONFIG_DIR, tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == "radelliptic"
+        assert main(argv) == 0, line
 
 
 class TestSolve:

@@ -4,14 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from radelliptic import eigen
+from radelliptic import _kernels, eigen, solver
 from radelliptic.eigen import (EigenSign, eigen_residual,
                                principal_eigenvalue)
 from radelliptic.errors import InvalidSpec, LostPositivity
 from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
                               RadialGrid)
 from radelliptic.operators import OperatorSpec
-from radelliptic.solver import SourceFunction, discretize_residual
+from radelliptic.solver import (SourceFunction, discretize_residual,
+                                solve_dirichlet)
 
 
 def bessel_j0(x):
@@ -222,3 +223,87 @@ class TestRestart:
         with pytest.raises(LostPositivity):
             principal_eigenvalue(laplacian(2), dom, grid)
         assert len(calls) == 4
+
+
+def reference_iteration(op, dom, grid, sign, tol=1e-8):
+    """The outer step with nothing shared between solves: a fresh
+    tabulated forcing and a solve on a fresh grid each step, reading the
+    solve's residual.  Returns the eigenvalue history, the final iterate
+    and its ``eigen_residual``."""
+    work_op = op if sign is EigenSign.PLUS else op.dual()
+    one_p_a = 1.0 + op.alpha
+    nodes = grid.nodes
+    phi = eigen._bump(dom, grid)
+    history = []
+    while len(history) < eigen.MAX_OUTER:
+        forcing = SourceFunction.tabulated(nodes, -phi ** one_p_a)
+        sol = solve_dirichlet(work_op, dom, forcing,
+                              RadialGrid(nodes, grid.grading))
+        assert math.isfinite(sol.residual_sup)
+        psi = sol.u.values
+        assert np.all(psi[1:-1] > 0.0)
+        norm = float(np.max(np.abs(psi)))
+        history.append(1.0 / norm ** one_p_a)
+        phi = psi / norm
+        if (len(history) >= 2
+                and abs(history[-1] - history[-2]) <= tol * history[-1]):
+            break
+    profile = DiscreteRadialFunction(RadialGrid(nodes, grid.grading), phi)
+    return history, phi, eigen_residual(work_op, dom, history[-1], profile)
+
+
+def eigen_problem(shape):
+    if shape == "ball":
+        dom = Domain.ball(1.0)
+        return dom, RadialGrid.for_domain(dom, 400, Grading.GRADED_AT_ORIGIN)
+    dom = Domain.annulus(0.5, 1.0)
+    return dom, RadialGrid.for_domain(dom, 200)
+
+
+class TestSharedMeshData:
+    """The outer steps share the grid's row data and read no residual;
+    the results are those of solving each step from scratch."""
+
+    @pytest.mark.parametrize("shape", ["ball", "annulus"])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+    @pytest.mark.parametrize("sign", list(EigenSign))
+    def test_matches_fresh_solve_reference(self, shape, alpha, sign):
+        op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
+        dom, grid = eigen_problem(shape)
+        res = principal_eigenvalue(op, dom, grid, sign=sign)
+        history, phi, residual = reference_iteration(op, dom, grid, sign)
+        assert res.lambda_history == history
+        assert res.iterations == len(history)
+        assert res.residual_sup == residual
+        assert res.phi.values.tobytes() == phi.tobytes()
+
+    @pytest.mark.parametrize("shape", ["ball", "annulus"])
+    @pytest.mark.parametrize("sign", list(EigenSign))
+    def test_one_row_data_build_and_one_residual(self, monkeypatch, shape,
+                                                 sign):
+        builds, residuals, before_final = [], [], []
+        row_data, residual = _kernels.RowData, solver._residual
+        final_residual = eigen.eigen_residual
+
+        def counting_rows(*args):
+            builds.append(args)
+            return row_data(*args)
+
+        def counting_residual(*args):
+            residuals.append(args)
+            return residual(*args)
+
+        def final(*args):
+            before_final.append(len(residuals))
+            return final_residual(*args)
+
+        monkeypatch.setattr(_kernels, "RowData", counting_rows)
+        monkeypatch.setattr(solver, "_residual", counting_residual)
+        monkeypatch.setattr(eigen, "eigen_residual", final)
+        op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
+        dom, grid = eigen_problem(shape)
+        res = principal_eigenvalue(op, dom, grid, sign=sign)
+        assert res.iterations > 2
+        assert len(builds) == 1
+        # the residual is computed once, for the final eigen_residual
+        assert before_final == [0] and len(residuals) == 1

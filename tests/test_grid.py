@@ -61,6 +61,31 @@ class TestRadialGrid:
         with pytest.raises(InvalidSpec):
             RadialGrid(np.array([1.0]))
 
+    def test_nodes_are_a_read_only_copy(self):
+        # data derived from the nodes is kept on the grid, so neither the
+        # caller's array nor the grid's may change them afterwards
+        given = np.linspace(0.0, 1.0, 5)
+        grid = RadialGrid(given)
+        given[1] = 0.9
+        assert grid.nodes[1] == 0.25
+        with pytest.raises(ValueError):
+            grid.nodes[1] = 0.5
+
+    def test_derived_builds_once_per_key(self):
+        grid = RadialGrid.for_domain(Domain.ball(1.0), 8)
+        builds = []
+
+        def build():
+            builds.append(1)
+            return object()
+
+        first = grid.derived("a", build)
+        assert grid.derived("a", build) is first
+        assert grid.derived("b", build) is not first
+        assert len(builds) == 2
+        # another grid of the same nodes keeps its own data
+        assert RadialGrid(grid.nodes).derived("a", build) is not first
+
 
 class TestDifferenceQuotients:
     def test_exact_on_quadratics_nonuniform(self):
@@ -284,6 +309,19 @@ class TestDiscreteRadialFunction:
         assert np.array_equal(back.grid.nodes, u.grid.nodes)
         assert np.array_equal(back.values, u.values)
         assert back.grid.grading is Grading.GRADED_AT_ORIGIN
+
+    def test_csv_bytes_match_row_by_row_format(self, tmp_path):
+        # the one-step format against the row-by-row one it replaced, on
+        # signed zeros, a subnormal and values near the float range
+        nodes = np.array([-1e300, -0.0, 5e-324, 0.1, 1.0 / 3.0, 1e300])
+        values = np.array([-0.0, 5e-324, 1e300, -1e300, 0.0, -2.0 / 3.0])
+        u = DiscreteRadialFunction(RadialGrid(nodes), values)
+        path = tmp_path / "u.csv"
+        u.to_csv(path)
+        rows = zip(nodes.tolist(), values.tolist())
+        expected = "r,u\n" + "".join("%.17g,%.17g\n" % row for row in rows)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert b"\n-0,4.9406564584124654e-324\n" in path.read_bytes()
 
 
 class TestLipschitz:

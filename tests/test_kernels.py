@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from radelliptic import _kernels, solver
+from radelliptic.grid import RadialGrid
 from radelliptic.operators import OperatorSpec, _bracket
 
 
@@ -55,15 +56,16 @@ def test_jacobian_matches_central_differences(graded, dim, alpha):
     # shooting's Newton step uses, is the scan's product of row factors
     nodes = smooth_mesh(graded)
     op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, dim)
+    grid = RadialGrid(nodes)
     for forcing in FORCINGS:
         fvals = forcing(nodes)
         s = float(np.sign(fvals[0]))
-        rec = solver._Recurrence(op, nodes, fvals)
+        rec = solver._Recurrence(op, grid, fvals)
         p = rec.fluxes(s)
         deriv = rec.P.copy()
         delta = 1e-6
-        fd = (solver._Recurrence(op, nodes, fvals).fluxes(s + delta)
-              - solver._Recurrence(op, nodes, fvals).fluxes(s - delta)) / (
+        fd = (solver._Recurrence(op, grid, fvals).fluxes(s + delta)
+              - solver._Recurrence(op, grid, fvals).fluxes(s - delta)) / (
                   2.0 * delta)
         assert np.max(np.abs(fd - deriv)) <= 1e-7
         assert deriv[0] == 1.0 and np.all(np.diff(deriv) <= 0.0)

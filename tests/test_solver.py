@@ -281,8 +281,7 @@ class TestNewtonStep:
         grid = RadialGrid.for_domain(dom, n, Grading.UNIFORM)
         # a forcing that changes sign puts rows on every branch
         fvals = 3.0 * np.cos(6.0 * grid.nodes)
-        return op, grid.nodes, fvals, solver._Recurrence(op, grid.nodes,
-                                                         fvals)
+        return op, grid.nodes, fvals, solver._Recurrence(op, grid, fvals)
 
     # n crosses the doubling steps of the scan: 16 and 17 nodes, 23-26
     # around the fifth step, 31-33 around the sixth, and many steps
