@@ -8,7 +8,7 @@ from .eigen import EigenResult, EigenSign, principal_eigenvalue
 from .errors import RadellipticError
 from .grid import (DiscreteRadialFunction, Domain, DomainKind, Grading,
                    RadialGrid)
-from .operators import OperatorSpec, RadialJet, Variant
+from .operators import OperatorSpec, Variant
 from .report import VerificationReport
 from .solver import Solution, SourceFunction, solve_dirichlet
 
@@ -40,7 +40,6 @@ __all__ = [
     "Grading",
     "RadialGrid",
     "OperatorSpec",
-    "RadialJet",
     "Variant",
     "VerificationReport",
     "Solution",

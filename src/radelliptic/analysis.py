@@ -44,6 +44,11 @@ def epsilon_aA(x, a: float, A: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _c1_scale(h: float, alpha: float) -> float:
+    """h^(1/(1+alpha)), the scale of every C^1 check's tolerance."""
+    return h ** (1.0 / (1.0 + alpha))
+
+
 def gamma_exponent(op: OperatorSpec) -> tuple[float, float]:
     """The barrier exponents (gamma, gamma1).
 
@@ -191,7 +196,7 @@ def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
     if threshold is None:
         lip = lipschitz_constant(profile)
         threshold = max(FLUX_THRESHOLD_FLOOR, h) * (1.0 + lip)
-    tol = 10.0 * (h ** (1.0 / (1.0 + op.alpha)) + residual_sup)
+    tol = 10.0 * (_c1_scale(h, op.alpha) + residual_sup)
     fvals = np.asarray(f(nodes), dtype=float)
     f_sup = float(np.max(np.abs(fvals)))
 
@@ -376,7 +381,7 @@ def check_viscosity(u, op: OperatorSpec,
     vals = profile.values
     n = profile.grid.n
     h = profile.grid.max_spacing
-    tol = 10.0 * h ** (1.0 / (1.0 + op.alpha)) + 10.0 * residual_sup
+    tol = 10.0 * _c1_scale(h, op.alpha) + 10.0 * residual_sup
 
     lip = max(lipschitz_constant(profile), h)
     q_int, m_int = interior_quotients(profile)
@@ -397,7 +402,7 @@ def check_viscosity(u, op: OperatorSpec,
     # excluded: the viscosity definition does not test with vanishing
     # gradients, and discretely "vanishing" means below the accuracy of the
     # first difference quotient
-    slope_floor = h ** (1.0 / (1.0 + op.alpha))
+    slope_floor = _c1_scale(h, op.alpha)
     i = 1 + np.flatnonzero((nodes[1:n] > 0.0)
                            & (np.abs(q_int) >= slope_floor))
     r_i = nodes[i][:, None]
@@ -466,7 +471,7 @@ def _discrete_zero(profile: DiscreteRadialFunction, r_star: float):
     """
     nodes = profile.grid.nodes
     h = profile.grid.max_spacing
-    i_star = profile.grid.nearest_index(r_star)
+    i_star = int(profile.grid.nearest_index(r_star))
     q_int, _ = interior_quotients(profile)
     qs = abs(q_int[min(max(i_star - 1, 0), len(q_int) - 1)])
     if qs > h * (1.0 + lipschitz_constant(profile)):
@@ -544,7 +549,7 @@ def c1_bound_check(u, op: OperatorSpec, f: SourceFunction,
     nodes = profile.grid.nodes
     h = profile.grid.max_spacing
     one_p_a = 1.0 + op.alpha
-    tol = 10.0 * h ** (1.0 / one_p_a) + 10.0 * residual_sup
+    tol = 10.0 * _c1_scale(h, op.alpha) + 10.0 * residual_sup
     r_star, q_int = _discrete_zero(profile, r_star)
 
     f_sup = float(np.max(np.abs(np.asarray(f(nodes), dtype=float))))
@@ -579,7 +584,7 @@ def c1_bound_check(u, op: OperatorSpec, f: SourceFunction,
     return report
 
 
-def c1_modulus_report(u, alpha: float = 0.0, stride: int = 10,
+def c1_modulus_report(u, alpha: float, stride: int = 10,
                       scales: int = 3) -> VerificationReport:
     """Derivative-number diagnostics for C^1 behavior of the profile.
 
@@ -594,10 +599,9 @@ def c1_modulus_report(u, alpha: float = 0.0, stride: int = 10,
     profile, _ = _as_function(u)
     grid = profile.grid
     nodes = grid.nodes
-    h = grid.max_spacing
-    beta = 1.0 / (1.0 + alpha)
-    tol_spread = 20.0 * h ** beta
-    tol_remark = 10.0 * h ** beta
+    scale = _c1_scale(grid.max_spacing, alpha)
+    tol_spread = 20.0 * scale
+    tol_remark = 10.0 * scale
 
     probed = np.arange(0, grid.n + 1, stride)
     dn = derivative_numbers(profile, nodes[probed],

@@ -32,7 +32,8 @@ from .errors import (Diverged, InsufficientData, LostPositivity, NotAZero,
 from .grid import Domain, Grading, RadialGrid
 from .operators import OperatorSpec, validate_hypotheses
 from .report import VerificationReport
-from .solver import EXPRESSION_CATALOGUE, SourceFunction, solve_dirichlet
+from .solver import (EXPRESSION_CATALOGUE, SourceFunction, is_finite_number,
+                     solve_dirichlet)
 
 # advisory checks never gate the exit status: alternate constant readings
 # carried for reference alongside the binding one
@@ -139,12 +140,8 @@ def _option(opts: dict, name: str, default, kind, low: float,
     value must be finite and >= ``low`` (> ``low`` when ``strict``).
     """
     value = opts.get(name.rsplit(".", 1)[-1], default)
-    try:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value)
-              and (kind is float or float(value).is_integer()))
-    except OverflowError:  # an integer beyond the float range
-        ok = False
+    ok = is_finite_number(value) and (kind is float
+                                      or float(value).is_integer())
     if ok:
         value = kind(value)
         ok = value > low if strict else value >= low

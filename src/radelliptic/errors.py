@@ -9,10 +9,6 @@ class InvalidSpec(RadellipticError):
     """Operator parameters violate the variant invariants."""
 
 
-class NonPositiveRadius(RadellipticError):
-    """The radial reduction is only evaluated at r > 0."""
-
-
 class WindowTooSmall(RadellipticError):
     """Derivative-number window below twice the local spacing."""
 

@@ -45,10 +45,6 @@ class Domain:
     def annulus(cls, R1, R, bc_inner=0.0, bc_outer=0.0):
         return cls(DomainKind.ANNULUS, R, R1, bc_inner, bc_outer)
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind.value, "R": self.R, "R1": self.R1,
-                "bc_inner": self.bc_inner, "bc_outer": self.bc_outer}
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Domain":
         return cls(DomainKind(doc["kind"]), float(doc["R"]),
@@ -107,25 +103,19 @@ class RadialGrid:
         return float(np.max(self.spacing))
 
     def local_spacing(self, i):
-        """Larger adjacent spacing at node index i (one-sided at the ends).
-
-        Vectorized over an array of indices; a scalar index gives a float.
-        """
+        """Larger adjacent spacing at each node index of the array i
+        (one-sided at the ends)."""
         h = self.spacing
         padded = np.concatenate([h[:1], h, h[-1:]])
-        out = np.maximum(padded[i], padded[np.add(i, 1)])
-        return float(out) if np.ndim(out) == 0 else out
+        return np.maximum(padded[i], padded[np.add(i, 1)])
 
     def nearest_index(self, r):
-        """Index of the node nearest to r, the lower one on a tie.
-
-        Vectorized over an array of radii; a scalar radius gives an int.
-        """
+        """Index of the node nearest to each radius of the array r, the
+        lower one on a tie."""
         nodes = self.nodes
         k = np.clip(np.searchsorted(nodes, r), 1, len(nodes) - 1)
-        out = np.where(np.abs(nodes[k - 1] - r) <= np.abs(nodes[k] - r),
-                       k - 1, k)
-        return int(out) if np.ndim(out) == 0 else out
+        return np.where(np.abs(nodes[k - 1] - r) <= np.abs(nodes[k] - r),
+                        k - 1, k)
 
     def derived(self, key, build):
         """``build()``, computed on the first request for ``key`` and kept
@@ -136,10 +126,10 @@ class RadialGrid:
             value = self._derived[key] = build()
             return value
 
-    def spans(self, dom: Domain, tol: float = 1e-12) -> bool:
+    def spans(self, dom: Domain) -> bool:
         r1 = dom.R1 if dom.kind is DomainKind.ANNULUS else 0.0
-        return (abs(self.nodes[0] - r1) <= tol * max(1.0, dom.R)
-                and abs(self.nodes[-1] - dom.R) <= tol * max(1.0, dom.R))
+        return (abs(self.nodes[0] - r1) <= 1e-12 * max(1.0, dom.R)
+                and abs(self.nodes[-1] - dom.R) <= 1e-12 * max(1.0, dom.R))
 
 
 @dataclass(frozen=True)
@@ -174,31 +164,19 @@ class DiscreteRadialFunction:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("r,u\n" + text)
 
-    @classmethod
-    def from_csv(cls, path, grading: Grading = Grading.UNIFORM) -> "DiscreteRadialFunction":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(RadialGrid(rows[:, 0], grading), rows[:, 1])
-
 
 @dataclass(frozen=True)
 class DerivativeNumbers:
-    """Finite surrogate of the four one-sided liminf/limsup quotients.
+    """The four one-sided derivative numbers, arrays over probe points."""
 
-    Floats for one probe point; arrays over the points for a vectorized
-    ``derivative_numbers`` call.
-    """
-
-    lambda_g: float
-    Lambda_g: float
-    lambda_d: float
-    Lambda_d: float
-    window: float
-    scales: int
-    left_defined: bool = True
+    lambda_g: np.ndarray
+    Lambda_g: np.ndarray
+    lambda_d: np.ndarray
+    Lambda_d: np.ndarray
 
     @property
     def spread(self):
-        # max/min with the built-ins' choice on ties, elementwise for arrays
+        # elementwise max/min with the built-ins' choice on ties
         upper = np.where(self.Lambda_d > self.Lambda_g, self.Lambda_d,
                          self.Lambda_g)
         lower = np.where(self.lambda_d < self.lambda_g, self.lambda_d,
@@ -227,12 +205,11 @@ def derivative_numbers(u: DiscreteRadialFunction, r, window,
     scales s = r +/- window * 2^-k, k = 0..scales-1, with linear interpolation
     off the grid; the min over scales stands in for liminf, the max for
     limsup.  At the left end of the grid only the right numbers exist and the
-    left fields mirror them (left_defined = False); at the right end the
-    right fields mirror the left ones.
+    left fields mirror them; at the right end the right fields mirror the
+    left ones.
 
-    ``r`` and ``window`` may be arrays, broadcast together: the fields of
-    the result are then arrays over the probe points, each element equal to
-    what a scalar call at that point returns.
+    ``r`` and ``window`` are arrays, broadcast together; the fields of the
+    result are arrays over the probe points.
     """
     nodes = u.grid.nodes
     r, window = np.broadcast_arrays(np.asarray(r, dtype=float),
@@ -263,14 +240,8 @@ def derivative_numbers(u: DiscreteRadialFunction, r, window,
     # an end of the grid mirrors the numbers of the side that exists
     lo_d, hi_d = np.where(right, lo_d, lo_g), np.where(right, hi_d, hi_g)
     lo_g, hi_g = np.where(left, lo_g, lo_d), np.where(left, hi_g, hi_d)
-    if np.ndim(i) == 0:
-        return DerivativeNumbers(lambda_g=float(lo_g), Lambda_g=float(hi_g),
-                                 lambda_d=float(lo_d), Lambda_d=float(hi_d),
-                                 window=float(window), scales=scales,
-                                 left_defined=bool(left))
     return DerivativeNumbers(lambda_g=lo_g, Lambda_g=hi_g, lambda_d=lo_d,
-                             Lambda_d=hi_d, window=window, scales=scales,
-                             left_defined=left)
+                             Lambda_d=hi_d)
 
 
 def lipschitz_constant(u: DiscreteRadialFunction) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidSpec, NonPositiveRadius
+from .errors import InvalidSpec
 from .report import VerificationReport
 
 
@@ -116,20 +116,6 @@ class OperatorSpec:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        doc = {
-            "alpha": self.alpha,
-            "a": self.a,
-            "A": self.A,
-            "dim": self.dim,
-            "variant": self.variant.value,
-        }
-        for key in ("p1", "p2", "nu", "kappa"):
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = value
-        return doc
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "OperatorSpec":
         return cls(
@@ -143,20 +129,6 @@ class OperatorSpec:
             nu=doc.get("nu"),
             kappa=doc.get("kappa"),
         )
-
-
-@dataclass(frozen=True)
-class RadialJet:
-    """Radius with first and second derivative of a radial profile."""
-
-    r: float
-    q: float
-    m: float
-
-    def __post_init__(self):
-        for value in (self.r, self.q, self.m):
-            if not math.isfinite(value):
-                raise InvalidSpec("jet entries must be finite")
 
 
 def _degenerate_factor(q, alpha):
@@ -189,36 +161,13 @@ def eval_radial_many(op: OperatorSpec, r, q, m):
         op.bracket_coefficients(), m, q, c)
 
 
-def eval_radial(op: OperatorSpec, jet: RadialJet) -> float:
-    """The radial reduction H(r, g'', g') of the operator at one jet."""
-    if jet.r <= 0:
-        raise NonPositiveRadius("eval_radial requires r > 0")
-    return float(eval_radial_many(op, jet.r, jet.q, jet.m))
-
-
-def sandwich_bounds(op: OperatorSpec, jet: RadialJet) -> tuple[float, float]:
-    """Pucci-type envelopes (lower, upper) with lower <= H <= upper.
-
-    Both envelopes act on the radial Hessian eigenvalues m and q/r and use
-    the operator's ellipticity pair (a, A).
-    """
-    if jet.r <= 0:
-        raise NonPositiveRadius("sandwich_bounds requires r > 0")
-    lam_pos = max(jet.m, 0.0) + (op.dim - 1) * max(jet.q, 0.0) / jet.r
-    lam_neg = max(-jet.m, 0.0) + (op.dim - 1) * max(-jet.q, 0.0) / jet.r
-    factor = float(_degenerate_factor(jet.q, op.alpha))
-    lower = factor * (op.a * lam_pos - op.A * lam_neg)
-    upper = factor * (op.A * lam_pos - op.a * lam_neg)
-    return lower, upper
-
-
 def eval_decoupled(op: OperatorSpec, m, tangential, grad):
     """Operator value with the gradient decoupled from the Hessian.
 
     ``tangential`` is the tangential Hessian eigenvalue and ``grad`` the
     signed gradient magnitude along the radial direction.  All four variants
     depend on the gradient direction only through even expressions, so this
-    is well defined; eval_radial(op, (r, q, m)) equals
+    is well defined; eval_radial_many(op, r, q, m) equals
     eval_decoupled(op, m, q/r, q).
     """
     m = np.asarray(m, dtype=float)

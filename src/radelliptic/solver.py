@@ -27,6 +27,7 @@ operator's bracket is built once and kept on the grid.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -49,33 +50,66 @@ EXPRESSION_CATALOGUE = {
 SHOOT_MAX_STEPS = 100
 
 
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a finite real number; a bool is not one."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _finite(value, what: str) -> float:
+    if not is_finite_number(value):
+        raise InvalidSpec(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _table(values, what: str) -> np.ndarray:
+    table = np.asarray(values)
+    if (table.ndim != 1 or not len(table) or table.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(table))):
+        raise InvalidSpec(f"{what} must be a non-empty list of finite numbers")
+    return table.astype(float, copy=False)
+
+
 class SourceFunction:
     """Bounded continuous radial forcing term f(r).
 
     Three kinds: a constant, a tabulated profile (linear interpolation), or
     a named expression from a fixed catalogue (const, step, sine, power).
+    The constant, table entries and parameters must be finite numbers, a
+    table non-empty with r and v of equal length, a step's width positive.
     """
 
     def __init__(self, kind: str, *, value: float = 0.0, table_r=None,
                  table_v=None, name: str = "", params: dict | None = None):
         self.kind = kind
-        self.value = float(value)
-        self.table_r = None if table_r is None else np.asarray(table_r, dtype=float)
-        self.table_v = None if table_v is None else np.asarray(table_v, dtype=float)
+        self.value = _finite(value, "forcing value")
+        self.table_r = self.table_v = None
         self.name = name
         self.params = dict(params or {})
         if kind == "tabulated":
-            if self.table_r is None or self.table_v is None:
-                raise InvalidSpec("tabulated source needs a table")
+            self.table_r = _table(table_r, "table r")
+            self.table_v = _table(table_v, "table v")
+            if len(self.table_r) != len(self.table_v):
+                raise InvalidSpec("table r and v differ in length")
             if not np.all(np.diff(self.table_r) > 0):
                 raise InvalidSpec("table radii must be increasing")
         elif kind == "expression":
             if self.name not in EXPRESSION_CATALOGUE:
                 raise InvalidSpec(f"unknown expression {self.name!r}")
+            defaults = EXPRESSION_CATALOGUE[self.name]
             for key in self.params:
-                if key not in EXPRESSION_CATALOGUE[self.name]:
+                if key not in defaults:
                     raise InvalidSpec(f"unknown parameter {key!r} of "
                                       f"expression {self.name!r}")
+            # every parameter, its default filled in
+            self.params = {key: _finite(self.params.get(key, default),
+                                        f"{self.name} parameter {key!r}")
+                           for key, default in defaults.items()}
+            if self.name == "step" and self.params["width"] <= 0:
+                raise InvalidSpec("step parameter 'width' must be > 0")
         elif kind != "constant":
             raise InvalidSpec(f"unknown source kind {kind!r}")
 
@@ -97,33 +131,23 @@ class SourceFunction:
             return np.full_like(r, self.value)
         if self.kind == "tabulated":
             return np.interp(r, self.table_r, self.table_v)
-        p = {**EXPRESSION_CATALOGUE[self.name], **self.params}
+        p = self.params
         if self.name == "const":
-            return np.full_like(r, float(p["value"]))
+            return np.full_like(r, p["value"])
         if self.name == "step":
             # continuous ramp from `left` to `right` across [r0-w, r0+w]
-            left, right = float(p["left"]), float(p["right"])
-            r0, w = float(p["r0"]), float(p["width"])
+            left, right, r0, w = p["left"], p["right"], p["r0"], p["width"]
             s = np.clip((r - (r0 - w)) / (2.0 * w), 0.0, 1.0)
             return left + (right - left) * s
         if self.name == "sine":
-            return (float(p["offset"])
-                    + float(p["amplitude"]) * np.sin(float(p["frequency"]) * r))
-        return float(p["coef"]) * r ** float(p["exponent"])
-
-    def to_json_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        if self.kind == "tabulated":
-            return {"kind": "tabulated", "r": self.table_r.tolist(),
-                    "v": self.table_v.tolist()}
-        return {"kind": "expression", "name": self.name, "params": self.params}
+            return p["offset"] + p["amplitude"] * np.sin(p["frequency"] * r)
+        return p["coef"] * r ** p["exponent"]
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SourceFunction":
         kind = doc["kind"]
         if kind == "constant":
-            return cls.constant(float(doc["value"]))
+            return cls.constant(doc["value"])
         if kind == "tabulated":
             return cls.tabulated(doc["r"], doc["v"])
         return cls.expression(doc["name"], **doc.get("params", {}))

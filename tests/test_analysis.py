@@ -467,8 +467,8 @@ def reference_viscosity(u, op, f, slopes=17, curvatures=9):
     return report
 
 
-def reference_c1_modulus(u, alpha=0.0, stride=10, scales=3):
-    """Per-node loop form of c1_modulus_report, one scalar call per node."""
+def reference_c1_modulus(u, alpha, stride=10, scales=3):
+    """Per-node loop form of c1_modulus_report, one call per node."""
     profile, _ = _as_function(u)
     grid = profile.grid
     nodes = grid.nodes
@@ -485,16 +485,16 @@ def reference_c1_modulus(u, alpha=0.0, stride=10, scales=3):
              "interlace[Ld-lg]": (np.inf, nodes[0]),
              "zero-derivative": (np.inf, nodes[0])}
     for i in range(0, grid.n + 1, stride):
-        window = 8.0 * grid.local_spacing(i)
-        dn = derivative_numbers(profile, float(nodes[i]), window, scales)
-        spread = (max(dn.Lambda_g, dn.Lambda_d)
-                  - min(dn.lambda_g, dn.lambda_d))
+        window = 8.0 * grid.local_spacing(np.array([i]))
+        dn = derivative_numbers(profile, nodes[i:i + 1], window, scales)
+        lg, Lg, ld, Ld = (float(x[0]) for x in (dn.lambda_g, dn.Lambda_g,
+                                                dn.lambda_d, dn.Lambda_d))
         entries = {
-            "c1-spread": -spread,
-            "interlace[Lg-ld]": dn.Lambda_g - dn.lambda_d,
-            "interlace[Ld-lg]": dn.Lambda_d - dn.lambda_g,
+            "c1-spread": -(max(Lg, Ld) - min(lg, ld)),
+            "interlace[Lg-ld]": Lg - ld,
+            "interlace[Ld-lg]": Ld - lg,
         }
-        four = (dn.lambda_g, dn.Lambda_g, dn.lambda_d, dn.Lambda_d)
+        four = (lg, Lg, ld, Ld)
         if min(abs(v) for v in four) < tol_remark:
             entries["zero-derivative"] = tol_remark - max(abs(v) for v in four)
         for key, margin in entries.items():

@@ -1,5 +1,5 @@
-"""Smoke tests of the scripts in benchmarks/: they must keep running
-against the package's current API."""
+"""Smoke tests of the scripts in benchmarks/ and of perfbench's tracer:
+they must keep running against the package's current API."""
 
 import importlib.util
 import json
@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 
+from radelliptic import cli, solver
+
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
-def _load_script(name):
-    path = os.path.join(ROOT, "benchmarks", name + ".py")
+def _load_script(name, directory="benchmarks"):
+    path = os.path.join(ROOT, directory, name + ".py")
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -90,3 +92,20 @@ def test_sweep_compares_with_a_saved_sweep(tmp_path):
     assert len(lines) == 4
     assert all(line.endswith("  identical") for line in lines[:2])
     assert lines[-1] == f"compare {saved}: 2 of 2 identical"
+
+
+def test_perfbench_tracer_installs_and_records(tmp_path):
+    # the tracer wraps functions of the package from outside: every one it
+    # names must exist, and a solve and a verify must pass through them
+    tracer = _load_script("tracing", "perfbench").Tracer()
+    cfg = os.path.join(ROOT, "configs", "minimal.json")
+    with tracer.installed():
+        for owner, attr, _, _ in tracer._targets():
+            assert owner.__dict__[attr].__name__ == "traced", attr
+        for command in ("solve", "verify"):
+            out = str(tmp_path / command)
+            assert cli.main([command, "--config", cfg, "--out", out]) == 0
+    assert cli.solve_dirichlet is solver.solve_dirichlet
+    for name in ("solver.solve_dirichlet", "kernels.assemble_system",
+                 "analysis.check_viscosity"):
+        assert tracer.calls[name] > 0, name

@@ -380,6 +380,33 @@ class TestConfigSchema:
         assert err == [f"error: bad config: missing key {path}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("f, message", [
+        ({"kind": "tabulated", "r": [0, 1], "v": [1, 2, 3]},
+         "table r and v differ in length"),
+        ({"kind": "tabulated", "r": [], "v": []},
+         "table r must be a non-empty list of finite numbers"),
+        ({"kind": "tabulated", "r": [0, 1], "v": [1, float("nan")]},
+         "table v must be a non-empty list of finite numbers"),
+        ({"kind": "expression", "name": "sine", "params": {"amplitude": "x"}},
+         "sine parameter 'amplitude' must be a finite number, got 'x'"),
+        ({"kind": "constant", "value": float("nan")},
+         "forcing value must be a finite number, got nan"),
+        ({"kind": "constant", "value": "1.5"},
+         "forcing value must be a finite number, got '1.5'"),
+        ({"kind": "expression", "name": "step", "params": {"width": 0}},
+         "step parameter 'width' must be > 0"),
+    ], ids=["unequal-table", "empty-table", "nan-table-entry",
+            "text-parameter", "nan-constant", "text-constant",
+            "zero-step-width"])
+    def test_bad_forcing_value_fails_before_solving(self, tmp_path, capsys,
+                                                    f, message):
+        cfg = write_config(tmp_path, dict(BASE_PROBLEM, f=f))
+        out = tmp_path / "out"
+        assert run("solve", cfg, out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: bad config: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("f", [
         {"kind": ["constant"], "value": 1.0},
         {"kind": "expression", "name": ["sine"], "params": {}}])

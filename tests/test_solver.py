@@ -54,13 +54,18 @@ class TestSourceFunction:
         assert f(0.5) == pytest.approx(2.0)
         assert f(1.0) == pytest.approx(3.0)
 
-    def test_json_round_trip(self):
-        for f in (SourceFunction.constant(-1.0),
-                  SourceFunction.tabulated([0.0, 1.0], [1.0, 2.0]),
-                  SourceFunction.expression("sine", amplitude=0.5)):
-            back = SourceFunction.from_json_dict(f.to_json_dict())
+    def test_reads_each_kind_from_json(self):
+        for doc, f in (
+                ({"kind": "constant", "value": -1.0},
+                 SourceFunction.constant(-1.0)),
+                ({"kind": "tabulated", "r": [0.0, 1.0], "v": [1.0, 2.0]},
+                 SourceFunction.tabulated([0.0, 1.0], [1.0, 2.0])),
+                ({"kind": "expression", "name": "sine",
+                  "params": {"amplitude": 0.5}},
+                 SourceFunction.expression("sine", amplitude=0.5))):
+            back = SourceFunction.from_json_dict(json.loads(json.dumps(doc)))
             r = np.linspace(0, 1, 33)
-            assert np.allclose(back(r), f(r))
+            assert np.array_equal(back(r), f(r))
 
 
 class TestSolverParams:
