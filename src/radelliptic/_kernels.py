@@ -9,8 +9,9 @@ the increasing piecewise-linear bracket halves B1, B2.  The transport
 argument is centered (``wy = wx = 1/2``) wherever that keeps the row
 nonincreasing in ``phi[i-1]``, and ``(r_i / r_{i+1/2}) phi[i]``, exact for
 the ``phi ~ kappa r`` of the origin, elsewhere.  On the branch its inflow
-selects, a row is the map ``phi[i] = A phi[i-1] + b`` with 0 <= A <= 1;
-``assemble_system``, the package's one kernel, forms those maps.
+selects, a row is the map ``phi[i] = A phi[i-1] + b`` with 0 <= A <= 1.
+The kernel has two halves: ``branch_keys`` tells which branch each row's
+inflow selects, and ``assemble_system`` forms the maps on given branches.
 """
 
 from typing import NamedTuple
@@ -41,31 +42,37 @@ class RowData:
 
 
 class RowMaps(NamedTuple):
-    """Rows ``phi[i] = A phi[i-1] + b`` on the branches their inflows select;
-    ``key`` has bit 1 set where the second difference is nonnegative on
-    the branch, and bit 0 where the transport argument is."""
+    """Rows ``phi[i] = A phi[i-1] + b`` on given branches."""
 
     A: np.ndarray
     b: np.ndarray
-    key: np.ndarray
 
 
-def assemble_system(nodes, rows, x, f, start=1):
-    """The affine maps of rows ``start``..n-1 of the mesh ``nodes``.
+def branch_keys(rows, x, f):
+    """The branches of rows 1..n-1 at the inflow fluxes ``x``.
+
+    ``rows`` is the mesh's ``RowData``, ``x[i-1]`` the inflow and
+    ``f[i-1]`` the forcing of row i.  A key has bit 1 set where the second
+    difference is nonnegative on the branch, and bit 0 where the transport
+    argument is.  The row is increasing in ``phi[i]``, so comparing f with
+    its value at a kink tells on which side of the kink the row's solution
+    lies.
+    """
+    up = f >= _bracket(rows.coefs, 0.0, rows.tau * x, rows.c)
+    out = f >= _bracket(rows.coefs, -rows.kink * x, 0.0)
+    return 2 * up.astype(np.int8) + out
+
+
+def assemble_system(nodes, rows, key, f):
+    """The affine maps of rows 1..n-1 of the mesh ``nodes`` on the
+    branches ``key`` (see ``branch_keys``).
 
     ``rows`` is the ``RowData`` of ``nodes`` and holds all the kernel
-    reads of the mesh (perfbench's tracer counts ``nodes``).  ``x[i-1]``
-    is the inflow flux and ``f[i-1]`` the forcing of row i.  The row is
-    increasing in ``phi[i]``, so comparing f with its value at a kink
-    tells on which side of the kink the row's solution lies.
+    reads of the mesh (perfbench's tracer counts ``nodes``); ``f[i-1]`` is
+    the forcing of row i.  A row's map depends on its own key only.
     """
-    k = start - 1
-    x, f, c = x[k:], f[k:], rows.c[k:]
     cmp_, cmm, ctp, ctm = rows.coefs
-    up = f >= _bracket(rows.coefs, 0.0, rows.tau[k:] * x, c)
-    out = f >= _bracket(rows.coefs, -rows.kink[k:] * x, 0.0)
-    cm_a = np.where(up, cmp_, cmm) * rows.a[k:]
-    ct_c = np.where(out, ctp, ctm) * c
-    den = cm_a + ct_c * rows.wy[k:]
-    return RowMaps((cm_a - ct_c * rows.wx[k:]) / den, f / den,
-                   2 * up.astype(np.int8) + out)
+    cm_a = np.where(key >= 2, cmp_, cmm) * rows.a
+    ct_c = np.where(key & 1, ctp, ctm) * rows.c
+    den = cm_a + ct_c * rows.wy
+    return RowMaps((cm_a - ct_c * rows.wx) / den, f / den)

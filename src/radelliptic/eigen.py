@@ -5,9 +5,15 @@ boundary data and phi > 0 inside.  Each outer step inverts the operator
 against the normalized previous iterate; the joint homogeneity of degree
 1 + alpha makes the normalized fixed point an exact eigenpair.
 
-Every outer step is one cold, exact ``solve_dirichlet`` on the same grid,
-so the steps after the first reuse the grid's mesh data and pay only for
-the scan; no step reads its solution's residual.
+Every outer step is one exact ``solve_dirichlet`` on the same grid.  The
+steps after the first reuse the grid's mesh data and, on a ball, start
+from the row branches the step before settled on (``initial_guess``).
+The fluxes are one scan of the settled branches whatever the guess, so
+the guess changes the work and never the result: once the branches stop
+moving, a ball's step is one scan.  An annulus step gets no guess: its
+shooting starts from the flat-slope first flux, far from where the step
+before ended, and the branches of a flat inflow are the better start
+there.  No step reads its solution's residual.
 """
 
 from __future__ import annotations
@@ -75,9 +81,10 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     phi is the positive profile, the Minus eigenfunction being its
     negative.
 
-    Each inner solve is exact and needs no start; the solves share only the
-    grid's mesh data.  The iteration stops when two successive eigenvalues
-    agree to ``tol``, or raises NotConverged after ``MAX_OUTER`` steps.
+    Each inner solve is exact; on a ball it starts from the branches of
+    the solve before it, which saves repairs and changes no bit.  The
+    iteration stops when two successive eigenvalues agree to ``tol``, or
+    raises NotConverged after ``MAX_OUTER`` steps.
     """
     sign = EigenSign(sign)
     if dom.bc_inner != 0.0 or dom.bc_outer != 0.0:
@@ -93,10 +100,15 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     lam_history: list[float] = []
     iterations = 0
     restarts = 0
+    branches = None
 
     while iterations < MAX_OUTER:
         forcing = SourceFunction.tabulated(nodes, -phi ** one_p_a)
-        psi = solve_dirichlet(work_op, dom, forcing, grid).u.values
+        sol = solve_dirichlet(work_op, dom, forcing, grid,
+                              initial_guess=branches)
+        if dom.kind is DomainKind.BALL:
+            branches = sol.branches
+        psi = sol.u.values
         if np.any(psi[1:-1] <= 0.0):
             restarts += 1
             if restarts > 3:

@@ -11,17 +11,23 @@ function of phi[i-1].
 Each row's branch is guessed, the affine maps are composed by
 Hillis-Steele doubling (every factor lies in [0, 1], so nothing
 overflows), and each branch is checked against the inflow the scan gave
-it.  The rows before the first wrong branch are kept and the rest is
-scanned again, so each repair moves the first unsettled row on.
+it.  A repair keeps the branches of the rows before the first wrong one,
+takes the rest from the inflows, and scans again from row 1; each repair
+moves the first unsettled row on.  A doubling scan's value at row k
+depends on rows 1..k only, so the settled rows keep their bits, and the
+fluxes are always one scan of the settled branches: row i's branch is the
+one its inflow selects, and that inflow is a scan of rows 1..i-1 alone.
 
 On a ball u is summed inward from the outer boundary value.  On an
 annulus the first flux s = phi[0] is shot: the outer boundary mismatch is
 nondecreasing in s, and the scan's products of row factors give its
 derivative, for Newton steps kept inside a bracket.
 
-Every solve starts cold and is exact.  What is reused between solves on
-one grid is mesh data only: the ``RowData`` of the grid and the
-operator's bracket is built once and kept on the grid.
+Every solve is exact.  A solve may start from the branches of an earlier
+solve on the same grid (``initial_guess``, ``Solution.branches``); a guess
+changes the work, the number of scans, and never a bit of the result.
+The ``RowData`` of the grid and the operator's bracket is built once and
+kept on the grid.
 """
 
 from __future__ import annotations
@@ -162,9 +168,12 @@ class Solution:
     and it is computed on first read.  ``iterations`` counts the affine
     scans of the recurrence (one, plus one per branch repair, over all
     shooting steps) and ``shooting_steps`` the boundary-mismatch
-    evaluations of an annulus (0 on a ball).  ``eps_path`` stays empty:
-    the scheme has no continuation stages (perfbench's tracer still counts
-    them).
+    evaluations of an annulus (0 on a ball).  ``branches`` holds the
+    settled branch keys of the interior rows 1..n-1, the fluxes being one
+    scan of them; passed as another solve's ``initial_guess`` on the same
+    grid they can save that solve its repairs, never change its result.
+    ``eps_path`` stays empty: the scheme has no continuation stages
+    (perfbench's tracer still counts them).
     """
 
     u: DiscreteRadialFunction
@@ -173,6 +182,7 @@ class Solution:
     shooting_steps: int
     converged: bool = True
     eps_path: list = field(default_factory=list)
+    branches: np.ndarray | None = None
 
     @property
     def residual_sup(self) -> float:
@@ -190,7 +200,8 @@ def _affine_scan(A, b):
     """Prefix compositions of the maps ``x -> A[k] x + b[k]``.
 
     Returns (P, Q) such that map k after maps 0..k-1 is ``x -> P[k] x +
-    Q[k]``, by Hillis-Steele doubling.
+    Q[k]``, by Hillis-Steele doubling.  The value at k depends on maps
+    0..k only.
     """
     P, Q = A.copy(), b.copy()
     d = 1
@@ -211,38 +222,54 @@ class _Recurrence:
     """The interior flux rows of one problem, solved outward from phi[0].
 
     ``P`` and ``Q`` hold the fluxes as affine functions of phi[0],
-    ``phi = P phi[0] + Q``, on the row branches ``key`` of the last sweep;
-    ``P`` is also the derivative of the fluxes in phi[0].
+    ``phi = P phi[0] + Q``, from one scan of the row branches ``key``;
+    ``P`` is also the derivative of the fluxes in phi[0].  ``key`` starts
+    as the guess, or, with none, as the branches of a flat inflow.
     """
 
-    def __init__(self, op: OperatorSpec, grid: RadialGrid, fvals):
+    def __init__(self, op: OperatorSpec, grid: RadialGrid, fvals, key=None):
         self.nodes = grid.nodes
         self.rows = _row_data(op, grid)
         self.f = fvals[1:-1]
-        n = grid.n
-        self.P = np.ones(n)
-        self.Q = np.zeros(n)
-        self.key = np.full(n - 1, -1, dtype=np.int8)
+        self.key = key
+        self.P = self.Q = None
         self.scans = 0
+
+    def _scan(self):
+        maps = _kernels.assemble_system(self.nodes, self.rows, self.key,
+                                        self.f)
+        P, Q = _affine_scan(maps.A, maps.b)
+        self.P = np.concatenate(([1.0], P))
+        self.Q = np.concatenate(([0.0], Q))
+        self.scans += 1
 
     def fluxes(self, s):
         """The fluxes phi[0..n-1] with phi[0] = s that solve every row."""
-        p = self.P * s + self.Q
-        i = 1  # the rows before i are settled
+        if self.P is None:  # the first call scans the guess
+            if self.key is None:
+                self.key = _kernels.branch_keys(
+                    self.rows, np.full(len(self.f), s), self.f)
+            self._scan()
         while True:
-            maps = _kernels.assemble_system(self.nodes, self.rows, p[:-1],
-                                            self.f, i)
-            bad = np.flatnonzero(maps.key != self.key[i - 1:])
+            p = self.P * s + self.Q
+            key = _kernels.branch_keys(self.rows, p[:-1], self.f)
+            bad = np.flatnonzero(key != self.key)
             if not len(bad):
                 return p
-            j = bad[0]
-            i += j
-            self.key[i - 1:] = maps.key[j:]
-            P, Q = _affine_scan(maps.A[j:], maps.b[j:])
-            self.P[i:] = P * self.P[i - 1]
-            self.Q[i:] = P * self.Q[i - 1] + Q
-            p[i:] = P * p[i - 1] + Q
-            self.scans += 1
+            self.key[bad[0]:] = key[bad[0]:]
+            self._scan()
+
+
+def _branch_guess(guess, n):
+    """The branch keys of ``initial_guess`` as a fresh int8 array."""
+    if guess is None:
+        return None
+    key = np.asarray(guess)
+    if (key.shape != (n - 1,) or key.dtype.kind not in "iu"
+            or (key.size and (key.min() < 0 or key.max() > 3))):
+        raise InvalidSpec(f"initial_guess must be {n - 1} branch keys, "
+                          f"integers in 0..3")
+    return key.astype(np.int8)
 
 
 def _fluxes_of(u, nodes, alpha):
@@ -350,19 +377,28 @@ def _shoot(op: OperatorSpec, dom: Domain, rec: _Recurrence, h, fvals):
 
 
 def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
-                    grid: RadialGrid) -> Solution:
+                    grid: RadialGrid, initial_guess=None) -> Solution:
     """Solve the flux-form scheme exactly on ``grid``.
 
-    Raises ``Diverged`` when the shooting of an annulus does not close the
+    ``initial_guess`` is the ``branches`` of an earlier solution on
+    ``grid``, or None: it is where the branch repairs start, and the
+    result does not depend on it.  Raises ``InvalidSpec`` when the guess
+    is not n-1 keys in 0..3 or the forcing is not finite at a node, and
+    ``Diverged`` when the shooting of an annulus does not close the
     boundary mismatch within ``SHOOT_MAX_STEPS`` steps, or the profile
     overflows.
     """
     if not grid.spans(dom):
         raise GridMismatch("grid does not span the domain")
     nodes = grid.nodes
-    fvals = np.asarray(f(nodes), dtype=float)
+    key = _branch_guess(initial_guess, grid.n)
+    with np.errstate(all="ignore"):
+        fvals = np.asarray(f(nodes), dtype=float)
+    if not np.all(np.isfinite(fvals)):
+        r = nodes[np.flatnonzero(~np.isfinite(fvals))[0]]
+        raise InvalidSpec(f"the forcing is not finite at r = {r:g}")
     h = np.diff(nodes)
-    rec = _Recurrence(op, grid, fvals)
+    rec = _Recurrence(op, grid, fvals, key)
     u = np.empty_like(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         if dom.kind is DomainKind.BALL:
@@ -386,4 +422,4 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
         return float(np.max(np.abs(res)))
 
     return Solution(DiscreteRadialFunction(grid, u), residual_sup, rec.scans,
-                    steps)
+                    steps, branches=rec.key)

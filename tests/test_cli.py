@@ -128,6 +128,21 @@ class TestSolve:
         assert err[0].startswith("error: cannot write output: ")
         assert taken.read_text() == ""
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "study"])
+    def test_forcing_not_finite_at_a_node_fails_before_solving(
+            self, tmp_path, capsys, recwarn, command):
+        # power with a negative exponent is infinite at the ball's origin
+        f = {"kind": "expression", "name": "power",
+             "params": {"exponent": -1.0}}
+        cfg = write_config(tmp_path, dict(BASE_PROBLEM, f=f))
+        out = tmp_path / "out"
+        assert run(command, cfg, out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: the forcing is not finite at r = 0"]
+        assert not [w for w in recwarn if issubclass(w.category,
+                                                     RuntimeWarning)]
+        assert not out.exists()
+
 
 class TestVerify:
     def test_passing_problem(self, tmp_path):

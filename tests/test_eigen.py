@@ -309,3 +309,62 @@ class TestSharedMeshData:
         assert len(builds) == 1
         # the residual is computed once, for the final eigen_residual
         assert before_final == [0] and len(residuals) == 1
+
+
+class TestWarmSteps:
+    """Each outer step starts from the branches the step before settled
+    on; on a ball, a step whose guess is already settled is one scan."""
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+    @pytest.mark.parametrize("sign", list(EigenSign))
+    def test_settled_guess_takes_one_scan(self, monkeypatch, alpha, sign):
+        steps = []
+        solve = eigen.solve_dirichlet
+        kernels = {"assemble_system": 0, "branch_keys": 0}
+        for name in kernels:
+            def counting(*args, _name=name, _kernel=getattr(_kernels, name)):
+                kernels[_name] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(_kernels, name, counting)
+
+        def recording(*args, **kwargs):
+            before = dict(kernels)
+            sol = solve(*args, **kwargs)
+            calls = {k: kernels[k] - before[k] for k in kernels}
+            steps.append((kwargs["initial_guess"], sol, calls))
+            return sol
+
+        monkeypatch.setattr(eigen, "solve_dirichlet", recording)
+        op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
+        dom, grid = eigen_problem("ball")
+        res = principal_eigenvalue(op, dom, grid, sign=sign)
+        assert len(steps) == res.iterations
+        assert steps[0][0] is None
+        settled = 0
+        for (_, before, _), (guess, sol, calls) in zip(steps, steps[1:]):
+            assert np.array_equal(guess, before.branches)
+            if np.array_equal(guess, sol.branches):
+                settled += 1
+                assert sol.iterations == 1
+                assert calls == {"assemble_system": 1, "branch_keys": 1}
+        # the branches settle within the first eight steps and then repeat
+        assert settled >= res.iterations - 8
+
+    @pytest.mark.parametrize("sign", list(EigenSign))
+    def test_annulus_steps_start_cold(self, monkeypatch, sign):
+        # each annulus solve shoots from the flat-slope first flux, where
+        # the last step's branches are a worse start than a flat inflow's
+        guesses = []
+        solve = eigen.solve_dirichlet
+
+        def recording(*args, **kwargs):
+            guesses.append(kwargs["initial_guess"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "solve_dirichlet", recording)
+        op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
+        dom, grid = eigen_problem("annulus")
+        res = principal_eigenvalue(op, dom, grid, sign=sign)
+        assert res.iterations > 2
+        assert guesses == [None] * res.iterations

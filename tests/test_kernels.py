@@ -12,14 +12,40 @@ def test_numpy_backend_residual_shape():
     x = rng.normal(size=19)
     f = rng.normal(size=19)
     rows = _kernels.RowData(nodes, 2, 1.0, (1.0, 1.0, 1.0, 1.0))
-    maps = _kernels.assemble_system(nodes, rows, x, f)
-    assert maps.A.shape == maps.b.shape == maps.key.shape == (19,)
+    key = _kernels.branch_keys(rows, x, f)
+    maps = _kernels.assemble_system(nodes, rows, key, f)
+    assert maps.A.shape == maps.b.shape == key.shape == (19,)
     assert np.all((maps.A >= 0.0) & (maps.A <= 1.0))
-    assert set(maps.key.tolist()) <= {0, 1, 2, 3}
-    # a later start gives the tail of the same maps
-    tail = _kernels.assemble_system(nodes, rows, x, f, 5)
-    for got, want in zip(tail, maps):
-        assert np.array_equal(got, want[4:])
+    assert set(key.tolist()) <= {0, 1, 2, 3}
+    # a row's map depends on its own key only
+    rows = _kernels.RowData(nodes, 2, 1.0, (2.0, 1.0, 3.0, 0.5))
+    maps = _kernels.assemble_system(nodes, rows, key, f)
+    other = key.copy()
+    other[4] = 3 - other[4]
+    changed = _kernels.assemble_system(nodes, rows, other, f)
+    for got, want in zip(changed, maps):
+        assert got[4] != want[4]
+        assert np.array_equal(np.delete(got, 4), np.delete(want, 4))
+
+
+@pytest.mark.parametrize("coefs", [(1.0, 1.0, 1.0, 1.0), (2.0, 1.0, 3.0, 0.5)])
+def test_maps_on_the_keys_of_their_inflows_solve_the_rows(coefs):
+    # on the branch its inflow selects, a row's outflow A x + b is the root
+    # of the row
+    rng = np.random.default_rng(3)
+    nodes = 1e-3 + np.linspace(0.0, 1.0, 201) ** 1.5
+    x = rng.normal(size=199)
+    f = rng.normal(size=199)
+    rows = _kernels.RowData(nodes, 3, 0.5, coefs)
+    key = _kernels.branch_keys(rows, x, f)
+    maps = _kernels.assemble_system(nodes, rows, key, f)
+    y = maps.A * x + maps.b
+    res = _bracket(rows.coefs, (y - x) * rows.a, rows.wy * y + rows.wx * x,
+                   rows.c)
+    scale = np.abs(f) + np.abs(x * rows.a) + np.abs(y * rows.a)
+    assert np.all(np.abs(res - f) <= 1e-13 * scale)
+    # every branch of rows of both signs is met
+    assert set(key.tolist()) == {0, 1, 2, 3}
 
 
 def test_numpy_backend_linear_case_matches_hand_assembly():
@@ -29,7 +55,8 @@ def test_numpy_backend_linear_case_matches_hand_assembly():
     nodes = np.linspace(0.0, 1.0, n + 1) + 0.5
     rows = _kernels.RowData(nodes, 1, 0.0, (1.0, 1.0, 1.0, 1.0))
     f = np.full(n - 1, 2.0)
-    maps = _kernels.assemble_system(nodes, rows, np.zeros(n - 1), f)
+    key = _kernels.branch_keys(rows, np.zeros(n - 1), f)
+    maps = _kernels.assemble_system(nodes, rows, key, f)
     assert np.array_equal(maps.A, np.ones(n - 1))
     assert np.allclose(maps.b, 2.0 / n, rtol=1e-14)
 

@@ -304,8 +304,12 @@ class TestNewtonStep:
             rec.fluxes(-0.4)
         got = rec.fluxes(s)
         # the lower-bidiagonal system of the rows on the branches found
-        maps = _kernels.assemble_system(nodes, rec.rows, got[:-1], rec.f)
-        assert np.array_equal(maps.key, rec.key)
+        key = _kernels.branch_keys(rec.rows, got[:-1], rec.f)
+        assert np.array_equal(key, rec.key)
+        maps = _kernels.assemble_system(nodes, rec.rows, key, rec.f)
+        # the fluxes are one scan of the settled branches, bit for bit
+        P, Q = solver._affine_scan(maps.A, maps.b)
+        assert got[0] == s and got[1:].tobytes() == (P * s + Q).tobytes()
         assert np.all((maps.A >= 0.0) & (maps.A <= 1.0))
         dense = np.eye(n)
         dense[np.arange(1, n), np.arange(n - 1)] = -maps.A
@@ -318,21 +322,65 @@ class TestNewtonStep:
                            atol=1e-12)
 
     def test_one_assembly_per_newton_step(self, monkeypatch):
-        calls = 0
-        assemble = _kernels.assemble_system
+        calls = {"assemble_system": 0, "branch_keys": 0}
+        for name in calls:
+            def counting(*args, _name=name, _kernel=getattr(_kernels, name)):
+                calls[_name] += 1
+                return _kernel(*args)
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return assemble(*args)
-
-        monkeypatch.setattr(_kernels, "assemble_system", counting)
+            monkeypatch.setattr(_kernels, name, counting)
         op, dom, grid, f = _config_problem("alpha_laplacian_annulus")
         sol = solve_dirichlet(op, dom, f, grid)
         assert sol.shooting_steps > 1 and sol.iterations == 1
-        # each step checks the branches once; a scan follows each check
-        # that finds a changed branch
-        assert calls == sol.shooting_steps + sol.iterations
+        # each step checks the branches once; a scan, on one assembly,
+        # follows the first guess and each check that finds a changed
+        # branch, and the first guess is the branches of a flat inflow
+        assert calls["assemble_system"] == sol.iterations
+        assert calls["branch_keys"] == sol.shooting_steps + sol.iterations
+
+
+class TestInitialGuess:
+    """A solve may start from the branches of an earlier one; the guess
+    changes the scans it takes, never its result."""
+
+    @staticmethod
+    def _problem():
+        # f = 12r - 5 changes sign: a cold solve repairs its branches
+        op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
+        dom = Domain.ball(1.0)
+        grid = RadialGrid.for_domain(dom, 400, Grading.GRADED_AT_ORIGIN)
+        f = SourceFunction.tabulated(grid.nodes, 12.0 * grid.nodes - 5.0)
+        return op, dom, grid, f
+
+    def test_settled_branches_take_one_scan_and_change_no_bit(self):
+        op, dom, grid, f = self._problem()
+        cold = solve_dirichlet(op, dom, f, grid)
+        assert cold.iterations > 1
+        assert cold.branches.shape == (grid.n - 1,)
+        guess = cold.branches.copy()
+        warm = solve_dirichlet(op, dom, f, grid, initial_guess=guess)
+        assert warm.iterations == 1
+        assert warm.u.values.tobytes() == cold.u.values.tobytes()
+        assert np.array_equal(warm.branches, cold.branches)
+        # the guess is read, not written
+        assert np.array_equal(guess, cold.branches)
+        assert warm.branches is not guess
+
+    @pytest.mark.parametrize("guess", [
+        np.zeros(398, dtype=int), np.zeros(400, dtype=int),
+        np.full(399, 4), np.full(399, -1), np.zeros(399),
+        np.zeros((1, 399), dtype=int), ["0"] * 399])
+    def test_bad_guess_rejected(self, guess):
+        op, dom, grid, f = self._problem()
+        assert grid.n - 1 == 399  # interior rows
+        with pytest.raises(InvalidSpec, match="initial_guess"):
+            solve_dirichlet(op, dom, f, grid, initial_guess=guess)
+
+    def test_forcing_not_finite_at_a_node_rejected(self):
+        op, dom, grid, _ = self._problem()
+        f = SourceFunction.expression("power", exponent=-1.0)
+        with pytest.raises(InvalidSpec, match="not finite at r = 0"):
+            solve_dirichlet(op, dom, f, grid)
 
 
 class TestRecurrence:
