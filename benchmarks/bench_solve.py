@@ -14,10 +14,7 @@ The script records three things:
 - for each problem of perfbench's ``eigen`` workload (PucciPlus a=1, A=2,
   dim 2 on the unit ball, graded grid; Plus and Minus, alpha -0.5, 0 and
   1; n 400 and 1600): the time of ``principal_eigenvalue``, its outer
-  steps and its eigenvalue, and the deterministic work of one run: the
-  affine scans of its inner solves (``Solution.iterations`` summed) and
-  the calls of each kernel function of ``radelliptic._kernels``
-  (``assemble_system``, and ``branch_keys`` where the package has it).
+  steps and its eigenvalue.
 
 Each timed call builds its own grid, as a CLI request does, so no call
 reuses mesh data that an earlier call left on a grid.
@@ -40,7 +37,6 @@ checkout's code.
 """
 
 import argparse
-import contextlib
 import hashlib
 import json
 import os
@@ -49,7 +45,6 @@ import statistics
 import subprocess
 import sys
 import time
-from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -57,7 +52,6 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
-from radelliptic import _kernels, eigen  # noqa: E402
 from radelliptic.eigen import principal_eigenvalue  # noqa: E402
 from radelliptic.grid import Domain, Grading, RadialGrid  # noqa: E402
 from radelliptic.operators import OperatorSpec  # noqa: E402
@@ -70,8 +64,6 @@ SCALES = (1, 4, 16)
 # perfbench's eigen workload: (sign, alpha, n)
 EIGEN_FAMILY = tuple((sign, alpha, n) for sign in ("Plus", "Minus")
                      for alpha in (-0.5, 0.0, 1.0) for n in (400, 1600))
-# the kernel functions whose calls an eigen row counts, where present
-KERNELS = ("assemble_system", "branch_keys")
 IMPORT_PROBE = ("import time; t0 = time.perf_counter(); import radelliptic.cli; "
                 "print(time.perf_counter() - t0)")
 
@@ -124,48 +116,16 @@ def digest(values):
                           .tobytes()).hexdigest()
 
 
-@contextlib.contextmanager
-def counting(owner, name, counts, weight=lambda result: 1):
-    """Add ``weight(result)`` to ``counts[name]`` at each call of
-    ``owner.name`` inside the block."""
-    fn = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        result = fn(*args, **kwargs)
-        counts[name] += weight(result)
-        return result
-
-    setattr(owner, name, counted)
-    try:
-        yield
-    finally:
-        setattr(owner, name, fn)
-
-
 def time_eigen(sign, alpha, n):
-    """Mean ``principal_eigenvalue`` time, outer steps, eigenvalue, scans
-    and kernel calls of one problem of the eigen family."""
+    """Mean ``principal_eigenvalue`` time, outer steps and eigenvalue of
+    one problem of the eigen family."""
     op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
     dom = Domain.ball(1.0)
-
-    def run():
-        return principal_eigenvalue(
-            op, dom, RadialGrid.for_domain(dom, n, Grading.GRADED_AT_ORIGIN),
-            sign, tol=1e-8)
-
-    seconds, res = loop_seconds(run)
-    counts = Counter()
-    kernels = [name for name in KERNELS if hasattr(_kernels, name)]
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(counting(eigen, "solve_dirichlet", counts,
-                                     lambda sol: sol.iterations))
-        for name in kernels:
-            stack.enter_context(counting(_kernels, name, counts))
-        run()
+    seconds, res = loop_seconds(lambda: principal_eigenvalue(
+        op, dom, RadialGrid.for_domain(dom, n, Grading.GRADED_AT_ORIGIN),
+        sign, tol=1e-8))
     return {"eigen_s": seconds, "outer_iters": res.iterations,
-            "lambda": res.lambda_value, "sha256": digest(res.phi.values),
-            "scans": counts["solve_dirichlet"],
-            "kernel_calls": {name: counts[name] for name in kernels}}
+            "lambda": res.lambda_value, "sha256": digest(res.phi.values)}
 
 
 def git_commit():
@@ -207,20 +167,14 @@ def main(argv=None):
     for scale, total in totals.items():
         print(f"total x{scale}: solve={total:.4f} s")
     eigen_total = 0.0
-    eigen_work = Counter()
     for sign, alpha, n in EIGEN_FAMILY:
         row = time_eigen(sign, alpha, n)
         runs[f"eigen:{sign}:alpha={alpha:g}:n={n}"] = row
         eigen_total += row["eigen_s"]
-        eigen_work.update(row["kernel_calls"], scans=row["scans"])
-        calls = " ".join(f"{name}={count}"
-                         for name, count in row["kernel_calls"].items())
         print(f"eigen {sign:5s} alpha={alpha:+.1f} n={n:5d} "
               f"eigen={row['eigen_s']:.5f} s outer={row['outer_iters']:3d} "
-              f"lambda={row['lambda']:.7f} scans={row['scans']:3d} {calls}",
-              flush=True)
-    print(f"total eigen: {eigen_total:.4f} s; "
-          + " ".join(f"{name}={count}" for name, count in eigen_work.items()))
+              f"lambda={row['lambda']:.7f}", flush=True)
+    print(f"total eigen: {eigen_total:.4f} s")
 
     entry = {
         "commit": git_commit(),
@@ -233,7 +187,6 @@ def main(argv=None):
         "import_s": import_s,
         "solve_s_by_scale": totals,
         "eigen_s": eigen_total,
-        "eigen_work": dict(eigen_work),
         "runs": runs,
     }
     doc = {}

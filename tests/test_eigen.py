@@ -350,21 +350,3 @@ class TestWarmSteps:
                 assert calls == {"assemble_system": 1, "branch_keys": 1}
         # the branches settle within the first eight steps and then repeat
         assert settled >= res.iterations - 8
-
-    @pytest.mark.parametrize("sign", list(EigenSign))
-    def test_annulus_steps_start_cold(self, monkeypatch, sign):
-        # each annulus solve shoots from the flat-slope first flux, where
-        # the last step's branches are a worse start than a flat inflow's
-        guesses = []
-        solve = eigen.solve_dirichlet
-
-        def recording(*args, **kwargs):
-            guesses.append(kwargs["initial_guess"])
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(eigen, "solve_dirichlet", recording)
-        op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
-        dom, grid = eigen_problem("annulus")
-        res = principal_eigenvalue(op, dom, grid, sign=sign)
-        assert res.iterations > 2
-        assert guesses == [None] * res.iterations
