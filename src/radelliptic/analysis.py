@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (GridMismatch, InsufficientData, InvalidSpec, NotAZero,
-                     NotConverged, PreconditionViolated)
+                     PreconditionViolated)
 from .grid import (DiscreteRadialFunction, Domain, DomainKind,
                    derivative_numbers, interior_quotients, lipschitz_constant)
 from .operators import OperatorSpec, eval_radial_many
 from .report import VerificationReport
-from .solver import Solution, SourceFunction
+from .solver import Solution, SourceFunction, _node_forcing
 
 # smallest |u'| threshold of the flux checks' monotone intervals
 FLUX_THRESHOLD_FLOOR = 1e-7
@@ -104,8 +104,6 @@ def sign_intervals(u: DiscreteRadialFunction, threshold: float) -> list[SignInte
 
 def _as_function(u):
     if isinstance(u, Solution):
-        if not u.converged:
-            raise NotConverged("analysis requires a converged solution")
         return u.u, u.residual_sup
     return u, 0.0
 
@@ -197,7 +195,7 @@ def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
         lip = lipschitz_constant(profile)
         threshold = max(FLUX_THRESHOLD_FLOOR, h) * (1.0 + lip)
     tol = 10.0 * (_c1_scale(h, op.alpha) + residual_sup)
-    fvals = np.asarray(f(nodes), dtype=float)
+    fvals = _node_forcing(f, nodes)
     f_sup = float(np.max(np.abs(fvals)))
 
     q, _ = interior_quotients(profile)
@@ -394,7 +392,7 @@ def check_viscosity(u, op: OperatorSpec,
                           (VISCOSITY_CURVATURES + 1) // 2)
     curv_family = np.unique(np.concatenate([-pos_curv[::-1], pos_curv]))
 
-    fvals = np.asarray(f(nodes), dtype=float)
+    fvals = _node_forcing(f, nodes)
     scale_u = max(1.0, float(np.max(np.abs(vals))))
     eta = 1e-11 * scale_u
 
@@ -552,7 +550,7 @@ def c1_bound_check(u, op: OperatorSpec, f: SourceFunction,
     tol = 10.0 * _c1_scale(h, op.alpha) + 10.0 * residual_sup
     r_star, q_int = _discrete_zero(profile, r_star)
 
-    f_sup = float(np.max(np.abs(np.asarray(f(nodes), dtype=float))))
+    f_sup = float(np.max(np.abs(_node_forcing(f, nodes))))
     gamma, _ = gamma_exponent(op)
     pw = np.abs(q_int) ** one_p_a
     dist = nodes[1:-1] - r_star
@@ -624,9 +622,10 @@ def c1_modulus_report(u, alpha: float, stride: int = 10,
     return report
 
 
-def comparison_oracle(u, v, op: OperatorSpec, fu: SourceFunction,
-                      fv: SourceFunction) -> VerificationReport:
+def comparison_oracle(u, v, op: OperatorSpec, fu, fv) -> VerificationReport:
     """Check u <= v given fu >= fv and ordered boundary data.
+
+    Each forcing is a ``SourceFunction`` or its values at the nodes.
 
     Larger forcing pushes solutions down for this sign convention, so the
     solution with the larger source must lie below.
@@ -636,8 +635,8 @@ def comparison_oracle(u, v, op: OperatorSpec, fu: SourceFunction,
     if not pu.same_grid(pv):
         raise GridMismatch("comparison requires a common grid")
     nodes = pu.grid.nodes
-    fuv = np.asarray(fu(nodes), dtype=float)
-    fvv = np.asarray(fv(nodes), dtype=float)
+    fuv = _node_forcing(fu, nodes)
+    fvv = _node_forcing(fv, nodes)
     fscale = max(1.0, float(np.max(np.abs(fuv))), float(np.max(np.abs(fvv))))
     if np.any(fuv < fvv - 1e-12 * fscale):
         raise PreconditionViolated("need fu >= fv pointwise")

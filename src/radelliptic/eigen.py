@@ -5,12 +5,16 @@ boundary data and phi > 0 inside.  Each outer step inverts the operator
 against the normalized previous iterate; the joint homogeneity of degree
 1 + alpha makes the normalized fixed point an exact eigenpair.
 
-Every outer step is one exact ``solve_dirichlet`` on the same grid.  The
-steps after the first reuse the grid's mesh data and start from the row
-branches the step before settled on (``initial_guess``).  The fluxes are
-one scan of the settled branches whatever the guess, so the guess changes
-the work and never the result: once the branches stop moving, a ball's
-step is one scan.  No step reads its solution's residual.
+Every outer step is one exact ``solve_dirichlet`` on the same grid, of
+the node values -phi^{1+alpha}.  The steps after the first reuse the
+grid's mesh data and start from the row branches the step before settled
+on (``initial_guess``).  The fluxes are one scan of the settled branches
+whatever the guess, so the guess changes the work and never the result:
+once the branches stop moving, a ball's step is one scan.  No step reads
+its solution's residual.  A step whose solution is not positive inside
+raises ``LostPositivity``.  On a ball the monotone scheme rules that out
+(a forcing negative inside makes every flux negative, also in floating
+point); on an annulus none has been seen.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from .errors import InvalidSpec, LostPositivity, NotConverged
 from .grid import DiscreteRadialFunction, Domain, DomainKind, RadialGrid
 from .operators import OperatorSpec
-from .solver import SourceFunction, discretize_residual, solve_dirichlet
+from .solver import discretize_residual, solve_dirichlet
 
 # outer steps of the inverse power iteration before it gives up
 MAX_OUTER = 80
@@ -63,14 +67,13 @@ def eigen_residual(op: OperatorSpec, dom: Domain, lam: float,
     table = np.zeros_like(v)
     nz = v != 0.0
     table[nz] = -lam * np.abs(v[nz]) ** op.alpha * v[nz]
-    forcing = SourceFunction.tabulated(phi.grid.nodes, table)
-    res = discretize_residual(op, forcing, phi, dom)
+    res = discretize_residual(op, table, phi, dom)
     return float(np.max(np.abs(res[1:-1])))
 
 
 def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
-                         sign: EigenSign = EigenSign.PLUS, tol: float = 1e-8,
-                         seed: int = 0) -> EigenResult:
+                         sign: EigenSign = EigenSign.PLUS,
+                         tol: float = 1e-8) -> EigenResult:
     """Inverse power iteration for the principal Dirichlet eigenvalue.
 
     Plus gives the eigenvalue with a positive eigenfunction.  Minus runs
@@ -81,7 +84,8 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     Each inner solve is exact; it starts from the branches of the solve
     before it, which saves repairs and changes no bit.  The
     iteration stops when two successive eigenvalues agree to ``tol``, or
-    raises NotConverged after ``MAX_OUTER`` steps.
+    raises NotConverged after ``MAX_OUTER`` steps; an inner solution that
+    is not positive at an interior node raises LostPositivity.
     """
     sign = EigenSign(sign)
     if dom.bc_inner != 0.0 or dom.bc_outer != 0.0:
@@ -90,30 +94,18 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
         raise InvalidSpec("tol must be positive")
     work_op = op if sign is EigenSign.PLUS else op.dual()
     one_p_a = 1.0 + op.alpha
-    nodes = grid.nodes
-    rng = np.random.default_rng(seed)
 
     phi = _bump(dom, grid)
     lam_history: list[float] = []
-    iterations = 0
-    restarts = 0
     branches = None
 
-    while iterations < MAX_OUTER:
-        forcing = SourceFunction.tabulated(nodes, -phi ** one_p_a)
-        sol = solve_dirichlet(work_op, dom, forcing, grid,
+    while len(lam_history) < MAX_OUTER:
+        sol = solve_dirichlet(work_op, dom, -phi ** one_p_a, grid,
                               initial_guess=branches)
         branches = sol.branches
         psi = sol.u.values
         if np.any(psi[1:-1] <= 0.0):
-            restarts += 1
-            if restarts > 3:
-                raise LostPositivity(
-                    "iterate left the positive cone after 3 restarts")
-            phi = rng.uniform(0.2, 1.0, size=nodes.shape) * _bump(dom, grid)
-            phi /= np.max(phi)
-            continue
-        iterations += 1
+            raise LostPositivity("iterate left the positive cone")
         norm = float(np.max(np.abs(psi)))
         lam = 1.0 / norm ** one_p_a
         lam_history.append(lam)
@@ -127,5 +119,5 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     profile = DiscreteRadialFunction(grid, phi)
     res = eigen_residual(work_op, dom, lam_history[-1], profile)
     return EigenResult(lambda_value=lam_history[-1], phi=profile,
-                       iterations=iterations, lambda_history=lam_history,
+                       iterations=len(lam_history), lambda_history=lam_history,
                        sign=sign, residual_sup=res)

@@ -30,7 +30,7 @@ class PreconditionViolated(RadellipticError):
 
 
 class NotConverged(RadellipticError):
-    """An analysis step requires a converged solution."""
+    """The eigenvalue iteration did not settle within its step limit."""
 
 
 class NotAZero(RadellipticError):

@@ -27,7 +27,7 @@ Every solve is exact.  A solve may start from the branches of an earlier
 solve on the same grid (``initial_guess``, ``Solution.branches``); a guess
 changes the work, the number of scans, and never a bit of the result.
 The ``RowData`` of the grid and the operator's bracket is built once and
-kept on the grid.
+kept on the grid.  ``_node_forcing`` reads every forcing at the nodes.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .operators import OperatorSpec, _bracket
 
 # each catalogue expression with its parameters and their defaults
 EXPRESSION_CATALOGUE = {
-    "const": {"value": 0.0},
     "step": {"left": 0.0, "right": 1.0, "r0": 0.5, "width": 0.1},
     "sine": {"amplitude": 1.0, "frequency": 1.0, "offset": 0.0},
     "power": {"coef": 1.0, "exponent": 1.0},
@@ -83,7 +82,7 @@ class SourceFunction:
     """Bounded continuous radial forcing term f(r).
 
     Three kinds: a constant, a tabulated profile (linear interpolation), or
-    a named expression from a fixed catalogue (const, step, sine, power).
+    a named expression from a fixed catalogue (step, sine, power).
     The constant, table entries and parameters must be finite numbers, a
     table non-empty with r and v of equal length, a step's width positive.
     """
@@ -138,8 +137,6 @@ class SourceFunction:
         if self.kind == "tabulated":
             return np.interp(r, self.table_r, self.table_v)
         p = self.params
-        if self.name == "const":
-            return np.full_like(r, p["value"])
         if self.name == "step":
             # continuous ramp from `left` to `right` across [r0-w, r0+w]
             left, right, r0, w = p["left"], p["right"], p["r0"], p["width"]
@@ -159,6 +156,24 @@ class SourceFunction:
         return cls.expression(doc["name"], **doc.get("params", {}))
 
 
+def _node_forcing(f, nodes) -> np.ndarray:
+    """The forcing at ``nodes``: a ``SourceFunction`` is evaluated there,
+    an array is taken as the node values.  Raises ``InvalidSpec`` unless
+    there is one finite value per node."""
+    if isinstance(f, SourceFunction):
+        with np.errstate(all="ignore"):
+            fvals = f(nodes)
+    else:
+        fvals = np.asarray(f, dtype=float)
+    if fvals.shape != nodes.shape:
+        raise InvalidSpec(f"the forcing needs {len(nodes)} node values, "
+                          f"got shape {fvals.shape}")
+    bad = nodes[~np.isfinite(fvals)]
+    if len(bad):
+        raise InvalidSpec(f"the forcing is not finite at r = {bad[0]:g}")
+    return fvals
+
+
 @dataclass
 class Solution:
     """A solved profile.
@@ -173,14 +188,14 @@ class Solution:
     scan of them; passed as another solve's ``initial_guess`` on the same
     grid they can save that solve its repairs, never change its result.
     ``eps_path`` stays empty: the scheme has no continuation stages
-    (perfbench's tracer still counts them).
+    (perfbench's tracer still counts them).  A solve that fails raises, so
+    every ``Solution`` is a converged one.
     """
 
     u: DiscreteRadialFunction
     _residual_sup: float | Callable[[DiscreteRadialFunction], float]
     iterations: int
     shooting_steps: int
-    converged: bool = True
     eps_path: list = field(default_factory=list)
     branches: np.ndarray | None = None
 
@@ -192,8 +207,7 @@ class Solution:
 
     def diagnostics_dict(self) -> dict:
         return {"residual_sup": self.residual_sup, "scans": self.iterations,
-                "shooting_steps": self.shooting_steps,
-                "converged": self.converged}
+                "shooting_steps": self.shooting_steps, "converged": True}
 
 
 def _affine_scan(A, b):
@@ -306,13 +320,13 @@ def _residual(op: OperatorSpec, dom: Domain, grid: RadialGrid, u, fvals):
     return res
 
 
-def discretize_residual(op: OperatorSpec, f: SourceFunction,
-                        u: DiscreteRadialFunction, dom: Domain) -> np.ndarray:
+def discretize_residual(op: OperatorSpec, f, u: DiscreteRadialFunction,
+                        dom: Domain) -> np.ndarray:
     """The scheme's residual vector at ``u``, boundary rows included."""
     if not u.grid.spans(dom):
         raise GridMismatch("grid does not span the domain")
     return _residual(op, dom, u.grid, u.values,
-                     np.asarray(f(u.grid.nodes), dtype=float))
+                     _node_forcing(f, u.grid.nodes))
 
 
 def _shoot(op: OperatorSpec, dom: Domain, rec: _Recurrence, h, fvals):
@@ -376,27 +390,24 @@ def _shoot(op: OperatorSpec, dom: Domain, rec: _Recurrence, h, fvals):
                    f"{SHOOT_MAX_STEPS} steps")
 
 
-def solve_dirichlet(op: OperatorSpec, dom: Domain, f: SourceFunction,
-                    grid: RadialGrid, initial_guess=None) -> Solution:
+def solve_dirichlet(op: OperatorSpec, dom: Domain, f, grid: RadialGrid,
+                    initial_guess=None) -> Solution:
     """Solve the flux-form scheme exactly on ``grid``.
 
-    ``initial_guess`` is the ``branches`` of an earlier solution on
-    ``grid``, or None: it is where the branch repairs start, and the
-    result does not depend on it.  Raises ``InvalidSpec`` when the guess
-    is not n-1 keys in 0..3 or the forcing is not finite at a node, and
-    ``Diverged`` when the shooting of an annulus does not close the
-    boundary mismatch within ``SHOOT_MAX_STEPS`` steps, or the profile
-    overflows.
+    ``f`` is a ``SourceFunction`` or the forcing's values at the nodes
+    (see ``_node_forcing``).  ``initial_guess`` is the ``branches`` of an
+    earlier solution on ``grid``, or None: it is where the branch repairs
+    start, and the result does not depend on it.  Raises ``InvalidSpec``
+    when the guess is not n-1 keys in 0..3 or the forcing is not one
+    finite value per node, and ``Diverged`` when the shooting of an
+    annulus does not close the boundary mismatch within
+    ``SHOOT_MAX_STEPS`` steps, or the profile overflows.
     """
     if not grid.spans(dom):
         raise GridMismatch("grid does not span the domain")
     nodes = grid.nodes
     key = _branch_guess(initial_guess, grid.n)
-    with np.errstate(all="ignore"):
-        fvals = np.asarray(f(nodes), dtype=float)
-    if not np.all(np.isfinite(fvals)):
-        r = nodes[np.flatnonzero(~np.isfinite(fvals))[0]]
-        raise InvalidSpec(f"the forcing is not finite at r = {r:g}")
+    fvals = _node_forcing(f, nodes)
     h = np.diff(nodes)
     rec = _Recurrence(op, grid, fvals, key)
     u = np.empty_like(nodes)

@@ -14,15 +14,14 @@ from radelliptic.analysis import (_LOCAL_COEFS, VISCOSITY_CURVATURES,
                                   check_viscosity, epsilon_aA, gamma_exponent,
                                   holder_exponent, sign_intervals,
                                   verify_flux_inequalities)
-from radelliptic.errors import (InsufficientData, InvalidSpec, NotAZero,
-                                NotConverged)
+from radelliptic.errors import InsufficientData, InvalidSpec, NotAZero
 from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
                               RadialGrid, derivative_numbers,
                               interior_quotients, lipschitz_constant)
 from radelliptic.operators import (OperatorSpec, closed_form_pucci_power,
                                    eval_radial_many, pucci_power_profile)
 from radelliptic.report import VerificationReport
-from radelliptic.solver import Solution, SourceFunction, solve_dirichlet
+from radelliptic.solver import SourceFunction, solve_dirichlet
 
 
 def sampled(fn, n=200, grading=Grading.UNIFORM, R=1.0):
@@ -180,12 +179,6 @@ class TestFluxInequalities:
                 m = flux[i] + (1 + op.alpha) * (cum[j] - cum[i]) - flux[j]
                 worst = min(worst, m)
         assert got == pytest.approx(worst, rel=1e-12)
-
-    def test_unconverged_solution_rejected(self, pucci_case):
-        op, f, sol, _ = pucci_case
-        bad = Solution(sol.u, 1.0, 1e-8, 1, converged=False)
-        with pytest.raises(NotConverged):
-            verify_flux_inequalities(bad, op, f, threshold=0.05)
 
 
 class TestViscosity:

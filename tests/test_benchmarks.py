@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 
-from radelliptic import cli, solver
+from radelliptic import cli, eigen, solver
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -96,16 +96,22 @@ def test_sweep_compares_with_a_saved_sweep(tmp_path):
 
 def test_perfbench_tracer_installs_and_records(tmp_path):
     # the tracer wraps functions of the package from outside: every one it
-    # names must exist, and a solve and a verify must pass through them
+    # names must exist, and a solve, a verify and an eigen run must pass
+    # through them
     tracer = _load_script("tracing", "perfbench").Tracer()
     cfg = os.path.join(ROOT, "configs", "minimal.json")
+    eigen_cfg = os.path.join(ROOT, "configs", "eigen_disk.json")
     with tracer.installed():
         for owner, attr, _, _ in tracer._targets():
             assert owner.__dict__[attr].__name__ == "traced", attr
-        for command in ("solve", "verify"):
+        for command, path in (("solve", cfg), ("verify", cfg),
+                              ("eigen", eigen_cfg)):
             out = str(tmp_path / command)
-            assert cli.main([command, "--config", cfg, "--out", out]) == 0
+            assert cli.main([command, "--config", path, "--out", out]) == 0
     assert cli.solve_dirichlet is solver.solve_dirichlet
+    assert eigen.solve_dirichlet is solver.solve_dirichlet
     for name in ("solver.solve_dirichlet", "kernels.assemble_system",
-                 "analysis.check_viscosity"):
+                 "analysis.check_viscosity", "eigen.principal_eigenvalue"):
         assert tracer.calls[name] > 0, name
+    # the eigen steps after the first pass their guess as ``initial_guess=``
+    assert tracer.total_s["eigen.warm_solve"] > 0.0

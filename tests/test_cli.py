@@ -307,7 +307,7 @@ class TestEigen:
         cfg = write_config(tmp_path, doc)
         assert run("eigen", cfg, tmp_path / "out") == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: iterate left the positive cone after 3 restarts"]
+        assert err == ["error: iterate left the positive cone"]
 
 
 class TestConfigSchema:
@@ -410,9 +410,11 @@ class TestConfigSchema:
          "forcing value must be a finite number, got '1.5'"),
         ({"kind": "expression", "name": "step", "params": {"width": 0}},
          "step parameter 'width' must be > 0"),
+        ({"kind": "expression", "name": "const"},
+         "unknown expression 'const'"),
     ], ids=["unequal-table", "empty-table", "nan-table-entry",
             "text-parameter", "nan-constant", "text-constant",
-            "zero-step-width"])
+            "zero-step-width", "const-expression"])
     def test_bad_forcing_value_fails_before_solving(self, tmp_path, capsys,
                                                     f, message):
         cfg = write_config(tmp_path, dict(BASE_PROBLEM, f=f))

@@ -7,7 +7,7 @@ import pytest
 from radelliptic import _kernels, eigen, solver
 from radelliptic.eigen import (EigenSign, eigen_residual,
                                principal_eigenvalue)
-from radelliptic.errors import InvalidSpec, LostPositivity
+from radelliptic.errors import InvalidSpec, LostPositivity, NotConverged
 from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
                               RadialGrid)
 from radelliptic.operators import OperatorSpec
@@ -187,44 +187,68 @@ class TestNegativeAlpha:
         assert eigen_residual(op, dom, lam, phi) == expected
 
 
-class TestRestart:
-    """An iterate that leaves the positive cone restarts from a random bump."""
+class TestPositiveCone:
+    """Every inner solve of the iteration is positive inside; one that is
+    not ends the iteration."""
 
-    @staticmethod
-    def flip(monkeypatch, times):
-        """Make the first ``times`` solves return the negated profile."""
+    def test_sign_changing_iterate_raises_after_one_solve(self, monkeypatch):
         calls = []
         solve = eigen.solve_dirichlet
 
-        def flipping(*args, **kwargs):
+        def sign_changing(*args, **kwargs):
             calls.append(kwargs)
             sol = solve(*args, **kwargs)
-            if len(calls) <= times:
-                sol.u = DiscreteRadialFunction(sol.u.grid, -sol.u.values)
+            u = sol.u.values.copy()
+            u[1:len(u) // 2] *= -1.0
+            sol.u = DiscreteRadialFunction(sol.u.grid, u)
             return sol
 
-        monkeypatch.setattr(eigen, "solve_dirichlet", flipping)
-        return calls
-
-    def test_one_restart_then_convergence(self, monkeypatch):
-        dom = Domain.ball(1.0)
-        grid = RadialGrid.for_domain(dom, 200)
-        plain = principal_eigenvalue(laplacian(2), dom, grid)
-        calls = self.flip(monkeypatch, 1)
-        res = principal_eigenvalue(laplacian(2), dom, grid)
-        # the rejected solve counts no outer step
-        assert len(calls) == res.iterations + 1
-        assert len(res.lambda_history) == res.iterations
-        assert res.lambda_value == pytest.approx(plain.lambda_value, rel=1e-6)
-        assert np.all(res.phi.values[:-1] > 0.0)
-
-    def test_lost_positivity_after_three_restarts(self, monkeypatch):
+        monkeypatch.setattr(eigen, "solve_dirichlet", sign_changing)
         dom = Domain.ball(1.0)
         grid = RadialGrid.for_domain(dom, 64)
-        calls = self.flip(monkeypatch, 10 ** 9)
-        with pytest.raises(LostPositivity):
+        with pytest.raises(LostPositivity,
+                           match="^iterate left the positive cone$"):
             principal_eigenvalue(laplacian(2), dom, grid)
-        assert len(calls) == 4
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("k", range(40))
+    def test_random_problem_keeps_every_iterate_positive(self, monkeypatch,
+                                                         k):
+        # the variant cycles with k, ball and annulus alternate every four
+        rng = np.random.default_rng(4000 + k)
+        alpha = float(rng.choice([-0.75, -0.5, 0.0, 1.0, 3.0]))
+        a = float(rng.uniform(0.5, 1.5))
+        A = a * float(rng.uniform(1.0, 3.0))
+        dim = int(rng.integers(1, 5))
+        op = (OperatorSpec.pucci_plus(alpha, a, A, dim),
+              OperatorSpec.pucci_minus(alpha, a, A, dim),
+              OperatorSpec.alpha_laplacian(alpha, dim),
+              OperatorSpec.trace_normal_mix(alpha, a, A - 1.5 * a, dim))[k % 4]
+        R = float(rng.uniform(0.5, 2.0))
+        if (k // 4) % 2:
+            dom = Domain.annulus(R * float(rng.uniform(0.1, 0.7)), R)
+        else:
+            dom = Domain.ball(R)
+        grid = RadialGrid.for_domain(dom, int(rng.integers(32, 101)),
+                                     list(Grading)[rng.integers(2)])
+        sign = list(EigenSign)[rng.integers(2)]
+        smallest = []
+        solve = eigen.solve_dirichlet
+
+        def checked(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            smallest.append(float(np.min(sol.u.values[1:-1])))
+            assert smallest[-1] > 0.0, (k, len(smallest))
+            return sol
+
+        monkeypatch.setattr(eigen, "solve_dirichlet", checked)
+        try:
+            res = principal_eigenvalue(op, dom, grid, sign=sign)
+        except NotConverged:
+            assert len(smallest) == eigen.MAX_OUTER
+            return
+        assert len(smallest) == res.iterations
+        assert res.lambda_value > 0.0
 
 
 def reference_iteration(op, dom, grid, sign, tol=1e-8):

@@ -128,7 +128,7 @@ class TestSolveDirichlet:
         dom = Domain.ball(1.0, bc_outer=1.0)
         grid = RadialGrid.for_domain(dom, 64)
         sol = solve_dirichlet(op, dom, SourceFunction.constant(0.0), grid)
-        assert sol.converged
+        assert sol.diagnostics_dict()["converged"] is True
         assert np.max(np.abs(sol.u.values - 1.0)) <= 1e-10
 
     def test_pucci_power_profile(self):
@@ -138,7 +138,7 @@ class TestSolveDirichlet:
         dom = Domain.ball(1.0, bc_outer=float(exact(1.0)))
         grid = RadialGrid.for_domain(dom, 200, Grading.GRADED_AT_ORIGIN)
         sol = solve_dirichlet(op, dom, SourceFunction.constant(c), grid)
-        assert sol.converged
+        assert sol.diagnostics_dict()["converged"] is True
         err = np.max(np.abs(sol.u.values - exact(grid.nodes)))
         assert err <= 5e-3
 
@@ -381,6 +381,30 @@ class TestInitialGuess:
         f = SourceFunction.expression("power", exponent=-1.0)
         with pytest.raises(InvalidSpec, match="not finite at r = 0"):
             solve_dirichlet(op, dom, f, grid)
+
+    def test_node_values_solve_as_their_forcing(self):
+        op, dom, grid, f = self._problem()
+        fvals = f(grid.nodes)
+        sol = solve_dirichlet(op, dom, fvals, grid)
+        assert np.array_equal(sol.u.values,
+                              solve_dirichlet(op, dom, f, grid).u.values)
+        assert np.array_equal(
+            discretize_residual(op, fvals, sol.u, dom),
+            discretize_residual(op, f, sol.u, dom))
+
+    @pytest.mark.parametrize("cut, bad, message", [
+        (1, None, "needs 401 node values, got shape \\(400,\\)"),
+        (0, np.nan, "not finite at r = 1"),
+    ], ids=["short", "nan"])
+    def test_bad_node_values_rejected(self, cut, bad, message):
+        op, dom, grid, f = self._problem()
+        fvals = f(grid.nodes)[cut:]
+        if bad is not None:
+            fvals[-1] = bad
+        with pytest.raises(InvalidSpec, match=message):
+            solver._node_forcing(fvals, grid.nodes)
+        with pytest.raises(InvalidSpec, match=message):
+            solve_dirichlet(op, dom, fvals, grid)
 
 
 class TestRecurrence:
