@@ -17,8 +17,9 @@ one line per config and scale, and writes (or replaces) the entry under
 also records, per config and scale, the sha256 of each check's result in
 JSON (``json.dumps(report.as_dict(), sort_keys=True)``; for the checks run
 at every derivative-zero candidate, the list of their results), so two
-entries show whether two commits report the same; the script prints
-whether its digests match those of the file's other entries.
+entries show whether two commits report the same; against each of the
+file's other entries the script names every check whose digest differs,
+with the runs where it does.
 
 Usage: python3 benchmarks/bench_certify.py --label change
                                            [--out BENCH_certify.json]
@@ -114,6 +115,19 @@ def time_checks(doc):
     return grid.n, times, digests
 
 
+def differing_checks(digests, other):
+    """{check: [run, ...]}: the runs (config and n) where two entries'
+    digests of a check differ.  A run or a check that only one of the
+    entries has differs too."""
+    changed = {}
+    for run in sorted(set(digests) | set(other)):
+        mine, theirs = digests.get(run, {}), other.get(run, {})
+        for check in sorted(set(mine) | set(theirs)):
+            if mine.get(check) != theirs.get(check):
+                changed.setdefault(check, []).append(run)
+    return changed
+
+
 def git_commit():
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
@@ -172,8 +186,13 @@ def main(argv=None):
             doc = json.load(fh)
     for label, other in sorted(doc.items()):
         if label != args.label and "digests" in other:
-            same = other["digests"] == digests
-            print(f"digests match {label}: {'yes' if same else 'no'}")
+            changed = differing_checks(digests, other["digests"])
+            if not changed:
+                print(f"digests vs {label}: every check matches")
+            for check, where in sorted(changed.items()):
+                print(f"digests vs {label}: {check} differs on "
+                      f"{len(where)} of {len(digests)} runs: "
+                      + ", ".join(where))
     doc[args.label] = entry
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

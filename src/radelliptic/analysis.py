@@ -49,6 +49,12 @@ def _c1_scale(h: float, alpha: float) -> float:
     return h ** (1.0 / (1.0 + alpha))
 
 
+def _c1_tolerance(h: float, alpha: float, residual_sup: float) -> float:
+    """10 (h^(1/(1+alpha)) + residual_sup), the tolerance of the flux,
+    viscosity and growth-bound checks."""
+    return 10.0 * (_c1_scale(h, alpha) + residual_sup)
+
+
 def gamma_exponent(op: OperatorSpec) -> tuple[float, float]:
     """The barrier exponents (gamma, gamma1).
 
@@ -194,7 +200,7 @@ def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
     if threshold is None:
         lip = lipschitz_constant(profile)
         threshold = max(FLUX_THRESHOLD_FLOOR, h) * (1.0 + lip)
-    tol = 10.0 * (_c1_scale(h, op.alpha) + residual_sup)
+    tol = _c1_tolerance(h, op.alpha, residual_sup)
     fvals = _node_forcing(f, nodes)
     f_sup = float(np.max(np.abs(fvals)))
 
@@ -271,26 +277,26 @@ def _touches(P, Q, m, stencil, eta, below):
     return ok
 
 
-def _extreme_touching_curvature(P, global_curv, local_curv, m, s, stencil,
+def _extreme_touching_curvature(P, family, row, global_curv, m, s, stencil,
                                 eta, below):
     """Largest (below) or smallest (above) family curvature that touches.
 
-    One entry per (node, slope) pair: slope ``P``, the node's second
-    quotient ``m`` and scale ``s``, and its stencil.  The pair's curvature
-    family is ``global_curv`` (sorted, shared) merged with its row of
-    ``local_curv`` (sorted, m + c s for the coefficients ``_LOCAL_COEFS``).
+    One entry per (node, slope) pair: slope ``P``, the row of ``family``
+    its node owns, the node's second quotient ``m`` and scale ``s``, and its
+    stencil.  A row of ``family`` is the sorted union of ``global_curv``
+    (sorted, shared) and the node's own curvatures m + c s for the
+    coefficients ``_LOCAL_COEFS``.
 
     The node part of the test flips near a bound that is explicit in Q.
-    The family is split there, in ``global_curv`` exactly and in the local
-    part through (bound - m) / s; ``cand`` is the family value next to the
-    split on the touching side and ``other`` the nearest one across it.
-    The node part is monotone in Q in floating point (w is built from Q by
-    monotone roundings), so once ``other`` fails it, every value beyond the
-    split fails too, and the answer is the first value at or before
-    ``cand``, walking away from the split, that passes the exact predicate.
-    Usually that is ``cand``; the walk goes on where the crossing guard
-    binds, and starts from the family's far end where rounding put the
-    split one value off.
+    The row's values on the touching side of it are counted in
+    ``global_curv`` exactly and in the local part through (bound - m) / s,
+    which splits the row at that count.  The node part is monotone in Q in
+    floating point (w is built from Q by monotone roundings), so where the
+    value just across the split fails it, every value beyond fails too, and
+    the walk starts next to the split; where rounding put the split off and
+    that value passes, it starts from the row's far end.  It steps one value
+    at a time away from the split and stops at the first value that passes
+    the exact predicate, or at the end of the row.
 
     Returns the curvature per pair and whether any touches.
     """
@@ -298,47 +304,32 @@ def _extreme_touching_curvature(P, global_curv, local_curv, m, s, stencil,
              for _, ds, du in stencil]
     bound = np.min(flips, axis=0) if below else np.max(flips, axis=0)
     side = "right" if below else "left"
-    kg = np.searchsorted(global_curv, bound, side)
-    kl = np.searchsorted(_LOCAL_COEFS, (bound - m) / s, side)
-    g_pad = np.concatenate([[-np.inf], global_curv, [np.inf]])
-    l_pad = np.concatenate([np.full((len(P), 1), -np.inf), local_curv,
-                            np.full((len(P), 1), np.inf)], axis=1)
-    pair = np.arange(len(P))
-    # pointers to the candidate in either padded part, the walk's direction
-    # and the far ends it restarts from; the pads end every walk
+    across = (np.searchsorted(global_curv, bound, side)
+              + np.searchsorted(_LOCAL_COEFS, (bound - m) / s, side))
+    width = family.shape[1]
     if below:
-        pick, away, step = np.maximum, np.minimum, -1
-        g_at, l_at = kg, kl
-        g_end, l_end = len(global_curv), local_curv.shape[1]
+        step, far = -1, width - 1
     else:
-        pick, away, step = np.minimum, np.maximum, 1
-        g_at, l_at = kg + 1, kl + 1
-        g_end = l_end = 1
-    cand = pick(g_pad[g_at], l_pad[pair, l_at])
-    other = away(g_pad[g_at - step], l_pad[pair, l_at - step])
-    found = np.isfinite(cand)
-    touch = _touches(P, np.where(found, cand, m), m, stencil, eta, below)
-    off = _clears_nodes(P, other, stencil, eta, below)
-    walk = np.flatnonzero(off | (found & ~touch))
-    found &= touch & ~off
-    # past a failed candidate; from the far end after an off split
-    g_at[walk] += step * (g_pad[g_at[walk]] == cand[walk])
-    l_at[walk] += step * (l_pad[walk, l_at[walk]] == cand[walk])
-    g_at[off] = g_end
-    l_at[off] = l_end
+        step, far, across = 1, 0, across - 1
+    off = ((across >= 0) & (across < width)
+           & _clears_nodes(P, family[row, np.clip(across, 0, width - 1)],
+                           stencil, eta, below))
+    at = np.where(off, far, across + step)
+    inside = (at >= 0) & (at < width)
+    Q = family[row, np.clip(at, 0, width - 1)]
+    found = inside & _touches(P, Q, m, stencil, eta, below)
+    walk = np.flatnonzero(inside & ~found)
     while len(walk):
-        q = pick(g_pad[g_at[walk]], l_pad[walk, l_at[walk]])
-        left = np.isfinite(q)
-        walk, q = walk[left], q[left]
+        at[walk] += step
+        walk = walk[(at[walk] >= 0) & (at[walk] < width)]
+        q = family[row[walk], at[walk]]
         hit = _touches(P[walk], q, m[walk],
                        [(offset, ds[walk], du[walk])
                         for offset, ds, du in stencil], eta, below)
-        cand[walk[hit]] = q[hit]
+        Q[walk[hit]] = q[hit]
         found[walk[hit]] = True
-        walk, q = walk[~hit], q[~hit]
-        g_at[walk] += step * (g_pad[g_at[walk]] == q)
-        l_at[walk] += step * (l_pad[walk, l_at[walk]] == q)
-    return cand, found
+        walk = walk[~hit]
+    return Q, found
 
 
 def check_viscosity(u, op: OperatorSpec,
@@ -353,8 +344,9 @@ def check_viscosity(u, op: OperatorSpec,
     with vanishing gradients), so nodes are never tested at u' = 0.
 
     Each node tests the global slope family and its own first quotient q
-    against the global curvature family, eight offsets around its own
-    second quotient m, and m itself.  The operator is degenerate elliptic,
+    against its curvature family: the global curvature family, eight
+    offsets around its own second quotient m, and m itself, merged into one
+    sorted row per node.  The operator is degenerate elliptic,
     so H is nondecreasing in Q (Crandall-Ishii-Lions), and it is so in
     floating point too: every operation between Q and H is monotone and
     rounding keeps that.  The worst supersolution margin for a slope is
@@ -363,12 +355,13 @@ def check_viscosity(u, op: OperatorSpec,
     above.  ``_extreme_touching_curvature`` finds those with the exact
     touching predicate, so each node needs one operator value per slope
     and side, and the margins equal those of testing every (slope,
-    curvature) pair.  The search rests on one more fact: the touching
-    curvatures form a down-set (from below) or an up-set (from above) in
-    Q.  It relies on this only for the node part of the test,
-    P ds + Q ds^2 / 2 against du, which is monotone in Q under rounding;
-    the sub-cell guard, whose gap has derivative t^2 ds^2 / 2 >= 0 in Q,
-    is tested exactly at every curvature the search visits.
+    curvature) pair.  The search walks the node's row with one index and
+    rests on one more fact: the touching curvatures form a down-set (from
+    below) or an up-set (from above) in Q.  It relies on this only for the
+    node part of the test, P ds + Q ds^2 / 2 against du, which is monotone
+    in Q under rounding; the sub-cell guard, whose gap has derivative
+    t^2 ds^2 / 2 >= 0 in Q, is tested exactly at every curvature the
+    search visits.
 
     The 4-node stencils next to either end repeat an end node, which
     leaves the test unchanged.  Each side reports the first node in grid
@@ -379,7 +372,7 @@ def check_viscosity(u, op: OperatorSpec,
     vals = profile.values
     n = profile.grid.n
     h = profile.grid.max_spacing
-    tol = 10.0 * _c1_scale(h, op.alpha) + 10.0 * residual_sup
+    tol = _c1_tolerance(h, op.alpha, residual_sup)
 
     lip = max(lipschitz_constant(profile), h)
     q_int, m_int = interior_quotients(profile)
@@ -409,8 +402,9 @@ def check_viscosity(u, op: OperatorSpec,
     # the global families rarely graze the profile; add the node's own
     # quotients so near-tangent paraboloids are always in the family
     s_i = np.maximum(np.abs(m_i), 1.0)
-    local_curv = np.concatenate([m_i + _CURV_OFFSETS[:4] * s_i, m_i,
-                                 m_i + _CURV_OFFSETS[4:] * s_i], axis=1)
+    family = np.sort(np.concatenate(
+        [np.broadcast_to(curv_family, (len(i), len(curv_family))), m_i,
+         m_i + _CURV_OFFSETS * s_i], axis=1), axis=1)
     P = np.concatenate(
         [np.broadcast_to(slope_family, (len(i), len(slope_family))),
          q_int[i - 1][:, None]], axis=1)
@@ -424,14 +418,12 @@ def check_viscosity(u, op: OperatorSpec,
     # per side, the (node, slope, curvature) triples that touch, with the
     # extreme touching curvature of each
     touching = []
-    for below, extreme in (
-            (True, np.minimum(curv_family[0], local_curv[:, :1])),
-            (False, np.maximum(curv_family[-1], local_curv[:, -1:]))):
+    for below, extreme in ((True, family[:, :1]), (False, family[:, -1:])):
         # the node part is monotone in Q: where the family's extreme
         # curvature fails it, so does every curvature of the family
         k, col = np.nonzero(_clears_nodes(P, extreme, stencil, eta, below))
         Q, found = _extreme_touching_curvature(
-            P[k, col], curv_family, local_curv[k], m_i[k, 0], s_i[k, 0],
+            P[k, col], family, k, curv_family, m_i[k, 0], s_i[k, 0],
             [(offset, ds[k, 0], du[k, 0]) for offset, ds, du in stencil],
             eta, below)
         touching.append((k[found], P[k, col][found], Q[found]))
@@ -547,7 +539,7 @@ def c1_bound_check(u, op: OperatorSpec, f: SourceFunction,
     nodes = profile.grid.nodes
     h = profile.grid.max_spacing
     one_p_a = 1.0 + op.alpha
-    tol = 10.0 * _c1_scale(h, op.alpha) + 10.0 * residual_sup
+    tol = _c1_tolerance(h, op.alpha, residual_sup)
     r_star, q_int = _discrete_zero(profile, r_star)
 
     f_sup = float(np.max(np.abs(_node_forcing(f, nodes))))
@@ -561,8 +553,7 @@ def c1_bound_check(u, op: OperatorSpec, f: SourceFunction,
 
     right = dist > 0
     if right.any():
-        bound = one_p_a * f_sup / op.a * dist[right] + tol
-        m = bound - pw[right]
+        m = one_p_a * f_sup / op.a * dist[right] - pw[right]
         w = int(np.argmin(m))
         report.add("right-bound", float(nodes[1:-1][right][w]), float(m[w]), tol)
     else:
@@ -574,7 +565,7 @@ def c1_bound_check(u, op: OperatorSpec, f: SourceFunction,
                          op.A * (op.dim - 1) * one_p_a + op.a)):
         if left.any():
             K = 2.0 ** (gamma - 1.0) * (gamma + 1.0) * f_sup * one_p_a / denom
-            m = K * (-dist[left]) + tol - pw[left]
+            m = K * (-dist[left]) - pw[left]
             w = int(np.argmin(m))
             report.add(name, float(nodes[1:-1][left][w]), float(m[w]), tol)
         else:

@@ -32,8 +32,8 @@ from .errors import (Diverged, InsufficientData, LostPositivity, NotAZero,
 from .grid import Domain, Grading, RadialGrid
 from .operators import OperatorSpec, validate_hypotheses
 from .report import VerificationReport
-from .solver import (EXPRESSION_CATALOGUE, SourceFunction, is_finite_number,
-                     solve_dirichlet)
+from .solver import (EXPRESSION_CATALOGUE, SourceFunction, _node_forcing,
+                     is_finite_number, solve_dirichlet)
 
 # advisory checks never gate the exit status: alternate constant readings
 # carried for reference alongside the binding one
@@ -215,7 +215,7 @@ def cmd_verify(doc: dict, out_dir: str) -> int:
     report.extend(validate_hypotheses(op, 2000, seed))
 
     # comparison spot-check: lowering the forcing must raise the solution
-    fvals = f(grid.nodes)
+    fvals = _node_forcing(f, grid.nodes)
     f_low = fvals - 0.1 * max(1.0, float(np.max(np.abs(fvals))))
     sol_low = solve_dirichlet(op, dom, f_low, grid)
     report.extend(comparison_oracle(sol, sol_low, op, fvals, f_low))

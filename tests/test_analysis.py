@@ -261,6 +261,35 @@ class TestC1Bound:
         by_name = {c.name: c for c in report.checks}
         assert not by_name["right-bound"].passed
 
+    def test_profile_above_the_bound_by_more_than_tol_fails(self):
+        # the tolerance is counted once, in the pass test, not also in the
+        # bound.  Right of a zero at the origin: u' = (2 + 1.5 tol) r
+        # against the bound (1+alpha) |f|/a r = 2 r, a margin of
+        # -1.5 tol r, past -tol near r = 1
+        f = SourceFunction.constant(2.0)
+        tol = 10.0 / 200
+        u = sampled(lambda r: (1.0 + 0.75 * tol) * r ** 2, n=200)
+        report = c1_bound_check(u, OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2),
+                                f, 0.0)
+        check = {c.name: c for c in report.checks}["right-bound"]
+        assert check.margin == pytest.approx(-1.5 * tol * check.location)
+        assert check.margin < -tol and not check.passed
+        # left of a zero at r* = 1.9 in dim 1 (gamma = 0): |u'| =
+        # (1 + 1.5 tol)(r* - r) against K (r* - r), K = |f| / 2 = 1 under
+        # both denominators, past -tol once r* - r > 2/3
+        tol = 10.0 * 2.0 / 200
+        u = sampled(lambda r: (0.5 + 0.75 * tol) * (r - 1.9) ** 2, n=200,
+                    R=2.0)
+        report = c1_bound_check(u, OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 1),
+                                f, 1.9)
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["right-bound"].passed
+        for name in ("machin[display]", "machin[proof]"):
+            check = by_name[name]
+            assert check.margin == pytest.approx(
+                -1.5 * tol * (1.9 - check.location))
+            assert check.margin < -tol and not check.passed
+
     def test_not_a_zero(self, pucci_case):
         op, f, sol, _ = pucci_case
         with pytest.raises(NotAZero):
@@ -708,13 +737,19 @@ class TestBlockedCertification:
     def test_extreme_curvature_next_to_the_node_bound(self):
         # family values a few ulps either side of where the node part of the
         # test flips, so that rounding decides it: the search must pick what
-        # testing every family value picks
+        # testing every family value picks.  Besides random families: a
+        # global value equal to a local one, a global value equal to m with
+        # m on the bound, a row where every value fails the node part, and
+        # one where every value passes it
         rng = np.random.default_rng(7)
         for below in (True, False):
-            for _ in range(50):
+            for case in ("random", "shared", "m", "none", "end") * 50:
                 ds = np.array([-0.02, -0.01, 0.01, 0.02]) * rng.uniform(
                     0.5, 2.0, 4)
                 P, curv = rng.normal(size=2)
+                if case in ("none", "end"):
+                    curv = (-50.0 if below else 50.0) * (
+                        -1.0 if case == "end" else 1.0)
                 stencil = [(offset, np.array([d]),
                             np.array([P * d + 0.5 * curv * d * d]))
                            for offset, d in zip((-2, -1, 1, 2), ds)]
@@ -727,21 +762,55 @@ class TestBlockedCertification:
                 for _ in range(3):
                     near = ([np.nextafter(near[0], -np.inf)] + near
                             + [np.nextafter(near[-1], np.inf)])
-                global_curv = np.unique(
-                    np.concatenate([near, rng.normal(size=3) * 10.0]))
                 m = np.array([curv + rng.normal()])
+                if case == "m":
+                    m = np.array([near[int(rng.integers(7))]])
+                elif case == "none":
+                    # every local value and every global one lies beyond
+                    # the bound, on the failing side
+                    m = np.array([bound / 6.0])
+                    near = bound + np.sign(-bound) * (
+                        1.0 + np.abs(rng.normal(size=7)))
+                elif case == "end":
+                    # every value lies on the touching side, the global
+                    # ones next to the bound, which makes them the far end
+                    m = np.array([bound / 5.0])
+                    near = bound * (1.0 - 1e-6 * np.arange(1, 8))
                 s = np.maximum(np.abs(m), 1.0)
-                local_curv = (m + _LOCAL_COEFS * s)[None, :]
-                got, found = _extreme_touching_curvature(
-                    np.array([P]), global_curv, local_curv, m, s, stencil,
-                    eta, below)
-                family = np.concatenate([global_curv, local_curv[0]])
+                local = m + _LOCAL_COEFS * s
+                extra = rng.normal(size=3) * 10.0
+                if case == "shared":
+                    extra[0] = local[np.argmin(np.abs(local - bound))]
+                elif case == "m":
+                    extra[0] = m[0]
+                elif case == "none":
+                    extra = near[:3]
+                elif case == "end":
+                    extra = bound - np.sign(bound) * (
+                        1.0 + np.abs(rng.normal(size=3)))
+                global_curv = np.unique(np.concatenate([near, extra]))
+                family = np.sort(np.concatenate([global_curv, local]))
                 ok = _touches(P, family, m[0], [
                     (o, d[0], du[0]) for o, d, du in stencil], eta, below)
-                assert found[0] == ok.any()
-                if ok.any():
-                    assert got[0] == (family[ok].max() if below
-                                      else family[ok].min())
+                clears = _clears_nodes(P, family, [
+                    (o, d[0], du[0]) for o, d, du in stencil], eta, below)
+                if case == "none":
+                    assert not clears.any()
+                elif case == "end":
+                    assert clears.all()
+                # the split only places the walk's start: counted against a
+                # global family moved to the failing side, it lands far
+                # off, the walk starts from the row's far end, and the
+                # answer stays the same
+                for counted in (global_curv,
+                                global_curv + (1e3 if below else -1e3)):
+                    got, found = _extreme_touching_curvature(
+                        np.array([P]), family[None, :], np.array([0]),
+                        counted, m, s, stencil, eta, below)
+                    assert found[0] == ok.any()
+                    if ok.any():
+                        assert got[0] == (family[ok].max() if below
+                                          else family[ok].min())
 
     def test_large_gamma_barrier_near_origin(self):
         # gamma = (A/a)(N-1)(1+alpha) = 100: near the origin of a graded

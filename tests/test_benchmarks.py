@@ -35,6 +35,23 @@ def test_certify_times_every_check_on_a_shipped_config():
     assert bench.time_checks(doc)[2] == digests
 
 
+def test_certify_names_the_checks_whose_digests_differ():
+    bench = _load_script("bench_certify")
+    ours = {"a:n=10": {"check_viscosity": "1", "c1_bound_check": "2"},
+            "a:n=40": {"check_viscosity": "3", "c1_bound_check": "4"},
+            "b:n=10": {"check_viscosity": "5"}}
+    assert bench.differing_checks(ours, ours) == {}
+    theirs = {"a:n=10": {"check_viscosity": "1", "c1_bound_check": "x"},
+              "a:n=40": {"check_viscosity": "3", "c1_bound_check": "y"},
+              "b:n=10": {"check_viscosity": "5", "holder_exponent": "6"},
+              "c:n=10": {"check_viscosity": "7"}}
+    # a check or a run that only one entry has differs too
+    assert bench.differing_checks(ours, theirs) == {
+        "c1_bound_check": ["a:n=10", "a:n=40"],
+        "holder_exponent": ["b:n=10"],
+        "check_viscosity": ["c:n=10"]}
+
+
 def test_solve_times_a_config_row(monkeypatch):
     bench = _load_script("bench_solve")
     monkeypatch.setattr(bench, "ROW_SECONDS", 0.01)
