@@ -45,7 +45,8 @@ def epsilon_aA(x, a: float, A: float):
 
 
 def _c1_scale(h: float, alpha: float) -> float:
-    """h^(1/(1+alpha)), the scale of every C^1 check's tolerance."""
+    """h^(1/(1+alpha)), the scale of the flux, viscosity and growth-bound
+    tolerances and of the viscosity check's slope floor."""
     return h ** (1.0 / (1.0 + alpha))
 
 
@@ -155,11 +156,12 @@ def _flux_checks(report, tol, nodes, flux, idx, op, f_sup, eps_cum,
     else:
         m_int = a[1:] - np.maximum.accumulate(a[:-1])
     side, bar = ("eqA", "eqB") if increasing else ("eqC", "eqD")
-    checks = [(side, m_int)]
+    checks = [(side, m_int, True)]
     gamma_log_r = gamma * np.log(r[:-1])
     left = np.arange(len(s))
-    for tag, denom in (("loose", op.A * (op.dim - 1) * one_p_a + op.a),
-                       ("tight", op.A * (op.dim - 1) * one_p_a + op.A)):
+    for tag, denom, binding in (
+            ("loose", op.A * (op.dim - 1) * one_p_a + op.a, True),
+            ("tight", op.A * (op.dim - 1) * one_p_a + op.A, False)):
         c = f_sup * one_p_a / denom
         X = f_int + c * r if increasing else c * r - f_int
         lead = gamma_log_r + np.log(X[:-1])
@@ -168,10 +170,10 @@ def _flux_checks(report, tol, nodes, flux, idx, op, f_sup, eps_cum,
         best = np.maximum.accumulate(
             np.where(lead == np.maximum.accumulate(lead), left, 0))
         checks.append((f"{bar}[{tag}]",
-                       X[1:] - (r[best] / s) ** gamma * X[best]))
-    for name, margins in checks:
+                       X[1:] - (r[best] / s) ** gamma * X[best], binding))
+    for name, margins, binding in checks:
         k = int(np.argmin(margins))
-        report.add(name, float(s[k]), float(margins[k]), tol)
+        report.add(name, float(s[k]), float(margins[k]), tol, binding)
 
 
 def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
@@ -213,9 +215,7 @@ def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
     cum_aA = _cumulative_trapezoid(epsilon_aA(fvals, op.a, op.A), nodes)
     cum_Aa = _cumulative_trapezoid(epsilon_aA(fvals, op.A, op.a), nodes)
 
-    report = VerificationReport(
-        tolerance_model="10*(h^(1/(1+alpha)) + residual_sup); "
-                        "tight barrier reading advisory at the same tolerance")
+    report = VerificationReport()
     intervals = sign_intervals(profile, threshold)
     for itv in intervals:
         idx = np.arange(itv.i_lo, itv.i_hi + 1)
@@ -438,8 +438,7 @@ def check_viscosity(u, op: OperatorSpec,
     np.minimum.at(m_super, k_super, f_i[k_super] - hvals[:len(k_super)])
     np.minimum.at(m_sub, k_sub, hvals[len(k_super):] - f_i[k_sub])
 
-    report = VerificationReport(
-        tolerance_model="10*h^(1/(1+alpha)) + 10*residual_sup")
+    report = VerificationReport()
     for name, margins in (("viscosity[supersolution]", m_super),
                           ("viscosity[subsolution]", m_sub)):
         k = int(np.argmin(margins)) if len(i) else 0
@@ -547,9 +546,7 @@ def c1_bound_check(u, op: OperatorSpec, f: SourceFunction,
     pw = np.abs(q_int) ** one_p_a
     dist = nodes[1:-1] - r_star
 
-    report = VerificationReport(
-        tolerance_model="10*h^(1/(1+alpha)) + 10*residual_sup; "
-                        "left-bound readings advisory")
+    report = VerificationReport()
 
     right = dist > 0
     if right.any():
@@ -567,9 +564,10 @@ def c1_bound_check(u, op: OperatorSpec, f: SourceFunction,
             K = 2.0 ** (gamma - 1.0) * (gamma + 1.0) * f_sup * one_p_a / denom
             m = K * (-dist[left]) - pw[left]
             w = int(np.argmin(m))
-            report.add(name, float(nodes[1:-1][left][w]), float(m[w]), tol)
+            report.add(name, float(nodes[1:-1][left][w]), float(m[w]), tol,
+                       binding=False)
         else:
-            report.add(name, r_star, math.inf, tol)
+            report.add(name, r_star, math.inf, tol, binding=False)
     return report
 
 
@@ -584,11 +582,27 @@ def c1_modulus_report(u, alpha: float, stride: int = 10,
     numbers at all probed nodes come from one vectorized
     ``derivative_numbers`` call; each check reports the first probed node
     that attains its minimum margin.
+
+    The tolerances scale like h^min(1, 1/(1+alpha)), the modulus of
+    continuity of u' over a window of a few h.  For alpha >= 0 that is the
+    paper's C^{1,1/(1+alpha)}.  For alpha < 0, u' vanishes like
+    |r - r*|^{1/(1+alpha)} with an exponent above 1, and away from its
+    zeros u'' stays bounded, so u' is Lipschitz and the numbers spread by
+    O(h), not by the smaller O(h^{1/(1+alpha)}).
+
+    ``zero-derivative`` has two thresholds.  A probe counts as near a zero
+    of u' when some number is below tol = 10 h^min(1, 1/(1+alpha)); its
+    margin is tol - max of the four, which passes at >= -tol, so the probe
+    passes while every number stays <= 2 tol.  A single threshold (pass
+    only while every number is <= tol) would fail 8 of the 18 shipped
+    verify runs at n, 4n and 16n: the numbers of one probe span a window
+    of 8 local spacings, and next to a zero of u' the largest of them
+    exceeds tol while the smallest is below it.
     """
     profile, _ = _as_function(u)
     grid = profile.grid
     nodes = grid.nodes
-    scale = _c1_scale(grid.max_spacing, alpha)
+    scale = grid.max_spacing ** min(1.0, 1.0 / (1.0 + alpha))
     tol_spread = 20.0 * scale
     tol_remark = 10.0 * scale
 
@@ -600,9 +614,7 @@ def c1_modulus_report(u, alpha: float, stride: int = 10,
     zero = np.where(np.min(four, axis=0) < tol_remark,
                     tol_remark - np.max(four, axis=0), math.inf)
 
-    report = VerificationReport(
-        tolerance_model="spread: 20*h^(1/(1+alpha)); "
-                        "interlacing and zero-derivative: 10*h^(1/(1+alpha))")
+    report = VerificationReport()
     for name, margins, tol in (
             ("c1-spread", -dn.spread, tol_spread),
             ("interlace[Lg-ld]", dn.Lambda_g - dn.lambda_d, tol_remark),
@@ -640,8 +652,7 @@ def comparison_oracle(u, v, op: OperatorSpec, fu, fv) -> VerificationReport:
     tol = 10.0 * max(res_u, res_v)
     gap = pv.values[1:-1] - pu.values[1:-1]
     worst = int(np.argmin(gap))
-    report = VerificationReport(
-        tolerance_model="10 * max residual of the compared solutions")
+    report = VerificationReport()
     name = "comparison" if strict_somewhere else "comparison[non-strict]"
     report.add(name, nodes[1 + worst], float(gap[worst]), tol)
     return report

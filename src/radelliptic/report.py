@@ -1,39 +1,49 @@
-"""Pass/fail records with margins, serializable to JSON and CSV."""
+"""Check verdicts with margins and tolerances, written as JSON and CSV."""
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 
 @dataclass
 class Check:
-    """One verified inequality: pass iff margin >= -tolerance."""
+    """One verified inequality: it passes iff margin >= -tolerance.
+
+    A check that is not ``binding`` is advisory: it is reported, but its
+    failure does not fail the verification.
+    """
 
     name: str
     location: float
     margin: float
-    passed: bool
+    tolerance: float
+    binding: bool
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin >= -self.tolerance)
 
     def as_dict(self) -> dict:
         return {
             "name": self.name,
             "location": self.location,
             "margin": self.margin,
+            "tolerance": self.tolerance,
             "pass": self.passed,
+            "binding": self.binding,
         }
 
 
 @dataclass
 class VerificationReport:
     checks: list[Check] = field(default_factory=list)
-    tolerance_model: str = ""
 
-    def add(self, name: str, location: float, margin: float, tolerance: float) -> Check:
-        check = Check(name, float(location), float(margin),
-                      bool(margin >= -tolerance or math.isinf(margin)))
+    def add(self, name: str, location: float, margin: float, tolerance: float,
+            binding: bool = True) -> Check:
+        check = Check(name, float(location), float(margin), float(tolerance),
+                      binding)
         self.checks.append(check)
         return check
 
@@ -48,10 +58,7 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
     def as_dict(self) -> dict:
-        return {
-            "checks": [c.as_dict() for c in self.checks],
-            "tolerance_model": self.tolerance_model,
-        }
+        return {"checks": [c.as_dict() for c in self.checks]}
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -61,7 +68,9 @@ class VerificationReport:
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["name", "location", "margin", "pass"])
+            writer.writerow(["name", "location", "margin", "tolerance", "pass",
+                             "binding"])
             for c in self.checks:
                 writer.writerow([c.name, "%.17g" % c.location, "%.17g" % c.margin,
-                                 str(c.passed).lower()])
+                                 "%.17g" % c.tolerance, str(c.passed).lower(),
+                                 str(c.binding).lower()])

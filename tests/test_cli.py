@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import json
 import os
@@ -11,13 +12,22 @@ import sys
 import numpy as np
 import pytest
 
-from radelliptic import cli, eigen
+from radelliptic import analysis, cli, eigen
 from radelliptic.cli import main
 from radelliptic.grid import DiscreteRadialFunction
 from radelliptic.solver import EXPRESSION_CATALOGUE
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 CONFIG_DIR = os.path.join(ROOT, "configs")
+
+
+def _declared_command(name):
+    with open(os.path.join(CONFIG_DIR, name), encoding="utf-8") as fh:
+        return json.load(fh).get("command")
+
+
+VERIFY_CONFIGS = sorted(name for name in os.listdir(CONFIG_DIR)
+                        if _declared_command(name) == "verify")
 
 BASE_PROBLEM = {
     "operator": {"variant": "PucciPlus", "alpha": 1.0, "a": 1.0, "A": 2.0,
@@ -155,12 +165,11 @@ class TestVerify:
                 "viscosity[supersolution]", "viscosity[subsolution]",
                 "c1-spread", "right-bound", "machin[display]",
                 "machin[proof]", "holder-fit", "comparison"} <= names
-        assert all(c["pass"] for c in report["checks"]
-                   if "[tight]" not in c["name"]
-                   and "machin" not in c["name"])
+        assert all(c["pass"] for c in report["checks"] if c["binding"])
         with open(out / "report.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["name", "location", "margin", "pass"]
+        assert rows[0] == ["name", "location", "margin", "tolerance", "pass",
+                           "binding"]
         assert len(rows) == len(report["checks"]) + 1
 
     def test_decreasing_solution_hits_mirrored_checks(self, tmp_path):
@@ -194,6 +203,61 @@ class TestVerify:
         report = json.loads((out / "report.json").read_text())
         failed = [c["name"] for c in report["checks"] if not c["pass"]]
         assert "holder-fit" in failed
+
+    # a failed row gates the exit status iff the check that made it marked
+    # it binding
+    @pytest.mark.parametrize("name, code", [
+        ("machin[display]", 0), ("machin[proof]", 0), ("right-bound", 3)])
+    def test_exit_status_follows_binding(self, tmp_path, monkeypatch, name,
+                                         code):
+        real = analysis.c1_bound_check
+
+        def failing(*args):
+            report = real(*args)
+            report.checks = [dataclasses.replace(c, margin=-2 * c.tolerance)
+                             if c.name == name else c for c in report.checks]
+            return report
+
+        monkeypatch.setattr(analysis, "c1_bound_check", failing)
+        cfg = write_config(tmp_path, BASE_PROBLEM)
+        out = tmp_path / "out"
+        assert run("verify", cfg, out) == code
+        report = json.loads((out / "report.json").read_text())
+        assert [(c["name"], c["binding"]) for c in report["checks"]
+                if not c["pass"]] == [(name, code == 3)]
+
+    @pytest.mark.parametrize("name", VERIFY_CONFIGS)
+    def test_shipped_rows_record_their_verdict(self, tmp_path, name):
+        out = tmp_path / "out"
+        code = run("verify", os.path.join(CONFIG_DIR, name), out)
+        rows = json.loads((out / "report.json").read_text())["checks"]
+        assert code == 0
+        for row in rows:
+            assert row["pass"] == (row["margin"] >= -row["tolerance"])
+            advisory = ("[tight]" in row["name"]
+                        or row["name"].startswith("machin["))
+            assert row["binding"] is not advisory, row
+        with open(out / "report.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert [(r["name"], r["pass"], r["binding"]) for r in table] == [
+            (r["name"], str(r["pass"]).lower(), str(r["binding"]).lower())
+            for r in rows]
+
+    # at alpha = 40 the hypothesis check used to overflow to a nan margin;
+    # at alpha = -0.5 the C^1 diagnostics used a tolerance scale below h
+    @pytest.mark.parametrize("alpha, value", [(40.0, 1.0), (-0.5, 3.0)])
+    def test_extreme_alpha_passes(self, tmp_path, recwarn, alpha, value):
+        doc = dict(BASE_PROBLEM, seed=0,
+                   operator=dict(BASE_PROBLEM["operator"], alpha=alpha),
+                   grid={"n": 200, "grading": "GradedAtOrigin"},
+                   f={"kind": "constant", "value": value})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run("verify", cfg, out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert all(c["pass"] for c in report["checks"]), report
+        assert not [w for w in recwarn if issubclass(w.category,
+                                                     RuntimeWarning)]
 
 
     # verify takes no options: a verify_opts section, whatever it holds, is

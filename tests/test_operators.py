@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from radelliptic import operators
 from radelliptic.errors import InvalidSpec
 from radelliptic.operators import (OperatorSpec, closed_form_alpha_laplacian,
                                    closed_form_pucci_power, eval_radial_many,
@@ -181,6 +183,35 @@ class TestHypotheses:
         report = validate_hypotheses(make_op(alpha), 10_000, seed=1234)
         assert [c.name for c in report.checks] == ["H1", "H2"]
         assert report.all_passed, [c.as_dict() for c in report.failures()]
+
+    # past alpha = 200/9 the jet decades shrink, so both sides of (H1)
+    # and (H2) stay finite
+    @pytest.mark.parametrize("alpha", [40.0, 60.0, 100.0])
+    @pytest.mark.parametrize("make_op", [
+        lambda alpha: OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2),
+        lambda alpha: OperatorSpec.pucci_minus(alpha, 0.5, 3.0, 3),
+        lambda alpha: OperatorSpec.alpha_laplacian(alpha, 3),
+        lambda alpha: OperatorSpec.trace_normal_mix(alpha, 1.0, -0.5, 2),
+    ])
+    def test_large_alpha_margins_are_finite(self, make_op, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = validate_hypotheses(make_op(alpha), 2000, seed=0)
+        assert [c.name for c in report.checks] == ["H1", "H2"]
+        assert all(np.isfinite(c.margin) for c in report.checks)
+        assert report.all_passed, [c.as_dict() for c in report.failures()]
+
+    def test_non_homogeneous_factor_fails_h1_at_large_alpha(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(operators, "_degenerate_factor",
+                            lambda q, alpha: np.abs(q) ** alpha
+                            * (1.0 + np.abs(q)))
+        op = OperatorSpec.pucci_plus(40.0, 1.0, 2.0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = validate_hypotheses(op, 2000, seed=0)
+        h1 = next(c for c in report.checks if c.name == "H1")
+        assert np.isfinite(h1.margin) and not h1.passed
 
     def test_h4_reported_when_modulus_given(self):
         op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2, nu=4.0, kappa=1.0)
