@@ -29,10 +29,10 @@ FLUX_THRESHOLD_FLOOR = 1e-7
 # spread over [-2 Lip, 2 Lip], curvatures over [-4 |u''|, 4 |u''|]
 VISCOSITY_SLOPES = 17
 VISCOSITY_CURVATURES = 9
-# each node's own curvatures: its second quotient m and m + c max(|m|, 1)
-# for the offsets c; m + _LOCAL_COEFS max(|m|, 1) lists all nine, sorted
-_CURV_OFFSETS = np.array([-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0])
-_LOCAL_COEFS = np.insert(_CURV_OFFSETS, 4, 0.0)
+# each node's own curvatures: m + c max(|m|, 1) for these c, sorted, with
+# its second quotient m itself for c = 0
+_LOCAL_COEFS = np.array([-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0])
+_LOCAL_COEFS_PADDED = np.concatenate([[-np.inf], _LOCAL_COEFS, [np.inf]])
 
 
 def epsilon_aA(x, a: float, A: float):
@@ -207,7 +207,11 @@ def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
     f_sup = float(np.max(np.abs(fvals)))
 
     q, _ = interior_quotients(profile)
-    flux_int = np.abs(q) ** op.alpha * q
+    # 0^alpha is inf for alpha < 0: a zero quotient's flux is set to 0 (it
+    # lies outside every monotone interval)
+    flux_int = np.zeros_like(q)
+    moving = q != 0.0
+    flux_int[moving] = np.abs(q[moving]) ** op.alpha * q[moving]
     flux = np.empty_like(nodes)
     flux[1:-1] = flux_int
     flux[0] = flux[-1] = 0.0  # endpoints never indexed by intervals
@@ -238,98 +242,49 @@ def _chebyshev(lo, hi, count):
     return lo + (hi - lo) * 0.5 * (1.0 + t)
 
 
-def _clears_nodes(P, Q, stencil, eta, below):
-    """Node part of the touching test: the paraboloid w = P ds + Q ds^2 / 2
-    stays below (above) the profile's increments du on the stencil, up to
-    ``eta``.  ``stencil`` holds (offset, ds, du) per neighbour."""
-    ok = True
-    for _, ds, du in stencil:
-        w = P * ds + 0.5 * Q * ds ** 2
-        ok = ok & (w <= du + eta if below else w >= du - eta)
-    return ok
+def _touching_bounds(P, m, stencil, eta):
+    """The curvature bounds of the touching test at slopes ``P``: Q touches
+    from below iff Q <= the first, from above iff Q >= the second.
 
-
-def _touches(P, Q, m, stencil, eta, below):
-    """The exact touching predicate from below (above) at (P, Q).
-
-    The node part is followed by a sub-cell crossing guard: a paraboloid can
-    clear the nodes yet cross the profile inside an adjacent cell.  Model u
-    on the cell as the quadratic with the node's second quotient ``m``; the
-    gap to the paraboloid is then gap(t) = t*gb - (dQ*hc^2/2)*t*(1-t) with
-    dQ = Q - m, whose extremum over the cell is explicit.
+    ``m`` is the node's second quotient and ``stencil`` holds (offset, ds,
+    du) per neighbour; see ``check_viscosity`` for the derivation.
     """
-    ok = _clears_nodes(P, Q, stencil, eta, below)
-    dQ = Q - m
+    below = above = None
     for offset, ds, du in stencil:
-        if abs(offset) == 2:
-            continue
         hc2 = ds * ds
-        gb = P * ds + 0.5 * Q * hc2 - du
-        denom = np.where(dQ != 0.0, dQ * hc2, 1.0)
-        t_star = np.clip(0.5 - gb / denom, 0.0, 1.0)
-        g_star = t_star * gb - 0.5 * dQ * hc2 * t_star * (1.0 - t_star)
-        if below:
-            ok = ok & (np.maximum(np.maximum(0.0, gb),
-                                  np.where(dQ < 0, g_star, 0.0)) <= eta)
-        else:
-            ok = ok & (np.minimum(np.minimum(0.0, gb),
-                                  np.where(dQ > 0, g_star, 0.0)) >= -eta)
-    return ok
+        F = 2.0 * (du - P * ds) / hc2
+        e = 2.0 * eta / hc2
+        lo, hi = F + e, F - e
+        if abs(offset) == 1:
+            lo = lo - np.maximum(m - F - 2.0 * e, 0.0) ** 2 / (4.0 * e)
+            hi = hi + np.maximum(F - m - 2.0 * e, 0.0) ** 2 / (4.0 * e)
+        below = lo if below is None else np.minimum(below, lo)
+        above = hi if above is None else np.maximum(above, hi)
+    return below, above
 
 
-def _extreme_touching_curvature(P, family, row, global_curv, m, s, stencil,
-                                eta, below):
-    """Largest (below) or smallest (above) family curvature that touches.
+def _local_curvature(m, s, k):
+    """The node's own curvature of index ``k`` in ``_LOCAL_COEFS``:
+    m + c s, m itself for c = 0; -inf for k = -1 and +inf for k = 9."""
+    c = _LOCAL_COEFS_PADDED[k + 1]
+    return np.where(c == 0.0, m, m + c * s)
 
-    One entry per (node, slope) pair: slope ``P``, the row of ``family``
-    its node owns, the node's second quotient ``m`` and scale ``s``, and its
-    stencil.  A row of ``family`` is the sorted union of ``global_curv``
-    (sorted, shared) and the node's own curvatures m + c s for the
-    coefficients ``_LOCAL_COEFS``.
 
-    The node part of the test flips near a bound that is explicit in Q.
-    The row's values on the touching side of it are counted in
-    ``global_curv`` exactly and in the local part through (bound - m) / s,
-    which splits the row at that count.  The node part is monotone in Q in
-    floating point (w is built from Q by monotone roundings), so where the
-    value just across the split fails it, every value beyond fails too, and
-    the walk starts next to the split; where rounding put the split off and
-    that value passes, it starts from the row's far end.  It steps one value
-    at a time away from the split and stops at the first value that passes
-    the exact predicate, or at the end of the row.
+def _largest_at_most(bound, curv_family, m, s):
+    """The largest curvature <= ``bound`` in a node's family, -inf if none.
 
-    Returns the curvature per pair and whether any touches.
+    The family is the sorted shared ``curv_family`` and the node's own
+    m + c s for c in ``_LOCAL_COEFS``.  The own values rise with c in
+    floating point too, and counting them through (bound - m) / s rounds
+    off by at most one, since the coefficients lie at least 0.25 apart; one
+    exact comparison each way settles the count.
     """
-    flips = [2.0 * ((du + eta if below else du - eta) - P * ds) / ds ** 2
-             for _, ds, du in stencil]
-    bound = np.min(flips, axis=0) if below else np.max(flips, axis=0)
-    side = "right" if below else "left"
-    across = (np.searchsorted(global_curv, bound, side)
-              + np.searchsorted(_LOCAL_COEFS, (bound - m) / s, side))
-    width = family.shape[1]
-    if below:
-        step, far = -1, width - 1
-    else:
-        step, far, across = 1, 0, across - 1
-    off = ((across >= 0) & (across < width)
-           & _clears_nodes(P, family[row, np.clip(across, 0, width - 1)],
-                           stencil, eta, below))
-    at = np.where(off, far, across + step)
-    inside = (at >= 0) & (at < width)
-    Q = family[row, np.clip(at, 0, width - 1)]
-    found = inside & _touches(P, Q, m, stencil, eta, below)
-    walk = np.flatnonzero(inside & ~found)
-    while len(walk):
-        at[walk] += step
-        walk = walk[(at[walk] >= 0) & (at[walk] < width)]
-        q = family[row[walk], at[walk]]
-        hit = _touches(P[walk], q, m[walk],
-                       [(offset, ds[walk], du[walk])
-                        for offset, ds, du in stencil], eta, below)
-        Q[walk[hit]] = q[hit]
-        found[walk[hit]] = True
-        walk = walk[~hit]
-    return Q, found
+    g = np.searchsorted(curv_family, bound, "right")
+    shared = np.where(g > 0, curv_family[g - 1], -np.inf)
+    k = np.searchsorted(_LOCAL_COEFS, (bound - m) / s, "right")
+    k = (k - (_local_curvature(m, s, k - 1) > bound)
+         + (_local_curvature(m, s, k) <= bound))
+    return np.maximum(shared, _local_curvature(m, s, k - 1))
 
 
 def check_viscosity(u, op: OperatorSpec,
@@ -345,23 +300,35 @@ def check_viscosity(u, op: OperatorSpec,
 
     Each node tests the global slope family and its own first quotient q
     against its curvature family: the global curvature family, eight
-    offsets around its own second quotient m, and m itself, merged into one
-    sorted row per node.  The operator is degenerate elliptic,
-    so H is nondecreasing in Q (Crandall-Ishii-Lions), and it is so in
-    floating point too: every operation between Q and H is monotone and
-    rounding keeps that.  The worst supersolution margin for a slope is
-    therefore reached at the largest curvature that touches from below,
-    and the worst subsolution margin at the smallest that touches from
-    above.  ``_extreme_touching_curvature`` finds those with the exact
-    touching predicate, so each node needs one operator value per slope
-    and side, and the margins equal those of testing every (slope,
-    curvature) pair.  The search walks the node's row with one index and
-    rests on one more fact: the touching curvatures form a down-set (from
-    below) or an up-set (from above) in Q.  It relies on this only for the
-    node part of the test, P ds + Q ds^2 / 2 against du, which is monotone
-    in Q under rounding; the sub-cell guard, whose gap has derivative
-    t^2 ds^2 / 2 >= 0 in Q, is tested exactly at every curvature the
-    search visits.
+    offsets around its own second quotient m, and m itself.
+
+    For one slope P the touching test is explicit in the curvature Q.  At
+    a neighbour with increments (ds, du), let F = 2 (du - P ds) / ds^2 and
+    e = 2 eta / ds^2.  The paraboloid P ds + Q ds^2 / 2 stays below du + eta
+    iff Q <= F + e (above du - eta iff Q >= F - e).  On the two cells next
+    to the node u is modelled as the quadratic of curvature m, so a
+    sub-cell guard applies too: with a = m - F and b = Q - m the gap to it
+    is (ds^2 / 2) (a t + b t^2), t in [0, 1].  It peaks at an end (0 or
+    a + b) unless b < 0 and the vertex t = -a / (2b) lies inside, where it
+    peaks at -a^2 / (4b), so the gap stays <= eta iff
+
+        Q <= F + e - max(m - F - 2e, 0)^2 / (4e),
+
+    and mirrored, it stays >= -eta iff
+
+        Q >= F - e + max(F - m - 2e, 0)^2 / (4e).
+
+    The bound from below is the least of these over the neighbours, the
+    bound from above the greatest (``_touching_bounds``).
+
+    The operator is degenerate elliptic, so H is nondecreasing in Q
+    (Crandall-Ishii-Lions), and it is so in floating point too: every
+    operation between Q and H is monotone and rounding keeps that.  The
+    worst supersolution margin for a slope is therefore reached at the
+    largest family curvature up to the bound from below, and the worst
+    subsolution margin at the smallest from the bound from above
+    (``_largest_at_most``), so each node needs one operator value per slope
+    and side.
 
     The 4-node stencils next to either end repeat an end node, which
     leaves the test unchanged.  Each side reports the first node in grid
@@ -402,9 +369,6 @@ def check_viscosity(u, op: OperatorSpec,
     # the global families rarely graze the profile; add the node's own
     # quotients so near-tangent paraboloids are always in the family
     s_i = np.maximum(np.abs(m_i), 1.0)
-    family = np.sort(np.concatenate(
-        [np.broadcast_to(curv_family, (len(i), len(curv_family))), m_i,
-         m_i + _CURV_OFFSETS * s_i], axis=1), axis=1)
     P = np.concatenate(
         [np.broadcast_to(slope_family, (len(i), len(slope_family))),
          q_int[i - 1][:, None]], axis=1)
@@ -415,18 +379,19 @@ def check_viscosity(u, op: OperatorSpec,
         stencil.append((offset, nodes[j][:, None] - r_i,
                         vals[j][:, None] - u_i))
 
-    # per side, the (node, slope, curvature) triples that touch, with the
-    # extreme touching curvature of each
+    # per side, the (node, slope) pairs whose bound reaches the family's
+    # extreme curvature, so that some curvature touches, with the extreme
+    # touching curvature of each; touching from above is touching from
+    # below of the mirrored family
     touching = []
-    for below, extreme in ((True, family[:, :1]), (False, family[:, -1:])):
-        # the node part is monotone in Q: where the family's extreme
-        # curvature fails it, so does every curvature of the family
-        k, col = np.nonzero(_clears_nodes(P, extreme, stencil, eta, below))
-        Q, found = _extreme_touching_curvature(
-            P[k, col], family, k, curv_family, m_i[k, 0], s_i[k, 0],
-            [(offset, ds[k, 0], du[k, 0]) for offset, ds, du in stencil],
-            eta, below)
-        touching.append((k[found], P[k, col][found], Q[found]))
+    for sign, bound in zip((1.0, -1.0),
+                           _touching_bounds(P, m_i, stencil, eta)):
+        family = curv_family if sign > 0 else -curv_family[::-1]
+        lowest = np.minimum(family[0], _local_curvature(sign * m_i, s_i, 0))
+        k, col = np.nonzero(sign * bound >= lowest)
+        Q = sign * _largest_at_most(sign * bound[k, col], family,
+                                    sign * m_i[k, 0], s_i[k, 0])
+        touching.append((k, P[k, col], Q))
     (k_super, P_super, Q_super), (k_sub, P_sub, Q_sub) = touching
     hvals = eval_radial_many(op, r_i[np.concatenate([k_super, k_sub]), 0],
                              np.concatenate([P_super, P_sub]),

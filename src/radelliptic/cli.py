@@ -242,13 +242,15 @@ def cmd_study(doc: dict, out_dir: str) -> int:
     for n in (base_n, 2 * base_n):
         u = solutions[n].u
         errors[n] = float(np.max(np.abs(u.values - finest(u.grid.nodes))))
+    # no rate where an error is exactly 0 (JSON has no infinity)
     rate = (math.log2(errors[base_n] / errors[2 * base_n])
-            if errors[2 * base_n] > 0 else math.inf)
+            if min(errors.values()) > 0 else None)
     with open(_out(out_dir, "study.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "sup_error_vs_finest", "rate"])
-        writer.writerow([base_n, "%.17g" % errors[base_n], "%.17g" % rate])
+        writer.writerow([base_n, "%.17g" % errors[base_n],
+                         "" if rate is None else "%.17g" % rate])
         writer.writerow([2 * base_n, "%.17g" % errors[2 * base_n], ""])
     _write_json(_out(out_dir, "study.json"),
                 {"n": base_n, "errors": {str(k): v for k, v in errors.items()},

@@ -243,7 +243,10 @@ def validate_hypotheses(op: OperatorSpec, sample_count: int, seed: int) -> Verif
 
     Jets are drawn log-uniform in magnitude over [1e-6, 1e6] so that
     homogeneity defects show at extreme scales.  Margins are relative; a
-    hypothesis holds when its worst margin stays >= -1e-10.
+    hypothesis holds when its worst margin stays >= -1e-10, and (H1) when
+    it stays >= -max(1e-10, 4 alpha eps): the left side raises the rounded
+    t q to the power alpha, which turns its relative rounding error of up
+    to eps/2 into about alpha eps/2.
 
     The gradient scalings t and q span 9 decades each way in |t q|, so the
     degenerate factor |t q|^alpha spans 9 alpha.  Above alpha = 200/9 their
@@ -274,7 +277,8 @@ def validate_hypotheses(op: OperatorSpec, sample_count: int, seed: int) -> Verif
     rhs = np.abs(t) ** op.alpha * mu * eval_radial_many(op, r, q, m)
     scale = np.maximum(np.abs(rhs), 1e-300)
     h1 = np.max(np.abs(lhs - rhs) / scale)
-    report.add("H1", float(r[np.argmax(np.abs(lhs - rhs) / scale)]), -h1, 1e-10)
+    report.add("H1", float(r[np.argmax(np.abs(lhs - rhs) / scale)]), -h1,
+               max(1e-10, 4.0 * op.alpha * np.finfo(float).eps))
 
     # (H2): H(r, m+s, q) - H(r, m, q) in [a, A] * |q|^alpha * s for s > 0.
     # The increment spans three decades around the bracket magnitude

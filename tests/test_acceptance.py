@@ -18,7 +18,9 @@ from radelliptic.analysis import (c1_bound_check, c1_modulus_report,
 from radelliptic.errors import InsufficientData, NotAZero
 from radelliptic.grid import (DiscreteRadialFunction, Domain, DomainKind,
                               Grading, RadialGrid, interior_quotients)
-from radelliptic.operators import (OperatorSpec, closed_form_pucci_power,
+from radelliptic.cli import main
+from radelliptic.operators import (OperatorSpec, closed_form_alpha_laplacian,
+                                   closed_form_pucci_power,
                                    pucci_power_profile, validate_hypotheses)
 from radelliptic.solver import SourceFunction, solve_dirichlet
 
@@ -81,6 +83,26 @@ def test_criterion_1_closed_form_accuracy_and_rate():
     report_line("criterion 1 (closed-form accuracy)", ok,
                 f"sup error at n=400 is {errs[400]:.2e} (need <= 5e-3), "
                 f"observed rate {rate:.2f} (need >= 0.5)")
+
+
+@pytest.mark.parametrize("alpha", [-0.5, -0.75])
+def test_criterion_1_negative_alpha_closed_form(alpha):
+    # g' = (f r / N)^(1/(1+alpha)) vanishes at the origin with an exponent
+    # above 1, so the scheme keeps its second order there
+    op = OperatorSpec.alpha_laplacian(alpha, 2)
+    exact = closed_form_alpha_laplacian(op, 2.0)
+    dom = Domain.ball(1.0, bc_outer=float(exact(1.0)))
+    errs = {}
+    for n in (100, 200, 400):
+        grid = RadialGrid.for_domain(dom, n, Grading.GRADED_AT_ORIGIN)
+        sol = solve_dirichlet(op, dom, SourceFunction.constant(2.0), grid)
+        errs[n] = float(np.max(np.abs(sol.u.values - exact(grid.nodes))))
+    rates = [math.log2(errs[n] / errs[2 * n]) for n in (100, 200)]
+    ok = errs[400] <= 1e-5 and min(rates) >= 1.9
+    report_line(f"criterion 1 (closed-form accuracy, alpha={alpha:g})", ok,
+                f"sup error at n=400 is {errs[400]:.2e} (need <= 1e-5), "
+                f"observed rates {rates[0]:.3f}, {rates[1]:.3f} "
+                f"(need >= 1.9)")
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 4.0])
@@ -192,6 +214,26 @@ def test_criterion_7_viscosity(shipped):
                 not failures and control_ok,
                 f"shipped failures: {failures if failures else 'none'}; "
                 f"negative control flagged as not a supersolution: {control_ok}")
+
+
+@pytest.mark.parametrize("value", [3.0, -3.0])
+@pytest.mark.parametrize("alpha", [-0.5, -0.75])
+@pytest.mark.parametrize("variant", ["PucciPlus", "PucciMinus"])
+def test_criterion_7_negative_alpha_verify(tmp_path, variant, alpha, value):
+    doc = {"operator": {"variant": variant, "alpha": alpha, "a": 1.0,
+                        "A": 2.0, "dim": 2},
+           "domain": {"kind": "Ball", "R": 1.0, "bc_outer": 1.0},
+           "grid": {"n": 200, "grading": "GradedAtOrigin"},
+           "f": {"kind": "constant", "value": value}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["verify", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")])
+    with open(tmp_path / "out" / "report.json", encoding="utf-8") as fh:
+        failed = [c["name"] for c in json.load(fh)["checks"] if not c["pass"]]
+    report_line(f"criterion 7 (verify, {variant} alpha={alpha:g} "
+                f"f={value:g})", code == 0,
+                f"exit {code}, failing rows: {failed if failed else 'none'}")
 
 
 def test_criterion_8_eigenvalues():

@@ -7,9 +7,8 @@ from scipy.integrate import cumulative_trapezoid
 
 from radelliptic.analysis import (_LOCAL_COEFS, VISCOSITY_CURVATURES,
                                   VISCOSITY_SLOPES, Sign, _as_function,
-                                  _chebyshev, _clears_nodes,
-                                  _cumulative_trapezoid,
-                                  _extreme_touching_curvature, _touches,
+                                  _chebyshev, _cumulative_trapezoid,
+                                  _largest_at_most, _touching_bounds,
                                   c1_bound_check, c1_modulus_report,
                                   check_viscosity, epsilon_aA, gamma_exponent,
                                   holder_exponent, sign_intervals,
@@ -672,6 +671,31 @@ def _sorted_paraboloid_families(u, op):
             m[:, :, None], stencil, eta)
 
 
+def _reference_touching(P, Q, m, stencil, eta):
+    """reference_viscosity's touching predicate from below and from above,
+    on the broadcast (node, slope, curvature) triples of
+    ``_sorted_paraboloid_families``: the node part on the stencil (offset
+    0 always passes) and the sub-cell guard on the two adjacent cells."""
+    below = above = True
+    dQ = Q - m
+    for offset, ds, du in stencil:
+        w = P * ds + 0.5 * Q * ds ** 2
+        below = below & (w <= du + eta)
+        above = above & (w >= du - eta)
+        if abs(offset) != 1:
+            continue
+        hc2 = ds * ds
+        gb = P * ds + 0.5 * Q * hc2 - du
+        denom = np.where(dQ != 0.0, dQ * hc2, 1.0)
+        t_star = np.clip(0.5 - gb / denom, 0.0, 1.0)
+        g_star = t_star * gb - 0.5 * dQ * hc2 * t_star * (1.0 - t_star)
+        g_lo = np.minimum(np.minimum(0.0, gb), np.where(dQ > 0, g_star, 0.0))
+        g_hi = np.maximum(np.maximum(0.0, gb), np.where(dQ < 0, g_star, 0.0))
+        above = above & (g_lo >= -eta)
+        below = below & (g_hi <= eta)
+    return below, above
+
+
 class TestBlockedCertification:
     @pytest.mark.parametrize("name", sorted(CERTIFICATION_CASES))
     def test_flux_matches_loop(self, name):
@@ -761,100 +785,74 @@ class TestBlockedCertification:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_touching_and_operator_are_monotone_in_curvature(self, seed):
-        # the facts check_viscosity rests on, in floating point, over the
-        # sorted curvature families of the random profiles: the curvatures
-        # that touch from below form a down-set, those from above an
-        # up-set, and H is nondecreasing in Q
+        # the facts check_viscosity rests on, in floating point.  Touching:
+        # on every (node, slope, curvature) triple of the families of
+        # random profiles 8 seed .. 8 seed + 7 (0-63 over the eight runs),
+        # the closed-form bounds admit exactly the triples that
+        # reference_viscosity's predicate admits.  H is nondecreasing in Q
+        # over the sorted curvature families
+        for case in range(8 * seed, 8 * seed + 8):
+            u, op, _ = _random_viscosity_case(case)
+            r, P, Q, m, stencil, eta = _sorted_paraboloid_families(u, op)
+            below, above = _reference_touching(P, Q, m, stencil, eta)
+            lo, hi = _touching_bounds(P, m, stencil, eta)
+            assert below.shape == (len(r), 19, 18)
+            assert below.any() and above.any()
+            assert np.array_equal(Q <= lo, below)
+            assert np.array_equal(Q >= hi, above)
         u, op, _ = _random_viscosity_case(seed)
-        r, P, Q, m, stencil, eta = _sorted_paraboloid_families(u, op)
-        for below in (True, False):
-            for ok in (_clears_nodes(P, Q, stencil, eta, below),
-                       _touches(P, Q, m, stencil, eta, below)):
-                assert ok.shape == (len(r), 19, 18)
-                rising = ok[..., 1:] & ~ok[..., :-1]
-                falling = ok[..., :-1] & ~ok[..., 1:]
-                assert not (rising if below else falling).any()
+        r, P, Q, _, _, _ = _sorted_paraboloid_families(u, op)
         hvals = eval_radial_many(op, r, P, Q)
         assert np.all(np.isfinite(hvals))
         assert np.all(hvals[..., 1:] >= hvals[..., :-1])
 
     def test_extreme_curvature_next_to_the_node_bound(self):
-        # family values a few ulps either side of where the node part of the
-        # test flips, so that rounding decides it: the search must pick what
-        # testing every family value picks.  Besides random families: a
-        # global value equal to a local one, a global value equal to m with
-        # m on the bound, a row where every value fails the node part, and
-        # one where every value passes it
+        # bounds a few ulps either side of family values, so that rounding
+        # decides the pick: it must be what comparing every family value
+        # with the bound picks, from below and, through the mirrored
+        # family as check_viscosity uses it, from above.  Besides bounds
+        # next to a node's own values: next to a shared value, a node's own
+        # value equal to a shared one, m on the bound, no value touching and
+        # every value touching
         rng = np.random.default_rng(7)
-        for below in (True, False):
-            for case in ("random", "shared", "m", "none", "end") * 50:
-                ds = np.array([-0.02, -0.01, 0.01, 0.02]) * rng.uniform(
-                    0.5, 2.0, 4)
-                P, curv = rng.normal(size=2)
-                if case in ("none", "end"):
-                    curv = (-50.0 if below else 50.0) * (
-                        -1.0 if case == "end" else 1.0)
-                stencil = [(offset, np.array([d]),
-                            np.array([P * d + 0.5 * curv * d * d]))
-                           for offset, d in zip((-2, -1, 1, 2), ds)]
-                eta = 1e-11
-                bound = min(2.0 * (du[0] + eta - P * d[0]) / d[0] ** 2
-                            for _, d, du in stencil) if below else max(
-                    2.0 * (du[0] - eta - P * d[0]) / d[0] ** 2
-                    for _, d, du in stencil)
-                near = [bound]
-                for _ in range(3):
-                    near = ([np.nextafter(near[0], -np.inf)] + near
-                            + [np.nextafter(near[-1], np.inf)])
-                m = np.array([curv + rng.normal()])
-                if case == "m":
-                    m = np.array([near[int(rng.integers(7))]])
-                elif case == "none":
-                    # every local value and every global one lies beyond
-                    # the bound, on the failing side
-                    m = np.array([bound / 6.0])
-                    near = bound + np.sign(-bound) * (
-                        1.0 + np.abs(rng.normal(size=7)))
-                elif case == "end":
-                    # every value lies on the touching side, the global
-                    # ones next to the bound, which makes them the far end
-                    m = np.array([bound / 5.0])
-                    near = bound * (1.0 - 1e-6 * np.arange(1, 8))
-                s = np.maximum(np.abs(m), 1.0)
-                local = m + _LOCAL_COEFS * s
-                extra = rng.normal(size=3) * 10.0
-                if case == "shared":
-                    extra[0] = local[np.argmin(np.abs(local - bound))]
-                elif case == "m":
-                    extra[0] = m[0]
-                elif case == "none":
-                    extra = near[:3]
-                elif case == "end":
-                    extra = bound - np.sign(bound) * (
-                        1.0 + np.abs(rng.normal(size=3)))
-                global_curv = np.unique(np.concatenate([near, extra]))
-                family = np.sort(np.concatenate([global_curv, local]))
-                ok = _touches(P, family, m[0], [
-                    (o, d[0], du[0]) for o, d, du in stencil], eta, below)
-                clears = _clears_nodes(P, family, [
-                    (o, d[0], du[0]) for o, d, du in stencil], eta, below)
-                if case == "none":
-                    assert not clears.any()
-                elif case == "end":
-                    assert clears.all()
-                # the split only places the walk's start: counted against a
-                # global family moved to the failing side, it lands far
-                # off, the walk starts from the row's far end, and the
-                # answer stays the same
-                for counted in (global_curv,
-                                global_curv + (1e3 if below else -1e3)):
-                    got, found = _extreme_touching_curvature(
-                        np.array([P]), family[None, :], np.array([0]),
-                        counted, m, s, stencil, eta, below)
-                    assert found[0] == ok.any()
-                    if ok.any():
-                        assert got[0] == (family[ok].max() if below
-                                          else family[ok].min())
+        rows = np.arange(300)
+        for case in ("own", "near-shared", "shared", "m", "none",
+                     "all") * 20:
+            m = rng.normal(size=300) * 10.0 ** rng.uniform(-2.0, 2.0, 300)
+            # an integer m with |m| >= 1 makes m - s an exact zero
+            m[::5] = np.round(m[::5])
+            s = np.maximum(np.abs(m), 1.0)
+            own = np.where(_LOCAL_COEFS == 0.0, m[:, None],
+                           m[:, None] + _LOCAL_COEFS * s[:, None])
+            shared = np.sort(rng.normal(size=9) * 10.0)
+            bound = own[rows, rng.integers(9, size=300)]
+            if case == "near-shared":
+                bound = shared[rng.integers(9, size=300)]
+            elif case == "shared":
+                shared = np.sort(own[rng.integers(300, size=9),
+                                     rng.integers(9, size=9)])
+            elif case == "m":
+                bound = m.copy()
+            elif case == "none":
+                bound = np.minimum(shared[0], own[:, 0])
+            elif case == "all":
+                bound = np.maximum(shared[-1], own[:, -1])
+            for _ in range(3):
+                step = {"none": -1, "all": 1}.get(
+                    case, rng.integers(-1, 2, size=300))
+                bound = np.nextafter(bound, bound + step)
+            family = np.concatenate(
+                [np.broadcast_to(shared, (300, 9)), own], axis=1)
+            below = _largest_at_most(bound, shared, m, s)
+            above = -_largest_at_most(-bound, -shared[::-1], -m, s)
+            assert np.array_equal(below, np.where(
+                family <= bound[:, None], family, -np.inf).max(axis=1))
+            assert np.array_equal(above, np.where(
+                family >= bound[:, None], family, np.inf).min(axis=1))
+            if case == "none":
+                assert np.all(below == -np.inf)
+            elif case == "all":
+                assert np.all(above == np.inf)
 
     def test_large_gamma_barrier_near_origin(self):
         # gamma = (A/a)(N-1)(1+alpha) = 100: near the origin of a graded

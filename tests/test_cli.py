@@ -244,8 +244,10 @@ class TestVerify:
             for r in rows]
 
     # at alpha = 40 the hypothesis check used to overflow to a nan margin;
-    # at alpha = -0.5 the C^1 diagnostics used a tolerance scale below h
-    @pytest.mark.parametrize("alpha, value", [(40.0, 1.0), (-0.5, 3.0)])
+    # at alpha = -0.5 the C^1 diagnostics used a tolerance scale below h,
+    # and on u = 1 (f = 0) the flux check evaluated 0^alpha = inf
+    @pytest.mark.parametrize("alpha, value",
+                             [(40.0, 1.0), (-0.5, 3.0), (-0.5, 0.0)])
     def test_extreme_alpha_passes(self, tmp_path, recwarn, alpha, value):
         doc = dict(BASE_PROBLEM, seed=0,
                    operator=dict(BASE_PROBLEM["operator"], alpha=alpha),
@@ -559,3 +561,18 @@ class TestStudy:
         assert rows[0] == ["n", "sup_error_vs_finest", "rate"]
         assert rows[1][0] == "50"
         assert rows[2][0] == "100"
+
+    def test_no_rate_when_an_error_is_zero(self, tmp_path):
+        # u = 1 is exact at every n, so both errors are 0.0 and the rate is
+        # undefined: null, not the Infinity that JSON cannot hold
+        doc = dict(BASE_PROBLEM, grid={"n": 32, "grading": "GradedAtOrigin"},
+                   f={"kind": "constant", "value": 0.0})
+        out = tmp_path / "out"
+        assert run("study", write_config(tmp_path, doc), out) == 0
+        text = (out / "study.json").read_text()
+        payload = json.loads(text, parse_constant=pytest.fail)
+        assert payload["errors"] == {"32": 0.0, "64": 0.0}
+        assert payload["rate"] is None
+        with open(out / "study.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [["32", "0", ""], ["64", "0", ""]]

@@ -185,8 +185,9 @@ class TestHypotheses:
         assert report.all_passed, [c.as_dict() for c in report.failures()]
 
     # past alpha = 200/9 the jet decades shrink, so both sides of (H1)
-    # and (H2) stay finite
-    @pytest.mark.parametrize("alpha", [40.0, 60.0, 100.0])
+    # and (H2) stay finite; at alpha = 1e6 the rounding of t q, raised to
+    # the power alpha, passes 1e-10 and (H1) needs its alpha eps tolerance
+    @pytest.mark.parametrize("alpha", [40.0, 60.0, 100.0, 1e6])
     @pytest.mark.parametrize("make_op", [
         lambda alpha: OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2),
         lambda alpha: OperatorSpec.pucci_minus(alpha, 0.5, 3.0, 3),
@@ -201,12 +202,14 @@ class TestHypotheses:
         assert all(np.isfinite(c.margin) for c in report.checks)
         assert report.all_passed, [c.as_dict() for c in report.failures()]
 
+    @pytest.mark.parametrize("alpha", [40.0, 1e6])
     def test_non_homogeneous_factor_fails_h1_at_large_alpha(self,
-                                                            monkeypatch):
+                                                            monkeypatch,
+                                                            alpha):
         monkeypatch.setattr(operators, "_degenerate_factor",
                             lambda q, alpha: np.abs(q) ** alpha
                             * (1.0 + np.abs(q)))
-        op = OperatorSpec.pucci_plus(40.0, 1.0, 2.0, 2)
+        op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             report = validate_hypotheses(op, 2000, seed=0)
