@@ -2,14 +2,22 @@
 
 Each config whose ``command`` is ``verify`` is solved at n, 4n and 16n
 (its shipped ``grid.n`` times the scale), and every certification check
-that ``verify`` runs on that solution is timed on its own, best of
-``REPEAT`` calls:
+that ``verify`` runs on that solution is timed on its own:
 
 - ``verify_flux_inequalities`` (eqA-eqD),
 - ``check_viscosity``,
 - ``c1_modulus_report`` (derivative numbers),
 - ``c1_bound_check`` and ``holder_exponent`` at every derivative-zero
   candidate, summed over the candidates.
+
+Times are seconds of process time per call.  A sample calls a check in a
+loop until the loop has run for ``SAMPLE_SECONDS`` and divides by the
+number of calls.  A shared host's speed drifts by tens of percent for
+minutes at a time, so each sample is scaled to a host where perfbench's
+fixed probe kernel takes ``PROBE_REF_S``, by the mean of the probe's
+timings just before and just after the loop.  The samples are taken in
+``REPEAT`` rounds over all configs and scales, and a check's time is the
+best of its samples.
 
 The checks get the arguments ``verify`` gives them.  The script prints
 one line per config and scale, and writes (or replaces) the entry under
@@ -31,8 +39,10 @@ checkout's code.
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -50,19 +60,32 @@ from radelliptic.grid import Domain, RadialGrid  # noqa: E402
 from radelliptic.operators import OperatorSpec  # noqa: E402
 from radelliptic.solver import SourceFunction, solve_dirichlet  # noqa: E402
 
-REPEAT = 3
+# the host-speed probe of the end-to-end benchmark
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from run import PROBE_REF_S, probe  # noqa: E402
+
+REPEAT = 5
+SAMPLE_SECONDS = 0.05
 SCALES = (1, 4, 16)
 CHECKS = ("verify_flux_inequalities", "check_viscosity", "c1_modulus_report",
           "c1_bound_check", "holder_exponent")
 
 
-def best_of(fn):
-    best = float("inf")
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
+def sample(fn):
+    """One sample of ``fn``: process seconds per call over a loop of calls
+    that runs for at least ``SAMPLE_SECONDS``, scaled to the probe's
+    reference host by the mean of the probe's timings just before and just
+    after the loop."""
+    before = probe()
+    calls = 0
+    t0 = time.process_time()
+    while True:
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        calls += 1
+        elapsed = time.process_time() - t0
+        if elapsed >= SAMPLE_SECONDS:
+            break
+    return elapsed / calls * PROBE_REF_S / (0.5 * (before + probe()))
 
 
 def digest(doc):
@@ -71,32 +94,28 @@ def digest(doc):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def time_checks(doc):
-    """Best-of-``REPEAT`` seconds of each check on the solution of ``doc``,
-    and the digest of each check's result."""
+def prepare(doc):
+    """Solve ``doc``.  Returns its n, the calls that make each check on the
+    solution (one per derivative-zero candidate for ``c1_bound_check`` and
+    ``holder_exponent``) and the digest of each check's result."""
     op = OperatorSpec.from_json_dict(doc["operator"])
     dom = Domain.from_json_dict(doc["domain"])
     grid = RadialGrid.for_domain(dom, doc["grid"]["n"], doc["grid"]["grading"])
     f = SourceFunction.from_json_dict(doc["f"])
     sol = solve_dirichlet(op, dom, f, grid)
-    times = {
-        "verify_flux_inequalities": best_of(
-            lambda: analysis.verify_flux_inequalities(sol, op, f)),
-        "check_viscosity": best_of(
-            lambda: analysis.check_viscosity(sol, op, f)),
-        "c1_modulus_report": best_of(
-            lambda: analysis.c1_modulus_report(sol, alpha=op.alpha)),
-        "c1_bound_check": 0.0,
-        "holder_exponent": 0.0,
+    calls = {
+        "verify_flux_inequalities": [
+            functools.partial(analysis.verify_flux_inequalities, sol, op, f)],
+        "check_viscosity": [
+            functools.partial(analysis.check_viscosity, sol, op, f)],
+        "c1_modulus_report": [
+            functools.partial(analysis.c1_modulus_report, sol,
+                              alpha=op.alpha)],
+        "c1_bound_check": [],
+        "holder_exponent": [],
     }
-    digests = {
-        "verify_flux_inequalities": digest(
-            analysis.verify_flux_inequalities(sol, op, f).as_dict()),
-        "check_viscosity": digest(
-            analysis.check_viscosity(sol, op, f).as_dict()),
-        "c1_modulus_report": digest(
-            analysis.c1_modulus_report(sol, alpha=op.alpha).as_dict()),
-    }
+    digests = {check: digest(fns[0]().as_dict())
+               for check, fns in calls.items() if fns}
     bounds, fits = [], []
     for r_star in analysis.derivative_zero_candidates(sol.u, dom):
         try:
@@ -106,13 +125,33 @@ def time_checks(doc):
             continue
         bounds.append(bound.as_dict())
         fits.append(dataclasses.asdict(fit))
-        times["c1_bound_check"] += best_of(
-            lambda: analysis.c1_bound_check(sol, op, f, r_star))
-        times["holder_exponent"] += best_of(
-            lambda: analysis.holder_exponent(sol, r_star))
+        calls["c1_bound_check"].append(functools.partial(
+            analysis.c1_bound_check, sol, op, f, r_star))
+        calls["holder_exponent"].append(functools.partial(
+            analysis.holder_exponent, sol, r_star))
     digests["c1_bound_check"] = digest(bounds)
     digests["holder_exponent"] = digest(fits)
-    return grid.n, times, digests
+    return grid.n, calls, digests
+
+
+def time_runs(docs):
+    """For each config of ``docs``: its n, the seconds per call of each
+    check (summed over the candidates) and the digests.
+
+    A call's time is the best of its ``REPEAT`` samples.  The samples are
+    taken in rounds, each of which samples every call of every config once,
+    so the samples of one call lie apart in time.
+    """
+    prepared = [prepare(doc) for doc in docs]
+    best = [{check: [math.inf] * len(fns) for check, fns in calls.items()}
+            for _, calls, _ in prepared]
+    for _ in range(REPEAT):
+        for (_, calls, _), row in zip(prepared, best):
+            for check, fns in calls.items():
+                row[check] = [min(t, sample(fn))
+                              for t, fn in zip(row[check], fns)]
+    return [(n, {check: sum(times) for check, times in row.items()}, digests)
+            for (n, _, digests), row in zip(prepared, best)]
 
 
 def differing_checks(digests, other):
@@ -147,27 +186,29 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     config_dir = os.path.join(ROOT, "configs")
-    runs = {}
-    digests = {}
-    totals = {str(s): dict.fromkeys(CHECKS, 0.0) for s in SCALES}
+    docs = []
     for name in sorted(os.listdir(config_dir)):
         with open(os.path.join(config_dir, name), encoding="utf-8") as fh:
             doc = json.load(fh)
         if doc.get("command") != "verify":
             continue
         for scale in SCALES:
-            scaled = dict(doc, grid=dict(doc["grid"],
-                                         n=int(doc["grid"]["n"]) * scale))
-            n, times, digests[f"{name[:-5]}:n={n}"] = time_checks(scaled)
-            runs[f"{name[:-5]}:n={n}"] = times
-            for check, t in times.items():
-                totals[str(scale)][check] += t
-            print(f"{name[:-5]:24s} n={n:5d} "
-                  + " ".join(f"{c}={t:.4f}" for c, t in times.items()),
-                  flush=True)
+            docs.append((name[:-5], scale, dict(doc, grid=dict(
+                doc["grid"], n=int(doc["grid"]["n"]) * scale))))
+    runs = {}
+    digests = {}
+    totals = {str(s): dict.fromkeys(CHECKS, 0.0) for s in SCALES}
+    for (name, scale, _), (n, times, run_digests) in zip(
+            docs, time_runs([doc for _, _, doc in docs])):
+        runs[f"{name}:n={n}"] = times
+        digests[f"{name}:n={n}"] = run_digests
+        for check, t in times.items():
+            totals[str(scale)][check] += t
+        print(f"{name:24s} n={n:5d} "
+              + " ".join(f"{c}={t:.6f}" for c, t in times.items()))
     for scale, row in totals.items():
         print(f"total x{scale}: "
-              + " ".join(f"{c}={t:.4f}" for c, t in row.items()))
+              + " ".join(f"{c}={t:.6f}" for c, t in row.items()))
 
     entry = {
         "commit": git_commit(),
@@ -175,7 +216,10 @@ def main(argv=None):
                  "python": platform.python_version(),
                  "numpy": np.__version__},
         "repeat": REPEAT,
-        "unit": "s, best of repeat",
+        "sample_seconds": SAMPLE_SECONDS,
+        "probe_ref_s": PROBE_REF_S,
+        "unit": "process s per call on the probe's reference host, "
+                "best of repeat samples taken in rounds",
         "totals_by_scale": totals,
         "runs": runs,
         "digests": digests,

@@ -33,6 +33,8 @@ VISCOSITY_CURVATURES = 9
 # its second quotient m itself for c = 0
 _LOCAL_COEFS = np.array([-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0])
 _LOCAL_COEFS_PADDED = np.concatenate([[-np.inf], _LOCAL_COEFS, [np.inf]])
+# the neighbours of the viscosity check's 5-node stencil
+_STENCIL_OFFSETS = np.array([-2, -1, 1, 2])
 
 
 def epsilon_aA(x, a: float, A: float):
@@ -95,18 +97,15 @@ def sign_intervals(u: DiscreteRadialFunction, threshold: float) -> list[SignInte
     q, _ = interior_quotients(u)
     nodes = u.grid.nodes
     state = np.where(q > threshold, 1, np.where(q < -threshold, -1, 0))
-    intervals: list[SignInterval] = []
-    start = 0
-    for k in range(1, len(state) + 1):
-        if k == len(state) or state[k] != state[start]:
-            if state[start] != 0 and k - start >= 3:
-                sign = Sign.POSITIVE if state[start] > 0 else Sign.NEGATIVE
-                intervals.append(SignInterval(
-                    lo=float(nodes[1 + start]), hi=float(nodes[k]),
-                    sign=sign, threshold=threshold,
-                    i_lo=1 + start, i_hi=k))
-            start = k
-    return intervals
+    # run boundaries: every index where the state changes, with the ends
+    # marked by a value no state takes
+    edges = np.flatnonzero(np.diff(state, prepend=2, append=2))
+    start, stop = edges[:-1], edges[1:]
+    keep = (state[start] != 0) & (stop - start >= 3)
+    return [SignInterval(lo=float(nodes[1 + a]), hi=float(nodes[b]),
+                         sign=Sign.POSITIVE if state[a] > 0 else Sign.NEGATIVE,
+                         threshold=threshold, i_lo=1 + a, i_hi=b)
+            for a, b in zip(start[keep].tolist(), stop[keep].tolist())]
 
 
 def _as_function(u):
@@ -287,6 +286,25 @@ def _largest_at_most(bound, curv_family, m, s):
     return np.maximum(shared, _local_curvature(m, s, k - 1))
 
 
+def _slope_window(ds, du, eta, lowest, highest, scale):
+    """The slopes [lo, hi] per node that can touch from below or from above.
+
+    ``ds`` and ``du`` hold the stencil increments, rows 0-1 left of the
+    node and rows 2-3 right of it; ``lowest`` and ``highest`` are the
+    extreme curvatures of each node's family.  The result is the hull of
+    the two windows, widened by the slack 1e-9 ``scale`` (the whole line if
+    that is not finite); see ``check_viscosity``.
+    """
+    from_below = (du + eta) / ds - ds * (0.5 * lowest)
+    from_above = (du - eta) / ds - ds * (0.5 * highest)
+    slack = 1e-9 * scale
+    if not math.isfinite(slack):
+        slack = math.inf
+    lo = np.minimum(from_below[:2].max(0), from_above[2:].max(0)) - slack
+    hi = np.maximum(from_below[2:].min(0), from_above[:2].min(0)) + slack
+    return lo, hi
+
+
 def check_viscosity(u, op: OperatorSpec,
                     f: SourceFunction) -> VerificationReport:
     """Touching-paraboloid sub/supersolution test at every interior node.
@@ -320,6 +338,41 @@ def check_viscosity(u, op: OperatorSpec,
 
     The bound from below is the least of these over the neighbours, the
     bound from above the greatest (``_touching_bounds``).
+
+    Most slopes cannot touch at all, and a window per node finds the ones
+    that can before any bound is computed.  A slope touches from below only
+    if some family curvature lies below the bound, that is only if
+    F + e >= lowest at every neighbour, with ``lowest`` the least curvature
+    of the node's family (the sub-cell terms only lower the bound).  F is
+    affine in P, so this reads
+
+        P <= du/ds + ds (e - lowest) / 2 = (du + eta) / ds - ds lowest / 2
+
+    at the neighbours right of the node (ds > 0), and P >= the same at
+    those left of it.  From above, F - e <= highest gives
+    P >= (du - eta) / ds - ds highest / 2 on the right and P <= it on the
+    left.  Each node evaluates the bounds only at the slopes of its family
+    in the hull of its two windows; the other slopes admit no curvature on
+    either side.
+
+    The window is widened by a slack for rounding.  In slope units every
+    term of both computations is at most
+
+        B = 2 Lip + max |P| + eta / h_min + 4 h max(max |m|, 1):
+
+    |du/ds| <= Lip, |P| is at most the family's largest slope, which
+    bounds |q| too, eta/|ds| <= eta/h_min, and |ds| |lowest| / 2 and
+    |ds| |highest| / 2 are at most 4 h max(max |m|, 1).  The computed bound
+    from below is at most the computed F + e (subtracting the nonnegative
+    sub-cell term rounds down), so an admitted slope satisfies the exact
+    inequality up to 6 eps B, eps = 2^-53: F and e each take at most four
+    roundings, and F + e one more.  The computed window ends lie within
+    4 eps B of the exact ones, and adding the slack rounds by eps B at
+    most.  The slack 1e-9 B exceeds the 11 eps B these add up to by a
+    factor over 10^5, so the window holds every admitted (node, slope)
+    pair, and the admitted pairs, with their curvatures, are exactly those
+    of evaluating the bounds at every slope.  A profile with a non-finite
+    B tests every slope.
 
     The operator is degenerate elliptic, so H is nondecreasing in Q
     (Crandall-Ishii-Lions), and it is so in floating point too: every
@@ -363,37 +416,51 @@ def check_viscosity(u, op: OperatorSpec,
     slope_floor = _c1_scale(h, op.alpha)
     i = 1 + np.flatnonzero((nodes[1:n] > 0.0)
                            & (np.abs(q_int) >= slope_floor))
-    r_i = nodes[i][:, None]
-    u_i = vals[i][:, None]
-    m_i = m_int[i - 1][:, None]
+    m_i = m_int[i - 1]
     # the global families rarely graze the profile; add the node's own
     # quotients so near-tangent paraboloids are always in the family
+    q_i = q_int[i - 1]
     s_i = np.maximum(np.abs(m_i), 1.0)
-    P = np.concatenate(
-        [np.broadcast_to(slope_family, (len(i), len(slope_family))),
-         q_int[i - 1][:, None]], axis=1)
     # offset 0 always passes; a clipped offset repeats an end node
-    stencil = []
-    for offset in (-2, -1, 1, 2):
-        j = np.clip(i + offset, 0, n)
-        stencil.append((offset, nodes[j][:, None] - r_i,
-                        vals[j][:, None] - u_i))
+    j = np.clip(i + _STENCIL_OFFSETS[:, None], 0, n)
+    ds = nodes[j] - nodes[i]
+    du = vals[j] - vals[i]
 
-    # per side, the (node, slope) pairs whose bound reaches the family's
-    # extreme curvature, so that some curvature touches, with the extreme
-    # touching curvature of each; touching from above is touching from
-    # below of the mirrored family
+    lowest = np.minimum(curv_family[0], _local_curvature(m_i, s_i, 0))
+    highest = np.maximum(curv_family[-1], _local_curvature(m_i, s_i, 8))
+    lo, hi = _slope_window(
+        ds, du, eta, lowest, highest,
+        2.0 * lip + slope_family[-1]
+        + eta / float(np.min(profile.grid.spacing))
+        + 4.0 * h * max(mmax, 1.0))
+    # the (node, slope) pairs in the window, in node order and per node in
+    # the order of the slopes, the node's own q last
+    candidate = np.empty((len(i), len(slope_family) + 1), dtype=bool)
+    candidate[:, :-1] = ((slope_family >= lo[:, None])
+                         & (slope_family <= hi[:, None]))
+    candidate[:, -1] = (q_i >= lo) & (q_i <= hi)
+    k, col = np.nonzero(candidate)
+    P = np.where(col < len(slope_family),
+                 slope_family.take(col, mode="clip"), q_i[k])
+
+    # per side, the pairs whose bound reaches the family's extreme
+    # curvature, so that some curvature touches, with the extreme touching
+    # curvature of each; touching from above is touching from below of the
+    # mirrored family, whose least curvature is -highest
     touching = []
-    for sign, bound in zip((1.0, -1.0),
-                           _touching_bounds(P, m_i, stencil, eta)):
+    for sign, bound, extreme in zip(
+            (1.0, -1.0),
+            _touching_bounds(P, m_i[k], zip(_STENCIL_OFFSETS, ds[:, k],
+                                            du[:, k]), eta),
+            (lowest[k], -highest[k])):
         family = curv_family if sign > 0 else -curv_family[::-1]
-        lowest = np.minimum(family[0], _local_curvature(sign * m_i, s_i, 0))
-        k, col = np.nonzero(sign * bound >= lowest)
-        Q = sign * _largest_at_most(sign * bound[k, col], family,
-                                    sign * m_i[k, 0], s_i[k, 0])
-        touching.append((k, P[k, col], Q))
+        t = np.flatnonzero(sign * bound >= extreme)
+        kt = k[t]
+        Q = sign * _largest_at_most(sign * bound[t], family, sign * m_i[kt],
+                                    s_i[kt])
+        touching.append((kt, P[t], Q))
     (k_super, P_super, Q_super), (k_sub, P_sub, Q_sub) = touching
-    hvals = eval_radial_many(op, r_i[np.concatenate([k_super, k_sub]), 0],
+    hvals = eval_radial_many(op, nodes[i[np.concatenate([k_super, k_sub])]],
                              np.concatenate([P_super, P_sub]),
                              np.concatenate([Q_super, Q_sub]))
     f_i = fvals[i]

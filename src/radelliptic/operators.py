@@ -251,8 +251,10 @@ def validate_hypotheses(op: OperatorSpec, sample_count: int, seed: int) -> Verif
     The gradient scalings t and q span 9 decades each way in |t q|, so the
     degenerate factor |t q|^alpha spans 9 alpha.  Above alpha = 200/9 their
     decades shrink by the factor 200/(9 alpha): the factor then stays
-    within 10^+-200 and no operator value overflows.  Below it the draws
-    do not depend on alpha.
+    within 10^+-200 and no operator value overflows.  (H4)'s gradient
+    step dq, drawn from [-1/2, 1/2] around a unit gradient, shrinks by the
+    same factor, so |1 + dq|^alpha stays below e^(100/9).  Below
+    alpha = 200/9 the draws do not depend on alpha.
     """
     if sample_count < 1:
         raise InvalidSpec("sample_count must be >= 1")
@@ -300,7 +302,7 @@ def validate_hypotheses(op: OperatorSpec, sample_count: int, seed: int) -> Verif
         tang = log_uniform(1e-3, 1e3, n) * rng.choice([-1.0, 1.0], n)
         m4 = log_uniform(1e-3, 1e3, n) * rng.choice([-1.0, 1.0], n)
         g = rng.choice([-1.0, 1.0], n)
-        dq = rng.uniform(-0.5, 0.5, n)
+        dq = rng.uniform(-0.5, 0.5, n) * shrink
         lhs = np.abs(eval_decoupled(op, m4, tang, g + dq)
                      - eval_decoupled(op, m4, tang, g))
         norm = np.maximum(np.abs(m4), np.abs(tang))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -61,8 +62,15 @@ class VerificationReport:
         return {"checks": [c.as_dict() for c in self.checks]}
 
     def to_json(self, path) -> None:
+        """Write the checks as JSON.  JSON has no infinities or NaN, so a
+        margin that is not finite (a vacuous check's +inf) is written as
+        null; the row's pass flag still tells the verdict."""
+        checks = [{key: None if isinstance(value, float)
+                   and not math.isfinite(value) else value
+                   for key, value in c.as_dict().items()}
+                  for c in self.checks]
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=2)
+            json.dump({"checks": checks}, fh, indent=2, allow_nan=False)
             fh.write("\n")
 
     def to_csv(self, path) -> None:

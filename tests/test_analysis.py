@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from radelliptic.analysis import (_LOCAL_COEFS, VISCOSITY_CURVATURES,
-                                  VISCOSITY_SLOPES, Sign, _as_function,
-                                  _chebyshev, _cumulative_trapezoid,
-                                  _largest_at_most, _touching_bounds,
-                                  c1_bound_check, c1_modulus_report,
-                                  check_viscosity, epsilon_aA, gamma_exponent,
-                                  holder_exponent, sign_intervals,
-                                  verify_flux_inequalities)
+                                  VISCOSITY_SLOPES, Sign, SignInterval,
+                                  _as_function, _chebyshev,
+                                  _cumulative_trapezoid, _largest_at_most,
+                                  _local_curvature, _slope_window,
+                                  _touching_bounds, c1_bound_check,
+                                  c1_modulus_report, check_viscosity,
+                                  epsilon_aA, gamma_exponent, holder_exponent,
+                                  sign_intervals, verify_flux_inequalities)
 from radelliptic.errors import InsufficientData, InvalidSpec, NotAZero
 from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
                               RadialGrid, derivative_numbers,
@@ -20,7 +22,7 @@ from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
 from radelliptic.operators import (OperatorSpec, closed_form_pucci_power,
                                    eval_radial_many, pucci_power_profile)
 from radelliptic.report import VerificationReport
-from radelliptic.solver import SourceFunction, solve_dirichlet
+from radelliptic.solver import SourceFunction, _node_forcing, solve_dirichlet
 from reference import reference_solution
 
 
@@ -115,6 +117,62 @@ class TestSignIntervals:
         u = sampled(lambda r: r)
         with pytest.raises(InvalidSpec):
             sign_intervals(u, threshold=0.0)
+
+    @staticmethod
+    def _loop_intervals(u, threshold):
+        """sign_intervals as a loop over the nodes."""
+        q, _ = interior_quotients(u)
+        nodes = u.grid.nodes
+        state = np.where(q > threshold, 1, np.where(q < -threshold, -1, 0))
+        intervals = []
+        start = 0
+        for k in range(1, len(state) + 1):
+            if k == len(state) or state[k] != state[start]:
+                if state[start] != 0 and k - start >= 3:
+                    sign = (Sign.POSITIVE if state[start] > 0
+                            else Sign.NEGATIVE)
+                    intervals.append(SignInterval(
+                        lo=float(nodes[1 + start]), hi=float(nodes[k]),
+                        sign=sign, threshold=threshold,
+                        i_lo=1 + start, i_hi=k))
+                start = k
+        return intervals
+
+    @staticmethod
+    def _profile_with_states(state):
+        """A profile on a uniform grid whose first quotient at interior
+        node i is state[i - 1], one of -1, 0 and 1."""
+        n = len(state) + 1
+        grid = RadialGrid.for_domain(Domain.ball(1.0), n)
+        h = grid.nodes[1]
+        vals = np.zeros(n + 1)
+        for i, s in enumerate(state, start=1):
+            vals[i + 1] = vals[i - 1] + 2.0 * h * s
+        return DiscreteRadialFunction(grid, vals)
+
+    def test_runs_match_loop(self):
+        rng = np.random.default_rng(11)
+        states = [[], [0], [1], [1, 1], [1, 1, 1], [-1, -1, 0, 1, 1],
+                  [0] * 7, [1] * 9, [1, 1, 1, -1, -1, -1],
+                  [0, -1, -1, -1, 0, 1, 1, 0, 1, 1, 1, 1]]
+        for size in rng.integers(1, 60, size=200):
+            # long runs and short ones: draw run lengths, then a state each
+            lengths = rng.integers(1, 6, size=size)
+            states.append(np.repeat(rng.integers(-1, 2, size=size),
+                                    lengths)[:size].tolist())
+        seen = set()
+        for state in states:
+            u = self._profile_with_states(state)
+            q, _ = interior_quotients(u)
+            assert np.array_equal(np.where(q > 0.5, 1, np.where(
+                q < -0.5, -1, 0)), np.array(state, dtype=int))
+            got = sign_intervals(u, 0.5)
+            assert got == self._loop_intervals(u, 0.5)
+            for itv in got:
+                assert type(itv.i_lo) is int and type(itv.i_hi) is int
+                seen.add(("first" if itv.i_lo == 1 else
+                          "last" if itv.i_hi == len(state) else "inner"))
+        assert seen == {"first", "last", "inner"}
 
 
 class TestFluxInequalities:
@@ -534,6 +592,61 @@ def reference_viscosity(u, op, f, slopes=17, curvatures=9):
     return report
 
 
+def matrix_viscosity(u, op, f):
+    """check_viscosity without the slope window: the closed-form bounds of
+    every tested node at all 19 of its slopes, as one (node, slope)
+    matrix."""
+    profile, residual_sup = _as_function(u)
+    nodes, vals, n = profile.grid.nodes, profile.values, profile.grid.n
+    h = profile.grid.max_spacing
+    tol = 10.0 * (h ** (1.0 / (1.0 + op.alpha)) + residual_sup)
+    lip = max(lipschitz_constant(profile), h)
+    q_int, m_int = interior_quotients(profile)
+    mmax = float(np.max(np.abs(m_int))) if len(m_int) else 1.0
+    pos_slopes = _chebyshev(h, max(2.0 * lip, 2.0 * h),
+                            (VISCOSITY_SLOPES + 1) // 2)
+    slope_family = np.concatenate([-pos_slopes[::-1], pos_slopes])
+    pos_curv = _chebyshev(0.0, max(4.0 * mmax, 1.0),
+                          (VISCOSITY_CURVATURES + 1) // 2)
+    curv_family = np.unique(np.concatenate([-pos_curv[::-1], pos_curv]))
+    fvals = _node_forcing(f, nodes)
+    eta = 1e-11 * max(1.0, float(np.max(np.abs(vals))))
+    i = 1 + np.flatnonzero((nodes[1:n] > 0.0) & (
+        np.abs(q_int) >= h ** (1.0 / (1.0 + op.alpha))))
+    r_i = nodes[i][:, None]
+    m_i = m_int[i - 1][:, None]
+    s_i = np.maximum(np.abs(m_i), 1.0)
+    P = np.concatenate(
+        [np.broadcast_to(slope_family, (len(i), len(slope_family))),
+         q_int[i - 1][:, None]], axis=1)
+    stencil = [(offset, nodes[j][:, None] - r_i,
+                vals[j][:, None] - vals[i][:, None])
+               for offset in (-2, -1, 1, 2)
+               for j in [np.clip(i + offset, 0, n)]]
+    margins = []
+    for sign, bound in zip((1.0, -1.0),
+                           _touching_bounds(P, m_i, stencil, eta)):
+        family = curv_family if sign > 0 else -curv_family[::-1]
+        lowest = np.minimum(family[0], _local_curvature(sign * m_i, s_i, 0))
+        k, col = np.nonzero(sign * bound >= lowest)
+        Q = sign * _largest_at_most(sign * bound[k, col], family,
+                                    sign * m_i[k, 0], s_i[k, 0])
+        H = eval_radial_many(op, r_i[k, 0], P[k, col], Q)
+        gap = fvals[i][k] - H if sign > 0 else H - fvals[i][k]
+        worst = np.full(len(i), np.inf)
+        np.minimum.at(worst, k, gap)
+        margins.append(worst)
+    report = VerificationReport()
+    for name, worst in zip(("viscosity[supersolution]",
+                            "viscosity[subsolution]"), margins):
+        k = int(np.argmin(worst)) if len(i) else 0
+        if len(i) and worst[k] < np.inf:
+            report.add(name, float(nodes[i[k]]), float(worst[k]), tol)
+        else:
+            report.add(name, float(nodes[min(1, n)]), np.inf, tol)
+    return report
+
+
 def reference_c1_modulus(u, alpha, stride=10, scales=3):
     """Per-node loop form of c1_modulus_report, one call per node."""
     profile, _ = _as_function(u)
@@ -611,6 +724,31 @@ def _certification_cases():
 
 
 CERTIFICATION_CASES = _certification_cases()
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
+
+
+def _config(name):
+    with open(os.path.join(CONFIG_DIR, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+SHIPPED_VERIFY_CONFIGS = sorted(
+    name for name in os.listdir(CONFIG_DIR)
+    if _config(name).get("command") == "verify")
+
+
+def _shipped_solution(name, scale):
+    """The solution of a shipped config at ``scale`` times its n, with its
+    operator and forcing."""
+    doc = _config(name)
+    op = OperatorSpec.from_json_dict(doc["operator"])
+    dom = Domain.from_json_dict(doc["domain"])
+    grid = RadialGrid.for_domain(dom, doc["grid"]["n"] * scale,
+                                 doc["grid"]["grading"])
+    f = SourceFunction.from_json_dict(doc["f"])
+    return solve_dirichlet(op, dom, f, grid), op, f
 
 
 def _random_viscosity_case(seed):
@@ -782,6 +920,102 @@ class TestBlockedCertification:
         got = check_viscosity(u, op, f)
         assert got.as_dict() == reference_viscosity(u, op, f).as_dict()
         assert all(np.isfinite(c.margin) for c in got.checks)
+
+    def test_window_matches_matrix_on_random_profiles_and_cases(self):
+        cases = [_random_viscosity_case(seed) for seed in range(64)]
+        cases += [case[:3] for _, case in sorted(CERTIFICATION_CASES.items())]
+        for u, op, f in cases:
+            assert (check_viscosity(u, op, f).as_dict()
+                    == matrix_viscosity(u, op, f).as_dict())
+
+    @pytest.mark.parametrize("scale", [1, 4, 16])
+    @pytest.mark.parametrize("name", SHIPPED_VERIFY_CONFIGS)
+    def test_window_matches_matrix_on_shipped_solutions(self, name, scale):
+        sol, op, f = _shipped_solution(name, scale)
+        got = check_viscosity(sol, op, f)
+        assert got.as_dict() == matrix_viscosity(sol, op, f).as_dict()
+        assert all(np.isfinite(c.margin) for c in got.checks)
+
+    def test_window_holds_every_admitted_pair(self):
+        # the admitted (node, slope) pairs of the bounds at all 19 slopes,
+        # on either side, all lie in _slope_window's window with the
+        # documented slack; the window leaves most pairs out
+        cases = [_random_viscosity_case(seed)[:2] for seed in range(64)]
+        cases += [case[:2] for _, case in sorted(CERTIFICATION_CASES.items())]
+        cases += [_shipped_solution(name, scale)[:2]
+                  for name in SHIPPED_VERIFY_CONFIGS for scale in (1, 4, 16)]
+        admitted_total = outside_total = pairs_total = 0
+        for u, op in cases:
+            u = getattr(u, "u", u)
+            _, P, Q, m, stencil, eta = _sorted_paraboloid_families(u, op)
+            lo, hi = _touching_bounds(P, m, stencil, eta)
+            admitted = ((lo[..., 0] >= Q[:, :, 0])
+                        | (hi[..., 0] <= Q[:, :, -1]))
+            h = u.grid.max_spacing
+            _, m_int = interior_quotients(u)
+            scale = (2.0 * max(lipschitz_constant(u), h) + P[0, -2, 0]
+                     + eta / np.min(u.grid.spacing)
+                     + 4.0 * h * max(float(np.max(np.abs(m_int))), 1.0))
+            ds = np.stack([d[:, 0, 0] for _, d, _ in stencil])
+            du = np.stack([v[:, 0, 0] for _, _, v in stencil])
+            w_lo, w_hi = _slope_window(ds, du, eta, Q[:, 0, 0], Q[:, 0, -1],
+                                       scale)
+            inside = ((P[..., 0] >= w_lo[:, None])
+                      & (P[..., 0] <= w_hi[:, None]))
+            assert not np.any(admitted & ~inside)
+            admitted_total += int(admitted.sum())
+            outside_total += int((~inside).sum())
+            pairs_total += inside.size
+        assert admitted_total > 0
+        assert outside_total > pairs_total / 2
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_window_ends_hold_every_admitted_slope(self, side):
+        # on profiles the admitted slopes lie far inside the window.  Here
+        # m lies beyond the family's extreme curvature, so the sub-cell
+        # guard never binds at an admitted slope and the window of one side
+        # (the other side's extreme set to an infinity) is exact up to
+        # rounding: slopes a few rounding units either side of its
+        # unwidened ends probe the slack
+        rng = np.random.default_rng(5 if side == "below" else 6)
+        count = 3000
+        cells = 10.0 ** rng.uniform(-4.0, -1.0, (4, count))
+        ds = np.stack([-cells[0] - cells[1], -cells[1], cells[2],
+                       cells[2] + cells[3]])
+        du = (rng.normal(size=count) * ds
+              + rng.normal(size=(4, count)) * ds ** 2)
+        eta = 1e-6
+        extreme = rng.normal(size=count) * 10.0
+        if side == "below":
+            m = extreme - np.abs(rng.normal(size=count))
+            lowest, highest = extreme, np.full(count, -np.inf)
+        else:
+            m = extreme + np.abs(rng.normal(size=count))
+            lowest, highest = np.full(count, np.inf), extreme
+        ends = np.stack(_slope_window(ds, du, eta, lowest, highest, 0.0))
+        # steps of the rounding unit of the terms of each node's window
+        unit = np.finfo(float).eps * np.max(
+            np.abs(du / ds) + eta / np.abs(ds)
+            + np.abs(ds) * np.abs(extreme) / 2.0, axis=0)
+        steps = np.arange(-20, 21)[None, :] * unit[:, None]
+        P = np.concatenate([ends[0][:, None] + steps,
+                            ends[1][:, None] + steps], axis=1)
+        scale = (np.max(np.abs(du / ds)) + np.max(np.abs(P))
+                 + eta / np.min(np.abs(ds))
+                 + np.max(np.abs(ds)) * np.max(np.abs(extreme)) / 2.0)
+        lo, hi = _slope_window(ds, du, eta, lowest, highest, scale)
+        stencil = [(offset, ds[row][:, None], du[row][:, None])
+                   for row, offset in enumerate((-2, -1, 1, 2))]
+        below, above = _touching_bounds(P, m[:, None], stencil, eta)
+        admitted = (below >= extreme[:, None] if side == "below"
+                    else above <= extreme[:, None])
+        assert not np.any(admitted & ((P < lo[:, None]) | (P > hi[:, None])))
+        # the ends are sharp: where the window is not empty, admitted and
+        # rejected slopes lie within 20 rounding units of each end
+        full = ends[0] < ends[1]
+        assert full.sum() > count / 4
+        for part in (admitted[full, :41], admitted[full, 41:]):
+            assert np.all(part.any(axis=1) & ~part.all(axis=1))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_touching_and_operator_are_monotone_in_curvature(self, seed):

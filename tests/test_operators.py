@@ -230,6 +230,22 @@ class TestHypotheses:
         report = validate_hypotheses(op, 500, seed=0)
         assert any(c.name == "H4" for c in report.checks)
 
+    # |p|^alpha is not Lipschitz with constant nu = 4 near |p| = 1 for
+    # alpha >= 5, so (H4) fails; past alpha = 200/9 its gradient step
+    # shrinks, which keeps |1 + dq|^alpha finite.  Below that the draws do
+    # not depend on alpha: the alpha = 5 margin is the one written before
+    # the step shrank
+    @pytest.mark.parametrize("alpha", [5.0, 2000.0])
+    def test_h4_fails_with_a_finite_margin(self, alpha):
+        op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2, nu=4.0, kappa=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = validate_hypotheses(op, 2000, seed=0)
+        h4 = next(c for c in report.checks if c.name == "H4")
+        assert np.isfinite(h4.margin) and not h4.passed
+        if alpha == 5.0:
+            assert h4.margin == -10.04652627712055
+
     def test_sample_count_validated(self):
         op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2)
         with pytest.raises(InvalidSpec):
