@@ -14,7 +14,11 @@ The script records three things:
 - for each problem of perfbench's ``eigen`` workload (PucciPlus a=1, A=2,
   dim 2 on the unit ball, graded grid; Plus and Minus, alpha -0.5, 0 and
   1; n 400 and 1600): the time of ``principal_eigenvalue``, its outer
-  steps and its eigenvalue.
+  steps and its eigenvalue, and, from one more untimed run, the affine
+  scans of its inner solves (``scans``) and the calls of
+  ``_kernels.assemble_system`` (``assemblies``).  The counts repeat
+  exactly, so two entries compare them where the times cannot resolve a
+  change of a few percent.
 
 Each timed call builds its own grid, as a CLI request does, so no call
 reuses mesh data that an earlier call left on a grid.
@@ -25,8 +29,9 @@ of a millisecond call averages hundreds of calls.  Every row also holds
 the sha256 of its profile's bytes (the solution, or the eigenfunction),
 so two entries show whether a change moved any bit.
 
-The script prints one line per row, and writes (or replaces) the entry
-under ``--label`` in the JSON file.
+The script prints one line per row, then, for each other entry in the
+JSON file, whether every row's sha256 matches it, and writes (or
+replaces) the entry under ``--label`` in the file.
 
 Usage: python3 benchmarks/bench_solve.py --label change
                                          [--out BENCH_solve.json]
@@ -37,6 +42,7 @@ checkout's code.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -52,6 +58,7 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
+from radelliptic import _kernels, eigen  # noqa: E402
 from radelliptic.eigen import principal_eigenvalue  # noqa: E402
 from radelliptic.grid import Domain, Grading, RadialGrid  # noqa: E402
 from radelliptic.operators import OperatorSpec  # noqa: E402
@@ -116,16 +123,55 @@ def digest(values):
                           .tobytes()).hexdigest()
 
 
+@contextlib.contextmanager
+def counted():
+    """The scans of eigen's inner solves and the kernel assemblies while
+    the block runs, counted at the module attributes the package calls."""
+    counts = {"scans": 0, "assemblies": 0}
+    solve, assemble = eigen.solve_dirichlet, _kernels.assemble_system
+
+    def counting_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        counts["scans"] += sol.iterations
+        return sol
+
+    def counting_assemble(*args):
+        counts["assemblies"] += 1
+        return assemble(*args)
+
+    eigen.solve_dirichlet = counting_solve
+    _kernels.assemble_system = counting_assemble
+    try:
+        yield counts
+    finally:
+        eigen.solve_dirichlet, _kernels.assemble_system = solve, assemble
+
+
 def time_eigen(sign, alpha, n):
-    """Mean ``principal_eigenvalue`` time, outer steps and eigenvalue of
-    one problem of the eigen family."""
+    """Mean ``principal_eigenvalue`` time, outer steps, eigenvalue, scans
+    and assemblies of one problem of the eigen family."""
     op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
     dom = Domain.ball(1.0)
-    seconds, res = loop_seconds(lambda: principal_eigenvalue(
-        op, dom, RadialGrid.for_domain(dom, n, Grading.GRADED_AT_ORIGIN),
-        sign, tol=1e-8))
+
+    def run():
+        return principal_eigenvalue(
+            op, dom, RadialGrid.for_domain(dom, n, Grading.GRADED_AT_ORIGIN),
+            sign, tol=1e-8)
+
+    seconds, res = loop_seconds(run)
+    with counted() as counts:
+        run()
     return {"eigen_s": seconds, "outer_iters": res.iterations,
-            "lambda": res.lambda_value, "sha256": digest(res.phi.values)}
+            "lambda": res.lambda_value, "sha256": digest(res.phi.values),
+            **counts}
+
+
+def differing_rows(runs, other):
+    """The rows whose sha256 differs between two entries' ``runs``; a row
+    that only one of them has differs too."""
+    return [name for name in sorted(set(runs) | set(other))
+            if runs.get(name, {}).get("sha256")
+            != other.get(name, {}).get("sha256")]
 
 
 def git_commit():
@@ -173,6 +219,7 @@ def main(argv=None):
         eigen_total += row["eigen_s"]
         print(f"eigen {sign:5s} alpha={alpha:+.1f} n={n:5d} "
               f"eigen={row['eigen_s']:.5f} s outer={row['outer_iters']:3d} "
+              f"scans={row['scans']:3d} assemblies={row['assemblies']:3d} "
               f"lambda={row['lambda']:.7f}", flush=True)
     print(f"total eigen: {eigen_total:.4f} s")
 
@@ -193,6 +240,13 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
+    for label, other in sorted(doc.items()):
+        if label != args.label:
+            changed = differing_rows(runs, other["runs"])
+            print(f"sha256 vs {label}: "
+                  + (f"{len(changed)} of {len(runs)} rows differ: "
+                     + ", ".join(changed) if changed
+                     else "every row matches"))
     doc[args.label] = entry
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -12,6 +12,13 @@ the ``phi ~ kappa r`` of the origin, elsewhere.  On the branch its inflow
 selects, a row is the map ``phi[i] = A phi[i-1] + b`` with 0 <= A <= 1.
 The kernel has two halves: ``branch_keys`` tells which branch each row's
 inflow selects, and ``assemble_system`` forms the maps on given branches.
+
+A row's ``A`` and its denominator ``den`` depend on its key alone, and
+only ``b = f / den`` on the forcing.  So a solve given a guess keeps the
+forcing-free half of its last assembled scan in ``RowData.memo`` (see
+``solver``), and a later scan of the same keys divides its forcing by the
+kept ``den``: the ``b`` that ``assemble_system`` would form, bit for bit,
+with no assembly.  A solve with no guess leaves ``memo`` alone.
 """
 
 from typing import NamedTuple
@@ -22,12 +29,20 @@ from .operators import _bracket
 
 
 class RowData:
-    """The node-only data of the interior flux rows 1..n-1 on one mesh."""
+    """The node-only data of the interior flux rows 1..n-1 on one mesh.
+
+    ``h`` holds the spacings and ``origin`` the ball's origin row at the
+    first fluxes 1 and -1 (see ``origin_row``).  ``memo`` is None until a
+    guessed solve assembles a scan on the mesh; it then holds the
+    forcing-free half of the last such scan (``solver._ScanMemo``).
+    """
 
     def __init__(self, nodes, dim, alpha, coefs):
         r = np.asarray(nodes, dtype=float)
+        self.h = np.diff(r)
         mid = 0.5 * (r[1:] + r[:-1])
         self.coefs = coefs
+        self.dim, self.alpha = dim, alpha
         self.a = 1.0 / ((1.0 + alpha) * (mid[1:] - mid[:-1]))
         ri = r[1:-1]
         self.c = (dim - 1) / ri if dim > 1 else np.zeros_like(ri)
@@ -36,16 +51,28 @@ class RowData:
         self.wx = np.where(centered, 0.5, 0.0)
         # at the row's kinks, as multiples of the inflow x: the transport
         # argument is tau x where the second difference vanishes, and the
-        # second difference is -kink x where the transport argument does
+        # second difference is kink x where the transport argument does
         self.tau = self.wy + self.wx
-        self.kink = self.a * self.tau / self.wy
+        self.kink = -self.a * self.tau / self.wy
+        # the origin row is linear on each side of a zero first flux
+        self.origin = (origin_row(self, 1.0), origin_row(self, -1.0))
+        self.memo = None
+
+
+def origin_row(rows, p0):
+    """The ball's origin row B1(2 p0 / ((1+alpha) h0)) + (N-1) B2(2 p0 /
+    h0) at the first flux ``p0``."""
+    x = 2.0 * p0 / rows.h[0]
+    return _bracket(rows.coefs, x / (1.0 + rows.alpha), x, rows.dim - 1)
 
 
 class RowMaps(NamedTuple):
-    """Rows ``phi[i] = A phi[i-1] + b`` on given branches."""
+    """Rows ``phi[i] = A phi[i-1] + b`` on given branches, with ``b = f /
+    den``."""
 
     A: np.ndarray
     b: np.ndarray
+    den: np.ndarray
 
 
 def branch_keys(rows, x, f):
@@ -57,9 +84,24 @@ def branch_keys(rows, x, f):
     argument is.  The row is increasing in ``phi[i]``, so comparing f with
     its value at a kink tells on which side of the kink the row's solution
     lies.
+
+    The kink values are ``_bracket(coefs, 0, t, c)`` at ``t = tau x`` and
+    ``_bracket(coefs, m, 0)`` at ``m = kink x``, each evaluated on the side
+    of 0 that x picks.  ``ctp t+ - ctm t-`` is ``ctp t`` for t > 0 and
+    ``ctm t`` otherwise (``0 - ctm (-t)`` is ``ctm t`` exactly), and ``cmp
+    m+ - cmm m-`` is ``cmp m`` for m > 0 and ``cmm m`` otherwise.  As tau >
+    0 and kink < 0, t has the sign of x and m the other one, unless the
+    product underflows to a zero, where both coefficients give a zero; and
+    the bracket's vanishing term adds a zero, which changes a value only
+    in the sign of a zero.  So the two forms differ at most in the sign of
+    a zero, which no comparison sees: at x = +-0 too; at a NaN x both are
+    NaN and the comparison is false; at x = +-inf both are infinite, or
+    NaN where c = 0 (dimension 1), 0 inf being NaN in both.
     """
-    up = f >= _bracket(rows.coefs, 0.0, rows.tau * x, rows.c)
-    out = f >= _bracket(rows.coefs, -rows.kink * x, 0.0)
+    cmp_, cmm, ctp, ctm = rows.coefs
+    pos = x > 0.0
+    up = f >= rows.c * (np.where(pos, ctp, ctm) * (rows.tau * x))
+    out = f >= np.where(pos, cmm, cmp_) * (rows.kink * x)
     return 2 * up.astype(np.int8) + out
 
 
@@ -75,4 +117,4 @@ def assemble_system(nodes, rows, key, f):
     cm_a = np.where(key >= 2, cmp_, cmm) * rows.a
     ct_c = np.where(key & 1, ctp, ctm) * rows.c
     den = cm_a + ct_c * rows.wy
-    return RowMaps((cm_a - ct_c * rows.wx) / den, f / den)
+    return RowMaps((cm_a - ct_c * rows.wx) / den, f / den, den)

@@ -10,7 +10,12 @@ the node values -phi^{1+alpha}.  The steps after the first reuse the
 grid's mesh data and start from the row branches the step before settled
 on (``initial_guess``).  The fluxes are one scan of the settled branches
 whatever the guess, so the guess changes the work and never the result:
-once the branches stop moving, a ball's step is one scan.  No step reads
+once the branches stop moving, a ball's step is one scan.  A guessed
+solve keeps the row factors of its last scan on the grid, so past the
+first guessed step that scan reads only the new forcing: it divides it by
+the kept denominators and runs the forcing half of the doubling, the
+operations of a fresh scan in the same order, with no assembly.  The
+first step has no guess, and keeps nothing.  No step reads
 its solution's residual.  A step whose solution is not positive inside
 raises ``LostPositivity``.  On a ball the monotone scheme rules that out
 (a forcing negative inside makes every flux negative, also in floating
@@ -27,7 +32,7 @@ import numpy as np
 from .errors import InvalidSpec, LostPositivity, NotConverged
 from .grid import DiscreteRadialFunction, Domain, DomainKind, RadialGrid
 from .operators import OperatorSpec
-from .solver import discretize_residual, solve_dirichlet
+from .solver import discretize_residual, is_finite_number, solve_dirichlet
 
 # outer steps of the inverse power iteration before it gives up
 MAX_OUTER = 80
@@ -85,13 +90,14 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     before it, which saves repairs and changes no bit.  The
     iteration stops when two successive eigenvalues agree to ``tol``, or
     raises NotConverged after ``MAX_OUTER`` steps; an inner solution that
-    is not positive at an interior node raises LostPositivity.
+    is not positive at an interior node raises LostPositivity.  A ``tol``
+    that is not a positive finite number raises InvalidSpec.
     """
     sign = EigenSign(sign)
     if dom.bc_inner != 0.0 or dom.bc_outer != 0.0:
         raise InvalidSpec("eigenproblem needs zero Dirichlet data")
-    if tol <= 0:
-        raise InvalidSpec("tol must be positive")
+    if not (is_finite_number(tol) and tol > 0):
+        raise InvalidSpec(f"tol must be a positive finite number, got {tol!r}")
     work_op = op if sign is EigenSign.PLUS else op.dual()
     one_p_a = 1.0 + op.alpha
 

@@ -27,7 +27,21 @@ Every solve is exact.  A solve may start from the branches of an earlier
 solve on the same grid (``initial_guess``, ``Solution.branches``); a guess
 changes the work, the number of scans, and never a bit of the result.
 The ``RowData`` of the grid and the operator's bracket is built once and
-kept on the grid.  ``_node_forcing`` reads every forcing at the nodes.
+kept on the grid, with the spacings and the ball's origin row at the
+first fluxes 1 and -1.  ``_node_forcing`` reads every forcing at the nodes.
+
+A row's factor A and its denominator den depend on its branch alone;
+only b = f / den carries the forcing.  So the doubling's window products
+and the prefix products P are the same for every scan of the same
+branches on one grid and bracket.  A solve given ``initial_guess`` keeps
+them, with den and the branches, on the ``RowData`` (``_ScanMemo``), for
+each scan it assembles; a later scan of the branches kept divides its
+forcing by the kept den and runs only the Q half of the doubling.  That
+half does ``_affine_scan``'s operations in its order on the same values,
+so a kept scan gives the bits of a fresh one, and it is still followed
+by the full branch check and counted in ``Solution.iterations``.  A solve
+without a guess neither reads nor keeps the memo, so a grid solved once
+(a ``solve`` or ``verify`` request) holds no window products.
 """
 
 from __future__ import annotations
@@ -36,6 +50,7 @@ import math
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -226,6 +241,57 @@ def _affine_scan(A, b):
     return P, Q
 
 
+class _ScanMemo(NamedTuple):
+    """The forcing-free half of one scan, kept on the ``RowData``.
+
+    ``key`` holds the bytes of the scanned branches, ``den`` the rows'
+    denominators on them, ``windows[k]`` the window products ``P[d:]``
+    that ``_affine_scan``'s level ``d = 2**k`` multiplies ``Q[:-d]`` by,
+    and ``P`` the prefix products with a leading 1.  Every array is
+    read-only.  Each product is the one ``_affine_scan`` forms, on the
+    same operands, so the memo holds its bits.
+    """
+
+    key: bytes
+    den: np.ndarray
+    windows: list
+    P: np.ndarray
+
+    @classmethod
+    def of(cls, key, maps):
+        """The memo of a scan of ``key``, whose rows are ``maps``."""
+        A = maps.A
+        m = len(A)
+        P = np.empty(m + 1)
+        P[0] = 1.0
+        P[1:2] = A[:1]
+        windows = []
+        # the windows of level d are W = P[d:], so those of level 2d are
+        # W[d:] W[:-d]; after level d, P[d:2d] is final, at W[:d] P[:d]
+        window, d = A[1:], 1
+        while d < m:
+            windows.append(window)
+            head = window[:d]
+            np.multiply(head, P[1:1 + len(head)],
+                        out=P[1 + d:1 + d + len(head)])
+            window = window[d:] * window[:-d]
+            d *= 2
+        for a in (maps.den, P, *windows):
+            a.flags.writeable = False
+        return cls(key.tobytes(), maps.den, windows, P)
+
+    def offsets(self, f):
+        """``_affine_scan``'s Q of the maps with ``b = f / den``, with a
+        leading 0: the same operations in the same order."""
+        Q = np.zeros(len(f) + 1)
+        q = np.divide(f, self.den, out=Q[1:])
+        d = 1
+        for window in self.windows:
+            q[d:] += window * q[:-d]
+            d *= 2
+        return Q
+
+
 def _row_data(op: OperatorSpec, grid: RadialGrid) -> _kernels.RowData:
     """The interior rows' mesh data, built once per grid and bracket."""
     key = (op.dim, op.alpha, op.bracket_coefficients())
@@ -239,6 +305,11 @@ class _Recurrence:
     ``phi = P phi[0] + Q``, from one scan of the row branches ``key``;
     ``P`` is also the derivative of the fluxes in phi[0].  ``key`` starts
     as the guess, or, with none, as the branches of a flat inflow.
+
+    A guessed recurrence keeps the memo of each scan it assembles on the
+    row data, and a scan of the memo's branches reuses it: only the Q
+    half of the doubling runs.  A recurrence with no guess neither reads
+    nor keeps one.
     """
 
     def __init__(self, op: OperatorSpec, grid: RadialGrid, fvals, key=None):
@@ -246,15 +317,26 @@ class _Recurrence:
         self.rows = _row_data(op, grid)
         self.f = fvals[1:-1]
         self.key = key
+        self.keep = key is not None
         self.P = self.Q = None
         self.scans = 0
 
     def _scan(self):
-        maps = _kernels.assemble_system(self.nodes, self.rows, self.key,
-                                        self.f)
-        P, Q = _affine_scan(maps.A, maps.b)
-        self.P = np.concatenate(([1.0], P))
-        self.Q = np.concatenate(([0.0], Q))
+        if self.keep:
+            memo = self.rows.memo
+            if memo is None or memo.key != self.key.tobytes():
+                # the old memo goes before the new one is built
+                memo = self.rows.memo = None
+                memo = self.rows.memo = _ScanMemo.of(
+                    self.key, _kernels.assemble_system(
+                        self.nodes, self.rows, self.key, self.f))
+            self.P, self.Q = memo.P, memo.offsets(self.f)
+        else:
+            maps = _kernels.assemble_system(self.nodes, self.rows, self.key,
+                                            self.f)
+            P, Q = _affine_scan(maps.A, maps.b)
+            self.P = np.concatenate(([1.0], P))
+            self.Q = np.concatenate(([0.0], Q))
         self.scans += 1
 
     def fluxes(self, s):
@@ -295,13 +377,6 @@ def _slopes(p, alpha):
     return np.copysign(np.abs(p) ** (1.0 / (1.0 + alpha)), p)
 
 
-def _origin_row(op: OperatorSpec, h0, p0):
-    """Value of the ball's origin row at the first flux ``p0``."""
-    x = 2.0 * p0 / h0
-    return _bracket(op.bracket_coefficients(), x / (1.0 + op.alpha), x,
-                    op.dim - 1)
-
-
 def _residual(op: OperatorSpec, dom: Domain, grid: RadialGrid, u, fvals):
     """The scheme's rows at the profile ``u``: row 0 is the origin row
     (ball) or the inner boundary row, row n the outer boundary row."""
@@ -313,7 +388,7 @@ def _residual(op: OperatorSpec, dom: Domain, grid: RadialGrid, u, fvals):
                          rows.wy * p[1:] + rows.wx * p[:-1],
                          rows.c) - fvals[1:-1]
     if dom.kind is DomainKind.BALL:
-        res[0] = _origin_row(op, nodes[1] - nodes[0], p[0]) - fvals[0]
+        res[0] = _kernels.origin_row(rows, p[0]) - fvals[0]
     else:
         res[0] = u[0] - dom.bc_inner
     res[-1] = u[-1] - dom.bc_outer
@@ -408,14 +483,14 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f, grid: RadialGrid,
     nodes = grid.nodes
     key = _branch_guess(initial_guess, grid.n)
     fvals = _node_forcing(f, nodes)
-    h = np.diff(nodes)
     rec = _Recurrence(op, grid, fvals, key)
+    h = rec.rows.h
     u = np.empty_like(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         if dom.kind is DomainKind.BALL:
             # the origin row is linear on the side of 0 that f(0) picks
             unit = 1.0 if fvals[0] >= 0.0 else -1.0
-            p = rec.fluxes(unit * fvals[0] / _origin_row(op, h[0], unit))
+            p = rec.fluxes(unit * fvals[0] / rec.rows.origin[unit < 0.0])
             steps = 0
             du = h * _slopes(p, op.alpha)
             u[:-1] = dom.bc_outer - np.cumsum(du[::-1])[::-1]

@@ -78,11 +78,27 @@ def test_solve_times_an_eigen_row(monkeypatch):
     bench = _load_script("bench_solve")
     monkeypatch.setattr(bench, "ROW_SECONDS", 0.01)
     assert ("Plus", 1.0, 400) in bench.EIGEN_FAMILY
+    assemble = bench._kernels.assemble_system
     row = bench.time_eigen("Plus", 1.0, 400)
     assert row["eigen_s"] > 0.0 and row["outer_iters"] > 1
     assert row["lambda"] > 0.0
     assert len(row["sha256"]) == 64
-    assert bench.time_eigen("Plus", 1.0, 400)["sha256"] == row["sha256"]
+    # one scan or more per outer step; the settled steps after the first
+    # guessed one reuse the grid's row factors and assemble nothing
+    assert row["scans"] >= row["outer_iters"]
+    assert 0 < row["assemblies"] < row["outer_iters"]
+    again = bench.time_eigen("Plus", 1.0, 400)
+    assert {k: again[k] for k in ("sha256", "scans", "assemblies")} == {
+        k: row[k] for k in ("sha256", "scans", "assemblies")}
+    # the counting wrappers are gone after the run
+    assert bench.eigen.solve_dirichlet is solver.solve_dirichlet
+    assert bench._kernels.assemble_system is assemble
+    # rows whose digests differ, or that one entry lacks
+    runs = {"eigen:a": row, "eigen:b": dict(row, sha256="0" * 64)}
+    assert bench.differing_rows(runs, runs) == []
+    assert bench.differing_rows(runs, {"eigen:a": row,
+                                       "eigen:c": row}) == ["eigen:b",
+                                                            "eigen:c"]
 
 
 def _sweep(*args):

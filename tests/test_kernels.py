@@ -48,6 +48,31 @@ def test_maps_on_the_keys_of_their_inflows_solve_the_rows(coefs):
     assert set(key.tolist()) == {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("coefs", [(1.0, 1.0, 1.0, 1.0), (2.0, 1.0, 3.0, 0.5)])
+def test_branch_keys_match_the_bracket_at_every_inflow(dim, coefs):
+    # the keys evaluate each kink on the side of 0 that the inflow picks;
+    # they are the comparisons with the full bracket, also at signed
+    # zeros, infinities, NaN, underflow and overflow, and where c = 0
+    rng = np.random.default_rng(5)
+    nodes = np.linspace(0.0, 1.0, 41) ** 1.5
+    rows = _kernels.RowData(nodes, dim, 0.5, coefs)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        1e-310, -1e-310, 1e308, -1e308, 1.0, -1.0])
+    x = np.concatenate([special, rng.normal(size=39 - len(special))])
+    for f in (np.zeros(39), -np.zeros(39), rng.normal(size=39),
+              np.full(39, 1e308), np.full(39, -1e308)):
+        for shift in range(len(x)):
+            xs = np.roll(x, shift)
+            with np.errstate(all="ignore"):
+                want = (2 * (f >= _bracket(rows.coefs, 0.0, rows.tau * xs,
+                                           rows.c)).astype(np.int8)
+                        + (f >= _bracket(rows.coefs, rows.kink * xs, 0.0)))
+                got = _kernels.branch_keys(rows, xs, f)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, want)
+
+
 def test_numpy_backend_linear_case_matches_hand_assembly():
     # alpha = 0, a = A = 1, one dimension: the row is (phi[i] - phi[i-1])
     # / hbar = f, so each map has factor 1 and offset f hbar

@@ -281,23 +281,25 @@ class TestNewtonStep:
     fluxes as affine functions of the first flux, from the scan."""
 
     @staticmethod
-    def _recurrence(dom, n):
+    def _problem(dom, n):
         op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
         grid = RadialGrid.for_domain(dom, n, Grading.UNIFORM)
         # a forcing that changes sign puts rows on every branch
-        fvals = 3.0 * np.cos(6.0 * grid.nodes)
-        return op, grid.nodes, fvals, solver._Recurrence(op, grid, fvals)
+        return op, grid, 3.0 * np.cos(6.0 * grid.nodes)
 
     # n crosses the doubling steps of the scan: 16 and 17 nodes, 23-26
     # around the fifth step, 31-33 around the sixth, and many steps
-    @pytest.mark.parametrize("n", [16, 17, 23, 24, 25, 26, 31, 32, 33, 200,
-                                   1000])
+    SIZES = [16, 17, 23, 24, 25, 26, 31, 32, 33, 200, 1000]
+    DOMAINS = [Domain.ball(1.0, bc_outer=1.0),
+               Domain.annulus(0.5, 1.0, bc_inner=0.2, bc_outer=0.7)]
+
+    @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("frozen", [False, True])
-    @pytest.mark.parametrize("dom", [
-        Domain.ball(1.0, bc_outer=1.0),
-        Domain.annulus(0.5, 1.0, bc_inner=0.2, bc_outer=0.7)])
+    @pytest.mark.parametrize("dom", DOMAINS)
     def test_step_matches_dense(self, dom, frozen, n):
-        op, nodes, fvals, rec = self._recurrence(dom, n)
+        op, grid, fvals = self._problem(dom, n)
+        nodes = grid.nodes
+        rec = solver._Recurrence(op, grid, fvals)
         s = 0.7
         if frozen:
             # the branches and products of a sweep from another first flux
@@ -320,6 +322,63 @@ class TestNewtonStep:
                            atol=1e-300)
         assert np.allclose(got, _row_by_row(op, nodes, fvals, s), rtol=1e-12,
                            atol=1e-12)
+
+    @staticmethod
+    def _fresh_scan(op, grid, rec, s):
+        """The fluxes from phi[0] = s and the prefix products of one scan
+        of ``rec``'s branches, assembled on fresh row data."""
+        rows = _kernels.RowData(grid.nodes, op.dim, op.alpha,
+                                op.bracket_coefficients())
+        maps = _kernels.assemble_system(grid.nodes, rows, rec.key, rec.f)
+        P, Q = solver._affine_scan(maps.A, maps.b)
+        return np.concatenate(([s], P * s + Q)), np.concatenate(([1.0], P))
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("dom", DOMAINS)
+    def test_kept_factors_match_a_fresh_scan(self, monkeypatch, dom, n):
+        # guessed recurrences in sequence on one grid: each result is the
+        # scan of its branches on freshly assembled maps, bit for bit
+        op, grid, fvals = self._problem(dom, n)
+        cold = solver._Recurrence(op, grid, fvals)
+        cold.fluxes(0.7)
+        assert cold.rows.memo is None  # a recurrence with no guess keeps none
+        assemblies = []
+        real = _kernels.assemble_system
+        monkeypatch.setattr(_kernels, "assemble_system",
+                            lambda *a: assemblies.append(1) or real(*a))
+        guess = cold.key
+        for run_op, f, s, kept, repaired in [
+                # no memo yet: assembled, and kept
+                (op, fvals, 0.7, False, False),
+                # the same branches under twice the forcing (the rows are
+                # positively homogeneous and doubling is exact, so every
+                # branch test is the same): the kept factors, no assembly
+                (op, 2.0 * fvals, 1.4, True, False),
+                # the kept factors, then repairs, each assembled and kept
+                (op, -fvals, 0.7, True, True),
+                # a second bracket on the grid keeps its own memo
+                (OperatorSpec.pucci_minus(1.0, 1.0, 2.0, 2), fvals, 0.7,
+                 False, True)]:
+            rec = solver._Recurrence(run_op, grid, f, guess.copy())
+            before = rec.rows.memo
+            assemblies.clear()
+            got = rec.fluxes(s)
+            assert (rec.scans > 1) == repaired
+            assert len(assemblies) == rec.scans - kept
+            assert (rec.rows.memo is before) == (not assemblies)
+            want, P = self._fresh_scan(run_op, grid, rec, s)
+            assert got.tobytes() == want.tobytes()
+            assert rec.P.tobytes() == P.tobytes()
+            # the memo holds the bytes of the last branches scanned, and
+            # read-only arrays
+            memo = rec.rows.memo
+            assert memo.key == rec.key.tobytes()
+            for a in (memo.den, memo.P, *memo.windows):
+                assert not a.flags.writeable
+            if run_op is op:
+                kept_memo = memo
+            guess = rec.key
+        assert solver._row_data(op, grid).memo is kept_memo
 
     def test_one_assembly_per_newton_step(self, monkeypatch):
         calls = {"assemble_system": 0, "branch_keys": 0}
@@ -365,6 +424,30 @@ class TestInitialGuess:
         # the guess is read, not written
         assert np.array_equal(guess, cold.branches)
         assert warm.branches is not guess
+
+    def test_guessed_solves_keep_factors_and_change_no_bit(self):
+        op, dom, grid, f = self._problem()
+        fvals = f(grid.nodes)
+        cold = solve_dirichlet(op, dom, fvals, grid)
+        # a solve with no guess leaves no window products on the grid
+        assert solver._row_data(op, grid).memo is None
+        branches = cold.branches
+        # the same branches under twice the forcing, then a forcing whose
+        # sign change moves, whose solve repairs the kept branches
+        for g in (fvals, 2.0 * fvals, 12.0 * grid.nodes - 3.0):
+            sol = solve_dirichlet(op, dom, g, grid, initial_guess=branches)
+            fresh = solve_dirichlet(op, dom, g, RadialGrid(grid.nodes,
+                                                           grid.grading))
+            assert sol.u.values.tobytes() == fresh.u.values.tobytes()
+            assert np.array_equal(sol.branches, fresh.branches)
+            memo = solver._row_data(op, grid).memo
+            assert memo.key == sol.branches.tobytes()
+            # the solution's branches are its own: writing them leaves
+            # the kept copy as it is
+            sol.branches[:] = 3 - sol.branches
+            assert memo.key == fresh.branches.tobytes()
+            branches = fresh.branches
+        assert sol.iterations > 1
 
     @pytest.mark.parametrize("guess", [
         np.zeros(398, dtype=int), np.zeros(400, dtype=int),
