@@ -50,7 +50,6 @@ import math
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -241,7 +240,7 @@ def _affine_scan(A, b):
     return P, Q
 
 
-class _ScanMemo(NamedTuple):
+class _ScanMemo:
     """The forcing-free half of one scan, kept on the ``RowData``.
 
     ``key`` holds the bytes of the scanned branches, ``den`` the rows'
@@ -252,13 +251,9 @@ class _ScanMemo(NamedTuple):
     same operands, so the memo holds its bits.
     """
 
-    key: bytes
-    den: np.ndarray
-    windows: list
-    P: np.ndarray
+    __slots__ = ("key", "den", "windows", "P")
 
-    @classmethod
-    def of(cls, key, maps):
+    def __init__(self, key, maps):
         """The memo of a scan of ``key``, whose rows are ``maps``."""
         A = maps.A
         m = len(A)
@@ -278,7 +273,8 @@ class _ScanMemo(NamedTuple):
             d *= 2
         for a in (maps.den, P, *windows):
             a.flags.writeable = False
-        return cls(key.tobytes(), maps.den, windows, P)
+        self.key, self.den = key.tobytes(), maps.den
+        self.windows, self.P = windows, P
 
     def offsets(self, f):
         """``_affine_scan``'s Q of the maps with ``b = f / den``, with a
@@ -327,7 +323,7 @@ class _Recurrence:
             if memo is None or memo.key != self.key.tobytes():
                 # the old memo goes before the new one is built
                 memo = self.rows.memo = None
-                memo = self.rows.memo = _ScanMemo.of(
+                memo = self.rows.memo = _ScanMemo(
                     self.key, _kernels.assemble_system(
                         self.nodes, self.rows, self.key, self.f))
             self.P, self.Q = memo.P, memo.offsets(self.f)
