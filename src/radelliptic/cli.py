@@ -169,8 +169,7 @@ def _out(out_dir: str, name: str) -> str:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True,
-                  default=lambda o: o.item() if isinstance(o, np.generic) else str(o))
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -25,7 +25,7 @@ point); on an annulus none has been seen.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +47,14 @@ class EigenSign(str, enum.Enum):
 class EigenResult:
     lambda_value: float
     phi: DiscreteRadialFunction
-    iterations: int
-    lambda_history: list = field(default_factory=list)
-    sign: EigenSign = EigenSign.PLUS
-    residual_sup: float = 0.0
+    lambda_history: list
+    sign: EigenSign
+    residual_sup: float
+
+    @property
+    def iterations(self) -> int:
+        """Outer steps taken: one eigenvalue estimate each."""
+        return len(self.lambda_history)
 
 
 def _bump(dom: Domain, grid: RadialGrid) -> np.ndarray:
@@ -125,5 +129,4 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     profile = DiscreteRadialFunction(grid, phi)
     res = eigen_residual(work_op, dom, lam_history[-1], profile)
     return EigenResult(lambda_value=lam_history[-1], phi=profile,
-                       iterations=len(lam_history), lambda_history=lam_history,
-                       sign=sign, residual_sup=res)
+                       lambda_history=lam_history, sign=sign, residual_sup=res)

@@ -6,6 +6,9 @@ import json
 import os
 import subprocess
 import sys
+import time
+
+import pytest
 
 from radelliptic import cli, eigen, solver
 
@@ -13,18 +16,29 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 def _load_script(name, directory="benchmarks"):
-    path = os.path.join(ROOT, directory, name + ".py")
-    spec = importlib.util.spec_from_file_location(name, path)
+    # the scripts import ``harness`` from their own directory, as they do
+    # when run as ``python3 benchmarks/<script>.py``
+    directory = os.path.join(ROOT, directory)
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(directory, name + ".py"))
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.path.insert(0, directory)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(directory)
     return module
+
+
+def _config(name):
+    with open(os.path.join(ROOT, "configs", name + ".json")) as fh:
+        return json.load(fh)
 
 
 def test_certify_times_every_check_on_a_shipped_config(monkeypatch):
     bench = _load_script("bench_certify")
-    monkeypatch.setattr(bench, "SAMPLE_SECONDS", 0.001)
-    with open(os.path.join(ROOT, "configs", "laplacian_ball.json")) as fh:
-        doc = json.load(fh)
+    monkeypatch.setattr(bench.harness, "SAMPLE_SECONDS", 0.001)
+    doc = _config("laplacian_ball")
     (n, times, digests), = bench.time_runs([doc])
     assert n == doc["grid"]["n"]
     assert set(times) == set(bench.CHECKS)
@@ -36,69 +50,116 @@ def test_certify_times_every_check_on_a_shipped_config(monkeypatch):
     assert bench.time_runs([doc])[0][2] == digests
 
 
-def test_certify_names_the_checks_whose_digests_differ():
-    bench = _load_script("bench_certify")
-    ours = {"a:n=10": {"check_viscosity": "1", "c1_bound_check": "2"},
-            "a:n=40": {"check_viscosity": "3", "c1_bound_check": "4"},
-            "b:n=10": {"check_viscosity": "5"}}
-    assert bench.differing_checks(ours, ours) == {}
-    theirs = {"a:n=10": {"check_viscosity": "1", "c1_bound_check": "x"},
-              "a:n=40": {"check_viscosity": "3", "c1_bound_check": "y"},
-              "b:n=10": {"check_viscosity": "5", "holder_exponent": "6"},
-              "c:n=10": {"check_viscosity": "7"}}
-    # a check or a run that only one entry has differs too
-    assert bench.differing_checks(ours, theirs) == {
-        "c1_bound_check": ["a:n=10", "a:n=40"],
-        "holder_exponent": ["b:n=10"],
-        "check_viscosity": ["c:n=10"]}
-
-
 def test_solve_times_a_config_row(monkeypatch):
     bench = _load_script("bench_solve")
-    monkeypatch.setattr(bench, "ROW_SECONDS", 0.01)
-    with open(os.path.join(ROOT, "configs", "pucci_power_ball.json")) as fh:
-        doc = json.load(fh)
-    n, row = bench.time_solve(doc)
-    assert n == doc["grid"]["n"]
-    assert set(row) == {"solve_s", "steps", "sha256"}
-    assert row["solve_s"] > 0.0 and row["steps"] >= 1
-    assert len(row["sha256"]) == 64 and int(row["sha256"], 16) >= 0
+    monkeypatch.setattr(bench.harness, "SAMPLE_SECONDS", 0.001)
+    doc = _config("pucci_power_ball")
+    row, sha, call = bench.solve_row(doc)
+    assert set(row) == {"steps"} and row["steps"] >= 1
+    assert len(sha) == 64 and int(sha, 16) >= 0
+    # each call solves on a fresh grid of the config's n, to the same bits
+    sol = call()
+    assert sol.u.grid.n == doc["grid"]["n"]
+    assert bench.harness.digest(sol.u.values) == sha
+    assert bench.harness.best_times([call])[0] > 0.0
 
 
-def test_fixed_time_loop_runs_until_its_budget(monkeypatch):
+def test_solve_times_an_eigen_row():
     bench = _load_script("bench_solve")
-    monkeypatch.setattr(bench, "ROW_SECONDS", 0.02)
-    calls = []
-    seconds, last = bench.loop_seconds(lambda: calls.append(1) or len(calls))
-    assert last == len(calls) >= bench.MIN_CALLS
-    assert seconds * len(calls) >= 0.02
-
-
-def test_solve_times_an_eigen_row(monkeypatch):
-    bench = _load_script("bench_solve")
-    monkeypatch.setattr(bench, "ROW_SECONDS", 0.01)
     assert ("Plus", 1.0, 400) in bench.EIGEN_FAMILY
     assemble = bench._kernels.assemble_system
-    row = bench.time_eigen("Plus", 1.0, 400)
-    assert row["eigen_s"] > 0.0 and row["outer_iters"] > 1
-    assert row["lambda"] > 0.0
-    assert len(row["sha256"]) == 64
+    row, sha, call = bench.eigen_row("Plus", 1.0, 400)
+    assert row["outer_iters"] > 1 and row["lambda"] > 0.0
+    assert len(sha) == 64
     # one scan or more per outer step; the settled steps after the first
     # guessed one reuse the grid's row factors and assemble nothing
     assert row["scans"] >= row["outer_iters"]
     assert 0 < row["assemblies"] < row["outer_iters"]
-    again = bench.time_eigen("Plus", 1.0, 400)
-    assert {k: again[k] for k in ("sha256", "scans", "assemblies")} == {
-        k: row[k] for k in ("sha256", "scans", "assemblies")}
+    assert bench.eigen_row("Plus", 1.0, 400)[:2] == (row, sha)
+    assert call().lambda_value == row["lambda"]
     # the counting wrappers are gone after the run
     assert bench.eigen.solve_dirichlet is solver.solve_dirichlet
     assert bench._kernels.assemble_system is assemble
-    # rows whose digests differ, or that one entry lacks
-    runs = {"eigen:a": row, "eigen:b": dict(row, sha256="0" * 64)}
-    assert bench.differing_rows(runs, runs) == []
-    assert bench.differing_rows(runs, {"eigen:a": row,
-                                       "eigen:c": row}) == ["eigen:b",
-                                                            "eigen:c"]
+
+
+def test_fixed_time_loop_runs_until_its_budget(monkeypatch):
+    harness = _load_script("harness")
+    monkeypatch.setattr(harness, "SAMPLE_SECONDS", 0.02)
+    starts = []
+
+    def call():
+        starts.append(time.process_time())
+        sum(range(10_000))
+
+    t0 = time.process_time()
+    assert harness.sample(call) > 0.0
+    assert time.process_time() - t0 >= 0.02
+    # no call starts once the budget is spent
+    assert len(starts) > 1 and starts[-1] - starts[0] < 0.02 + 1e-3
+
+
+def test_best_times_keeps_the_minimum_over_rounds(monkeypatch):
+    harness = _load_script("harness")
+    samples = iter([3.0, 5.0, 1.0, 6.0, 2.0, 4.0])
+    sampled = []
+
+    def fake_sample(fn):
+        sampled.append(fn)
+        return next(samples)
+
+    monkeypatch.setattr(harness, "REPEAT", 3)
+    monkeypatch.setattr(harness, "sample", fake_sample)
+    assert harness.best_times(["a", "b"]) == [1.0, 4.0]
+    assert sampled == ["a", "b"] * 3
+
+
+def test_shipped_yields_each_matching_config_at_every_scale():
+    harness = _load_script("harness")
+    names = sorted(name[:-5] for name in os.listdir(
+        os.path.join(ROOT, "configs"))
+        if _config(name[:-5]).get("command") in ("solve", "verify"))
+    assert "eigen_disk" not in names and "minimal" not in names
+    got = list(harness.shipped(("solve", "verify")))
+    assert [(name, scale) for name, scale, _ in got] == [
+        (name, scale) for name in names for scale in (1, 4, 16)]
+    for name, scale, doc in got:
+        shipped = _config(name)
+        assert doc["grid"]["n"] == scale * shipped["grid"]["n"]
+        # nothing else changes, and the shipped doc is not touched
+        assert dict(doc, grid=shipped["grid"]) == shipped
+        assert shipped == _config(name)
+
+
+def test_record_replaces_its_own_label_and_names_differing_digests(
+        tmp_path, capsys):
+    harness = _load_script("harness")
+    path = str(tmp_path / "BENCH.json")
+    parent = {"runs": {}, "digests": {
+        "a:n=10": {"check_viscosity": "1", "c1_bound_check": "2",
+                   "holder_exponent": "3"},
+        "b:n=10": "4", "c:n=10": "5"}}
+    with open(path, "w") as fh:
+        json.dump({"parent": parent}, fh)
+    entry = {"runs": {}, "digests": {
+        "a:n=10": {"check_viscosity": "1", "c1_bound_check": "x"},
+        "b:n=10": "4", "d:n=10": "6"}}
+    harness.record(path, "change", entry)
+    # a digest, a check or a run that only one entry has differs too
+    assert capsys.readouterr().out == (
+        "digests vs parent: 4 differ: a:n=10 c1_bound_check, "
+        "a:n=10 holder_exponent, c:n=10, d:n=10\n")
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert doc["parent"] == parent
+    assert set(doc["change"]) == {"runs", "digests", "commit", "host",
+                                  "method"}
+    assert doc["change"]["digests"] == entry["digests"]
+    assert doc["change"]["method"]["repeat"] == harness.REPEAT
+    harness.record(path, "parent", entry)
+    assert capsys.readouterr().out == (
+        "digests vs change: every digest matches\n")
+    with open(path) as fh:
+        assert json.load(fh) == dict(doc, parent=doc["change"])
 
 
 def _sweep(*args):

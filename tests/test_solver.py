@@ -7,7 +7,8 @@ import pytest
 from radelliptic import _kernels, solver
 from radelliptic.analysis import comparison_oracle
 from radelliptic.cli import ConfigError, _parse_problem
-from radelliptic.errors import GridMismatch, InvalidSpec, PreconditionViolated
+from radelliptic.errors import (Diverged, GridMismatch, InvalidSpec,
+                               PreconditionViolated)
 from radelliptic.grid import DiscreteRadialFunction, Domain, Grading, RadialGrid
 from radelliptic.operators import (OperatorSpec, _bracket,
                                    closed_form_alpha_laplacian,
@@ -158,6 +159,20 @@ class TestSolveDirichlet:
         sol = solve_dirichlet(op, dom, SourceFunction.constant(2.0), grid)
         err = np.max(np.abs(sol.u.values - g(grid.nodes)))
         assert err <= 1e-4
+
+    # ROADMAP item 2: the shooting's step cap fails on AlphaLaplacian at
+    # alpha <= -0.9, dim >= 2, small R1, though the problem has a solution.
+    # Once that is fixed this test passes, and the strict marker turns the
+    # pass into a failure until the marker is removed.
+    @pytest.mark.xfail(strict=True, raises=Diverged,
+                       reason="known band of the annulus shooting")
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_annulus_shooting_closes_in_the_known_band(self, n):
+        op = OperatorSpec.alpha_laplacian(-0.9, 3)
+        dom = Domain.annulus(1e-6, 1.0)
+        grid = RadialGrid.for_domain(dom, n, Grading.UNIFORM)
+        sol = solve_dirichlet(op, dom, SourceFunction.constant(-3.0), grid)
+        assert sol.diagnostics_dict()["converged"] is True
 
     def test_boundary_values_exact(self):
         op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
