@@ -115,19 +115,21 @@ def test_best_times_keeps_the_minimum_over_rounds(monkeypatch):
 
 def test_shipped_yields_each_matching_config_at_every_scale():
     harness = _load_script("harness")
-    names = sorted(name[:-5] for name in os.listdir(
-        os.path.join(ROOT, "configs"))
-        if _config(name[:-5]).get("command") in ("solve", "verify"))
-    assert "eigen_disk" not in names and "minimal" not in names
+    verify = ["alpha_laplacian_annulus", "laplacian_ball", "pucci_alpha2_ball",
+              "pucci_minus_ball", "pucci_power_ball", "trace_mix_ball"]
+    # minimal.json names no command, and eigen_disk.json runs eigen
     got = list(harness.shipped(("solve", "verify")))
     assert [(name, scale) for name, scale, _ in got] == [
-        (name, scale) for name in names for scale in (1, 4, 16)]
+        (name, scale) for name in verify for scale in (1, 4, 16)]
+    assert [(name, scale) for name, scale, _ in harness.shipped(
+        ("eigen",))] == [("eigen_disk", 1), ("eigen_disk", 4),
+                         ("eigen_disk", 16)]
     for name, scale, doc in got:
         shipped = _config(name)
         assert doc["grid"]["n"] == scale * shipped["grid"]["n"]
-        # nothing else changes, and the shipped doc is not touched
+        # nothing but grid.n changes
         assert dict(doc, grid=shipped["grid"]) == shipped
-        assert shipped == _config(name)
+        assert dict(doc["grid"], n=shipped["grid"]["n"]) == shipped["grid"]
 
 
 def test_record_replaces_its_own_label_and_names_differing_digests(
@@ -160,6 +162,17 @@ def test_record_replaces_its_own_label_and_names_differing_digests(
         "digests vs change: every digest matches\n")
     with open(path) as fh:
         assert json.load(fh) == dict(doc, parent=doc["change"])
+
+
+@pytest.mark.parametrize("name", ["BENCH_solve.json", "BENCH_certify.json"])
+def test_committed_entries_hold_what_record_writes(name):
+    with open(os.path.join(ROOT, name)) as fh:
+        doc = json.load(fh)
+    assert {"parent", "change"} <= set(doc)
+    runs = set(doc["change"]["runs"])
+    for entry in doc.values():
+        assert {"commit", "host", "method", "runs", "digests"} <= set(entry)
+        assert set(entry["runs"]) == set(entry["digests"]) == runs
 
 
 def _sweep(*args):
