@@ -505,12 +505,16 @@ def _discrete_zero(profile: DiscreteRadialFunction, r_star: float):
 
 
 def derivative_zero_candidates(u: DiscreteRadialFunction, dom: Domain):
-    """Radii where u' may vanish: the origin of a ball and every sign flip
-    of the interior first quotient (at the node before the flip)."""
+    """Radii where u' may vanish: the origin of a ball, every sign flip of
+    the interior first quotient (at the node before the flip), and every
+    run of exactly zero quotients (at its first node), in grid order."""
     q, _ = interior_quotients(u)
+    sign = np.sign(q)
+    flip = np.append(sign[:-1] * sign[1:] < 0, False)
+    run_start = (sign == 0) & np.append(True, sign[:-1] != 0)
     candidates = [0.0] if dom.kind is DomainKind.BALL else []
-    flips = np.nonzero(np.diff(np.sign(q)) != 0)[0]
-    return candidates + [float(u.grid.nodes[1 + k]) for k in flips]
+    return candidates + [float(u.grid.nodes[1 + k])
+                         for k in np.flatnonzero(flip | run_start)]
 
 
 @dataclass(frozen=True)

@@ -168,9 +168,9 @@ def _out(out_dir: str, name: str) -> str:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def cmd_solve(doc: dict, out_dir: str) -> int:
@@ -185,19 +185,22 @@ def cmd_verify(doc: dict, out_dir: str) -> int:
     op, dom, grid, f = _parse_problem(doc)
     seed = _option(doc, "seed", 0, int, 0)
 
-    sol = solve_dirichlet(op, dom, f, grid)
+    # the forcing is read at the nodes once; the solve and every check
+    # take the node values
+    fvals = _node_forcing(f, grid.nodes)
+    sol = solve_dirichlet(op, dom, fvals, grid)
     sol.u.to_csv(_out(out_dir, "solution.csv"))
     _write_json(_out(out_dir, "diagnostics.json"), sol.diagnostics_dict())
 
     report = VerificationReport()
-    report.extend(analysis.verify_flux_inequalities(sol, op, f))
-    report.extend(analysis.check_viscosity(sol, op, f))
+    report.extend(analysis.verify_flux_inequalities(sol, op, fvals))
+    report.extend(analysis.check_viscosity(sol, op, fvals))
     report.extend(analysis.c1_modulus_report(sol, alpha=op.alpha))
 
     beta_target = 1.0 / (1.0 + op.alpha)
     for r_star in analysis.derivative_zero_candidates(sol.u, dom):
         try:
-            report.extend(analysis.c1_bound_check(sol, op, f, r_star))
+            report.extend(analysis.c1_bound_check(sol, op, fvals, r_star))
             est = analysis.holder_exponent(sol, r_star)
             report.add("holder-fit", est.r_star,
                        -abs(est.beta_fit - beta_target), 0.05 * beta_target)
@@ -207,7 +210,6 @@ def cmd_verify(doc: dict, out_dir: str) -> int:
     report.extend(validate_hypotheses(op, 2000, seed))
 
     # comparison spot-check: lowering the forcing must raise the solution
-    fvals = _node_forcing(f, grid.nodes)
     f_low = fvals - 0.1 * max(1.0, float(np.max(np.abs(fvals))))
     sol_low = solve_dirichlet(op, dom, f_low, grid)
     report.extend(comparison_oracle(sol, sol_low, op, fvals, f_low))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,12 +58,31 @@ class Domain:
 GRADING_EXPONENT = 1.5
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class _Keeps:
+    """Keeps data derived from an object's read-only arrays with the object."""
+
+    def derived(self, key, build):
+        """``build()``, computed on the first request for ``key`` and kept
+        with the object."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
+
+
 @dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(_Keeps):
     """A strictly increasing radial mesh.
 
     The grid holds a read-only copy of its nodes, so data derived from them
-    cannot go stale and is kept on the grid (see ``derived``).
+    cannot go stale and is kept on the grid: its spacing, its largest
+    spacing, and what other modules build with ``derived``.
     """
 
     nodes: np.ndarray
@@ -71,8 +91,7 @@ class RadialGrid:
                            compare=False)
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        nodes.flags.writeable = False
+        nodes = _read_only(np.array(self.nodes, dtype=float))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "grading", Grading(self.grading))
         if nodes.ndim != 1 or len(nodes) < 2:
@@ -94,19 +113,23 @@ class RadialGrid:
     def n(self) -> int:
         return len(self.nodes) - 1
 
-    @property
+    @cached_property
     def spacing(self) -> np.ndarray:
-        return np.diff(self.nodes)
+        return _read_only(np.diff(self.nodes))
 
-    @property
+    @cached_property
     def max_spacing(self) -> float:
         return float(np.max(self.spacing))
+
+    @cached_property
+    def _padded_spacing(self) -> np.ndarray:
+        h = self.spacing
+        return _read_only(np.concatenate([h[:1], h, h[-1:]]))
 
     def local_spacing(self, i):
         """Larger adjacent spacing at each node index of the array i
         (one-sided at the ends)."""
-        h = self.spacing
-        padded = np.concatenate([h[:1], h, h[-1:]])
+        padded = self._padded_spacing
         return np.maximum(padded[i], padded[np.add(i, 1)])
 
     def nearest_index(self, r):
@@ -117,15 +140,6 @@ class RadialGrid:
         return np.where(np.abs(nodes[k - 1] - r) <= np.abs(nodes[k] - r),
                         k - 1, k)
 
-    def derived(self, key, build):
-        """``build()``, computed on the first request for ``key`` and kept
-        with the grid."""
-        try:
-            return self._derived[key]
-        except KeyError:
-            value = self._derived[key] = build()
-            return value
-
     def spans(self, dom: Domain) -> bool:
         r1 = dom.R1 if dom.kind is DomainKind.ANNULUS else 0.0
         return (abs(self.nodes[0] - r1) <= 1e-12 * max(1.0, dom.R)
@@ -133,12 +147,21 @@ class RadialGrid:
 
 
 @dataclass(frozen=True)
-class DiscreteRadialFunction:
+class DiscreteRadialFunction(_Keeps):
+    """A profile sampled at the nodes of a grid.
+
+    Like the grid, the profile holds a read-only copy of its values and
+    keeps what is derived from them: ``interior_quotients`` and
+    ``lipschitz_constant`` are computed on the first request and kept.
+    """
+
     grid: RadialGrid
     values: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _read_only(np.array(self.values, dtype=float))
         object.__setattr__(self, "values", values)
         if values.shape != self.grid.nodes.shape:
             raise GridMismatch("values and nodes differ in length")
@@ -186,7 +209,12 @@ class DerivativeNumbers:
 
 def interior_quotients(u: DiscreteRadialFunction) -> tuple[np.ndarray, np.ndarray]:
     """The second-order first and second difference quotients at the
-    interior nodes 1..n-1, exact on quadratics for any spacing."""
+    interior nodes 1..n-1, exact on quadratics for any spacing.  Built on
+    the first request and kept with ``u``; both arrays are read-only."""
+    return u.derived("interior_quotients", lambda: _quotients(u))
+
+
+def _quotients(u: DiscreteRadialFunction) -> tuple[np.ndarray, np.ndarray]:
     r, v = u.grid.nodes, u.values
     hm = r[1:-1] - r[:-2]
     hp = r[2:] - r[1:-1]
@@ -194,7 +222,7 @@ def interior_quotients(u: DiscreteRadialFunction) -> tuple[np.ndarray, np.ndarra
     denom = hp * hm * hsum
     q = (hm2 * v[2:] + (hp2 - hm2) * v[1:-1] - hp2 * v[:-2]) / denom
     m = 2.0 * (hm * v[2:] - hsum * v[1:-1] + hp * v[:-2]) / denom
-    return q, m
+    return _read_only(q), _read_only(m)
 
 
 def derivative_numbers(u: DiscreteRadialFunction, r, window,
@@ -245,5 +273,6 @@ def derivative_numbers(u: DiscreteRadialFunction, r, window,
 
 
 def lipschitz_constant(u: DiscreteRadialFunction) -> float:
-    """Max adjacent-node slope magnitude."""
-    return float(np.max(np.abs(np.diff(u.values)) / u.grid.spacing))
+    """Max adjacent-node slope magnitude, kept with ``u``."""
+    return u.derived("lipschitz_constant", lambda: float(
+        np.max(np.abs(np.diff(u.values)) / u.grid.spacing)))

@@ -275,8 +275,10 @@ def validate_hypotheses(op: OperatorSpec, sample_count: int, seed: int) -> Verif
     # (r t/mu, t q, mu m): the tangential eigenvalue q/r then scales by mu.
     t = log_uniform(1e-3, 1e3, n, shrink)
     mu = log_uniform(1e-3, 1e3, n)
+    # the operator at the base jets, shared by (H1) and (H2)
+    base = eval_radial_many(op, r, q, m)
     lhs = eval_radial_many(op, r * t / mu, t * q, mu * m)
-    rhs = np.abs(t) ** op.alpha * mu * eval_radial_many(op, r, q, m)
+    rhs = np.abs(t) ** op.alpha * mu * base
     scale = np.maximum(np.abs(rhs), 1e-300)
     h1 = np.max(np.abs(lhs - rhs) / scale)
     report.add("H1", float(r[np.argmax(np.abs(lhs - rhs) / scale)]), -h1,
@@ -288,7 +290,7 @@ def validate_hypotheses(op: OperatorSpec, sample_count: int, seed: int) -> Verif
     # the difference of the two evaluations is pure cancellation noise.
     bracket_mag = np.maximum(np.abs(m), (op.dim - 1) * np.abs(q) / r)
     s = bracket_mag * log_uniform(1e-3, 1e3, n)
-    inc = eval_radial_many(op, r, q, m + s) - eval_radial_many(op, r, q, m)
+    inc = eval_radial_many(op, r, q, m + s) - base
     factor = _degenerate_factor(q, op.alpha)
     lo = op.a * factor * s
     hi = op.A * factor * s

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -62,23 +63,44 @@ class VerificationReport:
         return {"checks": [c.as_dict() for c in self.checks]}
 
     def to_json(self, path) -> None:
-        """Write the checks as JSON.  JSON has no infinities or NaN, so a
-        margin that is not finite (a vacuous check's +inf) is written as
-        null; the row's pass flag still tells the verdict."""
-        checks = [{key: None if isinstance(value, float)
-                   and not math.isfinite(value) else value
-                   for key, value in c.as_dict().items()}
-                  for c in self.checks]
+        """Write the checks as JSON, laid out as ``json.dump`` with
+        ``indent=2`` lays them out.  JSON has no infinities or NaN, so a
+        value that is not finite (a vacuous check's +inf margin) is written
+        as null; the row's pass flag still tells the verdict.  The text is
+        built from a row template and written at once."""
+        rows = ",\n".join(_JSON_ROW % (
+            json.dumps(c.name), _json_number(c.location),
+            _json_number(c.margin), _json_number(c.tolerance),
+            _bool_text(c.passed), _bool_text(c.binding)) for c in self.checks)
+        text = ('{\n  "checks": [\n' + rows + "\n  ]\n}\n" if rows
+                else '{\n  "checks": []\n}\n')
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"checks": checks}, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+            fh.write(text)
 
     def to_csv(self, path) -> None:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["name", "location", "margin", "tolerance", "pass",
+                         "binding"])
+        writer.writerows([c.name, "%.17g" % c.location, "%.17g" % c.margin,
+                          "%.17g" % c.tolerance, _bool_text(c.passed),
+                          _bool_text(c.binding)] for c in self.checks)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["name", "location", "margin", "tolerance", "pass",
-                             "binding"])
-            for c in self.checks:
-                writer.writerow([c.name, "%.17g" % c.location, "%.17g" % c.margin,
-                                 "%.17g" % c.tolerance, str(c.passed).lower(),
-                                 str(c.binding).lower()])
+            fh.write(buf.getvalue())
+
+
+# one check of report.json, at the depth and in the key order of
+# ``json.dump(..., indent=2)`` of ``Check.as_dict``
+_JSON_ROW = ('    {\n      "name": %s,\n      "location": %s,\n'
+             '      "margin": %s,\n      "tolerance": %s,\n'
+             '      "pass": %s,\n      "binding": %s\n    }')
+
+
+def _json_number(value: float) -> str:
+    """``json.dumps`` of a finite float, null for any other."""
+    return float.__repr__(value) if math.isfinite(value) else "null"
+
+
+def _bool_text(value: bool) -> str:
+    """A flag as JSON and the CSV write it: true or false."""
+    return "true" if value else "false"

@@ -13,7 +13,8 @@ from radelliptic.analysis import (_LOCAL_COEFS, VISCOSITY_CURVATURES,
                                   _local_curvature, _slope_window,
                                   _touching_bounds, c1_bound_check,
                                   c1_modulus_report, check_viscosity,
-                                  epsilon_aA, gamma_exponent, holder_exponent,
+                                  derivative_zero_candidates, epsilon_aA,
+                                  gamma_exponent, holder_exponent,
                                   sign_intervals, verify_flux_inequalities)
 from radelliptic.errors import InsufficientData, InvalidSpec, NotAZero
 from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
@@ -298,6 +299,28 @@ class TestHolder:
         _, _, sol, _ = pucci_case
         with pytest.raises(InvalidSpec):
             holder_exponent(sol, 0.0, decades=0.5)
+
+
+class TestZeroCandidates:
+    # dyadic nodes: the spacing is exactly uniform, so a first quotient is
+    # exactly 0 where the values on either side of a node are equal
+    @pytest.mark.parametrize("values, expected", [
+        # a sign change across one zero quotient: one candidate, at its node
+        ([4, 3, 2, 1, 0, 1, 2, 3, 4], [0.5]),
+        # a run of zero quotients: one candidate, at its first node
+        ([3, 2, 1, 1, 1, 1, 2, 3, 4], [0.375]),
+        # a zero quotient without a sign change is still a candidate
+        ([0, 1, 2, 3, 3.5, 3, 4, 5, 6], [0.5]),
+        # a flip between nonzero quotients: the node before the flip
+        ([4, 3, 2, 1, 0.5, 1.5, 2.5, 3.5, 4.5], [0.375]),
+        ([1, 2, 3, 4, 5, 6, 7, 8, 9], [])])
+    def test_one_candidate_per_zero(self, values, expected):
+        u = DiscreteRadialFunction(RadialGrid(np.arange(9) / 8.0),
+                                   np.array(values, dtype=float))
+        assert derivative_zero_candidates(u, Domain.ball(1.0)) == (
+            [0.0] + expected)
+        assert derivative_zero_candidates(
+            u, Domain.annulus(0.5, 1.0)) == expected
 
 
 class TestC1Bound:

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from radelliptic import cli, eigen, solver
+from radelliptic import grid as grid_module
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -41,13 +42,49 @@ def test_certify_times_every_check_on_a_shipped_config(monkeypatch):
     doc = _config("laplacian_ball")
     (n, times, digests), = bench.time_runs([doc])
     assert n == doc["grid"]["n"]
-    assert set(times) == set(bench.CHECKS)
+    assert set(times) == set(bench.ROWS) == set(bench.CHECKS) | {"verify"}
     assert all(t >= 0.0 for t in times.values())
     assert times["verify_flux_inequalities"] > 0.0
-    # one sha256 per check, and the same reports give the same digests
-    assert set(digests) == set(bench.CHECKS)
+    # the whole certification costs more than any one of its checks
+    assert times["verify"] > max(times[c] for c in bench.CHECKS)
+    # one sha256 per row, and the same reports give the same digests
+    assert set(digests) == set(bench.ROWS)
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
     assert bench.time_runs([doc])[0][2] == digests
+
+
+def test_certify_rows_run_on_cold_profiles(monkeypatch, tmp_path):
+    bench = _load_script("bench_certify")
+    built = []
+    quotients = grid_module._quotients
+    monkeypatch.setattr(grid_module, "_quotients",
+                        lambda u: built.append(u) or quotients(u))
+    n, calls, _ = bench.prepare(_config("pucci_power_ball"), str(tmp_path))
+    assert n == 400 and calls["c1_bound_check"]
+    # every call derives the quotients from a new profile of its own
+    # (c1_modulus_report reads no quotients)
+    for row in ("verify_flux_inequalities", "check_viscosity",
+                "c1_bound_check", "holder_exponent", "verify"):
+        for fn in calls[row]:
+            before = len(built)
+            fn()
+            fn()
+            assert len(built) == before + 2
+            assert built[-1] is not built[-2]
+
+
+@pytest.mark.parametrize("name", ["pucci_power_ball",
+                                  "alpha_laplacian_annulus"])
+def test_certify_writes_the_reports_of_verify(name, tmp_path):
+    # the verify row replays cmd_verify's certification: the same reports
+    bench = _load_script("bench_certify")
+    (tmp_path / "bench").mkdir()
+    bench.prepare(_config(name), str(tmp_path / "bench"))
+    cli_out = str(tmp_path / "cli")
+    path = os.path.join(ROOT, "configs", name + ".json")
+    assert cli.main(["verify", "--config", path, "--out", cli_out]) == 0
+    assert (bench.report_texts(str(tmp_path / "bench"))
+            == bench.report_texts(cli_out))
 
 
 def test_solve_times_a_config_row(monkeypatch):

@@ -1,6 +1,8 @@
+import collections
 import csv
 import dataclasses
 import filecmp
+import hashlib
 import json
 import math
 import os
@@ -12,11 +14,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from radelliptic import analysis, cli, eigen
+from radelliptic import analysis, cli, eigen, grid
 from radelliptic.cli import main
 from radelliptic.grid import DiscreteRadialFunction
-from radelliptic.solver import EXPRESSION_CATALOGUE
+from radelliptic.solver import EXPRESSION_CATALOGUE, SourceFunction
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -308,6 +312,115 @@ class TestVerify:
         assert run("verify", str(cfg), tmp_path / "out") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config is not")
+
+    # AlphaLaplacian alpha = 0, dim 1, zero data, f = 2 on [0.25, 1.25]:
+    # u = (r - 0.25)(r - 1.25) is exact to roundoff, and the first quotient
+    # at r = 0.75 is exactly 0.  That zero is one candidate, not a flip
+    # into 0 and another out of it.
+    def test_exact_zero_quotient_is_one_candidate(self, tmp_path):
+        doc = {"operator": {"variant": "AlphaLaplacian", "alpha": 0.0,
+                            "dim": 1},
+               "domain": {"kind": "Annulus", "R1": 0.25, "R": 1.25},
+               "grid": {"n": 100, "grading": "Uniform"},
+               "f": {"kind": "constant", "value": 2.0}}
+        out = tmp_path / "out"
+        assert run("verify", write_config(tmp_path, doc), out) == 0
+        rows = json.loads((out / "report.json").read_text())["checks"]
+        assert [c["location"] for c in rows
+                if c["name"] == "holder-fit"] == [0.75]
+        assert [c["name"] for c in rows].count("right-bound") == 1
+
+    # sha256 of the four files verify writes at the shipped n: how the
+    # checks share their work and how the files are written must not move
+    # a byte of them
+    SHIPPED_SHA256 = {
+        "pucci_power_ball": {
+            "diagnostics.json": "feffeaac85f41ae6018f639308d70585"
+                                "e5b3180b652047ce0d642d35dd9b9a87",
+            "report.csv": "5e2eaf5e03d2e1a2ffe9c9351c8e8bc7"
+                          "ff156f2a98d4bad00a26a51446343115",
+            "report.json": "7d276176064aef6de440290b88831a4e"
+                           "56a96aa279242184c7b2764de650c971",
+            "solution.csv": "1e894cd82e6c062571affd08cd746fdf"
+                            "aa5efbb71feb81ca508c5fa98c183869"},
+        "alpha_laplacian_annulus": {
+            "diagnostics.json": "2a36323b594556e687fb9f989a140c7a"
+                                "f68fc41c5b9e49cea0395fb23ea58b99",
+            "report.csv": "e7fc6e838809043bec1462350fb84684"
+                          "d6ce0c66190e3f64d78116632afa0179",
+            "report.json": "03751df728851b2751f3f2e6406b98a4"
+                           "6a41afd28b6d9e099cd32f0f2d92a9a3",
+            "solution.csv": "495095cf3b0d9dd8c5dff34dc0a17b83"
+                            "c8ea0ad052c43bed0ce644d11c34d411"}}
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_SHA256))
+    def test_shipped_files_are_byte_identical(self, tmp_path, name):
+        out = tmp_path / "out"
+        assert run("verify", os.path.join(CONFIG_DIR, name + ".json"),
+                   out) == 0
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in out.iterdir()} == self.SHIPPED_SHA256[name]
+
+    # a request derives the quotients of each profile once, whichever
+    # checks read them, and reads the forcing at the nodes once
+    @pytest.mark.parametrize("name", ["pucci_power_ball.json",
+                                      "alpha_laplacian_annulus.json"])
+    def test_request_derives_each_quantity_once(self, tmp_path, monkeypatch,
+                                                name):
+        built = collections.Counter()
+        quotients = grid._quotients
+
+        def counted(u):
+            built[id(u)] += 1
+            return quotients(u)
+
+        evaluated = []
+        call = SourceFunction.__call__
+
+        def forcing(f, r):
+            evaluated.append(np.shape(r))
+            return call(f, r)
+
+        monkeypatch.setattr(grid, "_quotients", counted)
+        monkeypatch.setattr(SourceFunction, "__call__", forcing)
+        out = tmp_path / "out"
+        assert run("verify", os.path.join(CONFIG_DIR, name), out) == 0
+        assert list(built.values()) == [1]
+        with open(os.path.join(CONFIG_DIR, name)) as fh:
+            n = json.load(fh)["grid"]["n"]
+        assert evaluated == [(n + 1,)]
+
+
+# the _write_json files are json.dumps(payload, indent=2, sort_keys=True)
+# and a newline, for the payloads of diagnostics.json, eigen.json and
+# study.json, over floats at the edges of the float range
+JSON_FLOATS = st.one_of(st.sampled_from(
+    [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 1e308,
+     -1e308]), st.floats())
+PAYLOADS = st.one_of(
+    st.fixed_dictionaries({"residual_sup": JSON_FLOATS,
+                           "scans": st.integers(0, 10 ** 6),
+                           "shooting_steps": st.integers(0, 100),
+                           "converged": st.just(True)}),
+    st.fixed_dictionaries({"lambda": JSON_FLOATS,
+                           "sign": st.sampled_from(["Plus", "Minus"]),
+                           "iterations": st.integers(1, 80),
+                           "residual_sup": JSON_FLOATS}),
+    st.integers(16, 10 ** 5).flatmap(lambda n: st.fixed_dictionaries({
+        "n": st.just(n),
+        "errors": st.fixed_dictionaries({str(n): JSON_FLOATS,
+                                         str(2 * n): JSON_FLOATS}),
+        "rate": st.one_of(st.none(), JSON_FLOATS)})))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=PAYLOADS)
+def test_write_json_matches_json_dump(tmp_path, payload):
+    path = tmp_path / "out.json"
+    cli._write_json(str(path), payload)
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestEigen:

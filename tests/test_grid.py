@@ -302,6 +302,30 @@ class TestDiscreteRadialFunction:
         with pytest.raises(InvalidSpec):
             DiscreteRadialFunction(grid, vals)
 
+    def test_holds_a_copy_of_its_values(self):
+        grid = RadialGrid.for_domain(Domain.ball(1.0), 16)
+        vals = np.sin(grid.nodes)
+        u = DiscreteRadialFunction(grid, vals)
+        q, m = interior_quotients(u)
+        lip = lipschitz_constant(u)
+        vals[:] = 7.0
+        fresh = DiscreteRadialFunction(grid, np.sin(grid.nodes))
+        assert np.array_equal(u.values, fresh.values)
+        assert interior_quotients(u) == (q, m)
+        assert np.array_equal(q, interior_quotients(fresh)[0])
+        assert np.array_equal(m, interior_quotients(fresh)[1])
+        assert lipschitz_constant(u) == lip == lipschitz_constant(fresh)
+
+    def test_kept_arrays_are_read_only(self):
+        grid = RadialGrid.for_domain(Domain.ball(1.0), 16)
+        u = DiscreteRadialFunction(grid, grid.nodes ** 2)
+        q, m = interior_quotients(u)
+        # the quotients are kept, not rebuilt
+        assert interior_quotients(u)[0] is q
+        for array in (u.values, q, m, grid.nodes, grid.spacing):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
     def test_csv_round_trip(self, tmp_path):
         # "%.17g" keeps every bit: the file reads back to the same floats
         grid = RadialGrid.for_domain(Domain.ball(1.0), 20,

@@ -1,8 +1,11 @@
 import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from radelliptic.report import VerificationReport
 
@@ -47,3 +50,66 @@ class TestVerdictRecord:
         assert [(c["margin"], c["pass"]) for c in doc["checks"]] == [
             (None, True), (None, False), (None, False), (1.5, True)]
         assert report.as_dict()["checks"][0]["margin"] == math.inf
+
+
+# Byte identity of the one-string writers with the serialisers they
+# replaced: json.dump with indent=2 for report.json, csv.writer for
+# report.csv, on margins, locations and tolerances at the edges of the
+# float range and on names that JSON or CSV must escape or quote.
+EDGE_FLOATS = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0,
+                               5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                               1e308, -1e308])
+FLOATS = st.one_of(EDGE_FLOATS, st.floats())
+NAMES = st.text(st.one_of(st.sampled_from('"\\,\n\r é∞\U0001f600'),
+                          st.characters()), max_size=12)
+REPORTS = st.lists(st.tuples(NAMES, FLOATS, FLOATS, FLOATS, st.booleans()),
+                   max_size=6)
+
+
+def _report(rows):
+    report = VerificationReport()
+    for name, location, margin, tolerance, binding in rows:
+        report.add(name, location, margin, tolerance, binding)
+    return report
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=REPORTS)
+def test_json_writer_matches_json_dump(tmp_path, rows):
+    report = _report(rows)
+    report.to_json(tmp_path / "report.json")
+    mapping = {"checks": [
+        {key: None if isinstance(value, float) and not math.isfinite(value)
+         else value for key, value in c.as_dict().items()}
+        for c in report.checks]}
+    expected = json.dumps(mapping, indent=2, allow_nan=False) + "\n"
+    assert (tmp_path / "report.json").read_bytes() == expected.encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=REPORTS)
+def test_csv_writer_matches_csv_writer(tmp_path, rows):
+    report = _report(rows)
+    report.to_csv(tmp_path / "report.csv")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["name", "location", "margin", "tolerance", "pass",
+                     "binding"])
+    for c in report.checks:
+        writer.writerow([c.name, "%.17g" % c.location, "%.17g" % c.margin,
+                         "%.17g" % c.tolerance, str(c.passed).lower(),
+                         str(c.binding).lower()])
+    expected = buf.getvalue().encode("utf-8")
+    assert (tmp_path / "report.csv").read_bytes() == expected
+
+
+def test_empty_report_files(tmp_path):
+    report = VerificationReport()
+    report.to_json(tmp_path / "report.json")
+    report.to_csv(tmp_path / "report.csv")
+    assert (tmp_path / "report.json").read_text() == (
+        json.dumps({"checks": []}, indent=2) + "\n")
+    assert (tmp_path / "report.csv").read_text() == (
+        "name,location,margin,tolerance,pass,binding\n")
