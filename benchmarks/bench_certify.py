@@ -11,9 +11,11 @@ arguments ``verify`` gives it (the forcing as its values at the nodes):
 - ``c1_bound_check`` and ``holder_exponent`` at every derivative-zero
   candidate, summed over the candidates,
 - ``verify``: the whole certification that ``verify`` runs after its
-  solve (``certify``): every check above, ``validate_hypotheses``, the
-  comparison solve and ``comparison_oracle``, and the writing of
-  report.json and report.csv.
+  solve, ``cli.certify`` (every check above, ``validate_hypotheses``, the
+  comparison solve and ``comparison_oracle``), and the writing of
+  report.json and report.csv.  The row calls the routine ``verify``
+  calls, so a copy of this script inside an older checkout whose ``cli``
+  has no ``certify`` cannot time that checkout.
 
 Every timed call gets a new profile built from the solution's values
 (``cold``), so a call pays for what it derives from the values, as the
@@ -39,15 +41,10 @@ import tempfile
 
 import harness  # first: it puts src on the path and pins BLAS threads
 
-import numpy as np
-
-from radelliptic import analysis
+from radelliptic import analysis, cli
 from radelliptic.errors import InsufficientData, NotAZero
-from radelliptic.grid import DiscreteRadialFunction, Domain, RadialGrid
-from radelliptic.operators import OperatorSpec, validate_hypotheses
-from radelliptic.report import VerificationReport
-from radelliptic.solver import (Solution, SourceFunction, _node_forcing,
-                                solve_dirichlet)
+from radelliptic.grid import DiscreteRadialFunction
+from radelliptic.solver import Solution, _node_forcing, solve_dirichlet
 
 CHECKS = ("verify_flux_inequalities", "check_viscosity", "c1_modulus_report",
           "c1_bound_check", "holder_exponent")
@@ -65,27 +62,10 @@ def on_cold(fn, sol, *args, **kwargs):
     return fn(cold(sol), *args, **kwargs)
 
 
-def certify(sol, op, dom, fvals, seed, out_dir):
-    """What ``verify`` runs after its solve, in its order: the checks,
-    the hypotheses, the comparison spot-check, and report.json and
-    report.csv written to ``out_dir``."""
-    report = VerificationReport()
-    report.extend(analysis.verify_flux_inequalities(sol, op, fvals))
-    report.extend(analysis.check_viscosity(sol, op, fvals))
-    report.extend(analysis.c1_modulus_report(sol, alpha=op.alpha))
-    beta_target = 1.0 / (1.0 + op.alpha)
-    for r_star in analysis.derivative_zero_candidates(sol.u, dom):
-        try:
-            report.extend(analysis.c1_bound_check(sol, op, fvals, r_star))
-            est = analysis.holder_exponent(sol, r_star)
-            report.add("holder-fit", est.r_star,
-                       -abs(est.beta_fit - beta_target), 0.05 * beta_target)
-        except (NotAZero, InsufficientData):
-            continue
-    report.extend(validate_hypotheses(op, 2000, seed))
-    f_low = fvals - 0.1 * max(1.0, float(np.max(np.abs(fvals))))
-    sol_low = solve_dirichlet(op, dom, f_low, sol.u.grid)
-    report.extend(analysis.comparison_oracle(sol, sol_low, op, fvals, f_low))
+def verify(sol, op, dom, fvals, seed, out_dir):
+    """What ``verify`` runs after its solve: ``cli.certify``, and
+    report.json and report.csv written to ``out_dir``."""
+    report = cli.certify(sol, op, dom, fvals, seed)
     report.to_json(os.path.join(out_dir, "report.json"))
     report.to_csv(os.path.join(out_dir, "report.csv"))
 
@@ -105,10 +85,8 @@ def prepare(doc, out_dir):
     solution (one per derivative-zero candidate for ``c1_bound_check`` and
     ``holder_exponent``), each on a cold profile, and the digest of each
     row's result.  ``verify`` writes its reports to ``out_dir``."""
-    op = OperatorSpec.from_json_dict(doc["operator"])
-    dom = Domain.from_json_dict(doc["domain"])
-    grid = RadialGrid.for_domain(dom, doc["grid"]["n"], doc["grid"]["grading"])
-    fvals = _node_forcing(SourceFunction.from_json_dict(doc["f"]), grid.nodes)
+    op, dom, grid, f = cli._parse_problem(doc)
+    fvals = _node_forcing(f, grid.nodes)
     sol = solve_dirichlet(op, dom, fvals, grid)
     sol.residual_sup  # computed once, as verify's diagnostics.json does
     call = functools.partial
@@ -121,7 +99,7 @@ def prepare(doc, out_dir):
             call(on_cold, analysis.c1_modulus_report, sol, alpha=op.alpha)],
         "c1_bound_check": [],
         "holder_exponent": [],
-        "verify": [call(on_cold, certify, sol, op, dom, fvals,
+        "verify": [call(on_cold, verify, sol, op, dom, fvals,
                         doc.get("seed", 0), out_dir)],
     }
     digests = {row: harness.digest(calls[row][0]().as_dict())

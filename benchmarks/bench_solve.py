@@ -7,8 +7,8 @@ The script times two kinds of rows:
   and 16n (its shipped ``grid.n`` times the scale): ``solve_dirichlet``
   and the reading of its ``residual_sup``, which a ``solve`` request
   writes.  The row holds the solver's step count (``Solution.iterations``:
-  affine scans of the flux solver, or Newton steps before it);
-- for each problem of perfbench's ``eigen`` workload (PucciPlus a=1, A=2,
+  affine scans of the flux solver);
+- for each request of perfbench's ``eigen`` workload (PucciPlus a=1, A=2,
   dim 2 on the unit ball, graded grid; Plus and Minus, alpha -0.5, 0 and
   1; n 400 and 1600): ``principal_eigenvalue``.  The row holds its outer
   steps and its eigenvalue and, from one more untimed run, the affine
@@ -31,28 +31,26 @@ import contextlib
 
 import harness  # first: it puts src on the path and pins BLAS threads
 
-from radelliptic import _kernels, eigen
-from radelliptic.eigen import principal_eigenvalue
-from radelliptic.grid import Domain, Grading, RadialGrid
-from radelliptic.operators import OperatorSpec
-from radelliptic.solver import SourceFunction, solve_dirichlet
+import workloads  # perfbench's, on the path through harness
 
-# perfbench's eigen workload: (sign, alpha, n)
-EIGEN_FAMILY = tuple((sign, alpha, n) for sign in ("Plus", "Minus")
-                     for alpha in (-0.5, 0.0, 1.0) for n in (400, 1600))
+from radelliptic import _kernels, cli, eigen
+from radelliptic.eigen import principal_eigenvalue
+from radelliptic.grid import RadialGrid
+from radelliptic.solver import solve_dirichlet
+
+# perfbench's eigen workload: each request's config, by its run name
+EIGEN_FAMILY = {req.label: req.doc for req in sorted(
+    workloads.build("eigen", harness.ROOT, 0), key=lambda req: req.label)}
 
 
 def solve_row(doc):
     """The step count and digest of one config's solution, and the call
     that the row times."""
-    op = OperatorSpec.from_json_dict(doc["operator"])
-    dom = Domain.from_json_dict(doc["domain"])
-    f = SourceFunction.from_json_dict(doc["f"])
+    op, dom, grid, f = cli._parse_problem(doc)
 
     def solve():
-        grid = RadialGrid.for_domain(dom, doc["grid"]["n"],
-                                     doc["grid"]["grading"])
-        sol = solve_dirichlet(op, dom, f, grid)
+        sol = solve_dirichlet(op, dom, f, RadialGrid.for_domain(
+            dom, grid.n, grid.grading))
         sol.residual_sup  # computed on first read; a solve request reads it
         return sol
 
@@ -84,16 +82,14 @@ def counted():
         eigen.solve_dirichlet, _kernels.assemble_system = solve, assemble
 
 
-def eigen_row(sign, alpha, n):
+def eigen_row(doc):
     """The outer steps, eigenvalue, scans, assemblies and digest of one
-    problem of the eigen family, and the call that the row times."""
-    op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
-    dom = Domain.ball(1.0)
+    request ``doc`` of the eigen family, and the call that the row times."""
+    op, dom, grid, _ = cli._parse_problem(doc)
 
     def run():
-        return principal_eigenvalue(
-            op, dom, RadialGrid.for_domain(dom, n, Grading.GRADED_AT_ORIGIN),
-            sign, tol=1e-8)
+        return principal_eigenvalue(op, dom, RadialGrid.for_domain(
+            dom, grid.n, grid.grading), **doc["eigen"])
 
     with counted() as counts:
         res = run()
@@ -105,7 +101,7 @@ def main(argv=None):
     args = harness.arguments(__doc__, "BENCH_solve.json", argv)
     configs = list(harness.shipped(("solve", "verify")))
     solves = [solve_row(doc) for _, _, doc in configs]
-    eigens = [eigen_row(*problem) for problem in EIGEN_FAMILY]
+    eigens = [eigen_row(doc) for doc in EIGEN_FAMILY.values()]
     runs, digests = {}, {}
     totals = {str(s): 0.0 for s in harness.SCALES}
     for (name, scale, doc), (row, sha, _), t in zip(
@@ -117,9 +113,8 @@ def main(argv=None):
     for scale, total in totals.items():
         print(f"total x{scale}: solve={total:.4f} s")
     eigen_total = 0.0
-    for (sign, alpha, n), (row, sha, _), t in zip(
+    for run, (row, sha, _), t in zip(
             EIGEN_FAMILY, eigens, harness.best_times([c for *_, c in eigens])):
-        run = f"eigen:{sign}:alpha={alpha:g}:n={n}"
         runs[run], digests[run] = dict(row, eigen_s=t), sha
         eigen_total += t
         print(f"{run:30s} eigen={t:.5f} s outer={row['outer_iters']:3d} "

@@ -29,6 +29,10 @@ FLUX_THRESHOLD_FLOOR = 1e-7
 # spread over [-2 Lip, 2 Lip], curvatures over [-4 |u''|, 4 |u''|]
 VISCOSITY_SLOPES = 17
 VISCOSITY_CURVATURES = 9
+# decades of distance from the zero of u' that holder_exponent fits over
+HOLDER_DECADES = 1.5
+# dyadic scales of the derivative numbers c1_modulus_report probes with
+C1_MODULUS_SCALES = 3
 # each node's own curvatures: m + c max(|m|, 1) for these c, sorted, with
 # its second quotient m itself for c = 0
 _LOCAL_COEFS = np.array([-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0])
@@ -526,22 +530,20 @@ class HolderEstimate:
     residual: float
 
 
-def holder_exponent(u, r_star: float, decades: float = 1.5) -> HolderEstimate:
+def holder_exponent(u, r_star: float) -> HolderEstimate:
     """Fit |u'| ~ C |r - r_star|^beta around a zero of the derivative.
 
     Least squares on log|u'| vs log|r - r_star| over the annular window
-    |r - r_star| in [3h, 3h*10^decades]; the side of r_star with more
-    usable nodes wins (only the right side exists at the origin).
+    |r - r_star| in [3h, 3h*10^HOLDER_DECADES]; the side of r_star with
+    more usable nodes wins (only the right side exists at the origin).
     """
-    if decades < 1.0:
-        raise InvalidSpec("need at least one decade of scales")
     profile, _ = _as_function(u)
     nodes = profile.grid.nodes
     h = profile.grid.max_spacing
     r_star, q_int = _discrete_zero(profile, r_star)
 
     dist = nodes[1:-1] - r_star
-    lo, hi = 3.0 * h, 3.0 * h * 10.0 ** decades
+    lo, hi = 3.0 * h, 3.0 * h * 10.0 ** HOLDER_DECADES
     usable = (np.abs(dist) >= lo) & (np.abs(dist) <= hi) & (np.abs(q_int) > 0)
 
     best = None
@@ -607,8 +609,8 @@ def c1_bound_check(u, op: OperatorSpec, f: SourceFunction,
     return report
 
 
-def c1_modulus_report(u, alpha: float, stride: int = 10,
-                      scales: int = 3) -> VerificationReport:
+def c1_modulus_report(u, alpha: float,
+                      stride: int = 10) -> VerificationReport:
     """Derivative-number diagnostics for C^1 behavior of the profile.
 
     Probes every ``stride``-th node: the spread of the four derivative
@@ -644,7 +646,8 @@ def c1_modulus_report(u, alpha: float, stride: int = 10,
 
     probed = np.arange(0, grid.n + 1, stride)
     dn = derivative_numbers(profile, nodes[probed],
-                            8.0 * grid.local_spacing(probed), scales)
+                            8.0 * grid.local_spacing(probed),
+                            C1_MODULUS_SCALES)
     four = np.abs([dn.lambda_g, dn.Lambda_g, dn.lambda_d, dn.Lambda_d])
     # the zero-derivative check applies only where some number is small
     zero = np.where(np.min(four, axis=0) < tol_remark,

@@ -161,10 +161,15 @@ def _parse_eigen_opts(doc: dict) -> dict:
             "tol": _option(opts, "eigen.tol", 1e-8, float, 0.0, strict=True)}
 
 
-def _out(out_dir: str, name: str) -> str:
-    """Path of output file ``name``; the directory is made at the first write."""
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+def _outputs(out_dir: str):
+    """Output file paths by name; ``out_dir`` is made at the first call."""
+    make_dir = functools.cache(lambda: os.makedirs(out_dir, exist_ok=True))
+
+    def path(name: str) -> str:
+        make_dir()
+        return os.path.join(out_dir, name)
+
+    return path
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -173,25 +178,19 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(text)
 
 
-def cmd_solve(doc: dict, out_dir: str) -> int:
+def cmd_solve(doc: dict, out) -> int:
     op, dom, grid, f = _parse_problem(doc)
     sol = solve_dirichlet(op, dom, f, grid)
-    sol.u.to_csv(_out(out_dir, "solution.csv"))
-    _write_json(_out(out_dir, "diagnostics.json"), sol.diagnostics_dict())
+    sol.u.to_csv(out("solution.csv"))
+    _write_json(out("diagnostics.json"), sol.diagnostics_dict())
     return 0
 
 
-def cmd_verify(doc: dict, out_dir: str) -> int:
-    op, dom, grid, f = _parse_problem(doc)
-    seed = _option(doc, "seed", 0, int, 0)
-
-    # the forcing is read at the nodes once; the solve and every check
-    # take the node values
-    fvals = _node_forcing(f, grid.nodes)
-    sol = solve_dirichlet(op, dom, fvals, grid)
-    sol.u.to_csv(_out(out_dir, "solution.csv"))
-    _write_json(_out(out_dir, "diagnostics.json"), sol.diagnostics_dict())
-
+def certify(sol, op: OperatorSpec, dom: Domain, fvals,
+            seed: int) -> VerificationReport:
+    """The report of what ``verify`` runs after its solve ``sol`` of ``op``
+    on ``dom`` (forcing ``fvals`` at the nodes): every check, the
+    hypotheses sampled with ``seed``, and the comparison spot-check."""
     report = VerificationReport()
     report.extend(analysis.verify_flux_inequalities(sol, op, fvals))
     report.extend(analysis.check_viscosity(sol, op, fvals))
@@ -211,26 +210,40 @@ def cmd_verify(doc: dict, out_dir: str) -> int:
 
     # comparison spot-check: lowering the forcing must raise the solution
     f_low = fvals - 0.1 * max(1.0, float(np.max(np.abs(fvals))))
-    sol_low = solve_dirichlet(op, dom, f_low, grid)
+    sol_low = solve_dirichlet(op, dom, f_low, sol.u.grid)
     report.extend(comparison_oracle(sol, sol_low, op, fvals, f_low))
+    return report
 
-    report.to_json(_out(out_dir, "report.json"))
-    report.to_csv(_out(out_dir, "report.csv"))
+
+def cmd_verify(doc: dict, out) -> int:
+    op, dom, grid, f = _parse_problem(doc)
+    seed = _option(doc, "seed", 0, int, 0)
+
+    # the forcing is read at the nodes once; the solve and every check
+    # take the node values
+    fvals = _node_forcing(f, grid.nodes)
+    sol = solve_dirichlet(op, dom, fvals, grid)
+    sol.u.to_csv(out("solution.csv"))
+    _write_json(out("diagnostics.json"), sol.diagnostics_dict())
+
+    report = certify(sol, op, dom, fvals, seed)
+    report.to_json(out("report.json"))
+    report.to_csv(out("report.csv"))
     return 3 if any(c.binding for c in report.failures()) else 0
 
 
-def cmd_eigen(doc: dict, out_dir: str) -> int:
+def cmd_eigen(doc: dict, out) -> int:
     op, dom, grid, _ = _parse_problem(doc)
     res = principal_eigenvalue(op, dom, grid, **_parse_eigen_opts(doc))
-    res.phi.to_csv(_out(out_dir, "eigenfunction.csv"))
-    _write_json(_out(out_dir, "eigen.json"),
+    res.phi.to_csv(out("eigenfunction.csv"))
+    _write_json(out("eigen.json"),
                 {"lambda": res.lambda_value, "sign": res.sign.value,
                  "iterations": res.iterations,
                  "residual_sup": res.residual_sup})
     return 0
 
 
-def cmd_study(doc: dict, out_dir: str) -> int:
+def cmd_study(doc: dict, out) -> int:
     op, dom, grid, f = _parse_problem(doc)
     base_n = grid.n
     grading = grid.grading
@@ -246,14 +259,14 @@ def cmd_study(doc: dict, out_dir: str) -> int:
     # no rate where an error is exactly 0 (JSON has no infinity)
     rate = (math.log2(errors[base_n] / errors[2 * base_n])
             if min(errors.values()) > 0 else None)
-    with open(_out(out_dir, "study.csv"), "w", encoding="utf-8",
+    with open(out("study.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "sup_error_vs_finest", "rate"])
         writer.writerow([base_n, "%.17g" % errors[base_n],
                          "" if rate is None else "%.17g" % rate])
         writer.writerow([2 * base_n, "%.17g" % errors[2 * base_n], ""])
-    _write_json(_out(out_dir, "study.json"),
+    _write_json(out("study.json"),
                 {"n": base_n, "errors": {str(k): v for k, v in errors.items()},
                  "rate": rate})
     return 0
@@ -288,7 +301,7 @@ def main(argv=None) -> int:
         if declared is not None and declared != args.command:
             raise ConfigError(
                 f"config declares command {declared!r}, invoked {args.command!r}")
-        return _COMMANDS[args.command](doc, args.out)
+        return _COMMANDS[args.command](doc, _outputs(args.out))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

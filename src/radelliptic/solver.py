@@ -42,6 +42,16 @@ so a kept scan gives the bits of a fresh one, and it is still followed
 by the full branch check and counted in ``Solution.iterations``.  A solve
 without a guess neither reads nor keeps the memo, so a grid solved once
 (a ``solve`` or ``verify`` request) holds no window products.
+
+Both scan paths stay, selected by ``initial_guess``, because each wins
+where it runs (``bench_solve.py`` and perfbench on a 2-vCPU host).
+Keeping the memo on every solve gives the same bits and cuts the eigen
+pass's assemblies from 71 to 59, but a grid solved once then pays for
+window products it never reads: the x16 solve total rose from 3.5-3.6 ms
+to 4.2-4.6 ms and solve-fine's peak RSS from 41.1 to 41.7 MiB (with one
+array per doubling level, solve-fine's pass rose 6.8%).  Keeping only A
+and den and always running ``_affine_scan`` slowed the eigen total from
+20.0-22.8 ms to 24.1 ms.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from radelliptic.analysis import (_LOCAL_COEFS, VISCOSITY_CURVATURES,
-                                  VISCOSITY_SLOPES, Sign, SignInterval,
-                                  _as_function, _chebyshev,
+from radelliptic.analysis import (_LOCAL_COEFS, C1_MODULUS_SCALES,
+                                  VISCOSITY_CURVATURES, VISCOSITY_SLOPES,
+                                  Sign, SignInterval, _as_function, _chebyshev,
                                   _cumulative_trapezoid, _largest_at_most,
                                   _local_curvature, _slope_window,
                                   _touching_bounds, c1_bound_check,
@@ -270,18 +270,18 @@ class TestViscosity:
 class TestHolder:
     def test_pucci_power_alpha_one(self, pucci_case):
         _, _, sol, _ = pucci_case
-        est = holder_exponent(sol, 0.0, decades=1.5)
+        est = holder_exponent(sol, 0.0)
         assert est.beta_fit == pytest.approx(0.5, abs=0.025)
         assert est.r_star == 0.0
 
     def test_smooth_profile_linear_rate(self):
         u = sampled(lambda r: r ** 2, n=2000)
-        est = holder_exponent(u, 0.0, decades=1.5)
+        est = holder_exponent(u, 0.0)
         assert est.beta_fit == pytest.approx(1.0, abs=0.01)
 
     def test_interior_zero(self):
         u = sampled(lambda r: (r - 0.5) ** 2, n=2000)
-        est = holder_exponent(u, 0.5, decades=1.0)
+        est = holder_exponent(u, 0.5)
         assert est.beta_fit == pytest.approx(1.0, abs=0.02)
         assert est.r_star == pytest.approx(0.5)
 
@@ -293,12 +293,7 @@ class TestHolder:
     def test_insufficient_data(self):
         u = sampled(lambda r: r ** 2, n=4)
         with pytest.raises((InsufficientData, NotAZero)):
-            holder_exponent(u, 0.0, decades=1.0)
-
-    def test_decades_validated(self, pucci_case):
-        _, _, sol, _ = pucci_case
-        with pytest.raises(InvalidSpec):
-            holder_exponent(sol, 0.0, decades=0.5)
+            holder_exponent(u, 0.0)
 
 
 class TestZeroCandidates:
@@ -670,7 +665,7 @@ def matrix_viscosity(u, op, f):
     return report
 
 
-def reference_c1_modulus(u, alpha, stride=10, scales=3):
+def reference_c1_modulus(u, alpha, stride=10):
     """Per-node loop form of c1_modulus_report, one call per node."""
     profile, _ = _as_function(u)
     grid = profile.grid
@@ -687,7 +682,8 @@ def reference_c1_modulus(u, alpha, stride=10, scales=3):
              "zero-derivative": (np.inf, nodes[0])}
     for i in range(0, grid.n + 1, stride):
         window = 8.0 * grid.local_spacing(np.array([i]))
-        dn = derivative_numbers(profile, nodes[i:i + 1], window, scales)
+        dn = derivative_numbers(profile, nodes[i:i + 1], window,
+                                C1_MODULUS_SCALES)
         lg, Lg, ld, Ld = (float(x[0]) for x in (dn.lambda_g, dn.Lambda_g,
                                                 dn.lambda_d, dn.Lambda_d))
         entries = {

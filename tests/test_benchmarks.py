@@ -76,7 +76,7 @@ def test_certify_rows_run_on_cold_profiles(monkeypatch, tmp_path):
 @pytest.mark.parametrize("name", ["pucci_power_ball",
                                   "alpha_laplacian_annulus"])
 def test_certify_writes_the_reports_of_verify(name, tmp_path):
-    # the verify row replays cmd_verify's certification: the same reports
+    # the verify row runs cmd_verify's certification: the same reports
     bench = _load_script("bench_certify")
     (tmp_path / "bench").mkdir()
     bench.prepare(_config(name), str(tmp_path / "bench"))
@@ -103,16 +103,21 @@ def test_solve_times_a_config_row(monkeypatch):
 
 def test_solve_times_an_eigen_row():
     bench = _load_script("bench_solve")
-    assert ("Plus", 1.0, 400) in bench.EIGEN_FAMILY
+    # perfbench's eigen requests, under the run names of BENCH_solve.json
+    with open(os.path.join(ROOT, "BENCH_solve.json")) as fh:
+        runs = json.load(fh)["change"]["runs"]
+    assert set(bench.EIGEN_FAMILY) == {run for run in runs
+                                       if run.startswith("eigen:")}
+    doc = bench.EIGEN_FAMILY["eigen:Plus:alpha=1:n=400"]
     assemble = bench._kernels.assemble_system
-    row, sha, call = bench.eigen_row("Plus", 1.0, 400)
+    row, sha, call = bench.eigen_row(doc)
     assert row["outer_iters"] > 1 and row["lambda"] > 0.0
     assert len(sha) == 64
     # one scan or more per outer step; the settled steps after the first
     # guessed one reuse the grid's row factors and assemble nothing
     assert row["scans"] >= row["outer_iters"]
     assert 0 < row["assemblies"] < row["outer_iters"]
-    assert bench.eigen_row("Plus", 1.0, 400)[:2] == (row, sha)
+    assert bench.eigen_row(doc)[:2] == (row, sha)
     assert call().lambda_value == row["lambda"]
     # the counting wrappers are gone after the run
     assert bench.eigen.solve_dirichlet is solver.solve_dirichlet
@@ -252,11 +257,18 @@ def test_perfbench_tracer_installs_and_records(tmp_path):
         for command, path in (("solve", cfg), ("verify", cfg),
                               ("eigen", eigen_cfg)):
             out = str(tmp_path / command)
-            assert cli.main([command, "--config", path, "--out", out]) == 0
+            with tracer.request(command):
+                assert cli.main([command, "--config", path,
+                                 "--out", out]) == 0
     assert cli.solve_dirichlet is solver.solve_dirichlet
     assert eigen.solve_dirichlet is solver.solve_dirichlet
     for name in ("solver.solve_dirichlet", "kernels.assemble_system",
-                 "analysis.check_viscosity", "eigen.principal_eigenvalue"):
+                 "analysis.check_viscosity", "eigen.principal_eigenvalue",
+                 "solver.comparison_oracle", "operators.validate_hypotheses",
+                 "report.write"):
         assert tracer.calls[name] > 0, name
+    # verify's certification calls the solver through the attribute the
+    # tracer wraps: its second solve is the comparison spot-check
+    assert tracer.total_s["solver.comparison_solve"] > 0.0
     # the eigen steps after the first pass their guess as ``initial_guess=``
     assert tracer.total_s["eigen.warm_solve"] > 0.0

@@ -390,6 +390,24 @@ class TestVerify:
             n = json.load(fh)["grid"]["n"]
         assert evaluated == [(n + 1,)]
 
+    # a request makes its output directory once, before its first write,
+    # whether or not the directory is there already
+    def test_request_makes_its_directory_once(self, tmp_path, monkeypatch):
+        made = []
+        makedirs = os.makedirs
+
+        def counted(path, **kwargs):
+            made.append(path)
+            return makedirs(path, **kwargs)
+
+        monkeypatch.setattr(cli.os, "makedirs", counted)
+        out = tmp_path / "out"
+        cfg = os.path.join(CONFIG_DIR, "pucci_power_ball.json")
+        assert run("verify", cfg, out) == 0
+        assert made == [str(out)]
+        assert run("verify", cfg, out) == 0
+        assert made == [str(out)] * 2
+
 
 # the _write_json files are json.dumps(payload, indent=2, sort_keys=True)
 # and a newline, for the payloads of diagnostics.json, eigen.json and
