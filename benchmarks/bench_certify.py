@@ -1,15 +1,16 @@
 """Per-check certification timings on the shipped verify configs.
 
 Each config whose ``command`` is ``verify`` is solved at n, 4n and 16n
-(its shipped ``grid.n`` times the scale), and every certification check
-that ``verify`` runs on that solution is timed on its own, with the
-arguments ``verify`` gives it (the forcing as its values at the nodes):
+(its shipped ``grid.n`` times the scale), and ``verify``'s certification
+is run once on that solution with the calls of the checks in ``CHECKS``
+recorded.  Each row times the calls recorded for it, each on its own,
+with the arguments ``verify`` gave it:
 
 - ``verify_flux_inequalities`` (eqA-eqD),
 - ``check_viscosity``,
 - ``c1_modulus_report`` (derivative numbers),
-- ``c1_bound_check`` and ``holder_exponent`` at every derivative-zero
-  candidate, summed over the candidates,
+- ``c1_bound_check`` and ``holder_exponent``: every call that returned, at
+  the derivative-zero candidates, summed over the calls,
 - ``verify``: the whole certification that ``verify`` runs after its
   solve, ``cli.certify`` (every check above, ``validate_hypotheses``, the
   comparison solve and ``comparison_oracle``), and the writing of
@@ -23,9 +24,9 @@ first use of a request's profile does, and never reads what an earlier
 call kept.  The profile's grid is the one the solve used, as in a request.
 
 The entry holds per-scale totals per row.  Each run's digests are the
-sha256 of each check's result in JSON
+sha256 of each check's recorded result in JSON
 (``json.dumps(report.as_dict(), sort_keys=True)``; for the checks run at
-every derivative-zero candidate, the list of their results; for
+the derivative-zero candidates, the list of their results; for
 ``verify``, the text of report.json and report.csv), so two entries show
 whether two commits report the same.  How the rows are timed and how to
 record an entry pair: README, "Benchmarks".
@@ -42,12 +43,13 @@ import tempfile
 import harness  # first: it puts src on the path and pins BLAS threads
 
 from radelliptic import analysis, cli
-from radelliptic.errors import InsufficientData, NotAZero
 from radelliptic.grid import DiscreteRadialFunction
+from radelliptic.report import VerificationReport
 from radelliptic.solver import Solution, _node_forcing, solve_dirichlet
 
 CHECKS = ("verify_flux_inequalities", "check_viscosity", "c1_modulus_report",
           "c1_bound_check", "holder_exponent")
+PER_CANDIDATE = ("c1_bound_check", "holder_exponent")
 ROWS = CHECKS + ("verify",)
 
 
@@ -81,47 +83,32 @@ def report_texts(out_dir):
 
 
 def prepare(doc, out_dir):
-    """Solve ``doc``.  Returns its n, the calls that make each row on the
-    solution (one per derivative-zero candidate for ``c1_bound_check`` and
-    ``holder_exponent``), each on a cold profile, and the digest of each
-    row's result.  ``verify`` writes its reports to ``out_dir``."""
+    """Solve ``doc`` and run ``verify``'s certification on the solution
+    with the calls of ``CHECKS`` recorded.  Returns its n, the calls that
+    make each row (the recorded ones, and ``verify`` itself), each on a
+    cold profile, and the digest of each row's result.  ``verify`` writes
+    its reports to ``out_dir``."""
     op, dom, grid, f = cli._parse_problem(doc)
     fvals = _node_forcing(f, grid.nodes)
     sol = solve_dirichlet(op, dom, fvals, grid)
     sol.residual_sup  # computed once, as verify's diagnostics.json does
-    call = functools.partial
-    calls = {
-        "verify_flux_inequalities": [
-            call(on_cold, analysis.verify_flux_inequalities, sol, op, fvals)],
-        "check_viscosity": [
-            call(on_cold, analysis.check_viscosity, sol, op, fvals)],
-        "c1_modulus_report": [
-            call(on_cold, analysis.c1_modulus_report, sol, alpha=op.alpha)],
-        "c1_bound_check": [],
-        "holder_exponent": [],
-        "verify": [call(on_cold, verify, sol, op, dom, fvals,
-                        doc.get("seed", 0), out_dir)],
-    }
-    digests = {row: harness.digest(calls[row][0]().as_dict())
-               for row in ("verify_flux_inequalities", "check_viscosity",
-                           "c1_modulus_report")}
-    calls["verify"][0]()
+    run = functools.partial(on_cold, verify, sol, op, dom, fvals,
+                            doc.get("seed", 0), out_dir)
+    with harness.recorded(*[(analysis, check) for check in CHECKS]) as made:
+        run()
+    calls = {check: [] for check in CHECKS}
+    results = {check: [] for check in CHECKS}
+    for fn, args, kwargs, result in made:
+        calls[fn.__name__].append(
+            functools.partial(on_cold, fn, *args, **kwargs))
+        results[fn.__name__].append(
+            result.as_dict() if isinstance(result, VerificationReport)
+            else dataclasses.asdict(result))  # holder_exponent's estimate
+    calls["verify"] = [run]
+    digests = {check: harness.digest(
+        found if check in PER_CANDIDATE else found[0])
+        for check, found in results.items()}
     digests["verify"] = harness.digest(report_texts(out_dir))
-    bounds, fits = [], []
-    for r_star in analysis.derivative_zero_candidates(sol.u, dom):
-        try:
-            bound = analysis.c1_bound_check(sol, op, fvals, r_star)
-            fit = analysis.holder_exponent(sol, r_star)
-        except (NotAZero, InsufficientData):
-            continue
-        bounds.append(bound.as_dict())
-        fits.append(dataclasses.asdict(fit))
-        calls["c1_bound_check"].append(call(
-            on_cold, analysis.c1_bound_check, sol, op, fvals, r_star))
-        calls["holder_exponent"].append(call(
-            on_cold, analysis.holder_exponent, sol, r_star))
-    digests["c1_bound_check"] = harness.digest(bounds)
-    digests["holder_exponent"] = harness.digest(fits)
     return grid.n, calls, digests
 
 

@@ -27,8 +27,6 @@ Usage: python3 benchmarks/bench_solve.py --label change
                                          [--out BENCH_solve.json]
 """
 
-import contextlib
-
 import harness  # first: it puts src on the path and pins BLAS threads
 
 import workloads  # perfbench's, on the path through harness
@@ -58,30 +56,6 @@ def solve_row(doc):
     return {"steps": sol.iterations}, harness.digest(sol.u.values), solve
 
 
-@contextlib.contextmanager
-def counted():
-    """The scans of eigen's inner solves and the kernel assemblies while
-    the block runs, counted at the module attributes the package calls."""
-    counts = {"scans": 0, "assemblies": 0}
-    solve, assemble = eigen.solve_dirichlet, _kernels.assemble_system
-
-    def counting_solve(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        counts["scans"] += sol.iterations
-        return sol
-
-    def counting_assemble(*args):
-        counts["assemblies"] += 1
-        return assemble(*args)
-
-    eigen.solve_dirichlet = counting_solve
-    _kernels.assemble_system = counting_assemble
-    try:
-        yield counts
-    finally:
-        eigen.solve_dirichlet, _kernels.assemble_system = solve, assemble
-
-
 def eigen_row(doc):
     """The outer steps, eigenvalue, scans, assemblies and digest of one
     request ``doc`` of the eigen family, and the call that the row times."""
@@ -91,10 +65,14 @@ def eigen_row(doc):
         return principal_eigenvalue(op, dom, RadialGrid.for_domain(
             dom, grid.n, grid.grading), **doc["eigen"])
 
-    with counted() as counts:
+    with harness.recorded((eigen, "solve_dirichlet"),
+                          (_kernels, "assemble_system")) as made:
         res = run()
+    solves = [call.result for call in made if call.fn is solve_dirichlet]
     return ({"outer_iters": res.iterations, "lambda": res.lambda_value,
-             **counts}, harness.digest(res.phi.values), run)
+             "scans": sum(sol.iterations for sol in solves),
+             "assemblies": len(made) - len(solves)},
+            harness.digest(res.phi.values), run)
 
 
 def main(argv=None):

@@ -1,5 +1,6 @@
 """What the ``BENCH_*.json`` scripts share: the shipped configs at n, 4n
-and 16n, the timing method, the digests and the entry writer.
+and 16n, the recorder of the calls a run makes, the timing method, the
+digests and the entry writer.
 
 How to record an entry pair, and what the timing method measures: README,
 "Benchmarks".
@@ -12,6 +13,8 @@ pins take effect.
 """
 
 import argparse
+import collections
+import contextlib
 import hashlib
 import json
 import os
@@ -54,6 +57,33 @@ def shipped(commands):
             for scale in SCALES:
                 yield name[:-5], scale, dict(doc, grid=dict(
                     doc["grid"], n=int(doc["grid"]["n"]) * scale))
+
+
+Call = collections.namedtuple("Call", "fn args kwargs result")
+
+
+@contextlib.contextmanager
+def recorded(*targets):
+    """While the block runs, wrap the functions that ``targets`` name as
+    (owner, attribute) pairs: each call that returns appends a ``Call`` to
+    the list the block gets.  The attributes are restored on exit."""
+    calls = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.append(Call(fn, args, kwargs, result))
+            return result
+        return wrapper
+
+    saved = [(owner, attr, getattr(owner, attr)) for owner, attr in targets]
+    try:
+        for owner, attr, fn in saved:
+            setattr(owner, attr, recording(fn))
+        yield calls
+    finally:
+        for owner, attr, fn in saved:
+            setattr(owner, attr, fn)
 
 
 def sample(fn):

@@ -27,17 +27,13 @@ import numpy as np
 from . import analysis
 from .analysis import comparison_oracle
 from .eigen import EigenSign, principal_eigenvalue
-from .errors import (Diverged, InsufficientData, LostPositivity, NotAZero,
-                     NotConverged, RadellipticError)
+from .errors import (ConfigError, InsufficientData, InvalidSpec, NotAZero,
+                     RadellipticError, config_number)
 from .grid import Domain, Grading, RadialGrid
 from .operators import OperatorSpec, validate_hypotheses
 from .report import VerificationReport
 from .solver import (EXPRESSION_CATALOGUE, SourceFunction, _node_forcing,
-                     is_finite_number, solve_dirichlet)
-
-class ConfigError(Exception):
-    pass
-
+                     solve_dirichlet)
 
 # the keys each section may hold, the same for every command
 _SECTION_KEYS = {
@@ -114,9 +110,7 @@ def _parse_problem(doc: dict):
     dom = _from_section(doc, "domain", Domain.from_json_dict)
 
     def build_grid(grid_doc):
-        n = int(grid_doc["n"])
-        if n < 16:
-            raise ConfigError("n must be >= 16")
+        n = config_number(grid_doc["n"], "grid.n", int, 16)
         grading = Grading(grid_doc.get("grading", "Uniform"))
         return RadialGrid.for_domain(dom, n, grading)
 
@@ -128,24 +122,17 @@ def _parse_problem(doc: dict):
 
 def _option(opts: dict, name: str, default, kind, low: float,
             strict: bool = False):
-    """The numeric option ``name`` of ``opts``, checked against its bound.
+    """The numeric option ``name`` of ``opts``, ``default`` when absent,
+    read by ``config_number`` with its bound.
 
-    ``name`` is the option's dotted path in the config, for the message;
-    its last part is the key in ``opts``.  ``kind`` is int or float; the
-    value must be finite and >= ``low`` (> ``low`` when ``strict``).
+    ``name`` is the option's dotted path in the config; its last part is
+    the key in ``opts``.
     """
-    value = opts.get(name.rsplit(".", 1)[-1], default)
-    ok = is_finite_number(value) and (kind is float
-                                      or float(value).is_integer())
-    if ok:
-        value = kind(value)
-        ok = value > low if strict else value >= low
-    if not ok:
-        bound = f"> {low:g}" if strict else f">= {low:g}"
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(
-            f"bad config: {name} must be {what} {bound}, got {value!r}")
-    return value
+    try:
+        return config_number(opts.get(name.rsplit(".", 1)[-1], default),
+                             name, kind, low, strict)
+    except InvalidSpec as exc:
+        raise ConfigError(f"bad config: {exc}")
 
 
 def _parse_eigen_opts(doc: dict) -> dict:
@@ -302,20 +289,11 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares command {declared!r}, invoked {args.command!r}")
         return _COMMANDS[args.command](doc, _outputs(args.out))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except RadellipticError as exc:
+        print(f"error: {exc.headline}{exc}", file=sys.stderr)
+        return exc.exit_status
     except OSError as exc:  # _load_config made read errors ConfigErrors
         print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
-    except Diverged as exc:
-        print(f"error: solver diverged: {exc}", file=sys.stderr)
-        return 2
-    except (NotConverged, LostPositivity) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RadellipticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

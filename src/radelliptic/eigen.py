@@ -29,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, LostPositivity, NotConverged
+from .errors import (InvalidSpec, LostPositivity, NotConverged,
+                     is_finite_number)
 from .grid import DiscreteRadialFunction, Domain, DomainKind, RadialGrid
 from .operators import OperatorSpec
-from .solver import discretize_residual, is_finite_number, solve_dirichlet
+from .solver import discretize_residual, solve_dirichlet
 
 # outer steps of the inverse power iteration before it gives up
 MAX_OUTER = 80

@@ -8,7 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidSpec, OutsideDomain, WindowTooSmall
+from .errors import (GridMismatch, InvalidSpec, OutsideDomain, WindowTooSmall,
+                     config_number)
 
 
 class DomainKind(str, enum.Enum):
@@ -35,6 +36,8 @@ class Domain:
             raise InvalidSpec("outer radius must be positive")
         if self.kind is DomainKind.BALL and self.R1 != 0.0:
             raise InvalidSpec("ball domains have R1 = 0")
+        if self.kind is DomainKind.BALL and self.bc_inner != 0.0:
+            raise InvalidSpec("ball domains have bc_inner = 0")
         if self.kind is DomainKind.ANNULUS and not 0 < self.R1 < self.R:
             raise InvalidSpec("annulus requires 0 < R1 < R")
 
@@ -48,9 +51,12 @@ class Domain:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Domain":
-        return cls(DomainKind(doc["kind"]), float(doc["R"]),
-                   float(doc.get("R1", 0.0)), float(doc.get("bc_inner", 0.0)),
-                   float(doc.get("bc_outer", 0.0)))
+        """The domain of a config's ``domain`` section, each number read
+        by ``config_number``."""
+        return cls(DomainKind(doc["kind"]),
+                   config_number(doc["R"], "domain.R"),
+                   *(config_number(doc.get(key, 0.0), "domain." + key)
+                     for key in ("R1", "bc_inner", "bc_outer")))
 
 
 # Default grading exponent: solutions behave like r^{(alpha+2)/(alpha+1)}
@@ -106,8 +112,7 @@ class RadialGrid(_Keeps):
         s = np.linspace(0.0, 1.0, n + 1)
         if grading is Grading.GRADED_AT_ORIGIN:
             s = s ** GRADING_EXPONENT
-        r1 = dom.R1 if dom.kind is DomainKind.ANNULUS else 0.0
-        return cls(r1 + (dom.R - r1) * s, grading)
+        return cls(dom.R1 + (dom.R - dom.R1) * s, grading)
 
     @property
     def n(self) -> int:
@@ -141,8 +146,7 @@ class RadialGrid(_Keeps):
                         k - 1, k)
 
     def spans(self, dom: Domain) -> bool:
-        r1 = dom.R1 if dom.kind is DomainKind.ANNULUS else 0.0
-        return (abs(self.nodes[0] - r1) <= 1e-12 * max(1.0, dom.R)
+        return (abs(self.nodes[0] - dom.R1) <= 1e-12 * max(1.0, dom.R)
                 and abs(self.nodes[-1] - dom.R) <= 1e-12 * max(1.0, dom.R))
 
 

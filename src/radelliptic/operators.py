@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, config_number
 from .report import VerificationReport
 
 
@@ -118,16 +118,23 @@ class OperatorSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "OperatorSpec":
+        """The operator of a config's ``operator`` section, each number
+        read by ``config_number``; an optional one may be absent or null."""
+        def optional(key):
+            value = doc.get(key)
+            return (None if value is None
+                    else config_number(value, "operator." + key))
+
         return cls(
-            alpha=float(doc["alpha"]),
-            a=doc.get("a"),
-            A=doc.get("A"),
-            dim=int(doc["dim"]),
+            alpha=config_number(doc["alpha"], "operator.alpha"),
+            a=optional("a"),
+            A=optional("A"),
+            dim=config_number(doc["dim"], "operator.dim", int),
             variant=Variant(doc["variant"]),
-            p1=doc.get("p1"),
-            p2=doc.get("p2"),
-            nu=doc.get("nu"),
-            kappa=doc.get("kappa"),
+            p1=optional("p1"),
+            p2=optional("p2"),
+            nu=optional("nu"),
+            kappa=optional("kappa"),
         )
 
 

@@ -49,22 +49,28 @@ Keeping the memo on every solve gives the same bits and cuts the eigen
 pass's assemblies from 71 to 59, but a grid solved once then pays for
 window products it never reads: the x16 solve total rose from 3.5-3.6 ms
 to 4.2-4.6 ms and solve-fine's peak RSS from 41.1 to 41.7 MiB (with one
-array per doubling level, solve-fine's pass rose 6.8%).  Keeping only A
-and den and always running ``_affine_scan`` slowed the eigen total from
-20.0-22.8 ms to 24.1 ms.
+array per doubling level, solve-fine's pass rose 6.8%).  Keeping the
+memo on every solve and forming its window products at the first reuse
+gives the same bits and the same 71 to 59 assemblies, but in three
+alternations of ``bench_solve`` it raised the x16 solve total from
+3.74-3.85 to 3.88-3.98 ms and the eigen total from 19.3-20.3 to
+20.7-20.9 ms, and in four alternating perfbench pairs per workload the
+eigen pass read 38.2 ms against 37.5 ms (slower in 4 of 4), the other
+workloads within their spread.  Keeping only A and den and
+always running ``_affine_scan`` slowed the eigen total from 20.0-22.8 ms
+to 24.1 ms.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .errors import Diverged, GridMismatch, InvalidSpec
+from .errors import Diverged, GridMismatch, InvalidSpec, config_number
 from .grid import DiscreteRadialFunction, Domain, DomainKind, RadialGrid
 from .operators import OperatorSpec, _bracket
 
@@ -77,21 +83,6 @@ EXPRESSION_CATALOGUE = {
 
 # shooting steps an annulus solve may take before it raises Diverged
 SHOOT_MAX_STEPS = 100
-
-
-def is_finite_number(value) -> bool:
-    """Whether ``value`` is a finite real number; a bool is not one."""
-    try:
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _finite(value, what: str) -> float:
-    if not is_finite_number(value):
-        raise InvalidSpec(f"{what} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _table(values, what: str) -> np.ndarray:
@@ -114,7 +105,7 @@ class SourceFunction:
     def __init__(self, kind: str, *, value: float = 0.0, table_r=None,
                  table_v=None, name: str = "", params: dict | None = None):
         self.kind = kind
-        self.value = _finite(value, "forcing value")
+        self.value = config_number(value, "forcing value")
         self.table_r = self.table_v = None
         self.name = name
         self.params = dict(params or {})
@@ -134,8 +125,8 @@ class SourceFunction:
                     raise InvalidSpec(f"unknown parameter {key!r} of "
                                       f"expression {self.name!r}")
             # every parameter, its default filled in
-            self.params = {key: _finite(self.params.get(key, default),
-                                        f"{self.name} parameter {key!r}")
+            self.params = {key: config_number(self.params.get(key, default),
+                                              f"{self.name} parameter {key!r}")
                            for key, default in defaults.items()}
             if self.name == "step" and self.params["width"] <= 0:
                 raise InvalidSpec("step parameter 'width' must be > 0")

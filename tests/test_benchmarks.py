@@ -7,10 +7,11 @@ import os
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
-from radelliptic import cli, eigen, solver
+from radelliptic import analysis, cli, eigen, solver
 from radelliptic import grid as grid_module
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -73,6 +74,47 @@ def test_certify_rows_run_on_cold_profiles(monkeypatch, tmp_path):
             assert built[-1] is not built[-2]
 
 
+def test_certify_times_the_bound_checks_verify_makes(monkeypatch, tmp_path):
+    # u = 0: c1_bound_check returns at both derivative-zero candidates, and
+    # holder_exponent finds too few points to fit at either
+    bench = _load_script("bench_certify")
+    doc = _config("laplacian_ball")
+    doc = dict(doc, f={"kind": "constant", "value": 0.0},
+               domain=dict(doc["domain"], bc_outer=0.0))
+    _, calls, _ = bench.prepare(doc, str(tmp_path))
+    assert len(calls["c1_bound_check"]) == 2
+    assert calls["holder_exponent"] == []
+    # the row's calls are the ones verify makes, at the same candidates
+    made = []
+    bound_check = analysis.c1_bound_check
+    monkeypatch.setattr(analysis, "c1_bound_check",
+                        lambda *args: made.append(args[-1]) or
+                        bound_check(*args))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    cli.main(["verify", "--config", str(path), "--out", str(tmp_path)])
+    assert [fn.args[-1] for fn in calls["c1_bound_check"]] == made
+
+
+def test_recorder_restores_every_attribute_when_a_call_raises():
+    harness = _load_script("harness")
+
+    def half(x):
+        return x / 2
+
+    def fail(x):
+        raise ZeroDivisionError(x)
+
+    owner = types.SimpleNamespace(half=half, fail=fail)
+    with pytest.raises(ZeroDivisionError):
+        with harness.recorded((owner, "half"), (owner, "fail")) as made:
+            assert owner.half(x=3) == 1.5
+            owner.fail(0)
+    assert owner.half is half and owner.fail is fail
+    # the call that returned is recorded, the one that raised is not
+    assert made == [harness.Call(half, (), {"x": 3}, 1.5)]
+
+
 @pytest.mark.parametrize("name", ["pucci_power_ball",
                                   "alpha_laplacian_annulus"])
 def test_certify_writes_the_reports_of_verify(name, tmp_path):
@@ -119,7 +161,7 @@ def test_solve_times_an_eigen_row():
     assert 0 < row["assemblies"] < row["outer_iters"]
     assert bench.eigen_row(doc)[:2] == (row, sha)
     assert call().lambda_value == row["lambda"]
-    # the counting wrappers are gone after the run
+    # the recording wrappers are gone after the run
     assert bench.eigen.solve_dirichlet is solver.solve_dirichlet
     assert bench._kernels.assemble_system is assemble
 

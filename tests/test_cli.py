@@ -549,6 +549,32 @@ class TestConfigSchema:
         assert err == [f"error: bad config: unknown key {path}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, change, message", [
+        ("grid", {"n": 400.7}, "grid.n must be an integer, got 400.7"),
+        ("grid", {"n": "400"}, "grid.n must be an integer, got '400'"),
+        ("grid", {"n": 15}, "grid.n must be >= 16, got 15"),
+        ("operator", {"dim": 2.9}, "operator.dim must be an integer, got 2.9"),
+        ("operator", {"a": True}, "operator.a must be a finite number, "
+                                  "got True"),
+        ("domain", {"R": "1"}, "domain.R must be a finite number, got '1'"),
+        ("domain", {"bc_outer": True}, "domain.bc_outer must be a finite "
+                                       "number, got True"),
+        ("domain", {"bc_outer": 0.0, "bc_inner": 5},
+         "ball domains have bc_inner = 0"),
+    ], ids=["fractional-n", "text-n", "small-n", "fractional-dim", "bool-a",
+            "text-R", "bool-bc_outer", "ball-bc_inner"])
+    @pytest.mark.parametrize("command", ["solve", "verify", "eigen", "study"])
+    def test_bad_number_fails_every_command(self, tmp_path, capsys, command,
+                                            section, change, message):
+        doc = dict(BASE_PROBLEM, **{section: dict(BASE_PROBLEM[section],
+                                                  **change)})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run(command, cfg, out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: bad config: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("f, path", [
         ({"kind": "constant", "value": 1.0, "name": "sine"}, "f.name"),
         ({"kind": "tabulated", "r": [0, 1], "v": [1, 1], "value": 1},

@@ -23,6 +23,8 @@ class TestDomain:
             Domain.ball(-1.0)
         with pytest.raises(InvalidSpec):
             Domain(DomainKind.BALL, 1.0, R1=0.5)
+        with pytest.raises(InvalidSpec, match="bc_inner"):
+            Domain(DomainKind.BALL, 1.0, bc_inner=5.0)
 
     def test_annulus_validation(self):
         with pytest.raises(InvalidSpec):
