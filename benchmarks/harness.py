@@ -113,9 +113,11 @@ def best_times(fns):
 
 
 def digest(value):
-    """sha256 of an array's float64 bytes, or of any other value in JSON
-    with sorted keys."""
-    if isinstance(value, np.ndarray):
+    """sha256 of bytes, of an array's float64 bytes, or of any other value
+    in JSON with sorted keys."""
+    if isinstance(value, bytes):
+        data = value
+    elif isinstance(value, np.ndarray):
         data = np.ascontiguousarray(value, dtype=float).tobytes()
     else:
         data = json.dumps(value, sort_keys=True).encode("utf-8")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidSpec, LostPositivity, NotConverged,
-                     is_finite_number)
+                     config_number)
 from .grid import DiscreteRadialFunction, Domain, DomainKind, RadialGrid
 from .operators import OperatorSpec
 from .solver import discretize_residual, solve_dirichlet
@@ -95,14 +95,14 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     before it, which saves repairs and changes no bit.  The
     iteration stops when two successive eigenvalues agree to ``tol``, or
     raises NotConverged after ``MAX_OUTER`` steps; an inner solution that
-    is not positive at an interior node raises LostPositivity.  A ``tol``
-    that is not a positive finite number raises InvalidSpec.
+    is not positive at an interior node raises LostPositivity.  ``tol`` is
+    read by ``config_number``: one that is not a positive finite number
+    raises InvalidSpec.
     """
     sign = EigenSign(sign)
     if dom.bc_inner != 0.0 or dom.bc_outer != 0.0:
         raise InvalidSpec("eigenproblem needs zero Dirichlet data")
-    if not (is_finite_number(tol) and tol > 0):
-        raise InvalidSpec(f"tol must be a positive finite number, got {tol!r}")
+    tol = config_number(tol, "tol", float, 0.0, strict=True)
     work_op = op if sign is EigenSign.PLUS else op.dual()
     one_p_a = 1.0 + op.alpha
 

@@ -45,6 +45,12 @@ class OperatorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
+        # each number is read as a config's is; an optional one may be None
+        for name in ("alpha", "a", "A", "p1", "p2", "nu", "kappa"):
+            value = getattr(self, name)
+            if name == "alpha" or value is not None:
+                object.__setattr__(self, name, config_number(value, name))
+        object.__setattr__(self, "dim", config_number(self.dim, "dim", int))
         if self.alpha <= -1:
             raise InvalidSpec("alpha must exceed -1")
         if self.dim < 1:

@@ -129,21 +129,28 @@ def test_certify_writes_the_reports_of_verify(name, tmp_path):
             == bench.report_texts(cli_out))
 
 
-def test_solve_times_a_config_row(monkeypatch):
+def test_solve_times_a_config_row(monkeypatch, tmp_path):
     bench = _load_script("bench_solve")
     monkeypatch.setattr(bench.harness, "SAMPLE_SECONDS", 0.001)
     doc = _config("pucci_power_ball")
-    row, sha, call = bench.solve_row(doc)
+    path = tmp_path / "profile.csv"
+    row, shas, call, write = bench.solve_row(doc, path)
     assert set(row) == {"steps"} and row["steps"] >= 1
-    assert len(sha) == 64 and int(sha, 16) >= 0
+    assert set(shas) == {"profile", "csv"}
+    assert all(len(sha) == 64 and int(sha, 16) >= 0 for sha in shas.values())
     # each call solves on a fresh grid of the config's n, to the same bits
     sol = call()
     assert sol.u.grid.n == doc["grid"]["n"]
-    assert bench.harness.digest(sol.u.values) == sha
-    assert bench.harness.best_times([call])[0] > 0.0
+    assert bench.harness.digest(sol.u.values) == shas["profile"]
+    # the CSV call writes the bytes of the file a solve request writes
+    sol.u.to_csv(tmp_path / "solution.csv")
+    write()
+    assert path.read_bytes() == (tmp_path / "solution.csv").read_bytes()
+    assert bench.harness.digest(path.read_bytes()) == shas["csv"]
+    assert all(t > 0.0 for t in bench.harness.best_times([call, write]))
 
 
-def test_solve_times_an_eigen_row():
+def test_solve_times_an_eigen_row(tmp_path):
     bench = _load_script("bench_solve")
     # perfbench's eigen requests, under the run names of BENCH_solve.json
     with open(os.path.join(ROOT, "BENCH_solve.json")) as fh:
@@ -152,15 +159,22 @@ def test_solve_times_an_eigen_row():
                                        if run.startswith("eigen:")}
     doc = bench.EIGEN_FAMILY["eigen:Plus:alpha=1:n=400"]
     assemble = bench._kernels.assemble_system
-    row, sha, call = bench.eigen_row(doc)
+    path = tmp_path / "profile.csv"
+    row, shas, call, write = bench.eigen_row(doc, path)
     assert row["outer_iters"] > 1 and row["lambda"] > 0.0
-    assert len(sha) == 64
+    assert set(shas) == {"profile", "csv"}
+    assert bench.harness.digest(path.read_bytes()) == shas["csv"]
     # one scan or more per outer step; the settled steps after the first
     # guessed one reuse the grid's row factors and assemble nothing
     assert row["scans"] >= row["outer_iters"]
     assert 0 < row["assemblies"] < row["outer_iters"]
-    assert bench.eigen_row(doc)[:2] == (row, sha)
-    assert call().lambda_value == row["lambda"]
+    assert bench.eigen_row(doc, path)[:2] == (row, shas)
+    res = call()
+    assert res.lambda_value == row["lambda"]
+    # the CSV call writes the eigenfunction, as an eigen request does
+    res.phi.to_csv(tmp_path / "eigenfunction.csv")
+    write()
+    assert path.read_bytes() == (tmp_path / "eigenfunction.csv").read_bytes()
     # the recording wrappers are gone after the run
     assert bench.eigen.solve_dirichlet is solver.solve_dirichlet
     assert bench._kernels.assemble_system is assemble

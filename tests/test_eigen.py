@@ -137,12 +137,18 @@ class TestEigenValidation:
 
     # a NaN tol passed ``tol <= 0`` and ran into NotConverged, and an
     # infinite one stopped after two steps on an unsettled eigenvalue
-    @pytest.mark.parametrize("tol", [-1e-8, math.nan, math.inf, -math.inf])
-    def test_tol_must_be_positive_and_finite(self, tol):
+    @pytest.mark.parametrize("tol, message", [
+        (-1e-8, "tol must be > 0, got -1e-08"),
+        (math.nan, "tol must be a finite number, got nan"),
+        (math.inf, "tol must be a finite number, got inf"),
+        (-math.inf, "tol must be a finite number, got -inf")],
+        ids=["-1e-08", "nan", "inf", "-inf"])
+    def test_tol_must_be_positive_and_finite(self, tol, message):
         dom = Domain.ball(1.0)
         grid = RadialGrid.for_domain(dom, 64)
-        with pytest.raises(InvalidSpec, match="tol must be a positive finite"):
+        with pytest.raises(InvalidSpec) as info:
             principal_eigenvalue(laplacian(2), dom, grid, tol=tol)
+        assert str(info.value) == message
 
     def test_annulus_supported(self):
         dom = Domain.annulus(0.5, 1.0)

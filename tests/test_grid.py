@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from radelliptic.errors import (GridMismatch, InvalidSpec, OutsideDomain,
                                 WindowTooSmall)
@@ -17,6 +19,19 @@ def uniform_profile(fn, a=0.0, b=1.0, n=100):
     return DiscreteRadialFunction(grid, fn(grid.nodes))
 
 
+# finite floats of every kind, +-0 and subnormals included, with the range
+# of fixed notation and values at its edges drawn more often
+CSV_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e17, 1e17),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-4, 9.9999999999999991e-05, 1e17,
+                     99999999999999984.0, 99.99999999999999, 1 + 2 ** -17]))
+# nodes a grid accepts: far enough from the float range that their spacing
+# stays finite
+CSV_NODES = st.one_of(st.floats(-1e307, 1e307), CSV_VALUES.filter(
+    lambda x: abs(x) <= 1e307))
+
+
 class TestDomain:
     def test_ball_validation(self):
         with pytest.raises(InvalidSpec):
@@ -25,6 +40,17 @@ class TestDomain:
             Domain(DomainKind.BALL, 1.0, R1=0.5)
         with pytest.raises(InvalidSpec, match="bc_inner"):
             Domain(DomainKind.BALL, 1.0, bc_inner=5.0)
+
+    def test_infinite_radius_rejected(self):
+        with pytest.raises(InvalidSpec) as info:
+            Domain.ball(float("inf"))
+        assert str(info.value) == "R must be a finite number, got inf"
+
+    def test_text_radius_rejected(self):
+        # was a bare TypeError from comparing a str with 0
+        with pytest.raises(InvalidSpec) as info:
+            Domain.ball("1")
+        assert str(info.value) == "R must be a finite number, got '1'"
 
     def test_annulus_validation(self):
         with pytest.raises(InvalidSpec):
@@ -340,17 +366,57 @@ class TestDiscreteRadialFunction:
         assert np.array_equal(rows[:, 1], u.values)
 
     def test_csv_bytes_match_row_by_row_format(self, tmp_path):
-        # the one-step format against the row-by-row one it replaced, on
+        # the array-at-a-time writer against the row-by-row "%.17g" on
         # signed zeros, a subnormal and values near the float range
         nodes = np.array([-1e300, -0.0, 5e-324, 0.1, 1.0 / 3.0, 1e300])
         values = np.array([-0.0, 5e-324, 1e300, -1e300, 0.0, -2.0 / 3.0])
-        u = DiscreteRadialFunction(RadialGrid(nodes), values)
-        path = tmp_path / "u.csv"
-        u.to_csv(path)
-        rows = zip(nodes.tolist(), values.tolist())
-        expected = "r,u\n" + "".join("%.17g,%.17g\n" % row for row in rows)
-        assert path.read_bytes() == expected.encode("utf-8")
-        assert b"\n-0,4.9406564584124654e-324\n" in path.read_bytes()
+        text = _written(tmp_path, nodes, values)
+        assert text == _row_by_row(nodes, values)
+        assert b"\n-0,4.9406564584124654e-324\n" in text
+        # ties to even, where floor(log10) is one too high (the double
+        # below each power of ten), either side of the ends of fixed
+        # notation, and trailing zeros; each value also negated
+        below = np.nextafter(10.0 ** np.arange(-4, 18), 0.0)
+        edge = np.unique(np.concatenate([
+            [1 + 2 ** -17, 1 + 3 * 2 ** -17, 0.5 + 2 ** -18],
+            below, [1e-4, np.nextafter(1e-4, 1.0), 1e17,
+                    np.nextafter(1e17, np.inf)],
+            [0.5, 0.25, 1.0, 100.0, 123456.0, 2.0 ** 53, 1e16]]))
+        nodes = np.concatenate([-edge[::-1], edge])
+        values = np.roll(nodes, 7)
+        text = _written(tmp_path, nodes, values)
+        assert text == _row_by_row(nodes, values)
+        for row in (b"1.0000076293945312,", b"99.999999999999986,",
+                    b"9.9999999999999991e-05,", b"-0.00010000000000000002,",
+                    b"1e+17,", b"99999999999999984,", b"0.5,", b"-100,",
+                    b"10000000000000000,"):
+            assert b"\n" + row in text
+        # a profile written in more than one array of values
+        nodes = np.linspace(0.0, 1.0, 2500) ** 1.5
+        values = np.sin(40.0 * nodes) * 10.0 ** np.arange(-6, 19)[
+            np.arange(2500) % 25]
+        assert _written(tmp_path, nodes, values) == _row_by_row(nodes, values)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(CSV_NODES, CSV_VALUES), min_size=2,
+                         max_size=40, unique_by=lambda row: row[0]))
+    def test_csv_bytes_match_row_by_row_format_on_any_floats(self, tmp_path,
+                                                               rows):
+        rows.sort()
+        nodes, values = (np.array(column) for column in zip(*rows))
+        assert _written(tmp_path, nodes, values) == _row_by_row(nodes, values)
+
+
+def _written(tmp_path, nodes, values) -> bytes:
+    path = tmp_path / "u.csv"
+    DiscreteRadialFunction(RadialGrid(nodes), values).to_csv(path)
+    return path.read_bytes()
+
+
+def _row_by_row(nodes, values) -> bytes:
+    rows = zip(nodes.tolist(), values.tolist())
+    return ("r,u\n" + "".join("%.17g,%.17g\n" % row for row in rows)).encode()
 
 
 class TestLipschitz:

@@ -259,6 +259,20 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             OperatorSpec.pucci_plus(0.0, -1.0, 1.0, 2)
 
+    def test_bool_parameters_rejected(self):
+        # read like a config's numbers: a bool is not one, nor is 2.9 a dim
+        with pytest.raises(InvalidSpec) as info:
+            OperatorSpec.pucci_plus(True, True, 2.0, 2.9)
+        assert str(info.value) == "alpha must be a finite number, got True"
+        with pytest.raises(InvalidSpec) as info:
+            OperatorSpec.pucci_plus(0.0, 1.0, 2.0, 2.9)
+        assert str(info.value) == "dim must be an integer, got 2.9"
+
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(InvalidSpec) as info:
+            OperatorSpec.pucci_plus(float("nan"), 1.0, 2.0, 2)
+        assert str(info.value) == "alpha must be a finite number, got nan"
+
     def test_trace_normal_mix_constraints(self):
         with pytest.raises(InvalidSpec):
             OperatorSpec.trace_normal_mix(0.0, -1.0, 0.5, 2)
