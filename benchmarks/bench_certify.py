@@ -16,7 +16,8 @@ with the arguments ``verify`` gave it:
   comparison solve and ``comparison_oracle``), and the writing of
   report.json and report.csv.  The row calls the routine ``verify``
   calls, so a copy of this script inside an older checkout whose ``cli``
-  has no ``certify`` cannot time that checkout.
+  has no ``certify``, or whose ``certify`` takes a ``seed``, cannot time
+  that checkout.
 
 Every timed call gets a new profile built from the solution's values
 (``cold``), so a call pays for what it derives from the values, as the
@@ -64,10 +65,10 @@ def on_cold(fn, sol, *args, **kwargs):
     return fn(cold(sol), *args, **kwargs)
 
 
-def verify(sol, op, dom, fvals, seed, out_dir):
+def verify(sol, op, dom, fvals, out_dir):
     """What ``verify`` runs after its solve: ``cli.certify``, and
     report.json and report.csv written to ``out_dir``."""
-    report = cli.certify(sol, op, dom, fvals, seed)
+    report = cli.certify(sol, op, dom, fvals)
     report.to_json(os.path.join(out_dir, "report.json"))
     report.to_csv(os.path.join(out_dir, "report.csv"))
 
@@ -92,8 +93,7 @@ def prepare(doc, out_dir):
     fvals = _node_forcing(f, grid.nodes)
     sol = solve_dirichlet(op, dom, fvals, grid)
     sol.residual_sup  # computed once, as verify's diagnostics.json does
-    run = functools.partial(on_cold, verify, sol, op, dom, fvals,
-                            doc.get("seed", 0), out_dir)
+    run = functools.partial(on_cold, verify, sol, op, dom, fvals, out_dir)
     with harness.recorded(*[(analysis, check) for check in CHECKS]) as made:
         run()
     calls = {check: [] for check in CHECKS}

@@ -105,7 +105,13 @@ class RadialGrid(_Keeps):
         object.__setattr__(self, "grading", Grading(self.grading))
         if nodes.ndim != 1 or len(nodes) < 2:
             raise InvalidSpec("grid needs at least two nodes")
-        if not np.all(np.diff(nodes) > 0):
+        if not np.all(np.isfinite(nodes)):
+            raise InvalidSpec("grid nodes must be finite numbers")
+        with np.errstate(over="ignore"):
+            spacing = self.spacing  # kept on the grid
+        if not np.all(np.isfinite(spacing)):
+            raise InvalidSpec("grid spacing must be finite")
+        if not np.all(spacing > 0):
             raise InvalidSpec("grid nodes must be strictly increasing")
 
     @classmethod

@@ -291,6 +291,7 @@ class TestVerify:
         assert err == ["error: bad config: unknown key verify_opts"]
         assert not out.exists()
 
+    # every command checks the seed, though none reads it
     @pytest.mark.parametrize("seed", ["abc", -1, 2.5, 10 ** 400])
     def test_bad_seed_fails_before_solving(self, tmp_path, capsys,
                                            monkeypatch, seed):
@@ -298,12 +299,34 @@ class TestVerify:
             raise AssertionError("solved before the seed was checked")
 
         monkeypatch.setattr(cli, "solve_dirichlet", no_solve)
+        monkeypatch.setattr(cli, "principal_eigenvalue", no_solve)
         cfg = write_config(tmp_path, dict(BASE_PROBLEM, seed=seed))
         out = tmp_path / "out"
-        assert run("verify", cfg, out) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "seed" in err[0].lower()
-        assert not out.exists()
+        for command in cli._COMMANDS:
+            assert run(command, cfg, out) == 1, command
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "seed" in err[0].lower(), command
+            assert not out.exists()
+
+    # verify draws nothing at random: the seed changes no byte
+    def test_verify_draws_nothing_random(self, tmp_path, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("verify drew at random")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        with open(os.path.join(CONFIG_DIR, "pucci_power_ball.json")) as fh:
+            doc = json.load(fh)
+        outs = []
+        for seed in (0, 7):
+            cfg = write_config(tmp_path, dict(doc, seed=seed),
+                               f"seed{seed}.json")
+            outs.append(tmp_path / f"out{seed}")
+            assert run("verify", cfg, outs[-1]) == 0
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        _, mismatch, errors = filecmp.cmpfiles(outs[0], outs[1], names,
+                                               shallow=False)
+        assert (mismatch, errors) == ([], [])
 
     def test_integer_past_digit_limit_is_config_error(self, tmp_path,
                                                       capsys):
@@ -332,24 +355,25 @@ class TestVerify:
 
     # sha256 of the four files verify writes at the shipped n: how the
     # checks share their work and how the files are written must not move
-    # a byte of them
+    # a byte of them (the reports hold no (H1)/(H2) rows, which hold by
+    # construction)
     SHIPPED_SHA256 = {
         "pucci_power_ball": {
             "diagnostics.json": "feffeaac85f41ae6018f639308d70585"
                                 "e5b3180b652047ce0d642d35dd9b9a87",
-            "report.csv": "5e2eaf5e03d2e1a2ffe9c9351c8e8bc7"
-                          "ff156f2a98d4bad00a26a51446343115",
-            "report.json": "7d276176064aef6de440290b88831a4e"
-                           "56a96aa279242184c7b2764de650c971",
+            "report.csv": "fcd9fd9ddcc6070071994069f82d84d9"
+                          "e07c6091daea8008b87b271a335bfbc0",
+            "report.json": "bac586d5f84de6698a856c9e6d938efb"
+                           "00cdb4e26dab8875fb7e52c4cfcec424",
             "solution.csv": "1e894cd82e6c062571affd08cd746fdf"
                             "aa5efbb71feb81ca508c5fa98c183869"},
         "alpha_laplacian_annulus": {
             "diagnostics.json": "2a36323b594556e687fb9f989a140c7a"
                                 "f68fc41c5b9e49cea0395fb23ea58b99",
-            "report.csv": "e7fc6e838809043bec1462350fb84684"
-                          "d6ce0c66190e3f64d78116632afa0179",
-            "report.json": "03751df728851b2751f3f2e6406b98a4"
-                           "6a41afd28b6d9e099cd32f0f2d92a9a3",
+            "report.csv": "ef81f370ee72c61c0bf2aa7bd6f805d4"
+                          "019bb7052c9ca931993845b4bd04e56c",
+            "report.json": "d43907f97f2831a03db1b2e48d611ad8"
+                           "a7f647b1c948902cae1360e151e9ab73",
             "solution.csv": "495095cf3b0d9dd8c5dff34dc0a17b83"
                             "c8ea0ad052c43bed0ce644d11c34d411"}}
 

@@ -92,6 +92,17 @@ class TestRadialGrid:
         with pytest.raises(InvalidSpec):
             RadialGrid(np.array([1.0]))
 
+    # the spacing of finite nodes may overflow; pytest makes numpy's
+    # overflow warning an error, so none may be raised on the way
+    @pytest.mark.parametrize("nodes, message", [
+        ([0.0, np.inf], "nodes must be finite"),
+        ([0.0, np.nan, 1.0], "nodes must be finite"),
+        ([-np.inf, 0.0], "nodes must be finite"),
+        ([-1e308, 1e308], "spacing must be finite")])
+    def test_rejects_non_finite_nodes_and_spacing(self, nodes, message):
+        with pytest.raises(InvalidSpec, match=message):
+            RadialGrid(nodes)
+
     def test_nodes_are_a_read_only_copy(self):
         # data derived from the nodes is kept on the grid, so neither the
         # caller's array nor the grid's may change them afterwards

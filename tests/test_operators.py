@@ -1,15 +1,17 @@
 import dataclasses
 import json
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from radelliptic import operators
 from radelliptic.errors import InvalidSpec
 from radelliptic.operators import (OperatorSpec, closed_form_alpha_laplacian,
                                    closed_form_pucci_power, eval_radial_many,
                                    pucci_power_profile, validate_hypotheses)
+from structure import TOLERANCE, h1_defect, h2_defect, jets
 
 
 def dense_pucci(a, A, alpha, dim, r, q, m):
@@ -159,16 +161,81 @@ class TestClosedForms:
         assert np.all(g(np.linspace(0, 1, 11)) == 0.0)
 
 
+# eight draws in [0, 1] make one jet of structure.jets
+UNIT_JET = st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8)
+
+
+def assert_h1_h2(op, unit):
+    r, q, m, t, mu, s = jets(op.alpha, unit)
+    assert h1_defect(op, r, q, m, t, mu) <= TOLERANCE
+    assert h2_defect(op, r, q, m, s) <= TOLERANCE
+
+
+def h4_width(alpha):
+    """Half-width w of (H4)'s range of gradient steps [-w, w]."""
+    return 0.5 * min(1.0, 200.0 / (9.0 * alpha)) if alpha > 0 else 0.5
+
+
+def decoupled(op, m, t, g):
+    """Oracle: the operator with gradient g, radial Hessian eigenvalue m
+    and tangential eigenvalue t (N-1 times), the gradient decoupled from
+    the Hessian."""
+    cmp_, cmm, ctp, ctm = op.bracket_coefficients()
+    bracket = (cmp_ * np.maximum(m, 0.0) - cmm * np.maximum(-m, 0.0)
+               + (op.dim - 1) * (ctp * np.maximum(t, 0.0)
+                                 - ctm * np.maximum(-t, 0.0)))
+    return np.abs(g) ** op.alpha * bracket
+
+
+def dense_h4_sup(op, points=20_001):
+    """The largest |F(1+x) - F(1)| / |x|^kappa over a dense grid of steps x
+    (both ends included) and the corners of the unit (m, t) box."""
+    w = h4_width(op.alpha)
+    x = np.linspace(-w, w, points)
+    x = x[x != 0.0]
+    corners = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
+    return max(np.max(np.abs(decoupled(op, m, t, 1.0 + x)
+                             - decoupled(op, m, t, 1.0))
+                      / np.abs(x) ** op.kappa) for m, t in corners)
+
+
+def sampled_h4_margin(op, samples=2000, seed=0):
+    """(H4)'s margin on seeded random jets: Hessian eigenvalues in the
+    unit box, gradient +-1 and a step in [-w, w]."""
+    rng = np.random.default_rng(seed)
+    m, t = rng.uniform(-1.0, 1.0, (2, samples))
+    g = rng.choice([-1.0, 1.0], samples)
+    x = rng.uniform(-1.0, 1.0, samples) * h4_width(op.alpha)
+    lhs = np.abs(decoupled(op, m, t, g + x) - decoupled(op, m, t, g))
+    bound = op.nu * np.abs(x) ** op.kappa * np.maximum(np.abs(m), np.abs(t))
+    return 1.0 - float(np.max(lhs / bound))
+
+
+def modulus_op(variant, alpha, dim, nu, kappa):
+    return [OperatorSpec.pucci_plus(alpha, 1.0, 2.0, dim, nu=nu, kappa=kappa),
+            OperatorSpec.pucci_minus(alpha, 0.5, 3.0, dim, nu=nu, kappa=kappa),
+            OperatorSpec.alpha_laplacian(alpha, dim, nu=nu, kappa=kappa),
+            OperatorSpec.trace_normal_mix(alpha, 1.0, -0.5, dim, nu=nu,
+                                          kappa=kappa)][variant]
+
+
+MODULUS_OPS = st.builds(
+    modulus_op, st.integers(0, 3), st.floats(-0.99, 1e4), st.integers(1, 4),
+    st.floats(0.01, 100.0), st.floats(0.5, 1.0, exclude_min=True))
+
+
 class TestHypotheses:
+    # (H1) and (H2) hold by construction, so validate_hypotheses does not
+    # check them; these property tests check the construction
     @pytest.mark.parametrize("make_op", [
         lambda: OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 3),
         lambda: OperatorSpec.pucci_minus(2.0, 0.5, 3.0, 2),
         lambda: OperatorSpec.alpha_laplacian(1.5, 3),
         lambda: OperatorSpec.trace_normal_mix(0.5, 1.0, -0.5, 2),
     ])
-    def test_all_variants_clean(self, make_op):
-        report = validate_hypotheses(make_op(), 10_000, seed=1234)
-        assert report.all_passed, [c.as_dict() for c in report.failures()]
+    @given(unit=UNIT_JET)
+    def test_all_variants_clean(self, make_op, unit):
+        assert_h1_h2(make_op(), unit)
 
     # H2 bounds the increment by [a, A] |q|^alpha s; for alpha < 0 the
     # factor |q|^alpha is far from 1
@@ -179,14 +246,13 @@ class TestHypotheses:
         lambda alpha: OperatorSpec.alpha_laplacian(alpha, 3),
         lambda alpha: OperatorSpec.trace_normal_mix(alpha, 1.0, -0.5, 2),
     ])
-    def test_h1_h2_hold_for_negative_alpha(self, make_op, alpha):
-        report = validate_hypotheses(make_op(alpha), 10_000, seed=1234)
-        assert [c.name for c in report.checks] == ["H1", "H2"]
-        assert report.all_passed, [c.as_dict() for c in report.failures()]
+    @given(unit=UNIT_JET)
+    def test_h1_h2_hold_for_negative_alpha(self, make_op, alpha, unit):
+        assert_h1_h2(make_op(alpha), unit)
 
-    # past alpha = 200/9 the jet decades shrink, so both sides of (H1)
-    # and (H2) stay finite; at alpha = 1e6 the rounding of t q, raised to
-    # the power alpha, passes 1e-10 and (H1) needs its alpha eps tolerance
+    # past alpha = 200/9 the jets' gradients shrink, so every operator
+    # value stays finite; the scalings are exact, so the defects stay at
+    # rounding even at alpha = 1e6
     @pytest.mark.parametrize("alpha", [40.0, 60.0, 100.0, 1e6])
     @pytest.mark.parametrize("make_op", [
         lambda alpha: OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2),
@@ -194,62 +260,77 @@ class TestHypotheses:
         lambda alpha: OperatorSpec.alpha_laplacian(alpha, 3),
         lambda alpha: OperatorSpec.trace_normal_mix(alpha, 1.0, -0.5, 2),
     ])
-    def test_large_alpha_margins_are_finite(self, make_op, alpha):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            report = validate_hypotheses(make_op(alpha), 2000, seed=0)
-        assert [c.name for c in report.checks] == ["H1", "H2"]
-        assert all(np.isfinite(c.margin) for c in report.checks)
-        assert report.all_passed, [c.as_dict() for c in report.failures()]
+    @given(unit=UNIT_JET)
+    def test_large_alpha_margins_are_finite(self, make_op, alpha, unit):
+        op = make_op(alpha)
+        r, q, m, t, mu, s = jets(alpha, unit)
+        assert np.isfinite(eval_radial_many(op, r * t / mu, t * q, mu * m))
+        assert_h1_h2(op, unit)
 
     @staticmethod
     def _non_homogeneous_h1(monkeypatch, alpha):
+        """A jet on which (H1)'s check catches a factor off by (1 + |q|)."""
         monkeypatch.setattr(operators, "_degenerate_factor",
                             lambda q, alpha: np.abs(q) ** alpha
                             * (1.0 + np.abs(q)))
         op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            report = validate_hypotheses(op, 2000, seed=0)
-        return next(c for c in report.checks if c.name == "H1")
+        return find(UNIT_JET,
+                    lambda unit: h1_defect(op, *jets(alpha, unit)[:5])
+                    > TOLERANCE,
+                    settings=settings(database=None, derandomize=True))
 
     def test_non_homogeneous_factor_fails_h1_at_large_alpha(self,
                                                             monkeypatch):
-        h1 = self._non_homogeneous_h1(monkeypatch, 40.0)
-        assert np.isfinite(h1.margin) and not h1.passed
+        self._non_homogeneous_h1(monkeypatch, 40.0)
 
-    # the alpha eps tolerance of (H1) does not hide a factor that is off
-    # by (1 + |q|)
     def test_non_homogeneous_factor_fails_h1_at_huge_alpha(self,
                                                            monkeypatch):
-        h1 = self._non_homogeneous_h1(monkeypatch, 1e6)
-        assert np.isfinite(h1.margin) and not h1.passed
+        self._non_homogeneous_h1(monkeypatch, 1e6)
 
     def test_h4_reported_when_modulus_given(self):
         op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2, nu=4.0, kappa=1.0)
-        report = validate_hypotheses(op, 500, seed=0)
-        assert any(c.name == "H4" for c in report.checks)
+        assert [c.name for c in validate_hypotheses(op).checks] == ["H4"]
+        assert validate_hypotheses(
+            OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)).checks == []
 
     # |p|^alpha is not Lipschitz with constant nu = 4 near |p| = 1 for
-    # alpha >= 5, so (H4) fails; past alpha = 200/9 its gradient step
-    # shrinks, which keeps |1 + dq|^alpha finite.  Below that the draws do
-    # not depend on alpha: the alpha = 5 margin is the one written before
-    # the step shrank
+    # alpha >= 5, so (H4) fails; past alpha = 200/9 its range of gradient
+    # steps shrinks, which keeps |1 + x|^alpha finite.  At alpha = 5:
+    # C = A + A = 4, S = (1.5^5 - 1) / 0.5 = 13.1875, 1 - C S / 4 = -12.1875
     @pytest.mark.parametrize("alpha", [5.0, 2000.0])
     def test_h4_fails_with_a_finite_margin(self, alpha):
         op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2, nu=4.0, kappa=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            report = validate_hypotheses(op, 2000, seed=0)
-        h4 = next(c for c in report.checks if c.name == "H4")
+        h4, = validate_hypotheses(op).checks
         assert np.isfinite(h4.margin) and not h4.passed
         if alpha == 5.0:
-            assert h4.margin == -10.04652627712055
+            assert h4.margin == pytest.approx(-12.1875, rel=1e-14)
+            assert h4.location == 0.5
 
-    def test_sample_count_validated(self):
-        op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2)
-        with pytest.raises(InvalidSpec):
-            validate_hypotheses(op, 0, seed=0)
+    @settings(max_examples=60, deadline=None)
+    @given(op=MODULUS_OPS)
+    def test_h4_never_above_sampled_margin(self, op):
+        h4, = validate_hypotheses(op).checks
+        sampled = sampled_h4_margin(op)
+        assert h4.margin <= sampled + 1e-12 * max(1.0, abs(sampled))
+
+    @settings(max_examples=30, deadline=None)
+    @given(op=MODULUS_OPS)
+    def test_h4_matches_dense_evaluation(self, op):
+        h4, = validate_hypotheses(op).checks
+        dense = 1.0 - dense_h4_sup(op) / op.nu
+        assert abs(h4.margin - dense) <= 1e-9 * max(1.0, abs(dense))
+
+    # the check fails exactly when nu is below the sup C S
+    @pytest.mark.parametrize("variant, alpha, dim, kappa", [
+        (0, -0.5, 2, 0.75), (1, 0.5, 3, 0.6), (2, 1.0, 1, 1.0),
+        (3, 5.0, 2, 0.9), (0, 2000.0, 4, 1.0)])
+    def test_h4_fails_exactly_below_the_sup(self, variant, alpha, dim,
+                                            kappa):
+        sup = dense_h4_sup(modulus_op(variant, alpha, dim, 1.0, kappa))
+        for factor, passed in [(1 + 1e-9, True), (1 - 1e-9, False)]:
+            op = modulus_op(variant, alpha, dim, sup * factor, kappa)
+            h4, = validate_hypotheses(op).checks
+            assert h4.passed is passed, h4
 
 
 class TestSpecValidation:
