@@ -141,18 +141,41 @@ def differing(digests, other):
             if mine.get(key) != theirs.get(key)]
 
 
+def source_digest(paths):
+    """sha256 of the files at ``paths`` in the order of their names: each
+    file's name and length, then its bytes.  Where the files lie does not
+    enter it."""
+    sha = hashlib.sha256()
+    for path in sorted(paths, key=os.path.basename):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        sha.update(f"{os.path.basename(path)} {len(data)}\n".encode("utf-8"))
+        sha.update(data)
+    return sha.hexdigest()
+
+
+def imported_sources():
+    """The files of the ``radelliptic`` modules imported so far."""
+    return [module.__file__ for name, module in list(sys.modules.items())
+            if name.partition(".")[0] == "radelliptic"
+            and getattr(module, "__file__", None)]
+
+
 def record(path, label, entry):
     """Write ``entry`` under ``label`` in the JSON file at ``path``, with
-    the commit, the host and the timing method added, replacing only an
-    entry of the same label.  First print, against each of the file's other
-    entries, the digests that differ."""
+    the commit, the digest of the package sources the script imported
+    (``sources``, which names the timed code also where the script runs
+    from a copy that is no git checkout), the host and the timing method
+    added, replacing only an entry of the same label.  First print, against
+    each of the file's other entries, the digests that differ."""
     try:
         commit = subprocess.run(
             ["git", "describe", "--always", "--dirty"], cwd=ROOT,
             capture_output=True, text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         commit = None
-    entry = dict(entry, commit=commit, host={
+    entry = dict(entry, commit=commit,
+                 sources=source_digest(imported_sources()), host={
         "machine": platform.machine(), "cpus": os.cpu_count(),
         "python": platform.python_version(), "numpy": np.__version__},
         method={"repeat": REPEAT, "sample_seconds": SAMPLE_SECONDS,

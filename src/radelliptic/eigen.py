@@ -16,10 +16,13 @@ first guessed step that scan reads only the new forcing: it divides it by
 the kept denominators and runs the forcing half of the doubling, the
 operations of a fresh scan in the same order, with no assembly.  The
 first step has no guess, and keeps nothing.  No step reads
-its solution's residual.  A step whose solution is not positive inside
-raises ``LostPositivity``.  On a ball the monotone scheme rules that out
-(a forcing negative inside makes every flux negative, also in floating
-point); on an annulus none has been seen.
+its solution's residual, and a step's profile is the solve's own
+read-only array, so the solve makes no copy of it for the step.  A step
+whose solution is not positive inside raises ``LostPositivity``.  On a
+ball the monotone scheme rules that out (a forcing negative inside makes
+every flux negative, also in floating point); on an annulus none has
+been seen.  A step tests positivity and takes the sup norm with one
+reduction each (see ``principal_eigenvalue``).
 """
 
 from __future__ import annotations
@@ -98,6 +101,14 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     is not positive at an interior node raises LostPositivity.  ``tol`` is
     read by ``config_number``: one that is not a positive finite number
     raises InvalidSpec.
+
+    Once the interior values of a solution psi are positive, psi.max()
+    is max |psi|, so the norm needs no ``abs``: the boundary values are
+    the zero data, and on a ball the origin value is u[0] = u[1] - h0
+    slope(phi0), summed inward from u[1], where the first flux phi0 has
+    the sign of f(0) = -phi(0)^{1+alpha} <= 0 (the origin row is
+    increasing in phi0 and 0 at 0), so the slope is <= 0 and u[0] >= u[1]
+    > 0, rounding being monotone.  So every value is >= 0.
     """
     sign = EigenSign(sign)
     if dom.bc_inner != 0.0 or dom.bc_outer != 0.0:
@@ -115,9 +126,9 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
                               initial_guess=branches)
         branches = sol.branches
         psi = sol.u.values
-        if np.any(psi[1:-1] <= 0.0):
+        if not psi[1:-1].min() > 0.0:
             raise LostPositivity("iterate left the positive cone")
-        norm = float(np.max(np.abs(psi)))
+        norm = float(psi.max())  # max |psi|: psi >= 0 (see the docstring)
         lam = 1.0 / norm ** one_p_a
         lam_history.append(lam)
         phi = psi / norm

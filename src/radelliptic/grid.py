@@ -163,9 +163,11 @@ class RadialGrid(_Keeps):
 class DiscreteRadialFunction(_Keeps):
     """A profile sampled at the nodes of a grid.
 
-    Like the grid, the profile holds a read-only copy of its values and
-    keeps what is derived from them: ``interior_quotients`` and
-    ``lipschitz_constant`` are computed on the first request and kept.
+    Like the grid, the profile holds its values read-only and keeps what
+    is derived from them: ``interior_quotients`` and ``lipschitz_constant``
+    are computed on the first request and kept.  The constructor holds a
+    read-only copy of the values it is given; a solve hands its profile
+    its own array instead (``_of_own``).
     """
 
     grid: RadialGrid
@@ -180,6 +182,16 @@ class DiscreteRadialFunction(_Keeps):
             raise GridMismatch("values and nodes differ in length")
         if not np.all(np.isfinite(values)):
             raise InvalidSpec("values must be finite")
+
+    @classmethod
+    def _of_own(cls, grid: RadialGrid, values: np.ndarray):
+        """The profile of ``values``, a finite float array of one value
+        per node that its caller made and writes no more: the array is
+        made read-only and held as it is, with no copy and no check."""
+        profile = object.__new__(cls)
+        profile.__dict__.update(grid=grid, values=_read_only(values),
+                                _derived={})
+        return profile
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)

@@ -346,10 +346,11 @@ class _Recurrence:
         while True:
             p = self.P * s + self.Q
             key = _kernels.branch_keys(self.rows, p[:-1], self.f)
-            bad = np.flatnonzero(key != self.key)
-            if not len(bad):
+            wrong = key != self.key
+            if not wrong.any():
                 return p
-            self.key[bad[0]:] = key[bad[0]:]
+            first = wrong.argmax()  # the first wrong row
+            self.key[first:] = key[first:]
             self._scan()
 
 
@@ -473,7 +474,9 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f, grid: RadialGrid,
     when the guess is not n-1 keys in 0..3 or the forcing is not one
     finite value per node, and ``Diverged`` when the shooting of an
     annulus does not close the boundary mismatch within
-    ``SHOOT_MAX_STEPS`` steps, or the profile overflows.
+    ``SHOOT_MAX_STEPS`` steps, or the profile overflows.  The solution's
+    profile holds the array u was summed into, made read-only, and no
+    copy of it.
     """
     if not grid.spans(dom):
         raise GridMismatch("grid does not span the domain")
@@ -497,12 +500,12 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f, grid: RadialGrid,
             u[1:-1] = dom.bc_inner + np.cumsum(h[:-1] * _slopes(p[:-1],
                                                                  op.alpha))
         u[-1] = dom.bc_outer
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise Diverged("the profile overflows")
 
     def residual_sup(sol_u):
         res = _residual(op, dom, sol_u.grid, sol_u.values, fvals)
         return float(np.max(np.abs(res)))
 
-    return Solution(DiscreteRadialFunction(grid, u), residual_sup, rec.scans,
-                    steps, branches=rec.key)
+    return Solution(DiscreteRadialFunction._of_own(grid, u), residual_sup,
+                    rec.scans, steps, branches=rec.key)

@@ -251,8 +251,13 @@ def test_record_replaces_its_own_label_and_names_differing_digests(
     with open(path) as fh:
         doc = json.load(fh)
     assert doc["parent"] == parent
-    assert set(doc["change"]) == {"runs", "digests", "commit", "host",
-                                  "method"}
+    assert set(doc["change"]) == {"runs", "digests", "commit", "sources",
+                                  "host", "method"}
+    # the package sources this process imported, by content
+    assert doc["change"]["sources"] == harness.source_digest(
+        harness.imported_sources())
+    assert os.path.join("radelliptic", "solver.py") in "\n".join(
+        harness.imported_sources())
     assert doc["change"]["digests"] == entry["digests"]
     assert doc["change"]["method"]["repeat"] == harness.REPEAT
     harness.record(path, "parent", entry)
@@ -262,6 +267,36 @@ def test_record_replaces_its_own_label_and_names_differing_digests(
         assert json.load(fh) == dict(doc, parent=doc["change"])
 
 
+def test_source_digest_names_the_code_and_not_its_place(tmp_path):
+    # two copies of one tree give one digest; a one-byte edit changes it
+    harness = _load_script("harness")
+    package = os.path.join(ROOT, "src", "radelliptic")
+    names = sorted(name for name in os.listdir(package)
+                   if name.endswith(".py"))
+    copies = []
+    for copy in ("one", "two"):
+        directory = tmp_path / copy / "radelliptic"
+        directory.mkdir(parents=True)
+        for name in names:
+            with open(os.path.join(package, name), "rb") as fh:
+                (directory / name).write_bytes(fh.read())
+        copies.append([str(directory / name) for name in names])
+    one, two = copies
+    digest = harness.source_digest(one)
+    assert len(digest) == 64
+    assert harness.source_digest(list(reversed(two))) == digest
+    edited = tmp_path / "two" / "radelliptic" / "solver.py"
+    text = edited.read_bytes()
+    edited.write_bytes(text[:-1] + bytes([text[-1] ^ 1]))
+    assert harness.source_digest(two) != digest
+    # a file's bytes cannot pass as another's: the names enter the digest
+    renamed = tmp_path / "one" / "radelliptic" / "solver_.py"
+    os.rename(one[names.index("solver.py")], renamed)
+    assert harness.source_digest(
+        [str(renamed) if path.endswith("solver.py") else path
+         for path in one]) != digest
+
+
 @pytest.mark.parametrize("name", ["BENCH_solve.json", "BENCH_certify.json"])
 def test_committed_entries_hold_what_record_writes(name):
     with open(os.path.join(ROOT, name)) as fh:
@@ -269,7 +304,9 @@ def test_committed_entries_hold_what_record_writes(name):
     assert {"parent", "change"} <= set(doc)
     runs = set(doc["change"]["runs"])
     for entry in doc.values():
-        assert {"commit", "host", "method", "runs", "digests"} <= set(entry)
+        assert {"commit", "sources", "host", "method", "runs",
+                "digests"} <= set(entry)
+        assert len(entry["sources"]) == 64
         assert set(entry["runs"]) == set(entry["digests"]) == runs
 
 

@@ -158,6 +158,22 @@ class TestSolve:
                                                      RuntimeWarning)]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "study"])
+    def test_overflowing_profile_exits_two(self, tmp_path, capsys, recwarn,
+                                           command):
+        # AlphaLaplacian alpha = -0.9: u' = phi^10 overflows to inf
+        doc = dict(BASE_PROBLEM, operator={"variant": "AlphaLaplacian",
+                                           "alpha": -0.9, "dim": 2},
+                   f={"kind": "constant", "value": 1e40})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run(command, cfg, out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: solver diverged: the profile overflows"]
+        assert not [w for w in recwarn if issubclass(w.category,
+                                                     RuntimeWarning)]
+        assert not out.exists()
+
 
 class TestVerify:
     def test_passing_problem(self, tmp_path):
@@ -481,6 +497,42 @@ class TestEigen:
         assert payload["sign"] == "Plus"
         phi = np.loadtxt(out / "eigenfunction.csv", delimiter=",", skiprows=1)
         assert np.all(phi[:-1, 1] > 0)
+
+    # sha256 of the two files eigen writes: how an outer step calls its
+    # solve and reads its profile must not move a byte of them.  The
+    # second problem is of perfbench's eigen family and takes 19 steps.
+    EIGEN_PROBLEMS = {
+        "eigen_disk": os.path.join(CONFIG_DIR, "eigen_disk.json"),
+        "pucci_plus_alpha1_minus_n400": {
+            "operator": {"variant": "PucciPlus", "alpha": 1.0, "a": 1.0,
+                         "A": 2.0, "dim": 2},
+            "domain": {"kind": "Ball", "R": 1.0},
+            "grid": {"n": 400, "grading": "GradedAtOrigin"},
+            "eigen": {"sign": "Minus", "tol": 1e-8}}}
+    EIGEN_SHA256 = {
+        "eigen_disk": {
+            "eigen.json": "985c36897d8be4c0fbae51ebedce60c2"
+                          "906bbff3b095bf181f271bb3d438e5cb",
+            "eigenfunction.csv": "5c90fe38e4ef125be88f62bc0728a9d3"
+                                 "1c8da81864843d5f3c1cfef4d2865629"},
+        "pucci_plus_alpha1_minus_n400": {
+            "eigen.json": "b0710df9251d4a749ff70c46e2035599"
+                          "4bc96fb61c9dfdf523074ad036c84496",
+            "eigenfunction.csv": "6fdf39c301bd56d8ae0f622f70580581"
+                                 "4db6814989af5bc19d69e578561ca98f"}}
+
+    @pytest.mark.parametrize("name", sorted(EIGEN_SHA256))
+    def test_eigen_files_are_byte_identical(self, tmp_path, name):
+        cfg = self.EIGEN_PROBLEMS[name]
+        if isinstance(cfg, dict):
+            cfg = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert run("eigen", cfg, out) == 0
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in out.iterdir()} == self.EIGEN_SHA256[name]
+        if name != "eigen_disk":
+            assert json.loads((out / "eigen.json").read_text())[
+                "iterations"] == 19
 
     def test_nonzero_boundary_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_PROBLEM)

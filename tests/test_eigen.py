@@ -252,8 +252,14 @@ class TestPositiveCone:
 
         def checked(*args, **kwargs):
             sol = solve(*args, **kwargs)
-            smallest.append(float(np.min(sol.u.values[1:-1])))
+            u = sol.u.values
+            smallest.append(float(np.min(u[1:-1])))
             assert smallest[-1] > 0.0, (k, len(smallest))
+            # the boundary values are 0 and a ball's origin value is at
+            # least its neighbour's, so the largest value is the sup norm
+            assert u[-1] == 0.0
+            assert u[0] >= u[1] if dom.R1 == 0.0 else u[0] == 0.0
+            assert u.max() == np.max(np.abs(u)), (k, len(smallest))
             return sol
 
         monkeypatch.setattr(eigen, "solve_dirichlet", checked)

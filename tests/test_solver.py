@@ -9,7 +9,8 @@ from radelliptic.analysis import comparison_oracle
 from radelliptic.cli import ConfigError, _parse_problem
 from radelliptic.errors import (Diverged, GridMismatch, InvalidSpec,
                                PreconditionViolated)
-from radelliptic.grid import DiscreteRadialFunction, Domain, Grading, RadialGrid
+from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
+                              RadialGrid, interior_quotients)
 from radelliptic.operators import (OperatorSpec, _bracket,
                                    closed_form_alpha_laplacian,
                                    closed_form_pucci_power,
@@ -181,6 +182,57 @@ class TestSolveDirichlet:
         sol = solve_dirichlet(op, dom, SourceFunction.constant(1.0), grid)
         assert sol.u.values[0] == pytest.approx(-0.5, abs=1e-13)
         assert sol.u.values[-1] == pytest.approx(2.0, abs=1e-13)
+
+    @pytest.mark.parametrize("dom", [Domain.ball(1.0, bc_outer=1.0),
+                                     Domain.annulus(0.25, 1.0, 0.5, 2.0)],
+                             ids=["ball", "annulus"])
+    def test_profile_is_the_solves_own_read_only_array(self, monkeypatch,
+                                                       dom):
+        # the solve hands the array it summed u into to the profile, made
+        # read-only, and copies and checks it no second time
+        made, built = [], []
+        empty_like = np.empty_like
+        post_init = DiscreteRadialFunction.__post_init__
+
+        def recording(*args, **kwargs):
+            made.append(empty_like(*args, **kwargs))
+            return made[-1]
+
+        def counting(profile):
+            built.append(profile)
+            post_init(profile)
+
+        monkeypatch.setattr(np, "empty_like", recording)
+        monkeypatch.setattr(DiscreteRadialFunction, "__post_init__", counting)
+        op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
+        grid = RadialGrid.for_domain(dom, 64)
+        sol = solve_dirichlet(op, dom, SourceFunction.constant(1.0), grid)
+        values = sol.u.values
+        assert built == []
+        assert any(array is values for array in made)
+        assert sol.u.grid is grid and values.shape == grid.nodes.shape
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[1] = 0.0
+        # it keeps what is derived from it as a constructed profile does
+        monkeypatch.undo()
+        copy = DiscreteRadialFunction(grid, values)
+        assert copy.values is not values
+        quotients = interior_quotients(sol.u)
+        assert interior_quotients(sol.u) is quotients
+        for mine, theirs in zip(quotients, interior_quotients(copy)):
+            assert mine.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("guess", [None, "zeros"])
+    def test_overflowing_profile_diverges(self, guess):
+        # u' = phi^10 overflows where the flux passes about 1e31
+        op = OperatorSpec.alpha_laplacian(-0.9, 2)
+        dom = Domain.ball(1.0)
+        grid = RadialGrid.for_domain(dom, 64)
+        keys = None if guess is None else np.zeros(grid.n - 1, dtype=int)
+        with pytest.raises(Diverged, match="^the profile overflows$"):
+            solve_dirichlet(op, dom, SourceFunction.constant(1e40), grid,
+                            initial_guess=keys)
 
     def test_grid_domain_mismatch(self):
         op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2)
@@ -464,15 +516,48 @@ class TestInitialGuess:
             branches = fresh.branches
         assert sol.iterations > 1
 
+    # a wide key must not pass as the key its low bits spell
     @pytest.mark.parametrize("guess", [
         np.zeros(398, dtype=int), np.zeros(400, dtype=int),
         np.full(399, 4), np.full(399, -1), np.zeros(399),
-        np.zeros((1, 399), dtype=int), ["0"] * 399])
+        np.zeros((1, 399), dtype=int), ["0"] * 399,
+        np.full(399, -1, dtype=np.int8), np.full(399, 4, dtype=np.int8),
+        np.full(399, 127, dtype=np.int8), np.full(399, 256, dtype=np.int16),
+        np.full(399, 260, dtype=np.int16),
+        np.full(399, 2 ** 64 - 4, dtype=np.uint64),
+        np.ones(399, dtype=bool), np.zeros((399, 1), dtype=np.int8),
+        np.zeros(0, dtype=np.int8)])
     def test_bad_guess_rejected(self, guess):
         op, dom, grid, f = self._problem()
         assert grid.n - 1 == 399  # interior rows
-        with pytest.raises(InvalidSpec, match="initial_guess"):
+        with pytest.raises(InvalidSpec, match="^initial_guess must be 399 "
+                                              "branch keys, integers in "
+                                              "0\\.\\.3$"):
             solve_dirichlet(op, dom, f, grid, initial_guess=guess)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16])
+    def test_integer_keys_are_taken_as_a_copy(self, dtype):
+        keys = (np.arange(399) % 4).astype(dtype)
+        got = solver._branch_guess(keys, 400)
+        assert got.dtype == np.int8 and np.array_equal(got, keys)
+        assert not np.shares_memory(got, keys)
+
+    @pytest.mark.parametrize("row", [0, -1], ids=["first", "last"])
+    def test_repair_starts_at_the_first_wrong_row(self, row):
+        # a guess wrong in one row settles in one repair: the rows before
+        # it keep their branches, the rest take those of their inflows
+        op, dom, grid, f = self._problem()
+        cold = solve_dirichlet(op, dom, f, grid)
+        settled = cold.branches
+        assert solve_dirichlet(op, dom, f, grid,
+                               initial_guess=settled).iterations == 1
+        for key in {0, 1, 2, 3} - {settled[row]}:
+            guess = settled.copy()
+            guess[row] = key
+            sol = solve_dirichlet(op, dom, f, grid, initial_guess=guess)
+            assert sol.iterations == 2
+            assert sol.u.values.tobytes() == cold.u.values.tobytes()
+            assert np.array_equal(sol.branches, settled)
 
     def test_forcing_not_finite_at_a_node_rejected(self):
         op, dom, grid, _ = self._problem()
