@@ -223,77 +223,137 @@ class DiscreteRadialFunction(_Keeps):
         to at most 1e17 - 8.  Every other value (+-0, |v| < 1e-4,
         |v| >= 1e17, subnormals included) is formatted by ``"%.17g"``
         itself.
+
+        The text is laid out in rows of 28 bytes, one per value, in which
+        a space stands for no character; the spaces are deleted at the
+        end.  Each row starts with the separator before its value, ``\\n``
+        before r and ``,`` before u, so the header ``r,u``, the rows and
+        one closing ``\\n`` are the bytes of the header line and of one
+        ``r,u`` line per node.  For e < 0, the exponent of almost every
+        value of a profile on [0, 1], the text is the sign, ``0.``, -e - 1
+        zeros and the 17 digits of D less their trailing zeros.  Nothing
+        stands between those zeros and the digits, and the first digit is
+        never 0, so with everything up to the first digit right-aligned,
+        the other 16 digits lie in the same 16 columns on every such row.
+        The prefix (the sign, ``0.`` and at most three zeros) is at most
+        6 bytes, so with the separator and the first digit it fits the
+        first 8 bytes of the row, which one table lookup by separator,
+        sign, e and first digit fills.  The other digits are four lookups
+        of four; trailing zeros are blanked four at a time, the last
+        nonzero four looked up with its trailing zeros as spaces and the
+        fours after it blank.  A row with e >= 0 has the dot after e + 1
+        digits: its prefix puts the dot before the first digit, and the
+        digits of the integer part then move one byte left past it, with
+        their zeros put back.
         """
         pairs = np.column_stack((self.grid.nodes, self.values)).ravel()
         with open(path, "wb") as fh:
-            fh.write(b"r,u\n")
+            fh.write(b"r,u")
             for start in range(0, len(pairs), _CSV_CHUNK):
                 fh.write(_csv_rows(pairs[start:start + _CSV_CHUNK]))
+            fh.write(b"\n")
 
 
-# Tables of ``_csv_rows``, which lays out the text of each fixed-notation
-# value from a row of 24 bytes: b" ", its sign, b"0", its dot, its
-# separator, two bytes not read, then its 17 digits.  A space stands for
-# no character.
+# Tables of ``_csv_rows``, whose rows are seven little-endian uint32 words
+# (the layout is in ``DiscreteRadialFunction.to_csv``): the prefix and the
+# first digit in two, the other 16 digits four to a word, then a word of
+# spaces that only the "%.17g" text of a value outside fixed notation fills.
 
 # the four ASCII digits of each q < 10^4, first digit in the lowest byte,
-# and the trailing zeros among them: tables over the digits (a, b, c, d)
-# of q = 1000a + 100b + 10c + d
+# with the trailing zeros of q as spaces (b"0" - 0x10), then as zeros: a
+# table over the digits (a, b, c, d) of q = 1000a + 100b + 10c + d
 _DIGIT = np.arange(ord("0"), ord("9") + 1, dtype="<u4")
 _DIGITS4 = (_DIGIT[:, None, None, None] | _DIGIT[:, None, None] << 8
             | _DIGIT[:, None] << 16 | _DIGIT << 24).ravel()
-_ZERO = (np.arange(10) == 0).astype(np.intp)
-_TRAILING_ZEROS4 = (_ZERO * (1 + _ZERO[:, None] * (
-    1 + _ZERO[:, None, None] * (1 + _ZERO[:, None, None, None])))).ravel()
-# the first four bytes of the row: no sign or b"-", no dot or b"."
-_HEADS = np.frombuffer(b"  0  -0   0. -0.", dtype="<u4")
+_ZERO = (np.arange(10) == 0).astype("<u4")
+_QUADS = np.concatenate([_DIGITS4 - (_ZERO * (0x10 << 24 | _ZERO[:, None] * (
+    0x10 << 16 | _ZERO[:, None, None] * (
+        0x10 << 8 | _ZERO[:, None, None, None] * 0x10)))).ravel(), _DIGITS4])
+
+
+def _prefix(sep, sign, e):
+    # e >= 0: the dot before the digits, which is moved behind the integer
+    # part of each row
+    return (sep + sign + (b"." if e >= 0 else b"0." + b"0" * (-e - 1))
+            + b"0").rjust(8)
+
+
+# the prefixes by separator, sign, e in -4..16 and first digit d, which
+# adds d to the last byte
+_PREFIXES = (np.frombuffer(b"".join(
+    _prefix(sep, sign, e) for sep in (b"\n", b",") for sign in (b" ", b"-")
+    for e in range(-4, 17)), dtype="<u4").reshape(-1, 1, 2)
+    + (np.arange(10, dtype="<u4")[:, None] << 24)
+    * np.array([0, 1], dtype="<u4")).reshape(-1, 2).T.copy()
 _VELTKAMP = 2.0 ** 27 + 1
-_POW10 = np.array([float(10 ** k) for k in range(21)])  # exact doubles
+# 10^(16 - e), indexed by e in -4..16 (e < 0 from the end): exact doubles
+_POW10 = np.array([float(10 ** (16 - e))
+                   for e in [*range(17), *range(-4, 0)]])
 _POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-_WIDTH = 24  # the widest "%.17g" text: -4.9406564584124654e-324
 # values formatted at once: an even count; it bounds the arrays of
-# ``_csv_rows`` to about 0.6 MiB, less than one "%.17g" format over a
+# ``_csv_rows`` to about 0.3 MiB, less than one "%.17g" format over a
 # 6400-node profile took
 _CSV_CHUNK = 2048
-
-
-def _layout(e):
-    # the row byte of each text column for exponent e, right-aligned, and
-    # the separator's
-    if e >= 0:
-        cols = [1, *range(7, 8 + e), 3, *range(8 + e, 24)]
-    else:
-        cols = [1, 2, 3] + [2] * (-e - 1) + list(range(7, 24))
-    return [0] * (_WIDTH - len(cols)) + cols + [4]
-
-
-_LAYOUTS = np.array([_layout(e) for e in range(-4, 17)])
-# ANDed onto a text whose last k digits are trailing zeros of its fraction:
-# b"0" & 0xEF is b" "
-_BLANK_ZEROS = np.full((17, _WIDTH + 1), 0xFF, dtype=np.uint8)
-_BLANK_ZEROS[:, :_WIDTH][
-    np.arange(_WIDTH) >= _WIDTH - np.arange(17)[:, None]] = 0xEF
+# the first word of a row outside fixed notation, by its separator
+_SEPARATORS = np.frombuffer(b"   \n   ,", dtype="<u4")
 
 
 def _csv_rows(pairs: np.ndarray) -> bytes:
-    """``"%.17g,%.17g\\n"`` of each pair of the interleaved array
-    ``pairs``, all rows at once; the exactness argument is in
+    """The separator and ``"%.17g"`` of each value of the interleaved
+    array ``pairs`` (even count), ``\\n`` before r and ``,`` before u, all
+    rows at once; the layout and the exactness argument are in
     ``DiscreteRadialFunction.to_csv``."""
-    def scaled(a, e):
-        # a * 10^(16 - e) = p + err exactly (Dekker's product)
-        k = 16 - e
-        p = a * _POW10[k]
-        t = _VELTKAMP * a
-        a_hi = t - (t - a)
-        a_lo = a - a_hi
-        b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
-        return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-    count = len(pairs)
     a = np.abs(pairs)
     fixed = (a >= 1e-4) & (a < 1e17)
-    a = np.where(fixed, a, 1.0)  # keeps the others clear of log10 and casts
+    # keeps the others clear of log10, the casts and the e >= 0 rows
+    e, digits = _decimal_digits(np.where(fixed, a, 0.5))
+    rows = _fixed_rows(pairs, e, digits)
+    text = rows.view(np.uint8)
+    whole = np.flatnonzero(e >= 0)
+    if len(whole):
+        e_whole = e[whole]
+        for k in np.flatnonzero(np.bincount(e_whole)):
+            # the first digit and the integer part one byte left, with their
+            # zeros (b" " | 0x10 is b"0"), then the dot, unless the fraction
+            # is blank from its first digit on
+            rows_k = whole[e_whole == k]
+            text[rows_k, 6:7 + k] = text[rows_k, 7:8 + k] | 0x10
+            text[rows_k, 7 + k] = np.where(
+                text[rows_k, 8 + k] == ord(" "), ord(" "), ord("."))
+
+    other = np.flatnonzero(~fixed)
+    if len(other):
+        formatted = "%24.17g" * len(other) % tuple(pairs[other].tolist())
+        rows[other, 0] = _SEPARATORS[other & 1]
+        text[other, 4:] = np.frombuffer(
+            formatted.encode("ascii"), dtype=np.uint8).reshape(-1, 24)
+    return text.tobytes().translate(None, b" ")
+
+
+def _decimal_digits(a):
+    """The decimal exponent e of each value of ``a``, all in [1e-4, 1e17),
+    and the integer D of its 17 digits, as ``DiscreteRadialFunction.to_csv``
+    derives them."""
+    def scaled(a, e):
+        # a * 10^(16 - e) = p + err exactly (Dekker's product), err being
+        # ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi) + a_lo b_lo in place
+        b_hi, b_lo = _POW10_HI[e], _POW10_LO[e]
+        p = a * _POW10[e]
+        a_hi = _VELTKAMP * a
+        a_lo = a_hi - a
+        a_hi -= a_lo
+        np.subtract(a, a_hi, out=a_lo)
+        err = a_hi * b_hi
+        err -= p
+        a_hi *= b_lo
+        err += a_hi
+        b_hi *= a_lo
+        err += b_hi
+        a_lo *= b_lo
+        err += a_lo
+        return p, err
+
     e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
     p, err = scaled(a, e)
     low = (p < 1e16) | ((p == 1e16) & (err < 0))
@@ -302,43 +362,38 @@ def _csv_rows(pairs: np.ndarray) -> bytes:
     if len(moved):
         e[moved] += high[moved].astype(np.intp) - low[moved]
         p[moved], err[moved] = scaled(a[moved], e[moved])
-    digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    return e, p.astype(np.int64) + np.rint(err).astype(np.int64)
 
-    # the first digit, then the other 16 in four groups of four
-    upper, lower = np.divmod(digits, 10 ** 8)
-    first, upper = np.divmod(upper, 10 ** 8)
-    quads = np.divmod(upper, 10 ** 4) + np.divmod(lower, 10 ** 4)
-    trailing = _TRAILING_ZEROS4[quads[-1]]
-    rest = np.flatnonzero(quads[-1] == 0)
-    for quad in quads[-2::-1]:
-        trailing[rest] += _TRAILING_ZEROS4[quad[rest]]
-        rest = rest[quad[rest] == 0]
-    fraction = 16 - e  # digits after the dot
-    rows = np.empty((count, 6), dtype="<u4")
-    rows[:, 0] = _HEADS[(pairs < 0) + 2 * (trailing < fraction)]
-    rows[:, 1] = ((first + ord("0")) << 24).astype("<u4")
-    rows[0::2, 1] |= ord(",")
-    rows[1::2, 1] |= ord("\n")
-    for j, quad in enumerate(quads):
-        rows[:, 2 + j] = _DIGITS4[quad]
-    row_bytes = rows.view(np.uint8)
 
-    text = np.empty((count, _WIDTH + 1), dtype=np.uint8)
-    groups = np.bincount(e + 4, minlength=len(_LAYOUTS))
-    most = np.argmax(groups)
-    text[...] = row_bytes[:, _LAYOUTS[most]]
-    for g in np.flatnonzero(groups):
-        if g != most:
-            rows_g = np.flatnonzero(e == g - 4)
-            text[rows_g] = row_bytes[rows_g][:, _LAYOUTS[g]]
-    cut = np.minimum(trailing, fraction)
-    ending = np.flatnonzero(cut)
-    text[ending] &= _BLANK_ZEROS[cut[ending]]
-    other = np.flatnonzero(~fixed)
-    formatted = "%24.17g" * len(other) % tuple(pairs[other].tolist())
-    text[other, :_WIDTH] = np.frombuffer(
-        formatted.encode("ascii"), dtype=np.uint8).reshape(-1, _WIDTH)
-    return text.tobytes().translate(None, b" ")
+def _fixed_rows(pairs, e, digits):
+    """The rows of ``_csv_rows`` in fixed notation: seven uint32 words for
+    each value of ``pairs``, by its exponent e and digits D."""
+    count = len(pairs)
+    # the first digit, then the other 16 in four quads; quad j is looked up
+    # with its zeros kept (10^4 on) where a later quad is nonzero
+    upper = digits // 10 ** 8
+    lower = digits - upper * 10 ** 8
+    first = upper // 10 ** 8
+    upper -= first * 10 ** 8
+    quads = np.empty((4, count), np.intp)
+    np.floor_divide(upper, 10 ** 4, out=quads[0])
+    np.subtract(upper, quads[0] * 10 ** 4, out=quads[1])
+    np.floor_divide(lower, 10 ** 4, out=quads[2])
+    np.subtract(lower, quads[2] * 10 ** 4, out=quads[3])
+    quads[:3] += (np.array([quads[1] | lower, lower, quads[3]]) != 0) * 10 ** 4
+
+    # the prefix index: 10 (e + 4) + the first digit, 210 on for b"-" and
+    # 420 on for b"," (before each u)
+    slot = e * 10
+    slot += first
+    slot[0::2] += 40
+    slot[1::2] += 460
+    slot += (pairs < 0) * 210
+    words = np.empty((7, count), "<u4")
+    _PREFIXES.take(slot, axis=1, out=words[:2])
+    _QUADS.take(quads, out=words[2:6])
+    words[6] = 0x20202020
+    return words.T.copy()
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from radelliptic.errors import (GridMismatch, InvalidSpec, OutsideDomain,
                                 WindowTooSmall)
-from radelliptic.grid import (DerivativeNumbers, DiscreteRadialFunction,
-                              Domain, DomainKind, Grading, RadialGrid,
-                              derivative_numbers, interior_quotients,
-                              lipschitz_constant)
+from radelliptic.grid import (_CSV_CHUNK, DerivativeNumbers,
+                              DiscreteRadialFunction, Domain, DomainKind,
+                              Grading, RadialGrid, derivative_numbers,
+                              interior_quotients, lipschitz_constant)
 
 
 def uniform_profile(fn, a=0.0, b=1.0, n=100):
@@ -416,6 +416,58 @@ class TestDiscreteRadialFunction:
                                                                rows):
         rows.sort()
         nodes, values = (np.array(column) for column in zip(*rows))
+        assert _written(tmp_path, nodes, values) == _row_by_row(nodes, values)
+
+    @pytest.mark.parametrize("count", [4, _CSV_CHUNK - 2, _CSV_CHUNK,
+                                       _CSV_CHUNK + 2, 2 * _CSV_CHUNK])
+    def test_csv_bytes_match_row_by_row_format_at_chunk_ends(self, tmp_path,
+                                                             count):
+        # profiles of count values: two nodes, exactly one chunk, one node
+        # either side of it, and exactly two chunks
+        nodes = np.linspace(0.0, 1.0, count // 2) ** 1.5
+        values = np.sin(40.0 * nodes) * 10.0 ** np.arange(-6, 19)[
+            np.arange(count // 2) % 25]
+        text = _written(tmp_path, nodes, values)
+        assert text == _row_by_row(nodes, values)
+        assert text.startswith(b"r,u\n")
+        assert text.endswith(b"\n") and not text.endswith(b"\n\n")
+
+    def test_csv_bytes_match_row_by_row_format_on_every_exponent(self,
+                                                                 tmp_path):
+        # one chunk that holds every exponent e of fixed notation in both
+        # signs, integral values whose integer part keeps its zeros, and
+        # values whose 16 digits after the first are all zero
+        mantissas = np.random.default_rng(5).uniform(1.5, 9.5, 4)
+        edge = np.unique(np.concatenate(
+            [mantissas * 10.0 ** e for e in range(-4, 17)]
+            + [[100.0, 1000.0, 120000.5, 1e16, 99999999999999984.0, 0.5,
+                0.25, 0.001, 1.0, 10.0, 1.5]]))
+        nodes = np.concatenate([-edge[::-1], edge])
+        values = np.roll(nodes, 13)
+        assert 2 * len(nodes) <= _CSV_CHUNK
+        text = _written(tmp_path, nodes, values)
+        assert text == _row_by_row(nodes, values)
+        for row in (b"100,", b"-1000,", b"120000.5,", b"10000000000000000,",
+                    b"-99999999999999984,", b"0.5,", b"-0.25,", b"0.001,",
+                    b"-1,", b"10,", b"1.5,"):
+            assert b"\n" + row in text
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(CSV_NODES, CSV_VALUES), min_size=1,
+                         max_size=40, unique_by=lambda row: row[0]),
+           shift=st.integers(0, 40))
+    def test_csv_bytes_match_row_by_row_format_across_a_chunk_end(
+            self, tmp_path, rows, shift):
+        # the drawn rows follow rows of fixed notation, so that they start
+        # at or straddle the end of the first chunk
+        rows.sort()
+        nodes, values = (np.array(column) for column in zip(*rows))
+        lead = _CSV_CHUNK // 2 - min(shift, len(rows))
+        step = max(1.0, abs(nodes[0])) / 1024
+        nodes = np.concatenate([nodes[0] - step * np.arange(lead, 0, -1),
+                                nodes])
+        values = np.concatenate([np.linspace(1e-3, 0.5, lead), values])
         assert _written(tmp_path, nodes, values) == _row_by_row(nodes, values)
 
 
