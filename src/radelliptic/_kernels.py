@@ -9,16 +9,13 @@ the increasing piecewise-linear bracket halves B1, B2.  The transport
 argument is centered (``wy = wx = 1/2``) wherever that keeps the row
 nonincreasing in ``phi[i-1]``, and ``(r_i / r_{i+1/2}) phi[i]``, exact for
 the ``phi ~ kappa r`` of the origin, elsewhere.  On the branch its inflow
-selects, a row is the map ``phi[i] = A phi[i-1] + b`` with 0 <= A <= 1.
-The kernel has two halves: ``branch_keys`` tells which branch each row's
-inflow selects, and ``assemble_system`` forms the maps on given branches.
-
-A row's ``A`` and its denominator ``den`` depend on its key alone, and
-only ``b = f / den`` on the forcing.  So a solve given a guess keeps the
-forcing-free half of its last assembled scan in ``RowData.memo`` (see
-``solver``), and a later scan of the same keys divides its forcing by the
-kept ``den``: the ``b`` that ``assemble_system`` would form, bit for bit,
-with no assembly.  A solve with no guess leaves ``memo`` alone.
+selects, a row is the map ``phi[i] = A phi[i-1] + f[i] / den`` with 0 <=
+A <= 1.  The kernel has two halves: ``branch_keys`` tells which branch
+each row's inflow selects, and ``assemble_system`` forms ``A`` and ``den``
+on given branches.  Both depend on the row's key alone, so the kernel
+never reads the forcing: the solver divides it by ``den`` itself.  There
+is one scan routine; the memo keeps its windows only for a guessed solve
+(``RowData.memo``, see ``solver``).
 """
 
 from typing import NamedTuple
@@ -34,7 +31,7 @@ class RowData:
     ``h`` holds the spacings and ``origin`` the ball's origin row at the
     first fluxes 1 and -1 (see ``origin_row``).  ``memo`` is None until a
     guessed solve assembles a scan on the mesh; it then holds the
-    forcing-free half of the last such scan (``solver._ScanMemo``).
+    forcing-free record of the last such scan (``solver._ScanMemo``).
     """
 
     def __init__(self, nodes, dim, alpha, coefs):
@@ -67,11 +64,9 @@ def origin_row(rows, p0):
 
 
 class RowMaps(NamedTuple):
-    """Rows ``phi[i] = A phi[i-1] + b`` on given branches, with ``b = f /
-    den``."""
+    """Rows ``phi[i] = A phi[i-1] + f / den`` on given branches."""
 
     A: np.ndarray
-    b: np.ndarray
     den: np.ndarray
 
 
@@ -105,16 +100,16 @@ def branch_keys(rows, x, f):
     return 2 * up.astype(np.int8) + out
 
 
-def assemble_system(nodes, rows, key, f):
+def assemble_system(nodes, rows, key):
     """The affine maps of rows 1..n-1 of the mesh ``nodes`` on the
     branches ``key`` (see ``branch_keys``).
 
     ``rows`` is the ``RowData`` of ``nodes`` and holds all the kernel
-    reads of the mesh (perfbench's tracer counts ``nodes``); ``f[i-1]`` is
-    the forcing of row i.  A row's map depends on its own key only.
+    reads of the mesh (perfbench's tracer counts ``nodes``).  A row's map
+    depends on its own key only.
     """
     cmp_, cmm, ctp, ctm = rows.coefs
     cm_a = np.where(key >= 2, cmp_, cmm) * rows.a
     ct_c = np.where(key & 1, ctp, ctm) * rows.c
     den = cm_a + ct_c * rows.wy
-    return RowMaps((cm_a - ct_c * rows.wx) / den, f / den, den)
+    return RowMaps((cm_a - ct_c * rows.wx) / den, den)

@@ -31,8 +31,10 @@ VISCOSITY_SLOPES = 17
 VISCOSITY_CURVATURES = 9
 # decades of distance from the zero of u' that holder_exponent fits over
 HOLDER_DECADES = 1.5
-# dyadic scales of the derivative numbers c1_modulus_report probes with
+# dyadic scales of the derivative numbers c1_modulus_report probes with,
+# at every C1_MODULUS_STRIDE-th node
 C1_MODULUS_SCALES = 3
+C1_MODULUS_STRIDE = 10
 # each node's own curvatures: m + c max(|m|, 1) for these c, sorted, with
 # its second quotient m itself for c = 0
 _LOCAL_COEFS = np.array([-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0])
@@ -179,9 +181,8 @@ def _flux_checks(report, tol, nodes, flux, idx, op, f_sup, eps_cum,
         report.add(name, float(s[k]), float(margins[k]), tol, binding)
 
 
-def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
-                             threshold: float | None = None
-                             ) -> VerificationReport:
+def verify_flux_inequalities(u, op: OperatorSpec,
+                             f: SourceFunction) -> VerificationReport:
     """Check the four gradient-flux inequalities on every monotone interval.
 
     The flux is Phi = |u'|^alpha u'.  On intervals where u' > 0, Phi(s)
@@ -196,15 +197,14 @@ def verify_flux_inequalities(u, op: OperatorSpec, f: SourceFunction,
     the interval (see ``_flux_checks``), and reported at the first right
     endpoint s that attains it.
 
-    The monotone intervals are the runs where |u'| exceeds ``threshold``,
-    by default max(FLUX_THRESHOLD_FLOOR, h_max) (1 + Lip u).
+    The monotone intervals are the runs where |u'| exceeds
+    max(FLUX_THRESHOLD_FLOOR, h_max) (1 + Lip u).
     """
     profile, residual_sup = _as_function(u)
     nodes = profile.grid.nodes
     h = profile.grid.max_spacing
-    if threshold is None:
-        lip = lipschitz_constant(profile)
-        threshold = max(FLUX_THRESHOLD_FLOOR, h) * (1.0 + lip)
+    lip = lipschitz_constant(profile)
+    threshold = max(FLUX_THRESHOLD_FLOOR, h) * (1.0 + lip)
     tol = _c1_tolerance(h, op.alpha, residual_sup)
     fvals = _node_forcing(f, nodes)
     f_sup = float(np.max(np.abs(fvals)))
@@ -242,6 +242,16 @@ def _chebyshev(lo, hi, count):
     is at least 2."""
     t = np.cos(np.pi * np.arange(count) / (count - 1))[::-1]
     return lo + (hi - lo) * 0.5 * (1.0 + t)
+
+
+def _curvature_family(mmax):
+    """The viscosity check's global curvatures, sorted: the Chebyshev
+    points of [0, max(4 mmax, 1)], which start at 0.0, and their mirror
+    images, with one zero, -0.0: ``np.unique`` of both halves, which would
+    import ``numpy.ma``."""
+    pos = _chebyshev(0.0, max(4.0 * mmax, 1.0),
+                     (VISCOSITY_CURVATURES + 1) // 2)
+    return np.concatenate([-pos[::-1], pos[1:]])
 
 
 def _touching_bounds(P, m, stencil, eta):
@@ -409,9 +419,7 @@ def check_viscosity(u, op: OperatorSpec,
     pos_slopes = _chebyshev(h, max(2.0 * lip, 2.0 * h),
                             (VISCOSITY_SLOPES + 1) // 2)
     slope_family = np.concatenate([-pos_slopes[::-1], pos_slopes])
-    pos_curv = _chebyshev(0.0, max(4.0 * mmax, 1.0),
-                          (VISCOSITY_CURVATURES + 1) // 2)
-    curv_family = np.unique(np.concatenate([-pos_curv[::-1], pos_curv]))
+    curv_family = _curvature_family(mmax)
 
     fvals = _node_forcing(f, nodes)
     scale_u = max(1.0, float(np.max(np.abs(vals))))
@@ -489,6 +497,14 @@ def check_viscosity(u, op: OperatorSpec,
     return report
 
 
+def _median(values):
+    """``np.median`` of a non-empty array with no NaN, which would import
+    ``numpy.ma``: the middle sorted value, or ``(a + b) / 2`` of two."""
+    s = np.sort(values)
+    k = len(s) // 2
+    return float(s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2.0)
+
+
 def _discrete_zero(profile: DiscreteRadialFunction, r_star: float):
     """The zero of the discrete derivative at the node nearest r_star.
 
@@ -507,7 +523,7 @@ def _discrete_zero(profile: DiscreteRadialFunction, r_star: float):
         dist = np.abs(nodes[1:-1] - nodes[i_star])
         nearby = (dist >= 3.0 * h) & (dist <= 30.0 * h)
         if (not nearby.any()
-                or qs > 0.3 * float(np.median(np.abs(q_int[nearby])))):
+                or qs > 0.3 * _median(np.abs(q_int[nearby]))):
             raise NotAZero("discrete derivative does not vanish at r_star")
     return float(nodes[i_star]), q_int
 
@@ -613,15 +629,14 @@ def c1_bound_check(u, op: OperatorSpec, f: SourceFunction,
     return report
 
 
-def c1_modulus_report(u, alpha: float,
-                      stride: int = 10) -> VerificationReport:
+def c1_modulus_report(u, alpha: float) -> VerificationReport:
     """Derivative-number diagnostics for C^1 behavior of the profile.
 
-    Probes every ``stride``-th node: the spread of the four derivative
-    numbers must shrink like the scheme's accuracy, the one-sided numbers
-    must interlace (Lambda_g >= lambda_d and Lambda_d >= lambda_g up to
-    tolerance), and wherever any number is small all four must be.  The
-    numbers at all probed nodes come from one vectorized
+    Probes every ``C1_MODULUS_STRIDE``-th node: the spread of the four
+    derivative numbers must shrink like the scheme's accuracy, the
+    one-sided numbers must interlace (Lambda_g >= lambda_d and Lambda_d >=
+    lambda_g up to tolerance), and wherever any number is small all four
+    must be.  The numbers at all probed nodes come from one vectorized
     ``derivative_numbers`` call; each check reports the first probed node
     that attains its minimum margin.
 
@@ -648,7 +663,7 @@ def c1_modulus_report(u, alpha: float,
     tol_spread = 20.0 * scale
     tol_remark = 10.0 * scale
 
-    probed = np.arange(0, grid.n + 1, stride)
+    probed = np.arange(0, grid.n + 1, C1_MODULUS_STRIDE)
     dn = derivative_numbers(profile, nodes[probed],
                             8.0 * grid.local_spacing(probed),
                             C1_MODULUS_SCALES)

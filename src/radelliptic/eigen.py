@@ -10,11 +10,11 @@ the node values -phi^{1+alpha}.  The steps after the first reuse the
 grid's mesh data and start from the row branches the step before settled
 on (``initial_guess``).  The fluxes are one scan of the settled branches
 whatever the guess, so the guess changes the work and never the result:
-once the branches stop moving, a ball's step is one scan.  A guessed
-solve keeps the row factors of its last scan on the grid, so past the
-first guessed step that scan reads only the new forcing: it divides it by
-the kept denominators and runs the forcing half of the doubling, the
-operations of a fresh scan in the same order, with no assembly.  The
+once the branches stop moving, a ball's step is one scan.  There is one
+scan routine; the memo keeps its windows only for a guessed solve.  So
+past the first guessed step that scan reads only the new forcing: it
+divides it by the kept denominators and sums it with the kept windows,
+the operations of a fresh scan in the same order, with no assembly.  The
 first step has no guess, and keeps nothing.  No step reads
 its solution's residual, and a step's profile is the solve's own
 read-only array, so the solve makes no copy of it for the step.  A step

@@ -31,20 +31,22 @@ kept on the grid, with the spacings and the ball's origin row at the
 first fluxes 1 and -1.  ``_node_forcing`` reads every forcing at the nodes.
 
 A row's factor A and its denominator den depend on its branch alone;
-only b = f / den carries the forcing.  So the doubling's window products
-and the prefix products P are the same for every scan of the same
-branches on one grid and bracket.  A solve given ``initial_guess`` keeps
-them, with den and the branches, on the ``RowData`` (``_ScanMemo``), for
-each scan it assembles; a later scan of the branches kept divides its
-forcing by the kept den and runs only the Q half of the doubling.  That
-half does ``_affine_scan``'s operations in its order on the same values,
-so a kept scan gives the bits of a fresh one, and it is still followed
-by the full branch check and counted in ``Solution.iterations``.  A solve
-without a guess neither reads nor keeps the memo, so a grid solved once
-(a ``solve`` or ``verify`` request) holds no window products.
+only q = f / den carries the forcing.  There is one scan routine
+(``_affine_scan``); the memo keeps its windows only for a guessed solve.
+At each doubling level the routine forms the window products out of
+place, writes the prefix products P from the level's head and sums q in
+place.  A solve given ``initial_guess`` keeps the windows, P, den and the
+branches of each scan it assembles on the ``RowData`` (``_ScanMemo``); a
+later scan of the branches kept divides its forcing by the kept den and
+sums q with the kept windows: the scan's operations in its order on the
+same values, so a kept scan gives the bits of a fresh one, and it is
+still followed by the full branch check and counted in
+``Solution.iterations``.  A solve without a guess neither reads nor keeps
+the memo, and drops each window once its level is done, so a grid solved
+once (a ``solve`` or ``verify`` request) holds no window products.
 
-Both scan paths stay, selected by ``initial_guess``, because each wins
-where it runs (``bench_solve.py`` and perfbench on a 2-vCPU host).
+The memo is kept on guessed solves only, because each choice wins where
+it runs (``bench_solve.py`` and perfbench on a 2-vCPU host).
 Keeping the memo on every solve gives the same bits and cuts the eigen
 pass's assemblies from 71 to 59, but a grid solved once then pays for
 window products it never reads: the x16 solve total rose from 3.5-3.6 ms
@@ -57,8 +59,8 @@ alternations of ``bench_solve`` it raised the x16 solve total from
 20.7-20.9 ms, and in four alternating perfbench pairs per workload the
 eigen pass read 38.2 ms against 37.5 ms (slower in 4 of 4), the other
 workloads within their spread.  Keeping only A and den and
-always running ``_affine_scan`` slowed the eigen total from 20.0-22.8 ms
-to 24.1 ms.
+scanning them afresh on every reuse slowed the eigen total from
+20.0-22.8 ms to 24.1 ms.
 """
 
 from __future__ import annotations
@@ -225,61 +227,54 @@ class Solution:
                 "shooting_steps": self.shooting_steps, "converged": True}
 
 
-def _affine_scan(A, b):
-    """Prefix compositions of the maps ``x -> A[k] x + b[k]``.
+def _affine_scan(A, q, windows=None):
+    """Prefix compositions of the maps ``x -> A[k] x + q[k]``.
 
-    Returns (P, Q) such that map k after maps 0..k-1 is ``x -> P[k] x +
-    Q[k]``, by Hillis-Steele doubling.  The value at k depends on maps
-    0..k only.
+    By Hillis-Steele doubling, sums ``q`` into place and returns the
+    prefix products P with a leading 1: map k after maps 0..k-1 is ``x ->
+    P[k+1] x + q[k]``, and depends on maps 0..k only.  The window products
+    of level d are W, the products of the d factors up to each of rows
+    d.., so those of level 2d are ``W[d:] W[:-d]``, and P's entries 1+d..2d
+    are final at ``W[:d] P[1:1+d]``.  Each level's window is appended to
+    the list ``windows`` if one is given, and dropped otherwise.
     """
-    P, Q = A.copy(), b.copy()
-    d = 1
-    while d < len(P):
-        Q[d:] += P[d:] * Q[:-d]
-        P[d:] *= P[:-d]
+    m = len(A)
+    P = np.empty(m + 1)
+    P[0] = 1.0
+    P[1:2] = A[:1]
+    window, d = A[1:], 1
+    while d < m:
+        q[d:] += window * q[:-d]
+        head = window[:d]
+        np.multiply(head, P[1:1 + len(head)], out=P[1 + d:1 + d + len(head)])
+        if windows is not None:
+            windows.append(window)
+        window = window[d:] * window[:-d]
         d *= 2
-    return P, Q
+    return P
 
 
 class _ScanMemo:
-    """The forcing-free half of one scan, kept on the ``RowData``.
+    """The forcing-free record of one scan, kept on the ``RowData``.
 
     ``key`` holds the bytes of the scanned branches, ``den`` the rows'
-    denominators on them, ``windows[k]`` the window products ``P[d:]``
-    that ``_affine_scan``'s level ``d = 2**k`` multiplies ``Q[:-d]`` by,
-    and ``P`` the prefix products with a leading 1.  Every array is
-    read-only.  Each product is the one ``_affine_scan`` forms, on the
-    same operands, so the memo holds its bits.
+    denominators on them, ``windows`` the window products of
+    ``_affine_scan``'s levels and ``P`` the prefix products with a
+    leading 1.  Every array is read-only.
     """
 
     __slots__ = ("key", "den", "windows", "P")
 
-    def __init__(self, key, maps):
-        """The memo of a scan of ``key``, whose rows are ``maps``."""
-        A = maps.A
-        m = len(A)
-        P = np.empty(m + 1)
-        P[0] = 1.0
-        P[1:2] = A[:1]
-        windows = []
-        # the windows of level d are W = P[d:], so those of level 2d are
-        # W[d:] W[:-d]; after level d, P[d:2d] is final, at W[:d] P[:d]
-        window, d = A[1:], 1
-        while d < m:
-            windows.append(window)
-            head = window[:d]
-            np.multiply(head, P[1:1 + len(head)],
-                        out=P[1 + d:1 + d + len(head)])
-            window = window[d:] * window[:-d]
-            d *= 2
-        for a in (maps.den, P, *windows):
+    def __init__(self, key, den, windows, P):
+        for a in (den, P, *windows):
             a.flags.writeable = False
-        self.key, self.den = key.tobytes(), maps.den
+        self.key, self.den = key.tobytes(), den
         self.windows, self.P = windows, P
 
     def offsets(self, f):
-        """``_affine_scan``'s Q of the maps with ``b = f / den``, with a
-        leading 0: the same operations in the same order."""
+        """The offsets of a scan of the forcing ``f`` with a leading 0:
+        ``f / den`` summed with the kept windows, ``_affine_scan``'s
+        operations in its order."""
         Q = np.zeros(len(f) + 1)
         q = np.divide(f, self.den, out=Q[1:])
         d = 1
@@ -304,9 +299,8 @@ class _Recurrence:
     as the guess, or, with none, as the branches of a flat inflow.
 
     A guessed recurrence keeps the memo of each scan it assembles on the
-    row data, and a scan of the memo's branches reuses it: only the Q
-    half of the doubling runs.  A recurrence with no guess neither reads
-    nor keeps one.
+    row data, and a scan of the memo's branches reuses it: only the sums
+    of q run.  A recurrence with no guess neither reads nor keeps one.
     """
 
     def __init__(self, op: OperatorSpec, grid: RadialGrid, fvals, key=None):
@@ -319,21 +313,20 @@ class _Recurrence:
         self.scans = 0
 
     def _scan(self):
-        if self.keep:
-            memo = self.rows.memo
-            if memo is None or memo.key != self.key.tobytes():
-                # the old memo goes before the new one is built
-                memo = self.rows.memo = None
-                memo = self.rows.memo = _ScanMemo(
-                    self.key, _kernels.assemble_system(
-                        self.nodes, self.rows, self.key, self.f))
+        memo = self.rows.memo if self.keep else None
+        if memo is not None and memo.key == self.key.tobytes():
             self.P, self.Q = memo.P, memo.offsets(self.f)
         else:
-            maps = _kernels.assemble_system(self.nodes, self.rows, self.key,
-                                            self.f)
-            P, Q = _affine_scan(maps.A, maps.b)
-            self.P = np.concatenate(([1.0], P))
-            self.Q = np.concatenate(([0.0], Q))
+            if self.keep:  # the old memo goes before the new one is built
+                memo = self.rows.memo = None
+            maps = _kernels.assemble_system(self.nodes, self.rows, self.key)
+            self.Q = np.zeros(len(self.f) + 1)
+            q = np.divide(self.f, maps.den, out=self.Q[1:])
+            windows = [] if self.keep else None
+            self.P = _affine_scan(maps.A, q, windows)
+            if self.keep:
+                self.rows.memo = _ScanMemo(self.key, maps.den, windows,
+                                           self.P)
         self.scans += 1
 
     def fluxes(self, s):

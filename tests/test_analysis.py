@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from radelliptic import analysis
 from radelliptic.analysis import (_LOCAL_COEFS, C1_MODULUS_SCALES,
-                                  VISCOSITY_CURVATURES, VISCOSITY_SLOPES,
-                                  Sign, SignInterval, _as_function, _chebyshev,
-                                  _cumulative_trapezoid, _largest_at_most,
-                                  _local_curvature, _slope_window,
-                                  _touching_bounds, c1_bound_check,
-                                  c1_modulus_report, check_viscosity,
-                                  derivative_zero_candidates, epsilon_aA,
-                                  gamma_exponent, holder_exponent,
+                                  FLUX_THRESHOLD_FLOOR, VISCOSITY_CURVATURES,
+                                  VISCOSITY_SLOPES, Sign, SignInterval,
+                                  _as_function, _chebyshev,
+                                  _cumulative_trapezoid, _curvature_family,
+                                  _largest_at_most, _local_curvature, _median,
+                                  _slope_window, _touching_bounds,
+                                  c1_bound_check, c1_modulus_report,
+                                  check_viscosity, derivative_zero_candidates,
+                                  epsilon_aA, gamma_exponent, holder_exponent,
                                   sign_intervals, verify_flux_inequalities)
 from radelliptic.errors import InsufficientData, InvalidSpec, NotAZero
 from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
@@ -179,7 +181,7 @@ class TestSignIntervals:
 class TestFluxInequalities:
     def test_pucci_power_passes(self, pucci_case):
         op, f, sol, _ = pucci_case
-        report = verify_flux_inequalities(sol, op, f, threshold=0.05)
+        report = verify_flux_inequalities(sol, op, f)
         assert report.all_passed, [c.as_dict() for c in report.failures()]
         names = {c.name for c in report.checks}
         assert {"eqA", "eqB[loose]", "eqB[tight]"} <= names
@@ -200,8 +202,7 @@ class TestFluxInequalities:
         op, _, sol, _ = pucci_case
         flipped = DiscreteRadialFunction(sol.u.grid, -sol.u.values)
         report = verify_flux_inequalities(flipped, op.dual(),
-                                          SourceFunction.constant(-6.75),
-                                          threshold=0.05)
+                                          SourceFunction.constant(-6.75))
         assert report.all_passed, [c.as_dict() for c in report.failures()]
         names = {c.name for c in report.checks}
         assert {"eqC", "eqD[loose]", "eqD[tight]"} <= names
@@ -209,20 +210,19 @@ class TestFluxInequalities:
     def test_vacuous_on_flat_profile(self):
         op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2)
         u = sampled(lambda r: np.ones_like(r))
-        report = verify_flux_inequalities(u, op, SourceFunction.constant(0.0),
-                                          threshold=1e-3)
+        report = verify_flux_inequalities(u, op, SourceFunction.constant(0.0))
         assert [c.name for c in report.checks] == ["flux[vacuous]"]
         assert report.all_passed
 
     def test_eqA_margin_matches_brute_force(self, pucci_case):
         op, f, sol, _ = pucci_case
-        report = verify_flux_inequalities(sol, op, f, threshold=0.05)
+        report = verify_flux_inequalities(sol, op, f)
         got = next(c for c in report.checks if c.name == "eqA").margin
 
         # independent all-pairs oracle on the same interval
         u = sol.u
         nodes = u.grid.nodes
-        itv = sign_intervals(u, 0.05)[0]
+        itv = sign_intervals(u, flux_threshold(u))[0]
         idx = np.arange(itv.i_lo, itv.i_hi + 1)
         hm = nodes[1:-1] - nodes[:-2]
         hp = nodes[2:] - nodes[1:-1]
@@ -388,7 +388,7 @@ class TestC1Modulus:
 
     def test_kink_fails_interlacing(self):
         u = sampled(lambda r: np.abs(r - 0.5), n=100)
-        report = c1_modulus_report(u, alpha=0.0, stride=10)
+        report = c1_modulus_report(u, alpha=0.0)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["interlace[Lg-ld]"].passed
         assert by_name["interlace[Lg-ld]"].margin == pytest.approx(-2.0,
@@ -424,7 +424,7 @@ class TestC1Modulus:
 
     def test_negative_alpha_kink_fails(self):
         u = sampled(lambda r: np.abs(r - 0.5), n=100)
-        report = c1_modulus_report(u, alpha=-0.5, stride=10)
+        report = c1_modulus_report(u, alpha=-0.5)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["c1-spread"].passed
         assert not by_name["interlace[Lg-ld]"].passed
@@ -445,7 +445,15 @@ class TestC1Modulus:
 
 # -- certification checks against the per-node and pairwise loops -----------
 
-def reference_flux(u, op, f, threshold):
+def flux_threshold(u):
+    """The |u'| threshold of verify_flux_inequalities' monotone intervals:
+    max(FLUX_THRESHOLD_FLOOR, h_max) (1 + Lip u)."""
+    profile, _ = _as_function(u)
+    return (max(FLUX_THRESHOLD_FLOOR, profile.grid.max_spacing)
+            * (1.0 + lipschitz_constant(profile)))
+
+
+def reference_flux(u, op, f):
     """Pairwise loop form of verify_flux_inequalities.
 
     Returns the report of the all-pairs loop (worst pair in (i, j) order)
@@ -469,7 +477,7 @@ def reference_flux(u, op, f, threshold):
 
     report = VerificationReport()
     columns = []
-    intervals = sign_intervals(profile, threshold)
+    intervals = sign_intervals(profile, flux_threshold(profile))
     for itv in intervals:
         increasing = itv.sign is Sign.POSITIVE
         weights = (op.a, op.A) if increasing else (op.A, op.a)
@@ -518,15 +526,15 @@ def reference_flux(u, op, f, threshold):
     return report, columns
 
 
-def assert_flux_matches_pairs(u, op, f, threshold, rel=1e-13):
+def assert_flux_matches_pairs(u, op, f, rel=1e-13):
     """The O(n) flux report against the pairwise loop, within rounding.
 
     Names and pass flags must be equal, margins within ``rel`` times the
     interval's scale, and each reported location must be a right endpoint
     whose pairwise minimum is within the same distance of the worst one.
     """
-    got = verify_flux_inequalities(u, op, f, threshold)
-    ref, columns = reference_flux(u, op, f, threshold)
+    got = verify_flux_inequalities(u, op, f)
+    ref, columns = reference_flux(u, op, f)
     assert len(got.checks) == len(ref.checks)
     for g, r, col in zip(got.checks, ref.checks, columns):
         assert (g.name, g.passed, g.binding) == (r.name, r.passed, r.binding)
@@ -713,32 +721,31 @@ def _certification_cases():
             sampled(lambda r: 2.0 * r + r ** 2, n=150,
                     grading=Grading.GRADED_AT_ORIGIN),
             OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2),
-            SourceFunction.constant(6.75), 0.05),
+            SourceFunction.constant(6.75)),
         "annulus": (
             DiscreteRadialFunction(
                 RadialGrid.for_domain(Domain.annulus(0.5, 1.0), 120),
                 np.sin(3.0 * np.pi * np.linspace(0.5, 1.0, 121))),
             OperatorSpec.pucci_minus(0.0, 1.0, 3.0, 3),
-            SourceFunction.expression("sine", amplitude=2.0, frequency=5.0),
-            0.1),
+            SourceFunction.expression("sine", amplitude=2.0, frequency=5.0)),
         # a monotone run of about 300 tested nodes
         "multi-block": (
             sampled(lambda r: r ** 1.5 + 0.3 * r, n=300),
             OperatorSpec.trace_normal_mix(0.5, 1.0, 0.5, 2),
-            SourceFunction.constant(2.0), 1e-3),
+            SourceFunction.constant(2.0)),
         # exactly representable linear profile in dim 1: every node ties, and
         # the flux pairs (i, i+1) tie across several blocks
         "tied": (
             DiscreteRadialFunction(dyadic, 2.0 * dyadic.nodes),
             OperatorSpec.pucci_plus(0.0, 1.0, 2.0, 1),
-            SourceFunction.constant(1.0), 0.1),
+            SourceFunction.constant(1.0)),
     }
     for alpha in (-0.5, 0.0, 2.0):
         cases[f"alpha={alpha:g}"] = (
             sampled(lambda r: np.cos(2.5 * r) + r ** 3, n=160,
                     grading=Grading.GRADED_AT_ORIGIN),
             OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2),
-            SourceFunction.expression("step", left=-1.0, right=3.0), 0.05)
+            SourceFunction.expression("step", left=-1.0, right=3.0))
     return cases
 
 
@@ -856,12 +863,12 @@ def _reference_touching(P, Q, m, stencil, eta):
 class TestBlockedCertification:
     @pytest.mark.parametrize("name", sorted(CERTIFICATION_CASES))
     def test_flux_matches_loop(self, name):
-        u, op, f, threshold = CERTIFICATION_CASES[name]
-        assert_flux_matches_pairs(u, op, f, threshold)
+        u, op, f = CERTIFICATION_CASES[name]
+        assert_flux_matches_pairs(u, op, f)
 
     @pytest.mark.parametrize("name", sorted(CERTIFICATION_CASES))
     def test_viscosity_matches_loop(self, name):
-        u, op, f, _ = CERTIFICATION_CASES[name]
+        u, op, f = CERTIFICATION_CASES[name]
         assert (check_viscosity(u, op, f).as_dict()
                 == reference_viscosity(u, op, f).as_dict())
 
@@ -871,17 +878,18 @@ class TestBlockedCertification:
             sol.u.grid, sol.u.values
             + 0.02 * np.sin(40.0 * sol.u.grid.nodes) * sol.u.grid.nodes)
         for u in (sol, bumped):
-            assert_flux_matches_pairs(u, op, f, 0.05)
+            assert_flux_matches_pairs(u, op, f)
             assert (check_viscosity(u, op, f).as_dict()
                     == reference_viscosity(u, op, f).as_dict())
         assert not check_viscosity(bumped, op, f).all_passed
-        assert not verify_flux_inequalities(bumped, op, f, 0.05).all_passed
+        assert not verify_flux_inequalities(bumped, op, f).all_passed
 
     @pytest.mark.parametrize("name", sorted(CERTIFICATION_CASES))
-    def test_c1_modulus_matches_loop(self, name):
-        u, op, _, _ = CERTIFICATION_CASES[name]
+    def test_c1_modulus_matches_loop(self, monkeypatch, name):
+        u, op, _ = CERTIFICATION_CASES[name]
         for stride in (1, 10):
-            got = c1_modulus_report(u, alpha=op.alpha, stride=stride)
+            monkeypatch.setattr(analysis, "C1_MODULUS_STRIDE", stride)
+            got = c1_modulus_report(u, alpha=op.alpha)
             ref = reference_c1_modulus(u, alpha=op.alpha, stride=stride)
             # json keeps the sign of zero margins apart
             assert json.dumps(got.as_dict()) == json.dumps(ref.as_dict())
@@ -894,7 +902,7 @@ class TestBlockedCertification:
                               .as_dict()))
 
     def test_ties_report_first_node(self):
-        u, op, f, threshold = CERTIFICATION_CASES["tied"]
+        u, op, f = CERTIFICATION_CASES["tied"]
         nodes = u.grid.nodes
         for check in check_viscosity(u, op, f).checks:
             assert check.location == nodes[1]
@@ -902,11 +910,11 @@ class TestBlockedCertification:
         # spacing and the barrier margin c times one spacing (gamma = 0), so
         # the first right endpoint of the interval is reported
         h = nodes[1]
-        got = verify_flux_inequalities(u, op, f, threshold).checks
+        got = verify_flux_inequalities(u, op, f).checks
         assert [(c.name, c.location, c.margin) for c in got] == [
             ("eqA", nodes[2], h), ("eqB[loose]", nodes[2], h),
             ("eqB[tight]", nodes[2], h / 2.0)]
-        _, columns = reference_flux(u, op, f, threshold)
+        _, columns = reference_flux(u, op, f)
         assert np.all(columns[0]["min"] == h)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -931,7 +939,7 @@ class TestBlockedCertification:
                                       frequency=float(rng.uniform(1, 9)),
                                       offset=rng.normal())
         assert_flux_matches_pairs(DiscreteRadialFunction(grid, values), op,
-                                  f, 0.05)
+                                  f)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_viscosity_matches_loop_on_random_profiles(self, seed):
@@ -942,7 +950,7 @@ class TestBlockedCertification:
 
     def test_window_matches_matrix_on_random_profiles_and_cases(self):
         cases = [_random_viscosity_case(seed) for seed in range(64)]
-        cases += [case[:3] for _, case in sorted(CERTIFICATION_CASES.items())]
+        cases += [case for _, case in sorted(CERTIFICATION_CASES.items())]
         for u, op, f in cases:
             assert (check_viscosity(u, op, f).as_dict()
                     == matrix_viscosity(u, op, f).as_dict())
@@ -1119,11 +1127,31 @@ class TestBlockedCertification:
                                      Grading.GRADED_AT_ORIGIN)
         u = DiscreteRadialFunction(grid, pucci_power_profile(op)(grid.nodes))
         got, _, columns = assert_flux_matches_pairs(
-            u, op, SourceFunction.constant(c), 1e-3)
+            u, op, SourceFunction.constant(c))
         for check, col in zip(got.checks[1:], columns[1:]):
             (j,) = np.flatnonzero(col["s"] == check.location)
             assert grid.nodes[col["left"][j]] ** gamma == 0.0
             assert check.location ** gamma == 0.0
+
+    @pytest.mark.parametrize("mmax", [0.0, 1e-3, 0.25, 1.0, 3.7, 1e5])
+    def test_curvature_family_matches_unique(self, mmax):
+        # one zero, the -0.0 that np.unique keeps of the two halves
+        pos = _chebyshev(0.0, max(4.0 * mmax, 1.0),
+                         (VISCOSITY_CURVATURES + 1) // 2)
+        want = np.unique(np.concatenate([-pos[::-1], pos]))
+        got = _curvature_family(mmax)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.count_nonzero(got == 0.0) == 1
+
+    def test_median_matches_numpy(self):
+        rng = np.random.default_rng(13)
+        for size in (1, 2, 3, 4, 7, 10, 101, 1000):
+            for values in (rng.normal(size=size),
+                           np.abs(rng.normal(size=size)) * 1e300,
+                           rng.integers(0, 3, size=size).astype(float)):
+                assert (np.float64(_median(values)).tobytes()
+                        == np.median(values).tobytes())
 
     def test_trapezoid_helper_matches_scipy(self):
         for n in (201, 1601):
@@ -1139,7 +1167,7 @@ class TestBlockedCertification:
         u = sampled(lambda r: r ** 1.5 + r, n=6400)
         tracemalloc.start()
         try:
-            verify_flux_inequalities(u, op, f, threshold=1e-3)
+            verify_flux_inequalities(u, op, f)
             check_viscosity(u, op, f)
             _, peak = tracemalloc.get_traced_memory()
         finally:

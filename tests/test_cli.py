@@ -64,6 +64,24 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_verify_loads_no_numpy_ma(tmp_path):
+    # np.unique and np.median import numpy.ma, which raised a verify
+    # process's peak memory by about 1 MiB; the checks use neither
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    code = ("import os, sys\n"
+            "from radelliptic.cli import main\n"
+            "for cfg in sys.argv[2:]:\n"
+            "    out = os.path.join(sys.argv[1], os.path.basename(cfg))\n"
+            "    assert main(['verify', '--config', cfg, '--out', out]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy.ma'\n"
+            "             or m.startswith('numpy.ma.')))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)]
+        + [os.path.join(CONFIG_DIR, name) for name in VERIFY_CONFIGS],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_parser_is_built_at_first_call_and_reused():
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(

@@ -13,16 +13,16 @@ def test_numpy_backend_residual_shape():
     f = rng.normal(size=19)
     rows = _kernels.RowData(nodes, 2, 1.0, (1.0, 1.0, 1.0, 1.0))
     key = _kernels.branch_keys(rows, x, f)
-    maps = _kernels.assemble_system(nodes, rows, key, f)
-    assert maps.A.shape == maps.b.shape == key.shape == (19,)
+    maps = _kernels.assemble_system(nodes, rows, key)
+    assert maps.A.shape == maps.den.shape == key.shape == (19,)
     assert np.all((maps.A >= 0.0) & (maps.A <= 1.0))
     assert set(key.tolist()) <= {0, 1, 2, 3}
     # a row's map depends on its own key only
     rows = _kernels.RowData(nodes, 2, 1.0, (2.0, 1.0, 3.0, 0.5))
-    maps = _kernels.assemble_system(nodes, rows, key, f)
+    maps = _kernels.assemble_system(nodes, rows, key)
     other = key.copy()
     other[4] = 3 - other[4]
-    changed = _kernels.assemble_system(nodes, rows, other, f)
+    changed = _kernels.assemble_system(nodes, rows, other)
     for got, want in zip(changed, maps):
         assert got[4] != want[4]
         assert np.array_equal(np.delete(got, 4), np.delete(want, 4))
@@ -30,16 +30,16 @@ def test_numpy_backend_residual_shape():
 
 @pytest.mark.parametrize("coefs", [(1.0, 1.0, 1.0, 1.0), (2.0, 1.0, 3.0, 0.5)])
 def test_maps_on_the_keys_of_their_inflows_solve_the_rows(coefs):
-    # on the branch its inflow selects, a row's outflow A x + b is the root
-    # of the row
+    # on the branch its inflow selects, a row's outflow A x + f / den is
+    # the root of the row
     rng = np.random.default_rng(3)
     nodes = 1e-3 + np.linspace(0.0, 1.0, 201) ** 1.5
     x = rng.normal(size=199)
     f = rng.normal(size=199)
     rows = _kernels.RowData(nodes, 3, 0.5, coefs)
     key = _kernels.branch_keys(rows, x, f)
-    maps = _kernels.assemble_system(nodes, rows, key, f)
-    y = maps.A * x + maps.b
+    maps = _kernels.assemble_system(nodes, rows, key)
+    y = maps.A * x + f / maps.den
     res = _bracket(rows.coefs, (y - x) * rows.a, rows.wy * y + rows.wx * x,
                    rows.c)
     scale = np.abs(f) + np.abs(x * rows.a) + np.abs(y * rows.a)
@@ -81,9 +81,9 @@ def test_numpy_backend_linear_case_matches_hand_assembly():
     rows = _kernels.RowData(nodes, 1, 0.0, (1.0, 1.0, 1.0, 1.0))
     f = np.full(n - 1, 2.0)
     key = _kernels.branch_keys(rows, np.zeros(n - 1), f)
-    maps = _kernels.assemble_system(nodes, rows, key, f)
+    maps = _kernels.assemble_system(nodes, rows, key)
     assert np.array_equal(maps.A, np.ones(n - 1))
-    assert np.allclose(maps.b, 2.0 / n, rtol=1e-14)
+    assert np.allclose(f / maps.den, 2.0 / n, rtol=1e-14)
 
 
 def smooth_mesh(graded, n=60):

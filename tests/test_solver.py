@@ -343,6 +343,23 @@ def _row_by_row(op, nodes, fvals, s):
     return np.array(p)
 
 
+def _reference_scan(A, b, levels=None):
+    """Prefix compositions of the maps ``x -> A[k] x + b[k]`` by
+    Hillis-Steele doubling in place: (P, Q) such that map k after maps
+    0..k-1 is ``x -> P[k] x + Q[k]``.  With a list ``levels``, a copy of
+    each level's window products ``P[d:]`` is appended to it.  The solver's
+    scan must give these bits."""
+    P, Q = A.copy(), b.copy()
+    d = 1
+    while d < len(P):
+        if levels is not None:
+            levels.append(P[d:].copy())
+        Q[d:] += P[d:] * Q[:-d]
+        P[d:] *= P[:-d]
+        d *= 2
+    return P, Q
+
+
 class TestNewtonStep:
     """What each Newton step of the annulus shooting evaluates: the
     fluxes as affine functions of the first flux, from the scan."""
@@ -375,14 +392,15 @@ class TestNewtonStep:
         # the lower-bidiagonal system of the rows on the branches found
         key = _kernels.branch_keys(rec.rows, got[:-1], rec.f)
         assert np.array_equal(key, rec.key)
-        maps = _kernels.assemble_system(nodes, rec.rows, key, rec.f)
+        maps = _kernels.assemble_system(nodes, rec.rows, key)
+        b = rec.f / maps.den
         # the fluxes are one scan of the settled branches, bit for bit
-        P, Q = solver._affine_scan(maps.A, maps.b)
+        P, Q = _reference_scan(maps.A, b)
         assert got[0] == s and got[1:].tobytes() == (P * s + Q).tobytes()
         assert np.all((maps.A >= 0.0) & (maps.A <= 1.0))
         dense = np.eye(n)
         dense[np.arange(1, n), np.arange(n - 1)] = -maps.A
-        expect = np.linalg.solve(dense, np.concatenate([[s], maps.b]))
+        expect = np.linalg.solve(dense, np.concatenate([[s], b]))
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
         # the derivative in the first flux is the product of the factors
         assert np.allclose(rec.P[1:], np.cumprod(maps.A), rtol=1e-12,
@@ -396,8 +414,8 @@ class TestNewtonStep:
         of ``rec``'s branches, assembled on fresh row data."""
         rows = _kernels.RowData(grid.nodes, op.dim, op.alpha,
                                 op.bracket_coefficients())
-        maps = _kernels.assemble_system(grid.nodes, rows, rec.key, rec.f)
-        P, Q = solver._affine_scan(maps.A, maps.b)
+        maps = _kernels.assemble_system(grid.nodes, rows, rec.key)
+        P, Q = _reference_scan(maps.A, rec.f / maps.den)
         return np.concatenate(([s], P * s + Q)), np.concatenate(([1.0], P))
 
     @pytest.mark.parametrize("n", SIZES)
@@ -597,11 +615,37 @@ class TestRecurrence:
             A = rng.uniform(0.0, 1.0, m)
             A[m // 2] = 0.0  # a row whose outflow ignores its inflow
             b = rng.normal(size=m)
-            P, Q = solver._affine_scan(A, b)
+            Q = b.copy()
+            P = solver._affine_scan(A, Q)
+            assert P[0] == 1.0
             x = 0.3
             for k in range(m):
                 x = A[k] * x + b[k]
-                assert P[k] * 0.3 + Q[k] == pytest.approx(x, abs=1e-14)
+                assert P[k + 1] * 0.3 + Q[k] == pytest.approx(x, abs=1e-14)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 8, 33, 1000])
+    def test_affine_scan_matches_the_in_place_reference(self, m, keep):
+        # bit for bit, with a leading 1 in P and q summed into place; the
+        # windows recorded are the reference's P[d:] at each level
+        rng = np.random.default_rng(m)
+        A = rng.uniform(0.0, 1.0, m)
+        if m:
+            A[m // 2] = 0.0
+        b = rng.normal(size=m)
+        levels = []
+        want_P, want_Q = _reference_scan(A, b, levels)
+        given = A.copy()
+        q = b.copy()
+        windows = [] if keep else None
+        P = solver._affine_scan(A, q, windows)
+        assert A.tobytes() == given.tobytes()  # the factors are read only
+        assert P[0] == 1.0 and P[1:].tobytes() == want_P.tobytes()
+        assert q.tobytes() == want_Q.tobytes()
+        if keep:
+            assert len(windows) == len(levels)
+            for window, level in zip(windows, levels):
+                assert window.tobytes() == level.tobytes()
 
     def test_branch_repairs_follow_sign_changes(self):
         # f = 12r - 5 changes sign: the first guess, the branches of a
