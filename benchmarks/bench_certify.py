@@ -12,8 +12,8 @@ with the arguments ``verify`` gave it:
 - ``c1_bound_check`` and ``holder_exponent``: every call that returned, at
   the derivative-zero candidates, summed over the calls,
 - ``verify``: the whole certification that ``verify`` runs after its
-  solve, ``cli.certify`` (every check above, ``validate_hypotheses``, the
-  comparison solve and ``comparison_oracle``), and the writing of
+  solve, ``cli.certify`` (every check above and ``validate_hypotheses``;
+  it makes no solve), and the writing of
   report.json and report.csv.  The row calls the routine ``verify``
   calls, so a copy of this script inside an older checkout whose ``cli``
   has no ``certify``, or whose ``certify`` takes a ``seed``, cannot time

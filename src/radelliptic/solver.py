@@ -23,6 +23,46 @@ annulus the first flux s = phi[0] is shot: the outer boundary mismatch is
 nondecreasing in s, and the scan's products of row factors give its
 derivative, for Newton steps kept inside a bracket.
 
+The scheme obeys a comparison principle, so ``verify`` runs no
+comparison solve (``analysis.comparison_oracle`` stays a library check).
+Let u and v solve it on one grid with forcing f_u >= f_v at every node
+and boundary data no larger for u (each end of an annulus).  Then:
+
+- Rows.  Row i is increasing in phi[i], and nonincreasing in phi[i-1]:
+  ``RowData``'s ``centered`` test keeps c max(ctp, ctm) / 2 <= min(cmp,
+  cmm) a where wx = 1/2, and wx = 0 elsewhere.  So the phi[i] that
+  solves it is nondecreasing in phi[i-1] and in f[i].
+- Ball.  The origin row is linear on each side of 0 with a positive
+  slope, so phi[0] is nondecreasing in f(0).  By induction phi_u >= phi_v
+  at every half node, and as u[j] = bc_outer - sum_{k >= j} h[k]
+  slope(phi[k]) with slope increasing, u <= v.
+- Annulus.  With d[j] = phi_u[j] - phi_v[j], d[j-1] >= 0 gives d[j] >= 0,
+  so d is negative up to some half node and nonnegative from it on.  The
+  steps h[j] (slope(phi_v[j]) - slope(phi_u[j])) of w = v - u are then
+  positive and then nonpositive: w rises and then falls, and its least
+  value lies at an end.  At the inner end w >= 0.  u's sum reaches
+  bc_outer + M_u at the outer end, M_u the shooting's final mismatch,
+  and ``u[-1] = bc_outer`` is set by hand.  So u <= v up to |M_u| + |M_v|
+  at the interior nodes, and exactly at the ends.
+- Rounding.  Where both solves settle on the same branches, their scans
+  apply the same operations with the same factors A >= 0 and den > 0 to
+  f_u and f_v.  Float division by a positive number, product with a
+  nonnegative one and sum are nondecreasing in their arguments, and so
+  is ``cumsum``.  A ball's profiles are then ordered bit for bit,
+  wherever ``**`` is nondecreasing (a correctly rounded power is).  On an
+  annulus the first fluxes differ, and w rises and falls only up to the
+  rounding of the fluxes and of the sums: u's prefix sums near the outer
+  end equal bc_outer + M_u minus a tail only up to their rounding, at
+  most n eps times the sum of the magnitudes of the terms (Higham,
+  Accuracy and Stability of Numerical Algorithms, 2002, section 4.2),
+  which adds to the slack for u and for v.  Where the branches differ
+  the scans are different float expressions, ordered up to their
+  rounding only.  ``tests/test_solver.py`` draws such pairs, with
+  forcing shifts down to 1e-12, over the four variants, alpha in [-0.9,
+  40], dim 1-6, both gradings and both domains: the balls come out
+  ordered bit for bit, the annuli within the mismatches and the sums'
+  rounding.
+
 Every solve is exact.  A solve may start from the branches of an earlier
 solve on the same grid (``initial_guess``, ``Solution.branches``); a guess
 changes the work, the number of scans, and never a bit of the result.

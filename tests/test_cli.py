@@ -203,7 +203,9 @@ class TestVerify:
         assert {"eqA", "eqB[loose]", "eqB[tight]",
                 "viscosity[supersolution]", "viscosity[subsolution]",
                 "c1-spread", "right-bound", "machin[display]",
-                "machin[proof]", "holder-fit", "comparison"} <= names
+                "machin[proof]", "holder-fit"} <= names
+        # no comparison row: the ``solver`` docstring proves the principle
+        assert not any(name.startswith("comparison") for name in names)
         assert all(c["pass"] for c in report["checks"] if c["binding"])
         with open(out / "report.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -390,24 +392,24 @@ class TestVerify:
     # sha256 of the four files verify writes at the shipped n: how the
     # checks share their work and how the files are written must not move
     # a byte of them (the reports hold no (H1)/(H2) rows, which hold by
-    # construction)
+    # construction, and no comparison row, which the scheme proves)
     SHIPPED_SHA256 = {
         "pucci_power_ball": {
             "diagnostics.json": "feffeaac85f41ae6018f639308d70585"
                                 "e5b3180b652047ce0d642d35dd9b9a87",
-            "report.csv": "fcd9fd9ddcc6070071994069f82d84d9"
-                          "e07c6091daea8008b87b271a335bfbc0",
-            "report.json": "bac586d5f84de6698a856c9e6d938efb"
-                           "00cdb4e26dab8875fb7e52c4cfcec424",
+            "report.csv": "99315f464ab04dd805551b6c430e21ed"
+                          "2aceaab6dd01451afada4f2e11f0cb45",
+            "report.json": "da07ff287151712d5a1e9c4558069eb2"
+                           "18ec6a641ad8a097242458fa63c8aa03",
             "solution.csv": "1e894cd82e6c062571affd08cd746fdf"
                             "aa5efbb71feb81ca508c5fa98c183869"},
         "alpha_laplacian_annulus": {
             "diagnostics.json": "2a36323b594556e687fb9f989a140c7a"
                                 "f68fc41c5b9e49cea0395fb23ea58b99",
-            "report.csv": "ef81f370ee72c61c0bf2aa7bd6f805d4"
-                          "019bb7052c9ca931993845b4bd04e56c",
-            "report.json": "d43907f97f2831a03db1b2e48d611ad8"
-                           "a7f647b1c948902cae1360e151e9ab73",
+            "report.csv": "3d100dfc26347812c116fde1f3d01779"
+                          "b1a2985262f3fa1e20b0442e0e207f20",
+            "report.json": "cde5aa44e955ee7449f62fd6e56a3a04"
+                           "6cc83d2080f1e7b841dc58c28481b5be",
             "solution.csv": "495095cf3b0d9dd8c5dff34dc0a17b83"
                             "c8ea0ad052c43bed0ce644d11c34d411"}}
 

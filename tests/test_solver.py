@@ -124,6 +124,87 @@ class TestResidual:
                                 Domain.ball(2.0))
 
 
+EPS = np.finfo(float).eps
+
+# the alphas the ordered pairs draw, from the documented range's ends
+PAIR_ALPHAS = (-0.9, -0.5, 0.0, 0.5, 1.0, 3.0, 10.0, 40.0)
+
+
+def _recording_shoot(closing):
+    """``solver._shoot`` that appends each solve's final boundary mismatch
+    and its scale, as the shooting computes them, to ``closing``."""
+    shoot = solver._shoot
+
+    def recorded(op, dom, rec, h, fvals):
+        p, steps = shoot(op, dom, rec, h, fvals)
+        g = solver._slopes(p, op.alpha)
+        closing.append((dom.bc_inner - dom.bc_outer + float(h @ g),
+                        abs(dom.bc_inner) + abs(dom.bc_outer)
+                        + float(h @ np.abs(g))))
+        return p, steps
+
+    return recorded
+
+
+def _pucci_plus_ball_pairs():
+    """20 PucciPlus ball pairs: forcing g + 0.1 over g, g a drawn sine."""
+    dom = Domain.ball(1.0)
+    grid = RadialGrid.for_domain(dom, 80, Grading.GRADED_AT_ORIGIN)
+    for alpha in (0.0, 1.0):
+        rng = np.random.default_rng(42 + int(alpha))
+        op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
+        for _ in range(10):
+            base = rng.uniform(-2.0, 2.0)
+            amp = rng.uniform(0.0, 1.0)
+            freq = rng.uniform(1.0, 6.0)
+            g = base + amp * np.sin(freq * grid.nodes)
+            yield op, dom, dom, grid, g + 0.1, g
+
+
+def _ordered_pair(rng, annulus):
+    """One ordered pair (op, dom_u, dom_v, grid, f_u, f_v) drawn from
+    ``rng``: any of the four variants, alpha in ``PAIR_ALPHAS``, dim 1-6,
+    n in {50, 200, 800}, a ball on either grading or an annulus [R1, 1]
+    with R1 in {0.1, 0.5}.  f_v is a drawn sine, f_u is f_v raised by 0
+    or by 1e-12 to 1 times max(1, |f_v|), plus a nonnegative bump in a
+    third of the draws, and u's boundary data lie 0, 1e-12, 1e-6 or 0.1
+    below v's."""
+    alpha = float(rng.choice(PAIR_ALPHAS))
+    dim = int(rng.integers(1, 7))
+    a = float(rng.uniform(0.5, 1.0))
+    big = a * float(rng.uniform(1.0, 3.0))
+    op = [OperatorSpec.pucci_plus(alpha, a, big, dim),
+          OperatorSpec.pucci_minus(alpha, a, big, dim),
+          OperatorSpec.alpha_laplacian(alpha, dim),
+          OperatorSpec.trace_normal_mix(alpha, a, a - big / 2.0, dim),
+          ][rng.integers(4)]
+    n = int(rng.choice([50, 200, 800]))
+    gaps = [0.0, 1e-12, 1e-6, 0.1]
+    outer = float(rng.uniform(-1.0, 1.0))
+    outer_gap = float(rng.choice(gaps))
+    if annulus:
+        R1 = float(rng.choice([0.1, 0.5]))
+        inner = float(rng.uniform(-1.0, 1.0))
+        inner_gap = float(rng.choice(gaps))
+        dom_u = Domain.annulus(R1, 1.0, inner - inner_gap, outer - outer_gap)
+        dom_v = Domain.annulus(R1, 1.0, inner, outer)
+        grading = Grading.UNIFORM
+    else:
+        dom_u = Domain.ball(1.0, outer - outer_gap)
+        dom_v = Domain.ball(1.0, outer)
+        grading = [Grading.UNIFORM, Grading.GRADED_AT_ORIGIN][rng.integers(2)]
+    grid = RadialGrid.for_domain(dom_v, n, grading)
+    r = grid.nodes
+    f_v = (rng.uniform(-3.0, 3.0)
+           + rng.uniform(0.0, 2.0) * np.sin(rng.uniform(1.0, 8.0) * r))
+    shift = float(rng.choice([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0]))
+    f_u = f_v + shift * max(1.0, float(np.max(np.abs(f_v))))
+    if rng.random() < 1.0 / 3.0:
+        f_u = f_u + rng.uniform(0.0, 1.0) * np.exp(
+            -((r - rng.uniform(0.0, 1.0)) / 0.05) ** 2)
+    return op, dom_u, dom_v, grid, f_u, f_v
+
+
 class TestSolveDirichlet:
     def test_zero_forcing_linear_data(self):
         op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
@@ -174,6 +255,27 @@ class TestSolveDirichlet:
         grid = RadialGrid.for_domain(dom, n, Grading.UNIFORM)
         sol = solve_dirichlet(op, dom, SourceFunction.constant(-3.0), grid)
         assert sol.diagnostics_dict()["converged"] is True
+
+    # ROADMAP item 2: at alpha = 40 the shooting stops on its 4-ulp bracket
+    # after 67 steps with a mismatch of 7.08e-3, which ``u[-1] = bc_outer``
+    # puts into the last cell (7.08e-3 off tests/reference.py at node 99).
+    # A fix closes the mismatch to the shooting's own tolerance or raises
+    # Diverged; the strict marker then fails until it is removed.
+    @pytest.mark.xfail(strict=True,
+                       reason="the shooting stops with its mismatch open")
+    def test_annulus_shooting_closes_or_diverges_at_large_alpha(
+            self, monkeypatch):
+        closing = []
+        monkeypatch.setattr(solver, "_shoot", _recording_shoot(closing))
+        op = OperatorSpec.alpha_laplacian(40.0, 2)
+        dom = Domain.annulus(0.1, 1.0)
+        grid = RadialGrid.for_domain(dom, 100, Grading.UNIFORM)
+        try:
+            solve_dirichlet(op, dom, SourceFunction.constant(3.0), grid)
+        except Diverged:
+            return
+        [(mismatch, scale)] = closing
+        assert abs(mismatch) <= 16.0 * EPS * scale
 
     def test_boundary_values_exact(self):
         op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
@@ -286,23 +388,40 @@ class TestComparison:
             comparison_oracle(u, v, op, SourceFunction.constant(1.0),
                               SourceFunction.constant(1.0))
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0])
-    def test_random_ordered_pairs(self, alpha):
-        rng = np.random.default_rng(42 + int(alpha))
-        dom = Domain.ball(1.0)
-        grid = RadialGrid.for_domain(dom, 80, Grading.GRADED_AT_ORIGIN)
-        op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
-        for _ in range(10):
-            base = rng.uniform(-2.0, 2.0)
-            amp = rng.uniform(0.0, 1.0)
-            freq = rng.uniform(1.0, 6.0)
-            g_vals = base + amp * np.sin(freq * grid.nodes)
-            f_hi = SourceFunction.tabulated(grid.nodes, g_vals + 0.1)
-            f_lo = SourceFunction.tabulated(grid.nodes, g_vals)
-            hi = solve_dirichlet(op, dom, f_hi, grid)
-            lo = solve_dirichlet(op, dom, f_lo, grid)
-            report = comparison_oracle(hi, lo, op, f_hi, f_lo)
-            assert report.all_passed, report.failures()[0].as_dict()
+    # the comparison principle of the ``solver`` docstring, on seeded
+    # ordered pairs: forcing f_u >= f_v and u's data no larger give u <= v
+    def test_ordered_balls_are_ordered_bit_for_bit(self):
+        differing = 0
+        rng = np.random.default_rng(31)
+        pairs = [*_pucci_plus_ball_pairs(),
+                 *(_ordered_pair(rng, annulus=False) for _ in range(300))]
+        for op, dom_u, dom_v, grid, f_u, f_v in pairs:
+            u = solve_dirichlet(op, dom_u, f_u, grid)
+            v = solve_dirichlet(op, dom_v, f_v, grid)
+            assert np.all(u.u.values <= v.u.values), (op, grid.n)
+            differing += bool(np.any(u.branches != v.branches))
+        # the pairs settling on different branches rest on this test alone
+        assert differing > 0
+
+    def test_ordered_annuli_are_ordered_within_the_mismatch(self,
+                                                           monkeypatch):
+        closing = []
+        monkeypatch.setattr(solver, "_shoot", _recording_shoot(closing))
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            op, dom_u, dom_v, grid, f_u, f_v = _ordered_pair(rng,
+                                                             annulus=True)
+            try:
+                u = solve_dirichlet(op, dom_u, f_u, grid).u.values
+                v = solve_dirichlet(op, dom_v, f_v, grid).u.values
+            except Diverged:  # no pair to compare (ROADMAP item 2)
+                continue
+            # each end exactly; inside, the final mismatches and the
+            # rounding of n-term sums
+            slack = sum(abs(mismatch) + grid.n * EPS * scale
+                        for mismatch, scale in closing[-2:])
+            assert u[0] <= v[0] and u[-1] <= v[-1]
+            assert np.min(v - u) >= -slack, (op, grid.n)
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
