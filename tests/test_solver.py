@@ -146,19 +146,19 @@ def _recording_shoot(closing):
     return recorded
 
 
-def _pucci_plus_ball_pairs():
-    """20 PucciPlus ball pairs: forcing g + 0.1 over g, g a drawn sine."""
+def _pucci_plus_ball_pairs(alpha):
+    """10 PucciPlus ball pairs at ``alpha``: forcing g + 0.1 over g, g a
+    drawn sine."""
     dom = Domain.ball(1.0)
     grid = RadialGrid.for_domain(dom, 80, Grading.GRADED_AT_ORIGIN)
-    for alpha in (0.0, 1.0):
-        rng = np.random.default_rng(42 + int(alpha))
-        op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
-        for _ in range(10):
-            base = rng.uniform(-2.0, 2.0)
-            amp = rng.uniform(0.0, 1.0)
-            freq = rng.uniform(1.0, 6.0)
-            g = base + amp * np.sin(freq * grid.nodes)
-            yield op, dom, dom, grid, g + 0.1, g
+    rng = np.random.default_rng(42 + int(alpha))
+    op = OperatorSpec.pucci_plus(alpha, 1.0, 2.0, 2)
+    for _ in range(10):
+        base = rng.uniform(-2.0, 2.0)
+        amp = rng.uniform(0.0, 1.0)
+        freq = rng.uniform(1.0, 6.0)
+        g = base + amp * np.sin(freq * grid.nodes)
+        yield op, dom, dom, grid, g + 0.1, g
 
 
 def _ordered_pair(rng, annulus):
@@ -388,12 +388,22 @@ class TestComparison:
             comparison_oracle(u, v, op, SourceFunction.constant(1.0),
                               SourceFunction.constant(1.0))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_random_ordered_pairs(self, alpha):
+        for op, dom, _, grid, g_hi, g_lo in _pucci_plus_ball_pairs(alpha):
+            f_hi = SourceFunction.tabulated(grid.nodes, g_hi)
+            f_lo = SourceFunction.tabulated(grid.nodes, g_lo)
+            hi = solve_dirichlet(op, dom, f_hi, grid)
+            lo = solve_dirichlet(op, dom, f_lo, grid)
+            report = comparison_oracle(hi, lo, op, f_hi, f_lo)
+            assert report.all_passed, report.failures()[0].as_dict()
+
     # the comparison principle of the ``solver`` docstring, on seeded
     # ordered pairs: forcing f_u >= f_v and u's data no larger give u <= v
     def test_ordered_balls_are_ordered_bit_for_bit(self):
         differing = 0
         rng = np.random.default_rng(31)
-        pairs = [*_pucci_plus_ball_pairs(),
+        pairs = [*_pucci_plus_ball_pairs(0.0), *_pucci_plus_ball_pairs(1.0),
                  *(_ordered_pair(rng, annulus=False) for _ in range(300))]
         for op, dom_u, dom_v, grid, f_u, f_v in pairs:
             u = solve_dirichlet(op, dom_u, f_u, grid)
