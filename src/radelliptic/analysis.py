@@ -545,9 +545,6 @@ def derivative_zero_candidates(u: DiscreteRadialFunction, dom: Domain):
 class HolderEstimate:
     r_star: float
     beta_fit: float
-    C_fit: float
-    fit_range: tuple[float, float]
-    residual: float
 
 
 def holder_exponent(u, r_star: float) -> HolderEstimate:
@@ -577,11 +574,8 @@ def holder_exponent(u, r_star: float) -> HolderEstimate:
 
     x = np.log(np.abs(dist[mask]))
     y = np.log(np.abs(q_int[mask]))
-    beta, logc = np.polyfit(x, y, 1)
-    misfit = float(np.sqrt(np.mean((beta * x + logc - y) ** 2)))
-    return HolderEstimate(r_star=r_star, beta_fit=float(beta),
-                          C_fit=float(np.exp(logc)),
-                          fit_range=(lo, hi), residual=misfit)
+    beta, _ = np.polyfit(x, y, 1)
+    return HolderEstimate(r_star=r_star, beta_fit=float(beta))
 
 
 def c1_bound_check(u, op: OperatorSpec, f: SourceFunction,

@@ -6,19 +6,20 @@ against the normalized previous iterate; the joint homogeneity of degree
 1 + alpha makes the normalized fixed point an exact eigenpair.
 
 Every outer step is one exact ``solve_dirichlet`` on the same grid, of
-the node values -phi^{1+alpha}.  The steps after the first reuse the
-grid's mesh data and start from the row branches the step before settled
-on (``initial_guess``).  The fluxes are one scan of the settled branches
-whatever the guess, so the guess changes the work and never the result:
-once the branches stop moving, a ball's step is one scan.  There is one
-scan routine; the memo keeps its windows only for a guessed solve.  So
-past the first guessed step that scan reads only the new forcing: it
-divides it by the kept denominators and sums it with the kept windows,
-the operations of a fresh scan in the same order, with no assembly.  The
-first step has no guess, and keeps nothing.  No step reads
-its solution's residual, and a step's profile is the solve's own
-read-only array, so the solve makes no copy of it for the step.  A step
-whose solution is not positive inside raises ``LostPositivity``.  On a
+the node values -phi^{1+alpha}.  Every step is a guessed solve
+(``initial_guess``): the first starts from all-zero branch keys, each
+later one from the row branches the step before settled on.  The fluxes
+are one scan of the settled branches whatever the guess, so the guess
+changes the work and never the result: once the branches stop moving, a
+ball's step is one scan.  There is one scan routine; the memo keeps its
+windows only for a guessed solve.  So every step keeps the row factors of
+its last scan on the grid, and the next step's first scan, of those
+branches, reads only the new forcing: it divides it by the kept
+denominators and sums it with the kept windows, the operations of a
+fresh scan in the same order, with no assembly.  No step reads its
+solution's residual, and a step's profile is the solve's own read-only
+array, so the solve makes no copy of it for the step.  A step whose
+solution is not positive inside raises ``LostPositivity``.  On a
 ball the monotone scheme rules that out (a forcing negative inside makes
 every flux negative, also in floating point); on an annulus none has
 been seen.  A step tests positivity and takes the sup norm with one
@@ -95,12 +96,12 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     negative.
 
     Each inner solve is exact; it starts from the branches of the solve
-    before it, which saves repairs and changes no bit.  The
-    iteration stops when two successive eigenvalues agree to ``tol``, or
-    raises NotConverged after ``MAX_OUTER`` steps; an inner solution that
-    is not positive at an interior node raises LostPositivity.  ``tol`` is
-    read by ``config_number``: one that is not a positive finite number
-    raises InvalidSpec.
+    before it (the first from all-zero keys), which saves repairs and
+    changes no bit.  The iteration stops when two successive eigenvalues
+    agree to ``tol``, or raises NotConverged after ``MAX_OUTER`` steps; an
+    inner solution that is not positive at an interior node raises
+    LostPositivity.  ``tol`` is read by ``config_number``: one that is not
+    a positive finite number raises InvalidSpec.
 
     Once the interior values of a solution psi are positive, psi.max()
     is max |psi|, so the norm needs no ``abs``: the boundary values are
@@ -119,7 +120,8 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
 
     phi = _bump(dom, grid)
     lam_history: list[float] = []
-    branches = None
+    # a guess, so that the first solve keeps its scan memo for the second
+    branches = np.zeros(grid.n - 1, np.int8)
 
     while len(lam_history) < MAX_OUTER:
         sol = solve_dirichlet(work_op, dom, -phi ** one_p_a, grid,

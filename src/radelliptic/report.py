@@ -74,8 +74,8 @@ class VerificationReport:
             _bool_text(c.passed), _bool_text(c.binding)) for c in self.checks)
         text = ('{\n  "checks": [\n' + rows + "\n  ]\n}\n" if rows
                 else '{\n  "checks": []\n}\n')
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
 
     def to_csv(self, path) -> None:
         buf = io.StringIO()
@@ -85,8 +85,8 @@ class VerificationReport:
         writer.writerows([c.name, "%.17g" % c.location, "%.17g" % c.margin,
                           "%.17g" % c.tolerance, _bool_text(c.passed),
                           _bool_text(c.binding)] for c in self.checks)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(buf.getvalue())
+        with open(path, "wb") as fh:
+            fh.write(buf.getvalue().encode("utf-8"))
 
 
 # one check of report.json, at the depth and in the key order of

@@ -85,22 +85,22 @@ still followed by the full branch check and counted in
 the memo, and drops each window once its level is done, so a grid solved
 once (a ``solve`` or ``verify`` request) holds no window products.
 
-The memo is kept on guessed solves only, because each choice wins where
-it runs (``bench_solve.py`` and perfbench on a 2-vCPU host).
-Keeping the memo on every solve gives the same bits and cuts the eigen
-pass's assemblies from 71 to 59, but a grid solved once then pays for
-window products it never reads: the x16 solve total rose from 3.5-3.6 ms
-to 4.2-4.6 ms and solve-fine's peak RSS from 41.1 to 41.7 MiB (with one
-array per doubling level, solve-fine's pass rose 6.8%).  Keeping the
-memo on every solve and forming its window products at the first reuse
-gives the same bits and the same 71 to 59 assemblies, but in three
-alternations of ``bench_solve`` it raised the x16 solve total from
-3.74-3.85 to 3.88-3.98 ms and the eigen total from 19.3-20.3 to
+The memo is kept on guessed solves only, because a grid solved once
+pays for window products it never reads, and a caller that solves a grid
+again passes a guess from the start (``principal_eigenvalue`` starts
+from all-zero keys).  Measured on a 2-vCPU host (``bench_solve.py`` and
+perfbench), keeping the memo on every solve gives the same bits, but the
+x16 solve total rose from 3.5-3.6 ms to 4.2-4.6 ms and solve-fine's peak
+RSS from 41.1 to 41.7 MiB (with one array per doubling level,
+solve-fine's pass rose 6.8%).  Keeping the memo on every solve and
+forming its window products at the first reuse gives the same bits, but
+in three alternations of ``bench_solve`` it raised the x16 solve total
+from 3.74-3.85 to 3.88-3.98 ms and the eigen total from 19.3-20.3 to
 20.7-20.9 ms, and in four alternating perfbench pairs per workload the
 eigen pass read 38.2 ms against 37.5 ms (slower in 4 of 4), the other
-workloads within their spread.  Keeping only A and den and
-scanning them afresh on every reuse slowed the eigen total from
-20.0-22.8 ms to 24.1 ms.
+workloads within their spread.  Keeping only A and den and scanning them
+afresh on every reuse slowed the eigen total from 20.0-22.8 ms to
+24.1 ms.
 """
 
 from __future__ import annotations
@@ -225,9 +225,10 @@ def _node_forcing(f, nodes) -> np.ndarray:
     if fvals.shape != nodes.shape:
         raise InvalidSpec(f"the forcing needs {len(nodes)} node values, "
                           f"got shape {fvals.shape}")
-    bad = nodes[~np.isfinite(fvals)]
-    if len(bad):
-        raise InvalidSpec(f"the forcing is not finite at r = {bad[0]:g}")
+    finite = np.isfinite(fvals)
+    if not finite.all():
+        bad = nodes[~finite][0]
+        raise InvalidSpec(f"the forcing is not finite at r = {bad:g}")
     return fvals
 
 
@@ -392,8 +393,10 @@ def _branch_guess(guess, n):
     if guess is None:
         return None
     key = np.asarray(guess)
+    # a key outside 0..3 has a bit set above its lowest two, a negative
+    # key its sign bit
     if (key.shape != (n - 1,) or key.dtype.kind not in "iu"
-            or (key.size and (key.min() < 0 or key.max() > 3))):
+            or (key >> 2).any()):
         raise InvalidSpec(f"initial_guess must be {n - 1} branch keys, "
                           f"integers in 0..3")
     return key.astype(np.int8)

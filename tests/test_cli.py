@@ -1,3 +1,4 @@
+import builtins
 import collections
 import csv
 import dataclasses
@@ -499,6 +500,34 @@ def test_write_json_matches_json_dump(tmp_path, payload):
     cli._write_json(str(path), payload)
     expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+# every output file is opened in binary, so its bytes are the text each
+# writer builds, with \n line ends, on every platform
+@pytest.mark.parametrize("command, name", [
+    ("solve", "pucci_power_ball"), ("verify", "alpha_laplacian_annulus"),
+    ("eigen", "eigen_disk"), ("study", "laplacian_ball")])
+def test_every_output_file_is_written_in_binary(tmp_path, monkeypatch,
+                                                command, name):
+    with open(os.path.join(CONFIG_DIR, name + ".json")) as fh:
+        doc = json.load(fh)
+    doc.pop("command")
+    cfg = write_config(tmp_path, doc)
+    opened = []
+    real_open = builtins.open
+
+    def recording(file, mode="r", *args, **kwargs):
+        opened.append((os.fspath(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording)
+    out = tmp_path / "out"
+    assert run(command, cfg, out) == 0
+    monkeypatch.undo()
+    written = sorted(str(path) for path in out.iterdir())
+    assert len(written) == (4 if command == "verify" else 2)
+    assert sorted(path for path, _ in opened if path != cfg) == written
+    assert {mode for path, mode in opened if path != cfg} == {"wb"}
 
 
 class TestEigen:

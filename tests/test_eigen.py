@@ -385,18 +385,19 @@ class TestWarmSteps:
         dom, grid = eigen_problem("ball")
         res = principal_eigenvalue(op, dom, grid, sign=sign)
         assert len(steps) == res.iterations
-        assert steps[0][0] is None
+        # the first step is guessed too, from all-zero keys
+        first = steps[0][0]
+        assert first.dtype == np.int8 and first.shape == (grid.n - 1,)
+        assert not first.any()
         settled = 0
-        for k, ((_, before, _), (guess, sol, calls)) in enumerate(
-                zip(steps, steps[1:])):
+        for (_, before, _), (guess, sol, calls) in zip(steps, steps[1:]):
             assert np.array_equal(guess, before.branches)
             if np.array_equal(guess, sol.branches):
                 settled += 1
                 assert sol.iterations == 1
-                # past the first guessed step, the step before scanned
-                # these branches last and the grid kept their row
-                # factors: the scan reads only the new forcing
-                assert calls == {"assemble_system": 0 if k else 1,
-                                 "branch_keys": 1}
+                # the step before scanned these branches last and the
+                # grid kept their row factors: the scan reads only the
+                # new forcing
+                assert calls == {"assemble_system": 0, "branch_keys": 1}
         # the branches settle within the first eight steps and then repeat
         assert settled >= res.iterations - 8

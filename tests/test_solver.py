@@ -639,6 +639,37 @@ class TestInitialGuess:
         assert np.array_equal(guess, cold.branches)
         assert warm.branches is not guess
 
+    # all-zero keys are the guess of every eigen iteration's first step
+    def test_zero_keys_change_no_bit(self):
+        rng = np.random.default_rng(33)
+        for _ in range(100):
+            alpha = float(rng.choice([-0.9, 0.0, 1.0, 10.0]))
+            dim = int(rng.integers(1, 7))
+            a = float(rng.uniform(0.5, 1.0))
+            big = a * float(rng.uniform(1.0, 3.0))
+            op = [OperatorSpec.pucci_plus(alpha, a, big, dim),
+                  OperatorSpec.pucci_minus(alpha, a, big, dim),
+                  OperatorSpec.alpha_laplacian(alpha, dim),
+                  OperatorSpec.trace_normal_mix(alpha, a, a - big / 2.0, dim),
+                  ][rng.integers(4)]
+            inner, outer = rng.uniform(-1.0, 1.0, 2)
+            R1 = float(rng.choice([0.0, 0.1, 0.5]))
+            dom = (Domain.annulus(R1, 1.0, inner, outer) if R1
+                   else Domain.ball(1.0, outer))
+            grading = Grading.UNIFORM
+            if not R1 and rng.random() < 0.5:
+                grading = Grading.GRADED_AT_ORIGIN
+            grid = RadialGrid.for_domain(dom, int(rng.choice([50, 400])),
+                                         grading)
+            f = (rng.uniform(-3.0, 3.0) + rng.uniform(0.0, 2.0)
+                 * np.sin(rng.uniform(1.0, 8.0) * grid.nodes))
+            cold = solve_dirichlet(op, dom, f, grid)
+            warm = solve_dirichlet(op, dom, f, grid,
+                                   initial_guess=np.zeros(grid.n - 1, np.int8))
+            assert warm.u.values.tobytes() == cold.u.values.tobytes()
+            assert np.array_equal(warm.branches, cold.branches)
+            assert warm.shooting_steps == cold.shooting_steps
+
     def test_guessed_solves_keep_factors_and_change_no_bit(self):
         op, dom, grid, f = self._problem()
         fvals = f(grid.nodes)
