@@ -13,9 +13,9 @@ selects, a row is the map ``phi[i] = A phi[i-1] + f[i] / den`` with 0 <=
 A <= 1.  The kernel has two halves: ``branch_keys`` tells which branch
 each row's inflow selects, and ``assemble_system`` forms ``A`` and ``den``
 on given branches.  Both depend on the row's key alone, so the kernel
-never reads the forcing: the solver divides it by ``den`` itself.  There
-is one scan routine; the memo keeps its windows only for a guessed solve
-(``RowData.memo``, see ``solver``).
+never reads the forcing: the solver divides it by ``den`` itself.  A
+guessed solve keeps its last assembled scan as a record on the mesh's
+``RowData`` (``RowData.memo``, see ``solver``).
 """
 
 from typing import NamedTuple
@@ -31,7 +31,8 @@ class RowData:
     ``h`` holds the spacings and ``origin`` the ball's origin row at the
     first fluxes 1 and -1 (see ``origin_row``).  ``memo`` is None until a
     guessed solve assembles a scan on the mesh; it then holds the
-    forcing-free record of the last such scan (``solver._ScanMemo``).
+    forcing-free record of the last such scan, a ``solver._ScanMemo`` of
+    its branch key, denominators, window products and prefix products.
     """
 
     def __init__(self, nodes, dim, alpha, coefs):

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 config error or an output that cannot be
 written, 2 no convergence (the shooting of an annulus did not close its
-boundary mismatch or the profile overflowed, or the eigenvalue iteration
-hit its step limit or lost positivity), 3 a binding verification check
+boundary mismatch, or its first flux or the profile overflowed, or the
+eigenvalue iteration hit its step limit, lost positivity or met an
+eigenvalue of 0 or past the float range), 3 a binding verification check
 failed (reports are still written in that case).
 
 The config schema is closed: a key outside it is a config error.  It
@@ -28,7 +29,7 @@ from . import analysis
 # not called here: perfbench's tracer wraps ``cli.comparison_oracle``
 from .analysis import comparison_oracle
 from .eigen import EigenSign, principal_eigenvalue
-from .errors import (ConfigError, InsufficientData, InvalidSpec, NotAZero,
+from .errors import (ConfigError, InsufficientData, NotAZero,
                      RadellipticError, config_number)
 from .grid import Domain, Grading, RadialGrid
 from .operators import OperatorSpec, validate_hypotheses
@@ -92,8 +93,9 @@ def _check_keys(doc: dict) -> None:
 
 
 def _from_section(doc: dict, name: str, build, default=None):
-    """``build`` applied to section ``name``; a missing key is named by its
-    dotted path."""
+    """``build`` applied to the value under key ``name``, a section or a
+    number, ``default`` when absent; a missing key is named by its dotted
+    path, and any other error of ``build`` is a ``bad config``."""
     if name not in doc and default is None:
         raise ConfigError(f"bad config: missing key {name}")
     try:
@@ -119,23 +121,9 @@ def _parse_problem(doc: dict):
     grid = _from_section(doc, "grid", build_grid)
     f = _from_section(doc, "f", SourceFunction.from_json_dict,
                       {"kind": "constant", "value": 0.0})
-    _option(doc, "seed", 0, int, 0)
+    _from_section(doc, "seed",
+                  lambda seed: config_number(seed, "seed", int, 0), 0)
     return op, dom, grid, f
-
-
-def _option(opts: dict, name: str, default, kind, low: float,
-            strict: bool = False):
-    """The numeric option ``name`` of ``opts``, ``default`` when absent,
-    read by ``config_number`` with its bound.
-
-    ``name`` is the option's dotted path in the config; its last part is
-    the key in ``opts``.
-    """
-    try:
-        return config_number(opts.get(name.rsplit(".", 1)[-1], default),
-                             name, kind, low, strict)
-    except InvalidSpec as exc:
-        raise ConfigError(f"bad config: {exc}")
 
 
 def _parse_eigen_opts(doc: dict) -> dict:
@@ -148,7 +136,8 @@ def _parse_eigen_opts(doc: dict) -> dict:
             f"bad config: eigen.sign must be one of "
             f"{[s.value for s in EigenSign]}, got {opts.get('sign')!r}")
     return {"sign": sign,
-            "tol": _option(opts, "eigen.tol", 1e-8, float, 0.0, strict=True)}
+            "tol": _from_section(opts, "tol", lambda tol: config_number(
+                tol, "eigen.tol", float, 0.0, strict=True), 1e-8)}
 
 
 def _outputs(out_dir: str):

@@ -11,12 +11,11 @@ the node values -phi^{1+alpha}.  Every step is a guessed solve
 later one from the row branches the step before settled on.  The fluxes
 are one scan of the settled branches whatever the guess, so the guess
 changes the work and never the result: once the branches stop moving, a
-ball's step is one scan.  There is one scan routine; the memo keeps its
-windows only for a guessed solve.  So every step keeps the row factors of
-its last scan on the grid, and the next step's first scan, of those
-branches, reads only the new forcing: it divides it by the kept
-denominators and sums it with the kept windows, the operations of a
-fresh scan in the same order, with no assembly.  No step reads its
+ball's step is one scan.  A guessed solve keeps the record of its last
+assembled scan on the grid (``solver._ScanMemo``), so the next step's
+first scan, of those branches, reads only the new forcing: it divides it
+by the kept denominators and sums it over the kept window products, in
+the one summation every scan runs, with no assembly.  No step reads its
 solution's residual, and a step's profile is the solve's own read-only
 array, so the solve makes no copy of it for the step.  A step whose
 solution is not positive inside raises ``LostPositivity``.  On a
@@ -29,11 +28,12 @@ reduction each (see ``principal_eigenvalue``).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidSpec, LostPositivity, NotConverged,
+from .errors import (Diverged, InvalidSpec, LostPositivity, NotConverged,
                      config_number)
 from .grid import DiscreteRadialFunction, Domain, DomainKind, RadialGrid
 from .operators import OperatorSpec
@@ -100,8 +100,10 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
     changes no bit.  The iteration stops when two successive eigenvalues
     agree to ``tol``, or raises NotConverged after ``MAX_OUTER`` steps; an
     inner solution that is not positive at an interior node raises
-    LostPositivity.  ``tol`` is read by ``config_number``: one that is not
-    a positive finite number raises InvalidSpec.
+    LostPositivity, and a step whose eigenvalue 1 / norm^{1+alpha} is 0 or
+    not finite (lambda scales like R^-(2+alpha), so it can lie outside the
+    float range) raises Diverged.  ``tol`` is read by ``config_number``:
+    one that is not a positive finite number raises InvalidSpec.
 
     Once the interior values of a solution psi are positive, psi.max()
     is max |psi|, so the norm needs no ``abs``: the boundary values are
@@ -131,7 +133,13 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
         if not psi[1:-1].min() > 0.0:
             raise LostPositivity("iterate left the positive cone")
         norm = float(psi.max())  # max |psi|: psi >= 0 (see the docstring)
-        lam = 1.0 / norm ** one_p_a
+        try:
+            lam = 1.0 / norm ** one_p_a
+        except (OverflowError, ZeroDivisionError):  # the power left the range
+            lam = math.nan
+        if not 0.0 < lam < math.inf:
+            raise Diverged(f"eigenvalue outside the float range at step "
+                           f"{len(lam_history) + 1}")
         lam_history.append(lam)
         phi = psi / norm
         if len(lam_history) >= 2 and abs(lam_history[-1] - lam_history[-2]) <= tol * lam:

@@ -71,19 +71,20 @@ kept on the grid, with the spacings and the ball's origin row at the
 first fluxes 1 and -1.  ``_node_forcing`` reads every forcing at the nodes.
 
 A row's factor A and its denominator den depend on its branch alone;
-only q = f / den carries the forcing.  There is one scan routine
-(``_affine_scan``); the memo keeps its windows only for a guessed solve.
-At each doubling level the routine forms the window products out of
-place, writes the prefix products P from the level's head and sums q in
-place.  A solve given ``initial_guess`` keeps the windows, P, den and the
-branches of each scan it assembles on the ``RowData`` (``_ScanMemo``); a
-later scan of the branches kept divides its forcing by the kept den and
-sums q with the kept windows: the scan's operations in its order on the
-same values, so a kept scan gives the bits of a fresh one, and it is
-still followed by the full branch check and counted in
-``Solution.iterations``.  A solve without a guess neither reads nor keeps
-the memo, and drops each window once its level is done, so a grid solved
-once (a ``solve`` or ``verify`` request) holds no window products.
+only q = f / den carries the forcing.  A scan has two halves:
+``_levels`` yields the window products of each doubling level while it
+writes the prefix products P, and ``_offsets`` divides the forcing by
+den and sums q in place over whatever windows it is given.  Every scan
+runs that one summation.  A solve without a guess streams the levels, so
+each window is dropped once its level is summed, and a grid solved once
+(a ``solve`` or ``verify`` request) holds no window products.  A solve
+given ``initial_guess`` lists the levels of each scan it assembles and
+keeps them, with den, P and the branches, on the ``RowData``
+(``_ScanMemo``, a read-only record); a later scan of the branches kept
+sums its forcing over the kept list.  The two scans run the same
+operations in the same order on the same values, so a kept scan gives
+the bits of a fresh one by construction, and it is still followed by the
+full branch check and counted in ``Solution.iterations``.
 
 The memo is kept on guessed solves only, because a grid solved once
 pays for window products it never reads, and a caller that solves a grid
@@ -108,6 +109,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -268,61 +270,55 @@ class Solution:
                 "shooting_steps": self.shooting_steps, "converged": True}
 
 
-def _affine_scan(A, q, windows=None):
-    """Prefix compositions of the maps ``x -> A[k] x + q[k]``.
+def _levels(A, P):
+    """The window products of each Hillis-Steele doubling level of the
+    factors ``A`` of the maps ``x -> A[k] x + q[k]``, yielded in turn while
+    the prefix products with a leading 1 are written into ``P`` (len(A) +
+    1 entries); P is complete once the last level is drawn.
 
-    By Hillis-Steele doubling, sums ``q`` into place and returns the
-    prefix products P with a leading 1: map k after maps 0..k-1 is ``x ->
-    P[k+1] x + q[k]``, and depends on maps 0..k only.  The window products
-    of level d are W, the products of the d factors up to each of rows
-    d.., so those of level 2d are ``W[d:] W[:-d]``, and P's entries 1+d..2d
-    are final at ``W[:d] P[1:1+d]``.  Each level's window is appended to
-    the list ``windows`` if one is given, and dropped otherwise.
+    The window products of level d are W, the products of the d factors up
+    to each of rows d.., so those of level 2d are ``W[d:] W[:-d]``, and P's
+    entries 1+d..2d are final at ``W[:d] P[1:1+d]``.  With the offsets Q
+    that ``_offsets`` sums over the levels, map k after maps 0..k-1 is ``x
+    -> P[k+1] x + Q[k+1]``, and depends on maps 0..k only.
     """
-    m = len(A)
-    P = np.empty(m + 1)
     P[0] = 1.0
     P[1:2] = A[:1]
     window, d = A[1:], 1
-    while d < m:
-        q[d:] += window * q[:-d]
+    while d < len(A):
         head = window[:d]
         np.multiply(head, P[1:1 + len(head)], out=P[1 + d:1 + d + len(head)])
-        if windows is not None:
-            windows.append(window)
+        yield window
         window = window[d:] * window[:-d]
         d *= 2
-    return P
 
 
-class _ScanMemo:
+def _offsets(f, den, windows):
+    """The offsets Q of a scan of the forcing ``f`` with a leading 0: ``f /
+    den`` summed in place over the window products ``windows`` of each
+    doubling level, streamed (``_levels``) or kept (``_ScanMemo``)."""
+    Q = np.zeros(len(f) + 1)
+    q = np.divide(f, den, out=Q[1:])
+    d = 1
+    for window in windows:
+        q[d:] += window * q[:-d]
+        d *= 2
+    return Q
+
+
+class _ScanMemo(NamedTuple):
     """The forcing-free record of one scan, kept on the ``RowData``.
 
     ``key`` holds the bytes of the scanned branches, ``den`` the rows'
-    denominators on them, ``windows`` the window products of
-    ``_affine_scan``'s levels and ``P`` the prefix products with a
-    leading 1.  Every array is read-only.
+    denominators on them, ``windows`` the list of ``_levels``' window
+    products and ``P`` the prefix products with a leading 1.  Every array
+    is read-only.
     """
 
-    __slots__ = ("key", "den", "windows", "P")
-
-    def __init__(self, key, den, windows, P):
-        for a in (den, P, *windows):
-            a.flags.writeable = False
-        self.key, self.den = key.tobytes(), den
-        self.windows, self.P = windows, P
-
-    def offsets(self, f):
-        """The offsets of a scan of the forcing ``f`` with a leading 0:
-        ``f / den`` summed with the kept windows, ``_affine_scan``'s
-        operations in its order."""
-        Q = np.zeros(len(f) + 1)
-        q = np.divide(f, self.den, out=Q[1:])
-        d = 1
-        for window in self.windows:
-            q[d:] += window * q[:-d]
-            d *= 2
-        return Q
+    key: bytes
+    den: np.ndarray
+    windows: list
+    P: np.ndarray
 
 
 def _row_data(op: OperatorSpec, grid: RadialGrid) -> _kernels.RowData:
@@ -356,18 +352,20 @@ class _Recurrence:
     def _scan(self):
         memo = self.rows.memo if self.keep else None
         if memo is not None and memo.key == self.key.tobytes():
-            self.P, self.Q = memo.P, memo.offsets(self.f)
+            den, windows, self.P = memo.den, memo.windows, memo.P
         else:
             if self.keep:  # the old memo goes before the new one is built
                 memo = self.rows.memo = None
-            maps = _kernels.assemble_system(self.nodes, self.rows, self.key)
-            self.Q = np.zeros(len(self.f) + 1)
-            q = np.divide(self.f, maps.den, out=self.Q[1:])
-            windows = [] if self.keep else None
-            self.P = _affine_scan(maps.A, q, windows)
+            A, den = _kernels.assemble_system(self.nodes, self.rows, self.key)
+            self.P = np.empty(len(A) + 1)
+            windows = _levels(A, self.P)
             if self.keep:
-                self.rows.memo = _ScanMemo(self.key, maps.den, windows,
+                windows = list(windows)
+                for a in (den, self.P, *windows):
+                    a.flags.writeable = False
+                self.rows.memo = _ScanMemo(self.key.tobytes(), den, windows,
                                            self.P)
+        self.Q = _offsets(self.f, den, windows)
         self.scans += 1
 
     def fluxes(self, s):
@@ -446,13 +444,16 @@ def _shoot(op: OperatorSpec, dom: Domain, rec: _Recurrence, h, fvals):
     step when that lands inside and is at most half the step before last
     (the safeguard of Numerical Recipes' ``rtsafe``), and an Illinois
     regula falsi step otherwise; before a bracket exists a step that
-    Newton cannot give doubles.  Returns the fluxes and the steps taken.
+    Newton cannot give doubles.  Returns the fluxes, their slopes u' and
+    the steps taken.  The first flux is taken in numpy under the caller's
+    ``errstate``, so one beyond the float range is inf, and the mismatch
+    it gives raises ``Diverged``.
     """
     inv = 1.0 / (1.0 + op.alpha)
     cmp_, cmm, _, _ = op.bracket_coefficients()
     length = dom.R - dom.R1
     d = (dom.bc_outer - dom.bc_inner) / length
-    s = math.copysign(abs(d) ** (1.0 + op.alpha), d)
+    s = float(np.copysign(np.abs(d) ** (1.0 + op.alpha), d))
     # the size of the flux change f can drive over the interval
     step = max(abs(s), float(np.max(np.abs(fvals))) * length
                / (inv * min(cmp_, cmm)), np.finfo(float).tiny)
@@ -467,7 +468,7 @@ def _shoot(op: OperatorSpec, dom: Domain, rec: _Recurrence, h, fvals):
             raise Diverged(f"boundary mismatch {mis} at first flux {s:.3e}")
         scale = abs(dom.bc_inner) + abs(dom.bc_outer) + float(h @ np.abs(g))
         if abs(mis) <= 16.0 * np.finfo(float).eps * scale:
-            return p, k
+            return p, g, k
         # Illinois: an end kept twice in a row has its value halved
         if mis < 0.0:
             if side < 0 and hi is not None:
@@ -483,7 +484,7 @@ def _shoot(op: OperatorSpec, dom: Domain, rec: _Recurrence, h, fvals):
         if lo is not None and hi is not None:
             if hi[0] - lo[0] <= 4.0 * np.finfo(float).eps * max(
                     abs(lo[0]), abs(hi[0])):
-                return p, k
+                return p, g, k
             if lo[0] < newton < hi[0] and abs(newton - s) <= 0.5 * dx_old:
                 s_next = newton
             else:
@@ -531,10 +532,9 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f, grid: RadialGrid,
             du = h * _slopes(p, op.alpha)
             u[:-1] = dom.bc_outer - np.cumsum(du[::-1])[::-1]
         else:
-            p, steps = _shoot(op, dom, rec, h, fvals)
+            p, g, steps = _shoot(op, dom, rec, h, fvals)
             u[0] = dom.bc_inner
-            u[1:-1] = dom.bc_inner + np.cumsum(h[:-1] * _slopes(p[:-1],
-                                                                 op.alpha))
+            u[1:-1] = dom.bc_inner + np.cumsum(h[:-1] * g[:-1])
         u[-1] = dom.bc_outer
     if not np.isfinite(u).all():
         raise Diverged("the profile overflows")

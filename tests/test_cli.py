@@ -193,6 +193,27 @@ class TestSolve:
                                                      RuntimeWarning)]
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha, bc_outer", [
+        (200.0, 20.0), (40.0, 1e8), (1.0, 1.4e154)])
+    def test_first_flux_past_the_float_range_exits_two(
+            self, tmp_path, capsys, recwarn, alpha, bc_outer):
+        # the shooting's first flux |d|^(1+alpha), d the boundary jump over
+        # the annulus' width, lies past the float range
+        doc = {"operator": {"variant": "AlphaLaplacian", "alpha": alpha,
+                            "dim": 2},
+               "domain": {"kind": "Annulus", "R1": 0.5, "R": 1.0,
+                          "bc_inner": 0.0, "bc_outer": bc_outer},
+               "grid": {"n": 100}, "f": {"kind": "constant", "value": 1.0}}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run("solve", cfg, out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: solver diverged: boundary mismatch inf at "
+                       "first flux inf"]
+        assert not [w for w in recwarn if issubclass(w.category,
+                                                     RuntimeWarning)]
+        assert not out.exists()
+
 
 class TestVerify:
     def test_passing_problem(self, tmp_path):
@@ -618,6 +639,24 @@ class TestEigen:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: eigenvalue iteration did not settle in 2 steps"]
         assert not (tmp_path / "out").exists()
+
+    # lambda scales like R^-(2+alpha): none of these eigenvalues is a
+    # double, and the first step's 1 / norm^(1+alpha) is 0 or inf
+    @pytest.mark.parametrize("alpha, R", [
+        (40.0, 1e-8), (10.0, 1e-30), (40.0, 1e8), (0.0, 1e-160)])
+    def test_eigenvalue_past_the_float_range_exits_two(
+            self, tmp_path, capsys, recwarn, alpha, R):
+        doc = {"operator": dict(BASE_PROBLEM["operator"], alpha=alpha),
+               "domain": {"kind": "Ball", "R": R}, "grid": {"n": 100}}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run("eigen", cfg, out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: solver diverged: eigenvalue outside the "
+                       "float range at step 1"]
+        assert not [w for w in recwarn if issubclass(w.category,
+                                                     RuntimeWarning)]
+        assert not out.exists()
 
     def test_lost_positivity_exits_two(self, tmp_path, capsys, monkeypatch):
         solve = eigen.solve_dirichlet

@@ -136,12 +136,11 @@ def _recording_shoot(closing):
     shoot = solver._shoot
 
     def recorded(op, dom, rec, h, fvals):
-        p, steps = shoot(op, dom, rec, h, fvals)
-        g = solver._slopes(p, op.alpha)
+        p, g, steps = shoot(op, dom, rec, h, fvals)
         closing.append((dom.bc_inner - dom.bc_outer + float(h @ g),
                         abs(dom.bc_inner) + abs(dom.bc_outer)
                         + float(h @ np.abs(g))))
-        return p, steps
+        return p, g, steps
 
     return recorded
 
@@ -553,9 +552,16 @@ class TestNewtonStep:
         # guessed recurrences in sequence on one grid: each result is the
         # scan of its branches on freshly assembled maps, bit for bit
         op, grid, fvals = self._problem(dom, n)
+        # every scan, fresh, kept or repaired, sums its offsets once, in
+        # the one summation routine
+        summations = []
+        offsets = solver._offsets
+        monkeypatch.setattr(solver, "_offsets",
+                            lambda *a: summations.append(1) or offsets(*a))
         cold = solver._Recurrence(op, grid, fvals)
         cold.fluxes(0.7)
         assert cold.rows.memo is None  # a recurrence with no guess keeps none
+        assert len(summations) == cold.scans
         assemblies = []
         real = _kernels.assemble_system
         monkeypatch.setattr(_kernels, "assemble_system",
@@ -576,9 +582,11 @@ class TestNewtonStep:
             rec = solver._Recurrence(run_op, grid, f, guess.copy())
             before = rec.rows.memo
             assemblies.clear()
+            summations.clear()
             got = rec.fluxes(s)
             assert (rec.scans > 1) == repaired
             assert len(assemblies) == rec.scans - kept
+            assert len(summations) == rec.scans
             assert (rec.rows.memo is before) == (not assemblies)
             want, P = self._fresh_scan(run_op, grid, rec, s)
             assert got.tobytes() == want.tobytes()
@@ -769,25 +777,41 @@ class TestInitialGuess:
 
 
 class TestRecurrence:
+    @staticmethod
+    def _scan(A, b, keep):
+        """P, Q and the windows of a scan of the maps ``x -> A[k] x + b[k]``:
+        ``solver._offsets`` sums over ``solver._levels``' windows, streamed
+        or, with ``keep``, as a list."""
+        P = np.empty(len(A) + 1)
+        windows = solver._levels(A, P)
+        if keep:
+            windows = list(windows)
+        return P, solver._offsets(b, np.ones_like(b), windows), windows
+
     def test_affine_scan_composes_in_order(self):
         rng = np.random.default_rng(7)
         for m in (1, 2, 3, 8, 33):
             A = rng.uniform(0.0, 1.0, m)
             A[m // 2] = 0.0  # a row whose outflow ignores its inflow
             b = rng.normal(size=m)
-            Q = b.copy()
-            P = solver._affine_scan(A, Q)
-            assert P[0] == 1.0
-            x = 0.3
-            for k in range(m):
-                x = A[k] * x + b[k]
-                assert P[k + 1] * 0.3 + Q[k] == pytest.approx(x, abs=1e-14)
+            want_P, want_Q = _reference_scan(A, b)
+            for keep in (False, True):
+                P, Q, _ = self._scan(A, b, keep)
+                assert P[0] == 1.0 and Q[0] == 0.0
+                x = 0.3
+                for k in range(m):
+                    x = A[k] * x + b[k]
+                    assert P[k + 1] * 0.3 + Q[k + 1] == pytest.approx(
+                        x, abs=1e-14)
+                assert P[1:].tobytes() == want_P.tobytes()
+                assert Q[1:].tobytes() == want_Q.tobytes()
 
     @pytest.mark.parametrize("keep", [False, True])
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 8, 33, 1000])
     def test_affine_scan_matches_the_in_place_reference(self, m, keep):
-        # bit for bit, with a leading 1 in P and q summed into place; the
-        # windows recorded are the reference's P[d:] at each level
+        # bit for bit, with a leading 1 in P and a leading 0 in Q, whether
+        # the windows are streamed or listed; the windows listed are the
+        # reference's P[d:] at each level
         rng = np.random.default_rng(m)
         A = rng.uniform(0.0, 1.0, m)
         if m:
@@ -795,13 +819,13 @@ class TestRecurrence:
         b = rng.normal(size=m)
         levels = []
         want_P, want_Q = _reference_scan(A, b, levels)
-        given = A.copy()
-        q = b.copy()
-        windows = [] if keep else None
-        P = solver._affine_scan(A, q, windows)
-        assert A.tobytes() == given.tobytes()  # the factors are read only
+        given_A, given_b = A.copy(), b.copy()
+        P, Q, windows = self._scan(A, b, keep)
+        # the factors and the forcing are read only
+        assert A.tobytes() == given_A.tobytes()
+        assert b.tobytes() == given_b.tobytes()
         assert P[0] == 1.0 and P[1:].tobytes() == want_P.tobytes()
-        assert q.tobytes() == want_Q.tobytes()
+        assert Q[0] == 0.0 and Q[1:].tobytes() == want_Q.tobytes()
         if keep:
             assert len(windows) == len(levels)
             for window, level in zip(windows, levels):
