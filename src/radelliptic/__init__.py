@@ -1,9 +1,9 @@
 """Radial Dirichlet solver and certification suite for degenerate elliptic equations."""
 
 from .analysis import (HolderEstimate, SignInterval, c1_bound_check,
-                       c1_modulus_report, check_viscosity, comparison_oracle,
-                       epsilon_aA, gamma_exponent, holder_exponent,
-                       sign_intervals, verify_flux_inequalities)
+                       c1_modulus_report, check_viscosity, epsilon_aA,
+                       gamma_exponent, holder_exponent, sign_intervals,
+                       verify_flux_inequalities)
 from .eigen import EigenResult, EigenSign, principal_eigenvalue
 from .errors import RadellipticError
 from .grid import (DiscreteRadialFunction, Domain, DomainKind, Grading,
@@ -33,7 +33,6 @@ __all__ = [
     "EigenResult",
     "EigenSign",
     "principal_eigenvalue",
-    "comparison_oracle",
     "DiscreteRadialFunction",
     "Domain",
     "DomainKind",

@@ -26,8 +26,6 @@ import sys
 import numpy as np
 
 from . import analysis
-# not called here: perfbench's tracer wraps ``cli.comparison_oracle``
-from .analysis import comparison_oracle
 from .eigen import EigenSign, principal_eigenvalue
 from .errors import (ConfigError, InsufficientData, NotAZero,
                      RadellipticError, config_number)
@@ -36,6 +34,9 @@ from .operators import OperatorSpec, validate_hypotheses
 from .report import VerificationReport
 from .solver import (EXPRESSION_CATALOGUE, SourceFunction, _node_forcing,
                      solve_dirichlet)
+
+# never called; perfbench/tracing.py ``_targets`` wraps it (ROADMAP item 3)
+comparison_oracle = None
 
 # the keys each section may hold, the same for every command
 _SECTION_KEYS = {

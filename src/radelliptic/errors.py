@@ -43,10 +43,6 @@ class Diverged(RadellipticError):
     headline = "solver diverged: "
 
 
-class PreconditionViolated(RadellipticError):
-    """Caller-side precondition (e.g. boundary ordering) fails."""
-
-
 class NotConverged(RadellipticError):
     """The eigenvalue iteration did not settle within its step limit."""
 

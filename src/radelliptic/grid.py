@@ -200,10 +200,6 @@ class DiscreteRadialFunction(_Keeps):
             raise OutsideDomain("evaluation point outside the grid")
         return np.interp(s, nodes, self.values)
 
-    def same_grid(self, other: "DiscreteRadialFunction") -> bool:
-        return (self.grid.nodes.shape == other.grid.nodes.shape
-                and np.array_equal(self.grid.nodes, other.grid.nodes))
-
     def to_csv(self, path) -> None:
         """Write the header ``r,u`` and one ``r,u`` row per node, each
         value in the bytes of ``"%.17g" % v``, which read back to the same

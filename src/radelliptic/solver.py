@@ -24,7 +24,7 @@ nondecreasing in s, and the scan's products of row factors give its
 derivative, for Newton steps kept inside a bracket.
 
 The scheme obeys a comparison principle, so ``verify`` runs no
-comparison solve (``analysis.comparison_oracle`` stays a library check).
+comparison solve and checks no pair of solutions.
 Let u and v solve it on one grid with forcing f_u >= f_v at every node
 and boundary data no larger for u (each end of an annulus).  Then:
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from radelliptic.analysis import (c1_bound_check, c1_modulus_report,
-                                  check_viscosity, comparison_oracle,
-                                  holder_exponent, verify_flux_inequalities)
+                                  check_viscosity, holder_exponent,
+                                  verify_flux_inequalities)
 from radelliptic.errors import InsufficientData, NotAZero
 from radelliptic.grid import (DiscreteRadialFunction, Domain, DomainKind,
                               Grading, RadialGrid, interior_quotients)
@@ -179,7 +179,8 @@ def test_criterion_5_comparison_pairs():
         f_hi = SourceFunction.tabulated(grid.nodes, g_vals + 0.1)
         hi = solve_dirichlet(op, dom, f_hi, grid)
         lo = solve_dirichlet(op, dom, f_lo, grid)
-        if comparison_oracle(hi, lo, op, f_hi, f_lo).all_passed:
+        # the larger forcing lies below, at every node
+        if np.all(hi.u.values <= lo.u.values):
             ok_count += 1
     report_line("criterion 5 (comparison principle)", ok_count == 20,
                 f"{ok_count}/20 seeded ordered pairs kept the ordering")

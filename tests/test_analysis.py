@@ -266,6 +266,45 @@ class TestViscosity:
         assert report.all_passed
         assert all(np.isinf(c.margin) for c in report.checks)
 
+    def test_nan_operator_value_fails_its_row(self, pucci_case, monkeypatch,
+                                              tmp_path):
+        # one (node, slope) pair of the supersolution side evaluates to NaN:
+        # that row fails with no margin; only +inf is a vacuous pass
+        def one_nan(*args):
+            hvals = eval_radial_many(*args)
+            hvals[0] = np.nan
+            return hvals
+
+        op, f, sol, _ = pucci_case
+        monkeypatch.setattr(analysis, "eval_radial_many", one_nan)
+        with np.errstate(invalid="ignore"):  # np.minimum.at carries the NaN
+            report = check_viscosity(sol, op, f)
+        path = tmp_path / "report.json"
+        report.to_json(path)
+        rows = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+        assert rows["viscosity[supersolution]"]["pass"] is False
+        assert rows["viscosity[supersolution]"]["margin"] is None
+        assert rows["viscosity[subsolution]"]["pass"] is True
+
+    def test_zero_quotient_is_not_tested(self, monkeypatch):
+        # at alpha = -0.99 the slope floor h^100 underflows to 0 for
+        # h = 2e-5; the nodes of a profile's flat run (first quotient
+        # exactly 0) stay untested
+        op = OperatorSpec.trace_normal_mix(-0.99, 1.0, 0.5, 4)
+        u = sampled(lambda r: np.minimum(r - 5e-4, 0.0) ** 2, n=50, R=1e-3)
+        q, _ = interior_quotients(u)
+        assert np.any(q == 0.0)
+        tested = []
+
+        def recording(op, r, P, Q):
+            tested.extend(r.tolist())
+            return eval_radial_many(op, r, P, Q)
+
+        monkeypatch.setattr(analysis, "eval_radial_many", recording)
+        check_viscosity(u, op, SourceFunction.constant(1.0))
+        flat = u.grid.nodes[1:-1][q == 0.0]
+        assert tested and not set(tested) & set(flat.tolist())
+
 
 class TestHolder:
     def test_pucci_power_alpha_one(self, pucci_case):
@@ -573,7 +612,8 @@ def reference_viscosity(u, op, f, slopes=17, curvatures=9):
     worst_super = (np.inf, float(nodes[min(1, n)]))
     worst_sub = (np.inf, float(nodes[min(1, n)]))
     for i in range(1, n):
-        if nodes[i] <= 0.0 or abs(q_int[i - 1]) < slope_floor:
+        if (nodes[i] <= 0.0 or q_int[i - 1] == 0.0
+                or abs(q_int[i - 1]) < slope_floor):
             continue
         m_i = m_int[i - 1]
         local_curv = m_i + curv_offsets * max(abs(m_i), 1.0)
@@ -637,7 +677,7 @@ def matrix_viscosity(u, op, f):
     curv_family = np.unique(np.concatenate([-pos_curv[::-1], pos_curv]))
     fvals = _node_forcing(f, nodes)
     eta = 1e-11 * max(1.0, float(np.max(np.abs(vals))))
-    i = 1 + np.flatnonzero((nodes[1:n] > 0.0) & (
+    i = 1 + np.flatnonzero((nodes[1:n] > 0.0) & (q_int != 0.0) & (
         np.abs(q_int) >= h ** (1.0 / (1.0 + op.alpha))))
     r_i = nodes[i][:, None]
     m_i = m_int[i - 1][:, None]
@@ -666,7 +706,7 @@ def matrix_viscosity(u, op, f):
     for name, worst in zip(("viscosity[supersolution]",
                             "viscosity[subsolution]"), margins):
         k = int(np.argmin(worst)) if len(i) else 0
-        if len(i) and worst[k] < np.inf:
+        if len(i) and worst[k] != np.inf:
             report.add(name, float(nodes[i[k]]), float(worst[k]), tol)
         else:
             report.add(name, float(nodes[min(1, n)]), np.inf, tol)
@@ -816,7 +856,7 @@ def _sorted_paraboloid_families(u, op):
     pos_slopes = _chebyshev(h, 2.0 * lip, (VISCOSITY_SLOPES + 1) // 2)
     pos_curv = _chebyshev(0.0, max(4.0 * float(np.max(np.abs(m_int))), 1.0),
                           (VISCOSITY_CURVATURES + 1) // 2)
-    i = 1 + np.flatnonzero((nodes[1:n] > 0.0) & (
+    i = 1 + np.flatnonzero((nodes[1:n] > 0.0) & (q_int != 0.0) & (
         np.abs(q_int) >= h ** (1.0 / (1.0 + op.alpha))))
     m = m_int[i - 1][:, None]
     P = np.concatenate([np.broadcast_to(np.concatenate(

@@ -411,6 +411,54 @@ class TestVerify:
                 if c["name"] == "holder-fit"] == [0.75]
         assert [c["name"] for c in rows].count("right-bound") == 1
 
+    # (a), (b): the barrier exponent gamma = (A/a)(N-1)(1+alpha) is 1681
+    # and 1331, and c1_bound_check's constant 2^(gamma-1) passes the float
+    # range.  (c): alpha = -0.99 on R = 1e-3 makes the viscosity check's
+    # slope floor underflow to 0, so zero quotients reach |0|^alpha.
+    # (d), (e): f = 1e200 overflows the touching test's sub-cell term.
+    # (f): as (a) with f = 0, whose constant is 0, not 0 times inf; data
+    # near 1e16 leave runs of exactly zero quotients, each a zero of u'.
+    @pytest.mark.parametrize("operator, domain, grid, f, code", [
+        ({"variant": "AlphaLaplacian", "alpha": 40.0, "dim": 2},
+         {"kind": "Annulus", "R1": 0.1, "R": 1.0},
+         {"n": 100, "grading": "Uniform"},
+         {"kind": "constant", "value": 3.0}, 3),
+        ({"variant": "AlphaLaplacian", "alpha": 10.0, "dim": 12},
+         {"kind": "Ball", "R": 1.0, "bc_outer": -1.0},
+         {"n": 50, "grading": "GradedAtOrigin"},
+         {"kind": "tabulated", "r": [0.0, 0.5, 1.0], "v": [1.0, -2.0, 3.0]},
+         3),
+        ({"variant": "TraceNormalMix", "alpha": -0.99, "p1": 1.0, "p2": 0.5,
+          "dim": 4},
+         {"kind": "Ball", "R": 1e-3, "bc_outer": -1.0},
+         {"n": 50, "grading": "Uniform"},
+         {"kind": "expression", "name": "step"}, 0),
+        ({"variant": "AlphaLaplacian", "alpha": 0.0, "dim": 12},
+         {"kind": "Ball", "R": 1e-3, "bc_outer": -1.0},
+         {"n": 200, "grading": "Uniform"},
+         {"kind": "constant", "value": 1e200}, 3),
+        ({"variant": "PucciPlus", "alpha": 0.0, "a": 1.0, "A": 1.0, "dim": 4},
+         {"kind": "Annulus", "R1": 0.9, "R": 1.0, "bc_inner": 0.0,
+          "bc_outer": 0.5},
+         {"n": 16, "grading": "GradedAtOrigin"},
+         {"kind": "constant", "value": 1e200}, 3),
+        ({"variant": "AlphaLaplacian", "alpha": 40.0, "dim": 2},
+         {"kind": "Annulus", "R1": 0.1, "R": 1.0, "bc_inner": 1e16,
+          "bc_outer": 1e16 + 64},
+         {"n": 100, "grading": "Uniform"},
+         {"kind": "constant", "value": 0.0}, 3)],
+        ids=["a", "b", "c", "d", "e", "f"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_out_of_range_values_end_in_a_report(self, tmp_path, capsys,
+                                                 operator, domain, grid, f,
+                                                 code):
+        doc = {"operator": operator, "domain": domain, "grid": grid, "f": f}
+        out = tmp_path / "out"
+        assert run("verify", write_config(tmp_path, doc), out) == code
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            "diagnostics.json", "report.csv", "report.json", "solution.csv"]
+
     # sha256 of the four files verify writes at the shipped n: how the
     # checks share their work and how the files are written must not move
     # a byte of them (the reports hold no (H1)/(H2) rows, which hold by

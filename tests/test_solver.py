@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from radelliptic import _kernels, solver
-from radelliptic.analysis import comparison_oracle
 from radelliptic.cli import ConfigError, _parse_problem
-from radelliptic.errors import (Diverged, GridMismatch, InvalidSpec,
-                               PreconditionViolated)
+from radelliptic.errors import Diverged, GridMismatch, InvalidSpec
 from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
                               RadialGrid, interior_quotients)
 from radelliptic.operators import (OperatorSpec, _bracket,
@@ -344,65 +342,25 @@ class TestSolveDirichlet:
 
 
 class TestComparison:
-    def _solve(self, op, dom, grid, value):
-        return solve_dirichlet(op, dom, SourceFunction.constant(value), grid)
-
     def test_larger_forcing_pushes_down(self):
         op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
         dom = Domain.ball(1.0)
         grid = RadialGrid.for_domain(dom, 100, Grading.GRADED_AT_ORIGIN)
-        hi = self._solve(op, dom, grid, 2.0)
-        lo = self._solve(op, dom, grid, 1.0)
-        report = comparison_oracle(hi, lo, op, SourceFunction.constant(2.0),
-                                   SourceFunction.constant(1.0))
-        assert report.all_passed
-
-    def test_precondition_forcing_order(self):
-        op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2)
-        dom = Domain.ball(1.0)
-        grid = RadialGrid.for_domain(dom, 32)
-        u = self._solve(op, dom, grid, 1.0)
-        v = self._solve(op, dom, grid, 2.0)
-        with pytest.raises(PreconditionViolated):
-            comparison_oracle(u, v, op, SourceFunction.constant(1.0),
-                              SourceFunction.constant(2.0))
-
-    def test_precondition_boundary_order(self):
-        op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2)
-        grid = RadialGrid.for_domain(Domain.ball(1.0), 32)
-        dom_hi = Domain.ball(1.0, bc_outer=1.0)
-        dom_lo = Domain.ball(1.0, bc_outer=0.0)
-        u = solve_dirichlet(op, dom_hi, SourceFunction.constant(1.0), grid)
-        v = solve_dirichlet(op, dom_lo, SourceFunction.constant(1.0), grid)
-        with pytest.raises(PreconditionViolated):
-            comparison_oracle(u, v, op, SourceFunction.constant(1.0),
-                              SourceFunction.constant(1.0))
-
-    def test_grid_mismatch(self):
-        op = OperatorSpec.pucci_plus(0.0, 1.0, 1.0, 2)
-        dom = Domain.ball(1.0)
-        u = self._solve(op, dom, RadialGrid.for_domain(dom, 32), 1.0)
-        v = self._solve(op, dom, RadialGrid.for_domain(dom, 64), 1.0)
-        with pytest.raises(GridMismatch):
-            comparison_oracle(u, v, op, SourceFunction.constant(1.0),
-                              SourceFunction.constant(1.0))
-
-    @pytest.mark.parametrize("alpha", [0.0, 1.0])
-    def test_random_ordered_pairs(self, alpha):
-        for op, dom, _, grid, g_hi, g_lo in _pucci_plus_ball_pairs(alpha):
-            f_hi = SourceFunction.tabulated(grid.nodes, g_hi)
-            f_lo = SourceFunction.tabulated(grid.nodes, g_lo)
-            hi = solve_dirichlet(op, dom, f_hi, grid)
-            lo = solve_dirichlet(op, dom, f_lo, grid)
-            report = comparison_oracle(hi, lo, op, f_hi, f_lo)
-            assert report.all_passed, report.failures()[0].as_dict()
+        hi = solve_dirichlet(op, dom, SourceFunction.constant(2.0), grid)
+        lo = solve_dirichlet(op, dom, SourceFunction.constant(1.0), grid)
+        assert np.all(hi.u.values <= lo.u.values)
+        assert np.any(hi.u.values < lo.u.values)
 
     # the comparison principle of the ``solver`` docstring, on seeded
     # ordered pairs: forcing f_u >= f_v and u's data no larger give u <= v
     def test_ordered_balls_are_ordered_bit_for_bit(self):
         differing = 0
         rng = np.random.default_rng(31)
-        pairs = [*_pucci_plus_ball_pairs(0.0), *_pucci_plus_ball_pairs(1.0),
+        ball = Domain.ball(1.0)
+        pairs = [(OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2), ball, ball,
+                  RadialGrid.for_domain(ball, 100, Grading.GRADED_AT_ORIGIN),
+                  SourceFunction.constant(2.0), SourceFunction.constant(1.0)),
+                 *_pucci_plus_ball_pairs(0.0), *_pucci_plus_ball_pairs(1.0),
                  *(_ordered_pair(rng, annulus=False) for _ in range(300))]
         for op, dom_u, dom_v, grid, f_u, f_v in pairs:
             u = solve_dirichlet(op, dom_u, f_u, grid)
