@@ -672,8 +672,7 @@ def c1_modulus_report(u, alpha: float) -> VerificationReport:
     tol_remark = 10.0 * scale
 
     probed = np.arange(0, grid.n + 1, C1_MODULUS_STRIDE)
-    dn = derivative_numbers(profile, nodes[probed],
-                            8.0 * grid.local_spacing(probed),
+    dn = derivative_numbers(profile, probed, 8.0 * grid.local_spacing(probed),
                             C1_MODULUS_SCALES)
     four = np.abs([dn.lambda_g, dn.Lambda_g, dn.lambda_d, dn.Lambda_d])
     # the zero-derivative check applies only where some number is small

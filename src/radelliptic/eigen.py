@@ -148,7 +148,8 @@ def principal_eigenvalue(op: OperatorSpec, dom: Domain, grid: RadialGrid,
         raise NotConverged(
             f"eigenvalue iteration did not settle in {MAX_OUTER} steps")
 
-    profile = DiscreteRadialFunction(grid, phi)
+    # phi = psi / norm is a fresh finite array that nothing writes again
+    profile = DiscreteRadialFunction._of_own(grid, phi)
     res = eigen_residual(work_op, dom, lam_history[-1], profile)
     return EigenResult(lambda_value=lam_history[-1], phi=profile,
                        lambda_history=lam_history, sign=sign, residual_sup=res)

@@ -25,7 +25,7 @@ class InvalidSpec(RadellipticError):
 
 
 class WindowTooSmall(RadellipticError):
-    """Derivative-number window below twice the local spacing."""
+    """Derivative-number window with no probe point inside the grid."""
 
 
 class OutsideDomain(RadellipticError):

@@ -32,9 +32,10 @@ class Domain:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", DomainKind(self.kind))
+        # each number is read as a config's is, named by its config path
         for name in ("R", "R1", "bc_inner", "bc_outer"):
-            object.__setattr__(self, name,
-                               config_number(getattr(self, name), name))
+            object.__setattr__(self, name, config_number(getattr(self, name),
+                                                         "domain." + name))
         if self.R <= 0:
             raise InvalidSpec("outer radius must be positive")
         if self.kind is DomainKind.BALL and self.R1 != 0.0:
@@ -54,12 +55,10 @@ class Domain:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Domain":
-        """The domain of a config's ``domain`` section, each number read
-        by ``config_number``."""
-        return cls(DomainKind(doc["kind"]),
-                   config_number(doc["R"], "domain.R"),
-                   *(config_number(doc.get(key, 0.0), "domain." + key)
-                     for key in ("R1", "bc_inner", "bc_outer")))
+        """The domain of a config's ``domain`` section, which the
+        constructor checks; a missing required key raises ``KeyError``."""
+        return cls(doc["kind"], doc["R"], *(doc.get(key, 0.0) for key in
+                                            ("R1", "bc_inner", "bc_outer")))
 
 
 # Default grading exponent: solutions behave like r^{(alpha+2)/(alpha+1)}
@@ -429,31 +428,23 @@ def _quotients(u: DiscreteRadialFunction) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(q), _read_only(m)
 
 
-def derivative_numbers(u: DiscreteRadialFunction, r, window,
+def derivative_numbers(u: DiscreteRadialFunction, i, window,
                        scales: int) -> DerivativeNumbers:
-    """Approximate the derivative numbers at grid nodes.
+    """Approximate the derivative numbers at the grid nodes of index ``i``.
 
-    Difference quotients (u(s) - u(r)) / (s - r) are probed at the geometric
-    scales s = r +/- window * 2^-k, k = 0..scales-1, with linear interpolation
-    off the grid; the min over scales stands in for liminf, the max for
-    limsup.  At the left end of the grid only the right numbers exist and the
-    left fields mirror them; at the right end the right fields mirror the
-    left ones.
+    Difference quotients (u(s) - u(r)) / (s - r) at a node r are probed at
+    the geometric scales s = r +/- window * 2^-k, k = 0..scales-1, with
+    linear interpolation off the grid; the min over scales stands in for
+    liminf, the max for limsup.  At the left end of the grid only the right
+    numbers exist and the left fields mirror them; at the right end the
+    right fields mirror the left ones.  Raises ``WindowTooSmall`` where
+    neither side has a probe point inside the grid.
 
-    ``r`` and ``window`` are arrays, broadcast together; the fields of the
-    result are arrays over the probe points.
+    ``i`` and ``window`` are arrays of one shape, node indices and window
+    widths; the fields of the result are arrays over the probe points.
     """
     nodes = u.grid.nodes
-    r, window = np.broadcast_arrays(np.asarray(r, dtype=float),
-                                    np.asarray(window, dtype=float))
-    if np.any(r < nodes[0] - 1e-12) or np.any(r > nodes[-1] + 1e-12):
-        raise OutsideDomain("derivative numbers requested outside the grid")
-    if scales < 2:
-        raise InvalidSpec("need at least two scales")
-    i = u.grid.nearest_index(r)
     r = nodes[i][..., None]
-    if np.any(window < 2 * u.grid.local_spacing(i) * (1 - 1e-12)):
-        raise WindowTooSmall("window below twice the local spacing")
     ur = u.values[i][..., None]
     offsets = window[..., None] * 2.0 ** (-np.arange(scales))
 

@@ -44,13 +44,17 @@ class OperatorSpec:
     kappa: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "variant", Variant(self.variant))
-        # each number is read as a config's is; an optional one may be None
-        for name in ("alpha", "a", "A", "p1", "p2", "nu", "kappa"):
+        # each field is read as a config's is, in the order of the fields,
+        # a number named by its config path; an optional one may be None
+        for name in ("alpha", "a", "A", "dim", "variant", "p1", "p2", "nu",
+                     "kappa"):
             value = getattr(self, name)
-            if name == "alpha" or value is not None:
-                object.__setattr__(self, name, config_number(value, name))
-        object.__setattr__(self, "dim", config_number(self.dim, "dim", int))
+            if name == "variant":
+                value = Variant(value)
+            elif value is not None or name in ("alpha", "dim"):
+                value = config_number(value, "operator." + name,
+                                      int if name == "dim" else float)
+            object.__setattr__(self, name, value)
         if self.alpha <= -1:
             raise InvalidSpec("alpha must exceed -1")
         if self.dim < 1:
@@ -124,24 +128,12 @@ class OperatorSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "OperatorSpec":
-        """The operator of a config's ``operator`` section, each number
-        read by ``config_number``; an optional one may be absent or null."""
-        def optional(key):
-            value = doc.get(key)
-            return (None if value is None
-                    else config_number(value, "operator." + key))
-
-        return cls(
-            alpha=config_number(doc["alpha"], "operator.alpha"),
-            a=optional("a"),
-            A=optional("A"),
-            dim=config_number(doc["dim"], "operator.dim", int),
-            variant=Variant(doc["variant"]),
-            p1=optional("p1"),
-            p2=optional("p2"),
-            nu=optional("nu"),
-            kappa=optional("kappa"),
-        )
+        """The operator of a config's ``operator`` section, which the
+        constructor checks; an optional key may be absent or null, and a
+        missing required one raises ``KeyError``."""
+        return cls(doc["alpha"], doc.get("a"), doc.get("A"), doc["dim"],
+                   doc["variant"], *(doc.get(key)
+                                     for key in ("p1", "p2", "nu", "kappa")))
 
 
 def _degenerate_factor(q, alpha):

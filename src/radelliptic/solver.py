@@ -445,9 +445,12 @@ def _shoot(op: OperatorSpec, dom: Domain, rec: _Recurrence, h, fvals):
     (the safeguard of Numerical Recipes' ``rtsafe``), and an Illinois
     regula falsi step otherwise; before a bracket exists a step that
     Newton cannot give doubles.  Returns the fluxes, their slopes u' and
-    the steps taken.  The first flux is taken in numpy under the caller's
-    ``errstate``, so one beyond the float range is inf, and the mismatch
-    it gives raises ``Diverged``.
+    the steps taken.  The first flux and the Newton step are taken in
+    numpy under the caller's ``errstate``: a first flux beyond the float
+    range is inf, and the mismatch it gives raises ``Diverged``; a slope
+    of M that is exactly 0 (its terms underflow near alpha = -1) gives an
+    infinite Newton step, which the bracket test and the finiteness test
+    both reject.
     """
     inv = 1.0 / (1.0 + op.alpha)
     cmp_, cmm, _, _ = op.bracket_coefficients()
@@ -478,9 +481,8 @@ def _shoot(op: OperatorSpec, dom: Domain, rec: _Recurrence, h, fvals):
             if side > 0 and lo is not None:
                 lo = (lo[0], 0.5 * lo[1])
             hi, side = (s, mis), 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = float((h * inv * np.abs(p) ** (inv - 1.0)) @ rec.P)
-            newton = s - mis / slope
+        slope = (h * inv * np.abs(p) ** (inv - 1.0)) @ rec.P
+        newton = s - mis / slope
         if lo is not None and hi is not None:
             if hi[0] - lo[0] <= 4.0 * np.finfo(float).eps * max(
                     abs(lo[0]), abs(hi[0])):
@@ -523,7 +525,7 @@ def solve_dirichlet(op: OperatorSpec, dom: Domain, f, grid: RadialGrid,
     rec = _Recurrence(op, grid, fvals, key)
     h = rec.rows.h
     u = np.empty_like(nodes)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if dom.kind is DomainKind.BALL:
             # the origin row is linear on the side of 0 that f(0) picks
             unit = 1.0 if fvals[0] >= 0.0 else -1.0

@@ -18,7 +18,8 @@ from radelliptic.analysis import (_LOCAL_COEFS, C1_MODULUS_SCALES,
                                   check_viscosity, derivative_zero_candidates,
                                   epsilon_aA, gamma_exponent, holder_exponent,
                                   sign_intervals, verify_flux_inequalities)
-from radelliptic.errors import InsufficientData, InvalidSpec, NotAZero
+from radelliptic.errors import (InsufficientData, InvalidSpec, NotAZero,
+                               WindowTooSmall)
 from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
                               RadialGrid, derivative_numbers,
                               interior_quotients, lipschitz_constant)
@@ -481,6 +482,12 @@ class TestC1Modulus:
         assert zero.margin == pytest.approx((1.0 - slope) * tol, rel=1e-9)
         assert zero.passed is passed
 
+    def test_two_node_profile_has_no_probe_point(self):
+        # the window of 8 spacings reaches past both ends of the grid
+        u = sampled(lambda r: r, n=1)
+        with pytest.raises(WindowTooSmall):
+            c1_modulus_report(u, alpha=0.0)
+
 
 # -- certification checks against the per-node and pairwise loops -----------
 
@@ -730,7 +737,7 @@ def reference_c1_modulus(u, alpha, stride=10):
              "zero-derivative": (np.inf, nodes[0])}
     for i in range(0, grid.n + 1, stride):
         window = 8.0 * grid.local_spacing(np.array([i]))
-        dn = derivative_numbers(profile, nodes[i:i + 1], window,
+        dn = derivative_numbers(profile, np.array([i]), window,
                                 C1_MODULUS_SCALES)
         lg, Lg, ld, Ld = (float(x[0]) for x in (dn.lambda_g, dn.Lambda_g,
                                                 dn.lambda_d, dn.Lambda_d))

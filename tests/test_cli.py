@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 from radelliptic import analysis, cli, eigen, grid
 from radelliptic.cli import main
-from radelliptic.grid import DiscreteRadialFunction
+from radelliptic.errors import InvalidSpec
+from radelliptic.grid import DiscreteRadialFunction, Domain
+from radelliptic.operators import OperatorSpec
 from radelliptic.solver import EXPRESSION_CATALOGUE, SourceFunction
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -213,6 +215,26 @@ class TestSolve:
         assert not [w for w in recwarn if issubclass(w.category,
                                                      RuntimeWarning)]
         assert not out.exists()
+
+    def test_zero_shooting_slope_is_no_newton_step(self, tmp_path, capsys,
+                                                   recwarn):
+        # near alpha = -1 the terms of the mismatch's slope underflow, and
+        # here their sum is an exact 0, which must give no Newton step
+        doc = {"operator": {"variant": "PucciMinus", "alpha": -0.99,
+                            "a": 0.708, "A": 1.953, "dim": 1},
+               "domain": {"kind": "Annulus", "R1": 0.9, "R": 1.0,
+                          "bc_inner": 0.8585, "bc_outer": -0.3847},
+               "grid": {"n": 16, "grading": "GradedAtOrigin"},
+               "f": {"kind": "expression", "name": "sine",
+                     "params": {"amplitude": 0.2716, "frequency": 4.514}}}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run("solve", cfg, out) == 0
+        assert capsys.readouterr().err == ""
+        assert not [w for w in recwarn if issubclass(w.category,
+                                                     RuntimeWarning)]
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["converged"] is True
 
 
 class TestVerify:
@@ -786,6 +808,21 @@ class TestConfigSchema:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: bad config: {message}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("operator", "alpha", math.nan), ("operator", "dim", 2.9),
+        ("domain", "R", "1")], ids=["nan-alpha", "fractional-dim", "text-R"])
+    def test_library_and_cli_give_one_message(self, tmp_path, capsys,
+                                              section, key, value):
+        # the section's keys are the constructor's fields
+        fields = dict(BASE_PROBLEM[section], **{key: value})
+        build = {"operator": OperatorSpec, "domain": Domain}[section]
+        with pytest.raises(InvalidSpec) as info:
+            build(**fields)
+        cfg = write_config(tmp_path, dict(BASE_PROBLEM, **{section: fields}))
+        assert run("solve", cfg, tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: bad config: {info.value}"]
 
     @pytest.mark.parametrize("f, path", [
         ({"kind": "constant", "value": 1.0, "name": "sine"}, "f.name"),

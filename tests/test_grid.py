@@ -5,8 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from radelliptic.errors import (GridMismatch, InvalidSpec, OutsideDomain,
-                                WindowTooSmall)
+from radelliptic.errors import GridMismatch, InvalidSpec, OutsideDomain
 from radelliptic.grid import (_CSV_CHUNK, DerivativeNumbers,
                               DiscreteRadialFunction, Domain, DomainKind,
                               Grading, RadialGrid, derivative_numbers,
@@ -44,13 +43,14 @@ class TestDomain:
     def test_infinite_radius_rejected(self):
         with pytest.raises(InvalidSpec) as info:
             Domain.ball(float("inf"))
-        assert str(info.value) == "R must be a finite number, got inf"
+        assert str(info.value) == "domain.R must be a finite number, got inf"
 
     def test_text_radius_rejected(self):
         # was a bare TypeError from comparing a str with 0
         with pytest.raises(InvalidSpec) as info:
             Domain.ball("1")
-        assert str(info.value) == "R must be a finite number, got '1'"
+        assert str(info.value) == ("domain.R must be a finite number, "
+                                   "got '1'")
 
     def test_annulus_validation(self):
         with pytest.raises(InvalidSpec):
@@ -85,6 +85,16 @@ class TestRadialGrid:
         assert grid.nodes[-1] == pytest.approx(1.5)
         assert grid.spans(Domain.annulus(0.5, 1.5))
         assert not grid.spans(Domain.ball(1.5))
+
+    def test_nearest_index_is_the_nearest_node(self):
+        grid = RadialGrid.for_domain(Domain.annulus(0.4, 1.3), 70)
+        nodes = grid.nodes
+        r = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:]),
+                            nodes[:-1] + 0.3 * np.diff(nodes),
+                            [nodes[0] - 1e-13, nodes[-1] + 1e-13]])
+        # argmin takes the lower node on a tie, as nearest_index does
+        assert np.array_equal(grid.nearest_index(r),
+                              [int(np.argmin(np.abs(nodes - rk))) for rk in r])
 
     def test_rejects_bad_nodes(self):
         with pytest.raises(InvalidSpec):
@@ -157,7 +167,8 @@ class TestDerivativeNumbers:
         n = 10_000
         grid = RadialGrid.for_domain(Domain.ball(1.0), n)
         u = DiscreteRadialFunction(grid, np.sin(grid.nodes))
-        dn = derivative_numbers(u, [0.5], window=[1e-2], scales=4)
+        # node 5000 is r = 0.5
+        dn = derivative_numbers(u, np.array([5000]), np.array([1e-2]), 4)
         assert dn.spread.shape == (1,)
         assert dn.spread[0] <= 1e-2
         mid = 0.5 * (dn.lambda_g[0] + dn.Lambda_d[0])
@@ -165,35 +176,20 @@ class TestDerivativeNumbers:
 
     def test_kink_separates_sides(self):
         u = uniform_profile(lambda r: np.abs(r - 0.5), n=1000)
-        dn = derivative_numbers(u, [0.5], window=[0.05], scales=3)
+        dn = derivative_numbers(u, np.array([500]), np.array([0.05]), 3)
         assert dn.lambda_g[0] == pytest.approx(-1.0, abs=1e-8)
         assert dn.Lambda_d[0] == pytest.approx(1.0, abs=1e-8)
         assert dn.spread[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_left_endpoint_mirrors_right(self):
         u = uniform_profile(lambda r: r ** 2, n=100)
-        dn = derivative_numbers(u, [0.0], window=[0.1], scales=3)
+        dn = derivative_numbers(u, np.array([0]), np.array([0.1]), 3)
         assert dn.lambda_g[0] == dn.lambda_d[0]
         assert dn.Lambda_g[0] == dn.Lambda_d[0]
         # the right numbers are the quotients u(s) / s at s = 0.1 / 2^k
         s = 0.1 * 2.0 ** -np.arange(3)
         assert dn.lambda_d[0] == pytest.approx(np.min(u(s) / s))
         assert dn.Lambda_d[0] == pytest.approx(np.max(u(s) / s))
-
-    def test_window_too_small(self):
-        u = uniform_profile(lambda r: r, n=10)
-        with pytest.raises(WindowTooSmall):
-            derivative_numbers(u, [0.5], window=[0.05], scales=2)
-
-    def test_outside_domain(self):
-        u = uniform_profile(lambda r: r, n=10)
-        with pytest.raises(OutsideDomain):
-            derivative_numbers(u, [2.0], window=[0.5], scales=2)
-
-    def test_scales_validated(self):
-        u = uniform_profile(lambda r: r, n=10)
-        with pytest.raises(InvalidSpec):
-            derivative_numbers(u, [0.5], window=[0.5], scales=1)
 
     def test_spread_property(self):
         dn = DerivativeNumbers(*np.array([[-1.0], [-0.5], [0.25], [1.0]]))
@@ -212,19 +208,10 @@ def bits(*values):
     return np.array(values, dtype=float).view(np.int64).tolist()
 
 
-def reference_derivative_numbers(u, r, window, scales):
-    """Scalar form of derivative_numbers, one probe point per call."""
+def reference_derivative_numbers(u, i, window, scales):
+    """Scalar form of derivative_numbers, one node index per call."""
     nodes = u.grid.nodes
-    if r < nodes[0] - 1e-12 or r > nodes[-1] + 1e-12:
-        raise OutsideDomain("derivative numbers requested outside the grid")
-    if scales < 2:
-        raise InvalidSpec("need at least two scales")
-    i = int(np.argmin(np.abs(nodes - r)))
     r = float(nodes[i])
-    h = u.grid.spacing
-    local = h[0] if i == 0 else h[-1] if i == u.grid.n else max(h[i - 1], h[i])
-    if window < 2 * local * (1 - 1e-12):
-        raise WindowTooSmall("window below twice the local spacing")
     ur = u.values[i]
     offsets = window * 2.0 ** (-np.arange(scales))
 
@@ -269,7 +256,6 @@ class TestVectorizedDerivativeNumbers:
     def test_array_call_equals_scalar_calls(self, name):
         u = _probe_profiles()[name]
         grid = u.grid
-        nodes = grid.nodes
         # every node, both grid ends included, with windows reaching past
         # the ends so that one side is mirrored
         idx = np.arange(grid.n + 1)
@@ -278,13 +264,13 @@ class TestVectorizedDerivativeNumbers:
                                   np.concatenate([grid.spacing,
                                                   grid.spacing[-1:]]))
         for scales in (2, 3, 5):
-            dn = derivative_numbers(u, nodes[idx], window, scales)
+            dn = derivative_numbers(u, idx, window, scales)
             for k in idx:
-                # a call at the one point
-                one = derivative_numbers(u, nodes[k:k + 1], window[k:k + 1],
+                # a call at the one node
+                one = derivative_numbers(u, idx[k:k + 1], window[k:k + 1],
                                          scales)
-                ref = reference_derivative_numbers(
-                    u, float(nodes[k]), float(window[k]), scales)
+                ref = reference_derivative_numbers(u, int(k), float(window[k]),
+                                                   scales)
                 assert bits(one.lambda_g[0], one.Lambda_g[0], one.lambda_d[0],
                             one.Lambda_d[0]) == bits(ref.lambda_g, ref.Lambda_g,
                                                      ref.lambda_d, ref.Lambda_d)
@@ -293,29 +279,6 @@ class TestVectorizedDerivativeNumbers:
                 assert got == bits(one.lambda_g[0], one.Lambda_g[0],
                                    one.lambda_d[0], one.Lambda_d[0],
                                    one.spread[0])
-
-    def test_off_node_points_snap_like_scalar_calls(self):
-        u = _probe_profiles()["annulus"]
-        nodes = u.grid.nodes
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        r = np.concatenate([mids, nodes[:-1] + 0.3 * np.diff(nodes),
-                            [nodes[0] - 1e-13, nodes[-1] + 1e-13]])
-        dn = derivative_numbers(u, r, 0.2, 3)
-        for k, rk in enumerate(r):
-            ref = reference_derivative_numbers(u, float(rk), 0.2, 3)
-            assert bits(dn.lambda_g[k], dn.Lambda_g[k], dn.lambda_d[k],
-                        dn.Lambda_d[k]) == bits(ref.lambda_g, ref.Lambda_g,
-                                                ref.lambda_d, ref.Lambda_d)
-        assert np.array_equal(u.grid.nearest_index(r),
-                              [int(np.argmin(np.abs(nodes - rk))) for rk in r])
-
-    def test_array_call_validates_every_point(self):
-        u = uniform_profile(lambda r: r, n=10)
-        with pytest.raises(OutsideDomain):
-            derivative_numbers(u, np.array([0.5, 2.0]), 0.5, 2)
-        with pytest.raises(WindowTooSmall):
-            derivative_numbers(u, np.array([0.5, 0.6]),
-                               np.array([0.5, 0.05]), 2)
 
 
 class TestDiscreteRadialFunction:

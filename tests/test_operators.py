@@ -344,15 +344,17 @@ class TestSpecValidation:
         # read like a config's numbers: a bool is not one, nor is 2.9 a dim
         with pytest.raises(InvalidSpec) as info:
             OperatorSpec.pucci_plus(True, True, 2.0, 2.9)
-        assert str(info.value) == "alpha must be a finite number, got True"
+        assert str(info.value) == ("operator.alpha must be a finite "
+                                   "number, got True")
         with pytest.raises(InvalidSpec) as info:
             OperatorSpec.pucci_plus(0.0, 1.0, 2.0, 2.9)
-        assert str(info.value) == "dim must be an integer, got 2.9"
+        assert str(info.value) == "operator.dim must be an integer, got 2.9"
 
     def test_nan_alpha_rejected(self):
         with pytest.raises(InvalidSpec) as info:
             OperatorSpec.pucci_plus(float("nan"), 1.0, 2.0, 2)
-        assert str(info.value) == "alpha must be a finite number, got nan"
+        assert str(info.value) == ("operator.alpha must be a finite "
+                                   "number, got nan")
 
     def test_trace_normal_mix_constraints(self):
         with pytest.raises(InvalidSpec):

@@ -6,7 +6,8 @@ import pytest
 
 from radelliptic import _kernels, solver
 from radelliptic.cli import ConfigError, _parse_problem
-from radelliptic.errors import Diverged, GridMismatch, InvalidSpec
+from radelliptic.errors import (Diverged, GridMismatch, InvalidSpec,
+                               RadellipticError)
 from radelliptic.grid import (DiscreteRadialFunction, Domain, Grading,
                               RadialGrid, interior_quotients)
 from radelliptic.operators import (OperatorSpec, _bracket,
@@ -15,6 +16,7 @@ from radelliptic.operators import (OperatorSpec, _bracket,
                                    pucci_power_profile)
 from radelliptic.solver import (SourceFunction, discretize_residual,
                                 solve_dirichlet)
+from reference import reference_solution
 
 
 class TestSourceFunction:
@@ -202,6 +204,29 @@ def _ordered_pair(rng, annulus):
     return op, dom_u, dom_v, grid, f_u, f_v
 
 
+def _near_minus_one_annulus(rng):
+    """A seeded problem at alpha = -0.99, dim 1, on [R1, 1]."""
+    variant = str(rng.choice(["PucciPlus", "PucciMinus", "TraceNormalMix"]))
+    if variant == "TraceNormalMix":
+        p1 = rng.uniform(0.5, 1.5)
+        op = OperatorSpec.trace_normal_mix(-0.99, p1,
+                                           p1 * rng.uniform(-0.9, 1.0), 1)
+    else:
+        a = rng.uniform(0.5, 1.0)
+        op = OperatorSpec(-0.99, a, a * rng.uniform(1.0, 3.0), 1, variant)
+    dom = Domain.annulus(rng.choice([0.5, 0.9, 0.99]), 1.0,
+                         rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    if rng.random() < 0.5:
+        f = SourceFunction.constant(0.0)
+    else:
+        f = SourceFunction.expression("sine",
+                                      amplitude=rng.uniform(-3.0, 3.0),
+                                      frequency=rng.uniform(0.5, 6.0))
+    grid = RadialGrid.for_domain(dom, int(rng.choice([16, 40])),
+                                 str(rng.choice(["Uniform", "GradedAtOrigin"])))
+    return op, dom, f, grid
+
+
 class TestSolveDirichlet:
     def test_zero_forcing_linear_data(self):
         op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
@@ -273,6 +298,21 @@ class TestSolveDirichlet:
             return
         [(mismatch, scale)] = closing
         assert abs(mismatch) <= 16.0 * EPS * scale
+
+    def test_annulus_shooting_near_alpha_minus_one(self):
+        # at alpha = -0.99 the terms of the mismatch's slope can underflow
+        # to a sum of exactly 0, which must give no Newton step; about 7%
+        # of this band's solves meet one.  pytest raises a RuntimeWarning
+        # as an error
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            op, dom, f, grid = _near_minus_one_annulus(rng)
+            try:
+                sol = solve_dirichlet(op, dom, f, grid)
+            except RadellipticError:
+                continue
+            ref = reference_solution(op, dom, f, grid.nodes)
+            assert np.max(np.abs(sol.u.values - ref)) <= 1e-3, (op, dom)
 
     def test_boundary_values_exact(self):
         op = OperatorSpec.pucci_plus(1.0, 1.0, 2.0, 2)
